@@ -8,7 +8,6 @@ brute-force lattice-point oracle.
 """
 from .cyclotomic import (
     Cyclotomic,
-    Rat,
     cyc_from_phase,
     cyclotomic_polynomial,
     get_level_cap,
@@ -37,7 +36,7 @@ from .genfun import (
     pfd_numerator,
     substitute_power,
 )
-from .oracle import EnumBound, count_points
+from .oracle import count_points
 from .params import AffineForm, Guard, ParamPoly, PhaseForm, Term, binom_poly
 from .pipeline import (
     PreprocessReport,

@@ -3,22 +3,17 @@
 An element is a polynomial in zeta_N of degree < phi(N), reduced modulo the
 N-th cyclotomic polynomial Phi_N.  This canonical form makes equality
 decidable, which the elimination engine relies on for pole-collision
-detection.  All coefficients are `fractions.Fraction`; nothing here ever
-rounds.
+detection.  Coefficients are held as integer numerators over one positive
+common denominator, in lowest terms; nothing here ever rounds.
 """
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import LevelMismatch, LevelOverflow, NotRational
-
-#: Ground-ring scalar: arbitrary-precision rational, always in lowest terms
-#: with positive denominator.
-Rat = Fraction
 
 DEFAULT_LEVEL_CAP = 10**6
 _level_cap = DEFAULT_LEVEL_CAP
@@ -44,52 +39,28 @@ def _check_level(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Integer / rational polynomial helpers (dense, ascending coefficients).
-
-def _trim(p):
-    end = len(p)
-    while end > 0 and p[end - 1] == 0:
-        end -= 1
-    return tuple(p[:end])
-
+# Integer polynomial helpers (dense, ascending coefficients).
 
 def _int_divexact(num, den):
-    # Exact division of integer polynomials; den is monic up to sign.
+    # Exact division of integer polynomials by a monic den.
     num = list(num)
     q = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
     for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        assert c % lead == 0
-        q[i] = c // lead
+        q[i] = c = num[i + len(den) - 1]
         for j, d in enumerate(den):
-            num[i + j] -= q[i] * d
+            num[i + j] -= c * d
     assert not any(num)
-    return tuple(q)
-
-
-def _divisors(n: int):
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    return q
 
 
 @lru_cache(maxsize=None)
 def _cyclo_poly(n: int) -> tuple[int, ...]:
-    if n == 1:
-        return (-1, 1)
     # x^n - 1 divided by Phi_d over all proper divisors d of n.
-    p = tuple([-1] + [0] * (n - 1) + [1])
-    for d in _divisors(n):
-        if d < n:
+    p = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
             p = _int_divexact(p, _cyclo_poly(d))
-    return p
+    return tuple(p)
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
@@ -98,53 +69,64 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return _cyclo_poly(n)
 
 
-def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+@lru_cache(maxsize=None)
+def _phi_taps(n: int):
+    """deg Phi_n and its nonzero lower coefficients (j, c_j)."""
+    phi = _cyclo_poly(n)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
 
 
-def _to_int_poly(p):
-    """Scale a Fraction polynomial to integers; returns (coeffs, denominator)."""
-    den = 1
-    for c in p:
-        den = lcm(den, c.denominator)
-    return [int(c * den) for c in p], den
+def _reduce(n: int, c: list) -> list:
+    """Remainder of the integer polynomial c mod Phi_n, padded to phi(n).
+
+    Works on c in place from the top coefficient down, so a polynomial of
+    degree < n costs only n - phi(n) row operations.
+    """
+    deg, taps = _phi_taps(n)
+    for i in range(len(c) - 1, deg - 1, -1):
+        v = c[i]
+        if v:
+            base = i - deg
+            for j, p in taps:
+                c[base + j] -= v * p
+    return c[:deg] + [0] * (deg - len(c))
 
 
-def _poly_mod(p, modulus):
-    # Remainder of a Fraction polynomial modulo a monic int polynomial.
-    # Denominators are cleared once so the loop runs in pure integers.
-    assert modulus[-1] == 1
-    deg = len(modulus) - 1
-    if len(p) <= deg:
-        return _trim(p)
-    num, den = _to_int_poly([Fraction(c) for c in p])
-    for i in range(len(num) - 1, deg - 1, -1):
-        c = num[i]
-        if c:
-            num[i] = 0
-            for j in range(deg):
-                num[i - deg + j] -= c * modulus[j]
-    return _trim([Fraction(v, den) for v in num[:deg]])
+def _mul_mod(n: int, a, b) -> list:
+    """a * b mod Phi_n for integer coefficient vectors of length phi(n).
+
+    Kronecker substitution: both operands are packed into one integer with a
+    slot of k bytes per coefficient, wide enough for every product
+    coefficient and its sign, so a single big-integer multiply does the
+    convolution.  Each slot is biased by half its range to unpack signed
+    coefficients.  The product is then folded mod x^n - 1 (zeta^n = 1) and
+    only its top n - phi(n) coefficients are reduced mod Phi_n.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    k = (bound.bit_length() + 8) // 8
+    h = 1 << (8 * k - 1)
+    half = h.to_bytes(k, "little")
+
+    def pack(c):
+        return (int.from_bytes(b"".join((v + h).to_bytes(k, "little") for v in c),
+                               "little")
+                - int.from_bytes(half * len(c), "little"))
+
+    size = len(a) + len(b) - 1
+    raw = (pack(a) * pack(b) + int.from_bytes(half * size, "little")).to_bytes(
+        k * size, "little")
+    c = [int.from_bytes(raw[i:i + k], "little") - h for i in range(0, k * size, k)]
+    for j in range(n, size):
+        c[j - n] += c[j]
+    del c[n:]
+    return _reduce(n, c)
 
 
-def _poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
-
-
-def _poly_sub(p, q):
-    n = max(len(p), len(q))
-    p = list(p) + [Fraction(0)] * (n - len(p))
-    for j, b in enumerate(q):
-        p[j] -= b
-    return _trim(p)
+def _trim(p):
+    end = len(p)
+    while end > 0 and p[end - 1] == 0:
+        end -= 1
+    return tuple(p[:end])
 
 
 def _poly_divmod(p, q):
@@ -165,37 +147,61 @@ def _poly_divmod(p, q):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class Cyclotomic:
-    """Exact element of Q(zeta_N): coefficient vector of length phi(N)."""
+    """Exact element of Q(zeta_N): phi(N) integer numerators `num` over the
+    positive common denominator `den`, with gcd(num, den) = 1."""
 
-    level: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("level", "num", "den")
 
     # Canonical form means equality at a common level is coefficient equality;
     # values at different levels are compared after embedding into the lcm.
     __hash__ = None  # type: ignore[assignment]
 
+    def __init__(self, level: int, coeffs):
+        """The element sum_i coeffs[i] zeta_level^i for rational coeffs."""
+        _check_level(level)
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * den // c.denominator for c in coeffs]
+        self._set(level, _reduce(level, num), den)
+
+    def _set(self, level, num, den) -> None:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        # Elements are shared through the memos, so they never change.
+        raise AttributeError(f"Cyclotomic is immutable; cannot set {name}")
+
     @classmethod
-    def _reduce(cls, level: int, poly) -> "Cyclotomic":
-        phi = cyclotomic_polynomial(level)
-        deg = len(phi) - 1
-        red = list(_poly_mod(tuple(Fraction(c) for c in poly), phi))
-        red += [Fraction(0)] * (deg - len(red))
-        return cls(level, tuple(red))
+    def _ints(cls, level: int, num, den: int = 1) -> "Cyclotomic":
+        """Element with integer numerators `num` over `den` > 0."""
+        x = object.__new__(cls)
+        x._set(level, num, den)
+        return x
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The phi(level) rational coefficients."""
+        return tuple(Fraction(v, self.den) for v in self.num)
 
     @classmethod
     def from_rational(cls, q) -> "Cyclotomic":
         q = Fraction(q)
-        return cls._reduce(1, (q,))
+        return cls._ints(1, (q.numerator,), q.denominator)
 
     @classmethod
     def zero(cls) -> "Cyclotomic":
-        return cls.from_rational(0)
+        return cls._ints(1, (0,))
 
     @classmethod
     def one(cls) -> "Cyclotomic":
-        return cls.from_rational(1)
+        return cls._ints(1, (1,))
 
     @classmethod
     def from_phase(cls, q) -> "Cyclotomic":
@@ -203,8 +209,7 @@ class Cyclotomic:
         q = Fraction(q) % 1
         n = q.denominator
         _check_level(n)
-        poly = [Fraction(0)] * q.numerator + [Fraction(1)]
-        return cls._reduce(n, poly)
+        return cls._ints(n, _reduce(n, [0] * q.numerator + [1]))
 
     # -- representation changes ------------------------------------------
 
@@ -216,22 +221,21 @@ class Cyclotomic:
         if m == self.level:
             return self
         step = m // self.level
-        poly = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            poly[i * step] = c
-        return Cyclotomic._reduce(m, poly)
+        poly = [0] * ((len(self.num) - 1) * step + 1)
+        poly[::step] = self.num
+        return Cyclotomic._ints(m, _reduce(m, poly), self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def to_rational(self) -> Fraction:
         """The rational value, if the element lies in Q."""
         if not self.is_rational():
             raise NotRational(f"{self} is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den)
 
     def approx(self) -> complex:
         """Double-precision value with zeta_N -> exp(2*pi*i/N). Testing only."""
@@ -257,12 +261,15 @@ class Cyclotomic:
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        return Cyclotomic(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        return Cyclotomic._ints(
+            a.level, [x * sa + y * sb for x, y in zip(a.num, b.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.level, tuple(-c for c in self.coeffs))
+        return Cyclotomic._ints(self.level, [-v for v in self.num], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -277,33 +284,15 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.level == 1:  # scalar fast path
-            q = other.coeffs[0]
-            return Cyclotomic(self.level, tuple(c * q for c in self.coeffs))
         if self.level == 1:
-            q = self.coeffs[0]
-            return Cyclotomic(other.level, tuple(c * q for c in other.coeffs))
+            self, other = other, self
+        if other.level == 1:  # scalar fast path
+            q = other.num[0]
+            return Cyclotomic._ints(
+                self.level, [v * q for v in self.num], self.den * other.den)
         a, b = self._common(other)
-        # Integer convolution and monic reduction; Fractions only at the end.
-        pa, da = _to_int_poly(a.coeffs)
-        pb, db = _to_int_poly(b.coeffs)
-        out = [0] * (len(pa) + len(pb) - 1)
-        for i, x in enumerate(pa):
-            if x:
-                for j, y in enumerate(pb):
-                    out[i + j] += x * y
-        phi = cyclotomic_polynomial(a.level)
-        deg = len(phi) - 1
-        for i in range(len(out) - 1, deg - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                for j in range(deg):
-                    out[i - deg + j] -= c * phi[j]
-        den = da * db
-        coeffs = [Fraction(v, den) for v in out[:deg]]
-        coeffs += [Fraction(0)] * (deg - len(coeffs))
-        return Cyclotomic(a.level, tuple(coeffs))
+        return Cyclotomic._ints(
+            a.level, _mul_mod(a.level, a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -311,17 +300,17 @@ class Cyclotomic:
         """Multiplicative inverse via extended Euclid against Phi_N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        phi = tuple(Fraction(c) for c in cyclotomic_polynomial(self.level))
-        # Extended Euclid: u*self + v*phi = gcd; Phi_N irreducible over Q,
-        # so the gcd is a nonzero constant.
-        r0, r1 = phi, _trim(self.coeffs)
-        u0, u1 = (), (Fraction(1),)
+        n = self.level
+        # Extended Euclid on the numerator polynomial, keeping u * num = r
+        # mod Phi_N; Phi_N is irreducible over Q, so r ends as a constant.
+        r0 = tuple(map(Fraction, cyclotomic_polynomial(n)))
+        r1 = _trim(tuple(map(Fraction, self.num)))
+        u0, u1 = Cyclotomic.zero(), Cyclotomic.one()
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        g = r1[0]
-        return Cyclotomic._reduce(self.level, tuple(c / g for c in u1))
+            u0, u1 = u1, u0 - Cyclotomic(n, q) * u1
+        return (u1 * (self.den / r1[0])).raise_level(n)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -352,10 +341,8 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.level == other.level:
-            return self.coeffs == other.coeffs
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __bool__(self):
         return not self.is_zero()
@@ -383,4 +370,35 @@ class Cyclotomic:
 
 
 def cyc_from_phase(q) -> Cyclotomic:
+    """e(q), memoised on q mod 1."""
+    q = Fraction(q) % 1
+    _check_level(q.denominator)
+    return _phase_root(q)
+
+
+@lru_cache(maxsize=None)
+def _phase_root(q: Fraction) -> Cyclotomic:
     return Cyclotomic.from_phase(q)
+
+
+def inv_one_minus_phase(q) -> Cyclotomic:
+    """1/(1 - e(q)) in closed form, memoised on q mod 1.
+
+    For x = e(q) of order n > 1, sum_{j<n} j x^j = n/(x - 1), so
+    1/(1 - x) = -(1/n) sum_{j<n} j x^j; no Euclid runs.
+    """
+    q = Fraction(q) % 1
+    n = q.denominator
+    _check_level(n)
+    if n == 1:
+        raise ZeroDivisionError("1 - e(0) is zero")
+    return _inv_one_minus_root(q)
+
+
+@lru_cache(maxsize=None)
+def _inv_one_minus_root(q: Fraction) -> Cyclotomic:
+    n, a = q.denominator, q.numerator
+    c = [0] * n
+    for j in range(1, n):
+        c[a * j % n] = -j
+    return Cyclotomic._ints(n, _reduce(n, c), n)

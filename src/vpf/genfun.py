@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, cyc_from_phase
+from .cyclotomic import Cyclotomic, cyc_from_phase, inv_one_minus_phase
 from .errors import DimensionMismatch, NotCoprime, UnsupportedMultiplePole
 from .params import (
     EQ_ZERO,
@@ -139,7 +139,7 @@ def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
                         raise UnsupportedMultiplePole(
                             "two denominator factors share a root at a "
                             "multivariate stage")
-                    acc = acc.scaled((1 - cyc_from_phase(q2)).inv())
+                    acc = acc.scaled(inv_one_minus_phase(q2))
                 else:
                     factors.append(Factor(q2, v2))
             children.append(GenFunState(exps, tuple(factors), acc))
@@ -222,7 +222,7 @@ def pfd_numerator(target: FactorGroup, others, beta: AffineForm) -> PfdNumerator
     # its inverse is (1/u0) sum_j (e(th)/u0)^j t^j.
     prod = [Cyclotomic.one()] + [Cyclotomic.zero()] * (mu - 1)
     for th in others:
-        u0_inv = (1 - cyc_from_phase((th - theta) % 1)).inv()
+        u0_inv = inv_one_minus_phase(th - theta)
         ratio = cyc_from_phase(th % 1) * u0_inv
         series = []
         power = u0_inv
@@ -265,7 +265,7 @@ def final_univariate(state: GenFunState) -> list[Term]:
     for f in state.factors:
         n = f.exps[0]
         if n == 0:
-            acc = acc.scaled((1 - cyc_from_phase(f.phase)).inv())
+            acc = acc.scaled(inv_one_minus_phase(f.phase))
             continue
         for l in range(n):
             theta = Fraction(f.phase - l, n) % 1

@@ -7,37 +7,14 @@ certificate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import NotPointed
 from .matrixops import fm_certificate
-
-
-@dataclass(frozen=True)
-class EnumBound:
-    """Per-variable upper bounds x_i <= y.b / (y.c_i) from a certificate y."""
-
-    bounds: tuple[int, ...]
-
-    @classmethod
-    def from_certificate(cls, y, columns, b) -> "EnumBound":
-        yb = sum(yi * bi for yi, bi in zip(y, b))
-        out = []
-        for c in columns:
-            yc = sum(yi * ci for yi, ci in zip(y, c))
-            out.append(max(0, int(Fraction(yb) / yc)) if yb >= 0 else 0)
-        return cls(tuple(out))
 
 
 def count_points(spec, b, certificate=None) -> int:
     """Exact number of nonnegative integer solutions of A x = b."""
     columns = spec.columns
     if certificate is None:
-        try:
-            certificate = fm_certificate(columns)
-        except NotPointed:
-            raise
+        certificate = fm_certificate(columns)
     y = certificate
     m = spec.m
     d = spec.d

@@ -6,12 +6,13 @@ merges terms, and verifies closed forms against the brute-force oracle.
 """
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
-from .errors import NotPointed, NotRational, SanityFailure
+from .errors import MatrixParseError, NotPointed, NotRational, SanityFailure
 from .genfun import Factor, GenFunState, eliminate_last_var, final_univariate
 from .matrixops import (
     fm_certificate,
@@ -53,7 +54,7 @@ class ProblemSpec:
 
     @classmethod
     def from_rows(cls, rows, phases=(), label="") -> "ProblemSpec":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows),
+        return cls(tuple(_int_vector(r, "matrix row") for r in rows),
                    tuple(phases), label)
 
     @property
@@ -67,6 +68,14 @@ class ProblemSpec:
     @property
     def columns(self) -> list[tuple[int, ...]]:
         return [tuple(row[k] for row in self.entries) for k in range(self.d)]
+
+
+def _int_vector(values, what: str) -> tuple[int, ...]:
+    """Integers from outside input; a non-integer is rejected, never rounded."""
+    try:
+        return tuple(operator.index(x) for x in values)
+    except TypeError as exc:
+        raise MatrixParseError(f"{what} {values!r} has a non-integer entry") from exc
 
 
 @dataclass(frozen=True)
@@ -222,7 +231,7 @@ def compute(spec: ProblemSpec, order=None) -> ResultExpr:
 
 def evaluate(expr: ResultExpr, b) -> Fraction:
     """phi_A(b); rejects non-integer or negative totals loudly."""
-    b = tuple(int(x) for x in b)
+    b = _int_vector(b, "b")
     if len(b) != expr.m:
         raise SanityFailure(f"b must have length {expr.m}")
     if expr.report is not None and not expr.report.is_identity:
@@ -242,10 +251,12 @@ def evaluate(expr: ResultExpr, b) -> Fraction:
 
 def verify_box(spec: ProblemSpec, expr: ResultExpr, lo, hi) -> VerifyReport:
     """Compare evaluate against the oracle on every integer b in the box."""
-    lo = tuple(int(x) for x in lo)
-    hi = tuple(int(x) for x in hi)
-    assert len(lo) == len(hi) == spec.m
-    assert all(a <= b for a, b in zip(lo, hi))
+    lo = _int_vector(lo, "box corner")
+    hi = _int_vector(hi, "box corner")
+    if not len(lo) == len(hi) == spec.m:
+        raise MatrixParseError(f"box corners {lo}, {hi} need {spec.m} entries")
+    if any(a > b for a, b in zip(lo, hi)):
+        raise MatrixParseError(f"empty box: lower corner {lo} exceeds {hi}")
     y = check_pointed(spec)
     report = VerifyReport()
     start = time.perf_counter()

@@ -1,8 +1,6 @@
 """Text and LaTeX rendering of closed forms."""
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclotomic import Cyclotomic
 from .params import EQ_ZERO, AffineForm, Guard, ParamPoly, PhaseForm, Term
 from .pipeline import ResultExpr
@@ -118,13 +116,6 @@ def render_expr_text(expr: ResultExpr) -> str:
         lead = "    " if i == 0 else "  + "
         lines.append(lead + f"[{render_term(t, names)}]")
     return "\n".join(lines)
-
-
-def _latex_frac(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q < 0 else ""
-    return f"{sign}\\tfrac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
 
 def render_expr_latex(expr: ResultExpr) -> str:

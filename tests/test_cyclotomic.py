@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,6 +17,7 @@ from vpf import (
     get_level_cap,
     set_level_cap,
 )
+from vpf.cyclotomic import inv_one_minus_phase
 
 
 def F(p, q=1):
@@ -213,6 +215,141 @@ class TestLevelCap:
         finally:
             set_level_cap(old)
 
+    def test_cap_checked_before_memo(self):
+        cyc_from_phase(F(1, 11))
+        inv_one_minus_phase(F(1, 11))
+        old = get_level_cap()
+        try:
+            set_level_cap(10)
+            with pytest.raises(LevelOverflow):
+                cyc_from_phase(F(1, 11))
+            with pytest.raises(LevelOverflow):
+                inv_one_minus_phase(F(1, 11))
+        finally:
+            set_level_cap(old)
+
+    def test_constructor_checks_cap(self):
+        with pytest.raises(LevelOverflow):
+            Cyclotomic(get_level_cap() + 1, [1])
+        with pytest.raises(ValueError):
+            Cyclotomic(0, [1])
+
     def test_bad_cap(self):
         with pytest.raises(ValueError):
             set_level_cap(0)
+
+
+class TestClosedFormInverse:
+    """1/(1 - e(q)) in closed form against extended Euclid."""
+
+    def test_matches_euclid_small_levels(self):
+        for n in range(2, 61):
+            for a in range(1, n):
+                if gcd(a, n) != 1:
+                    continue
+                q = F(a, n)
+                got = inv_one_minus_phase(q)
+                want = (1 - cyc_from_phase(q)).inv()
+                assert got.level == want.level == n
+                assert got.coeffs == want.coeffs
+
+    def test_matches_euclid_high_levels(self):
+        for q in (F(1, 143), F(5, 143), F(142, 143), F(1, 221), F(100, 221)):
+            got = inv_one_minus_phase(q)
+            want = (1 - cyc_from_phase(q)).inv()
+            assert got.level == want.level and got.coeffs == want.coeffs
+            assert got * (1 - cyc_from_phase(q)) == 1
+
+    def test_phase_mod_one(self):
+        assert inv_one_minus_phase(F(13, 11)) == inv_one_minus_phase(F(2, 11))
+        assert inv_one_minus_phase(F(-1, 2)) == F(1, 2)
+
+    def test_zero_phase_rejected(self):
+        for q in (0, 1, F(-3)):
+            with pytest.raises(ZeroDivisionError):
+                inv_one_minus_phase(q)
+
+
+# -- schoolbook Fraction reference for the integer kernel ---------------------
+
+def _ref_reduce(poly, n):
+    """Remainder of a Fraction polynomial mod Phi_n, padded to phi(n)."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    p = list(poly)
+    for i in range(len(p) - 1, deg - 1, -1):
+        c = p[i]
+        for j in range(deg + 1):
+            p[i - deg + j] -= c * phi[j]
+    p = p[:deg]
+    return tuple(p + [F(0)] * (deg - len(p)))
+
+
+def _ref_mul(x, y, n):
+    out = [F(0)] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return _ref_reduce(out, n)
+
+
+def _ref_raise(x, d, n):
+    step = n // d
+    out = [F(0)] * ((len(x) - 1) * step + 1)
+    for i, c in enumerate(x):
+        out[i * step] = c
+    return _ref_reduce(out, n)
+
+
+def _random_element(rng, n):
+    deg = len(cyclotomic_polynomial(n)) - 1
+    den = rng.randint(10**14, 10**15)
+    return Cyclotomic(n, [F(rng.randint(-10**18, 10**18), den)
+                          for _ in range(deg)])
+
+
+class TestIntegerKernel:
+    """Integer numerators, Kronecker multiply and fold-then-Phi reduction
+    against schoolbook Fraction arithmetic."""
+
+    LEVELS = (1, 2, 12, 90, 143, 221)
+
+    def test_mul_add_same_level(self):
+        rng = random.Random(23)
+        for n in self.LEVELS:
+            for _ in range(3):
+                x, y = _random_element(rng, n), _random_element(rng, n)
+                assert (x * y).coeffs == _ref_mul(x.coeffs, y.coeffs, n)
+                assert (x + y).coeffs == tuple(
+                    a + b for a, b in zip(x.coeffs, y.coeffs))
+                assert (x * y).level == (x + y).level == n
+
+    def test_scalar_and_mixed_levels(self):
+        rng = random.Random(29)
+        for d, e in ((1, 12), (12, 1), (2, 90), (12, 90), (11, 13), (13, 17)):
+            x, y = _random_element(rng, d), _random_element(rng, e)
+            n = d * e // gcd(d, e)
+            xr, yr = _ref_raise(x.coeffs, d, n), _ref_raise(y.coeffs, e, n)
+            assert (x * y).level == n
+            assert (x * y).coeffs == _ref_mul(xr, yr, n)
+            assert (x + y).coeffs == tuple(a + b for a, b in zip(xr, yr))
+
+    def test_raise_level(self):
+        rng = random.Random(31)
+        for d, n in ((1, 2), (2, 12), (6, 12), (3, 90), (45, 90), (11, 143),
+                     (13, 143), (13, 221), (17, 221)):
+            x = _random_element(rng, d)
+            y = x.raise_level(n)
+            assert y.level == n and y.coeffs == _ref_raise(x.coeffs, d, n)
+            assert y == x
+
+    def test_lowest_terms(self):
+        x = Cyclotomic(12, [F(2, 4), F(6, 4), 0, F(-1, 2)])
+        assert (x.num, x.den) == ((1, 3, 0, -1), 2)
+        assert (x - x).num == (0,) * 4 and (x - x).den == 1
+
+    def test_immutable(self):
+        x = cyc_from_phase(F(1, 7))
+        with pytest.raises(AttributeError):
+            x.num = (0,) * 6
+        assert cyc_from_phase(F(1, 7)).num == (0, 1, 0, 0, 0, 0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from vpf import EnumBound, ProblemSpec, count_points
+from vpf import ProblemSpec, count_points
 
 
 A2 = ProblemSpec.from_rows([(1, 0, 1), (0, 1, 1)])
@@ -69,12 +69,3 @@ class TestCountPoints:
         # Compositions of 30 into 4 nonnegative parts: C(33, 3).
         assert count_points(spec, (30,)) == 5456
 
-
-class TestEnumBound:
-    def test_from_certificate(self):
-        eb = EnumBound.from_certificate((1, 1), [(1, 0), (0, 1), (1, 1)], (3, 4))
-        assert eb.bounds == (7, 7, 3)
-
-    def test_negative_halfspace(self):
-        eb = EnumBound.from_certificate((1,), [(1,), (2,)], (-5,))
-        assert eb.bounds == (0, 0)

@@ -8,6 +8,7 @@ from itertools import permutations
 import pytest
 
 from vpf import (
+    MatrixParseError,
     NotPointed,
     ProblemSpec,
     SanityFailure,
@@ -48,6 +49,12 @@ class TestProblemSpec:
 
     def test_columns(self):
         assert A2.columns == [(1, 0), (0, 1), (1, 1)]
+
+    def test_non_integer_entry_rejected(self):
+        for rows in ([(1.5, 1)], [(1, F(1, 2))], [(1, "2")]):
+            with pytest.raises(MatrixParseError):
+                ProblemSpec.from_rows(rows)
+        assert MatrixParseError.exit_code == 4
 
 
 class TestCheckPointed:
@@ -159,6 +166,12 @@ class TestEvaluate:
         with pytest.raises(SanityFailure):
             evaluate(expr, (1, 2))
 
+    def test_non_integer_b_rejected(self):
+        expr = compute(A2)
+        for b in ((2.7, 5.9), (2.0, 5), (F(5, 2), 5)):
+            with pytest.raises(MatrixParseError):
+                evaluate(expr, b)
+
     def test_transform_applied(self):
         spec = ProblemSpec.from_rows([(1, 2), (-1, 0)])
         expr = compute(spec)
@@ -173,6 +186,13 @@ class TestVerifyBox:
         report = verify_box(A2, expr, (-3, -3), (8, 8))
         assert report.ok
         assert report.points_checked == 144
+
+    def test_bad_box_rejected(self):
+        expr = compute(A2)
+        for lo, hi in (((3, 3), (1, 1)), ((0, 3), (2, 1)), ((0,), (2,)),
+                       ((0, 0), (2, 2, 2)), ((0.5, 0), (2, 2))):
+            with pytest.raises(MatrixParseError):
+                verify_box(A2, expr, lo, hi)
 
     def test_outside_cone_all_zero(self):
         expr = compute(A2)

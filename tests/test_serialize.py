@@ -1,8 +1,11 @@
 """JSON round-trips for every serialized object."""
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 from vpf import (
     AffineForm,
@@ -96,3 +99,31 @@ class TestExpr:
         obj = expr_to_json(compute(spec))
         assert obj["matrix"] == [[1, 2], [-1, 0]]
         assert "unimodular" in obj and "certificate" in obj
+
+
+#: sha256 of the CLI's `compute --format json` text (json.dumps(..., indent=2)
+#: of expr_to_json), pinned so changes to the arithmetic cannot move a
+#: coefficient, a level or the term order.
+PINNED_JSON = [
+    ([(1, 0, 1), (0, 1, 1)], None,
+     "5cdebf6fd1a06270a908fe54e081d38a2e1ae96ad6235d5146e6a39b5bfc6771"),
+    ([(1, 2, 1, 0), (1, 1, 0, 1)], None,
+     "de97b386344f7c5efa385adb3d5806abfa1d6e86be34fd18ec2a89dfd2bda0be"),
+    ([(1, 1), (3, 1)], None,
+     "317e29f668d7742fff10d654ce9e5faff7d7ca96cfdac2369caac854eb7539f3"),
+    ([(1, 5, 7)], None,
+     "21d7f9589d3a96735acba31ebf69e19ff953567a3bfcf0d4d9f740504128ff49"),
+    ([(1, 7, 11)], None,
+     "1be0d09e5bba06aadf888004ae2899d535fc060a86a025356a222e09f5489f89"),
+    ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (1, 2, 0),
+     "32bfc5f8d4477b82c665e25c8f734ce9197dafac209b842b4c44d18f0a828f51"),
+    ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (2, 1, 0),
+     "04cbf8c3c8ff84d7fb714d1f7309967e4d4d997c7d9e4d1161f2297591da53ca"),
+]
+
+
+@pytest.mark.parametrize("rows, order, digest", PINNED_JSON)
+def test_pinned_json_output(rows, order, digest):
+    expr = compute(ProblemSpec.from_rows(rows), order=order)
+    text = json.dumps(expr_to_json(expr), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
