@@ -41,6 +41,13 @@ def _check_level(n: int) -> None:
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (dense, ascending coefficients).
 
+def _trim(p):
+    end = len(p)
+    while end > 0 and p[end - 1] == 0:
+        end -= 1
+    return tuple(p[:end])
+
+
 def _int_divexact(num, den):
     # Exact division of integer polynomials by a monic den.
     num = list(num)
@@ -102,6 +109,9 @@ def _mul_mod(n: int, a, b) -> list:
     coefficients.  The product is then folded mod x^n - 1 (zeta^n = 1) and
     only its top n - phi(n) coefficients are reduced mod Phi_n.
     """
+    if not any(a) or not any(b):
+        # A zero operand would size the slots below too narrow for the other.
+        return [0] * len(a)
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     k = (bound.bit_length() + 8) // 8
     h = 1 << (8 * k - 1)
@@ -120,13 +130,6 @@ def _mul_mod(n: int, a, b) -> list:
         c[j - n] += c[j]
     del c[n:]
     return _reduce(n, c)
-
-
-def _trim(p):
-    end = len(p)
-    while end > 0 and p[end - 1] == 0:
-        end -= 1
-    return tuple(p[:end])
 
 
 def _poly_divmod(p, q):

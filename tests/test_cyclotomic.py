@@ -343,6 +343,19 @@ class TestIntegerKernel:
             assert y.level == n and y.coeffs == _ref_raise(x.coeffs, d, n)
             assert y == x
 
+    def test_zero_operand(self):
+        # A zero at level > 1, made by cancellation or lifted to a common
+        # level, times an element with numerators far above one byte.
+        rng = random.Random(37)
+        for zl, yl in ((12, 12), (143, 143), (11, 13), (13, 143)):
+            z = cyc_from_phase(F(1, zl))
+            zero = z - z
+            y = _random_element(rng, yl) * (10**40 + 1) + 200 * cyc_from_phase(F(1, yl))
+            n = zl * yl // gcd(zl, yl)
+            for prod in (zero * y, y * zero):
+                assert prod.level == n
+                assert prod.is_zero() and prod.num == (0,) * len(prod.num)
+
     def test_lowest_terms(self):
         x = Cyclotomic(12, [F(2, 4), F(6, 4), 0, F(-1, 2)])
         assert (x.num, x.den) == ((1, 3, 0, -1), 2)
