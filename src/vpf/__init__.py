@@ -27,7 +27,6 @@ from .errors import (
 )
 from .genfun import (
     Factor,
-    FactorGroup,
     GenFunState,
     dedekind_sum,
     eliminate_last_var,

@@ -73,7 +73,7 @@ def parse_matrix_file(path: str) -> ProblemSpec:
                 ) from exc
         rows.append(tuple(row))
     try:
-        return ProblemSpec.from_rows(rows, label=path)
+        return ProblemSpec.from_rows(rows)
     except ValueError as exc:
         raise MatrixParseError(f"{path}: {exc}") from exc
 
@@ -107,6 +107,16 @@ def parse_order(text: str):
     return tuple(i - 1 for i in order)
 
 
+def _read_expr_json(path: str):
+    """A saved expression; any unreadable or malformed file is a parse error."""
+    try:
+        with open(path) as fh:
+            return expr_from_json(json.load(fh))
+    except (OSError, json.JSONDecodeError, KeyError, TypeError,
+            ValueError) as exc:
+        raise MatrixParseError(f"{path}: bad expression JSON: {exc}") from exc
+
+
 def _load_expr(path: str):
     """An expression JSON if the file looks like JSON, else compute from matrix."""
     try:
@@ -115,11 +125,7 @@ def _load_expr(path: str):
     except OSError as exc:
         raise MatrixParseError(f"{path}: {exc}") from exc
     if head == "{":
-        try:
-            with open(path) as fh:
-                return None, expr_from_json(json.load(fh))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise MatrixParseError(f"{path}: bad expression JSON: {exc}") from exc
+        return None, _read_expr_json(path)
     spec = parse_matrix_file(path)
     return spec, compute(spec)
 
@@ -150,14 +156,7 @@ def cmd_verify(args) -> int:
     if len(lo) != spec.m:
         raise MatrixParseError(
             f"box has {len(lo)} ranges but the matrix has {spec.m} rows")
-    if args.expr:
-        try:
-            with open(args.expr) as fh:
-                expr = expr_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise MatrixParseError(f"{args.expr}: bad expression JSON: {exc}") from exc
-    else:
-        expr = compute(spec)
+    expr = _read_expr_json(args.expr) if args.expr else compute(spec)
     report = verify_box(spec, expr, lo, hi)
     print(f"checked {report.points_checked} points in {report.seconds:.3f}s; "
           f"{len(report.mismatches)} mismatches")

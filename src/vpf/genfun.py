@@ -12,7 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, cyc_from_phase, inv_one_minus_phase
-from .errors import DimensionMismatch, NotCoprime, UnsupportedMultiplePole
+from .errors import (
+    DimensionMismatch,
+    MatrixParseError,
+    NotCoprime,
+    UnsupportedMultiplePole,
+)
 from .params import (
     EQ_ZERO,
     GE_ZERO,
@@ -147,14 +152,6 @@ def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
 
 
 @dataclass(frozen=True)
-class FactorGroup:
-    """A group of linear factors (1 - e(theta) w)^mult sharing a root phase."""
-
-    theta: Fraction
-    mult: int
-
-
-@dataclass(frozen=True)
 class PfdNumerator:
     """Numerator of one factor group, formal in b.
 
@@ -204,35 +201,30 @@ class PfdNumerator:
         return out
 
 
-def pfd_numerator(target: FactorGroup, others, beta: AffineForm) -> PfdNumerator:
-    """Numerator of `target` in the decomposition of 1/(prod factors * w^beta).
+def pfd_numerator(theta: Fraction, mu: int, others,
+                  beta: AffineForm) -> PfdNumerator:
+    """Numerator of the group (1 - e(theta) w)^mu in the decomposition of
+    1/(prod factors * w^beta).
 
     `others` lists the root phases of all remaining linear factors, with
     multiplicity.  Computed by inversion in the truncated local ring at
-    w = alpha^{-1}, truncation t^mult.
+    w = alpha^{-1}, truncation t^mu.
     """
-    theta, mu = target.theta, target.mult
     if any(th == theta for th in others):
         raise NotCoprime(f"root phase {theta} appears among the other factors")
     m = beta.arity
     alpha = cyc_from_phase(theta)
 
     # Product of the inverses of the other linear factors, mod t^mu.
-    # (1 - e(th) w) = u0 + u1 t with u0 = 1 - e(th - theta), u1 = -e(th);
-    # its inverse is (1/u0) sum_j (e(th)/u0)^j t^j.
+    # 1 - e(th) w = u0 (1 - (e(th)/u0) t) with u0 = 1 - e(th - theta), so
+    # dividing the series by it is Q_j = (P_j + e(th) Q_{j-1}) / u0, in place.
     prod = [Cyclotomic.one()] + [Cyclotomic.zero()] * (mu - 1)
     for th in others:
         u0_inv = inv_one_minus_phase(th - theta)
-        ratio = cyc_from_phase(th % 1) * u0_inv
-        series = []
-        power = u0_inv
-        for _ in range(mu):
-            series.append(power)
-            power = power * ratio
-        prod = [
-            sum((prod[i] * series[j - i] for i in range(j + 1)),
-                Cyclotomic.zero())
-            for j in range(mu)]
+        root = cyc_from_phase(th)
+        prod[0] = prod[0] * u0_inv
+        for j in range(1, mu):
+            prod[j] = (prod[j] + root * prod[j - 1]) * u0_inv
 
     # Inverse of w^beta, local part: alpha^beta (kept as phase) times
     # (1 + alpha t)^{-beta} = sum_j binom(j+beta-1, j) (-alpha)^j t^j.
@@ -279,7 +271,7 @@ def final_univariate(state: GenFunState) -> list[Term]:
     terms = []
     for theta, mu in ordered:
         others = [th for th, m2 in ordered if th != theta for _ in range(m2)]
-        num = pfd_numerator(FactorGroup(theta, mu), others, beta)
+        num = pfd_numerator(theta, mu, others, beta)
         a0 = num.constant_poly()
         t = acc.with_guard(Guard(beta, GE_ZERO)).shift_phase(theta, beta)
         if a0.is_constant():
@@ -298,11 +290,12 @@ def dedekind_sum(n: int, a_phase: Fraction, f, beta: int) -> Cyclotomic:
     By the constant-term lemma this equals the numerator constant A(0) of the
     group 1 - e(a_phase) w^n in the decomposition of 1/(f(w) (1-e(a)w^n) w^beta).
     """
-    assert n >= 1
+    if n < 1:
+        raise MatrixParseError(f"the group size n must be positive, got {n}")
     total = Cyclotomic.zero()
     for l in range(n):
-        alpha = cyc_from_phase((Fraction(a_phase) + l) / n % 1)
-        alpha_inv = alpha.inv()
+        theta = (Fraction(a_phase) + l) / n
+        alpha_inv = cyc_from_phase(-theta)
         val = Cyclotomic.one()
         for c in f:
             if not isinstance(c, Cyclotomic):
@@ -311,5 +304,5 @@ def dedekind_sum(n: int, a_phase: Fraction, f, beta: int) -> Cyclotomic:
         if val.is_zero():
             raise ZeroDivisionError(
                 f"f vanishes at the root alpha^-1 for l={l}")
-        total = total + alpha**beta * val.inv()
+        total = total + cyc_from_phase(theta * beta) * val.inv()
     return total * Fraction(1, n)

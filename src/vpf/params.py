@@ -86,7 +86,9 @@ class PhaseForm:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        assert all(0 <= c < 1 for c in self.coeffs)
+        if not all(0 <= c < 1 for c in self.coeffs):
+            raise ValueError(
+                f"phase coefficients {self.coeffs} are not reduced mod 1")
 
     @classmethod
     def zero(cls, m: int) -> "PhaseForm":
@@ -253,7 +255,9 @@ class Guard:
     sense: str = GE_ZERO
 
     def __post_init__(self):
-        assert self.sense in (GE_ZERO, EQ_ZERO)
+        if self.sense not in (GE_ZERO, EQ_ZERO):
+            raise ValueError(f"guard sense must be {GE_ZERO!r} or {EQ_ZERO!r}, "
+                             f"got {self.sense!r}")
 
     def satisfied(self, b) -> bool:
         v = self.form.eval(b)

@@ -10,6 +10,7 @@ import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .cyclotomic import Cyclotomic
 from .errors import MatrixParseError, NotPointed, NotRational, SanityFailure
@@ -31,7 +32,6 @@ class ProblemSpec:
 
     entries: tuple[tuple[int, ...], ...]
     phases: tuple[Fraction, ...] = ()
-    label: str = ""
 
     def __post_init__(self):
         m = len(self.entries)
@@ -53,9 +53,9 @@ class ProblemSpec:
                 raise NotPointed(f"column {k} is zero")
 
     @classmethod
-    def from_rows(cls, rows, phases=(), label="") -> "ProblemSpec":
+    def from_rows(cls, rows, phases=()) -> "ProblemSpec":
         return cls(tuple(_int_vector(r, "matrix row") for r in rows),
-                   tuple(phases), label)
+                   tuple(phases))
 
     @property
     def m(self) -> int:
@@ -257,19 +257,18 @@ def verify_box(spec: ProblemSpec, expr: ResultExpr, lo, hi) -> VerifyReport:
         raise MatrixParseError(f"box corners {lo}, {hi} need {spec.m} entries")
     if any(a > b for a, b in zip(lo, hi)):
         raise MatrixParseError(f"empty box: lower corner {lo} exceeds {hi}")
+    if any(spec.phases):
+        # count_points counts unweighted solutions, so it is no oracle for a
+        # phase-weighted generating function.
+        raise MatrixParseError(
+            f"verify_box has no oracle for column phases {spec.phases}")
     y = check_pointed(spec)
     report = VerifyReport()
     start = time.perf_counter()
-
-    def boxes(i):
-        if i == len(lo):
-            yield ()
-            return
-        for rest in boxes(i + 1):
-            for v in range(lo[i], hi[i] + 1):
-                yield (v,) + rest
-
-    for b in boxes(0):
+    # The first coordinate varies fastest.
+    ranges = [range(a, z + 1) for a, z in zip(lo, hi)]
+    for rev in product(*reversed(ranges)):
+        b = rev[::-1]
         expected = count_points(spec, b, certificate=y)
         got = evaluate(expr, b)
         report.points_checked += 1

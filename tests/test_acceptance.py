@@ -11,7 +11,6 @@ from vpf import (
     AffineForm,
     Cyclotomic,
     Factor,
-    FactorGroup,
     GenFunState,
     ParamPoly,
     ProblemSpec,
@@ -78,7 +77,7 @@ def test_criterion_01_one_one():
 def test_criterion_02_repeated_pole_numerator():
     with criterion(2, 1.0, "numerator constant of 1/((1-w)^2 w^b) is b+1"):
         beta = AffineForm((1,), 0)
-        num = pfd_numerator(FactorGroup(F(0), 2), [], beta)
+        num = pfd_numerator(F(0), 2, [], beta)
         assert num.constant_poly() == ParamPoly.from_affine(beta + 1)
         for b in range(0, 51):
             assert num.constant_at((b,)).to_rational() == b + 1
@@ -180,7 +179,7 @@ def test_criterion_07_pfd_congruence():
             for th, mu in ordered:
                 others = [t2 for t2, m2 in ordered if t2 != th
                           for _ in range(m2)]
-                num = pfd_numerator(FactorGroup(th, mu), others, beta)
+                num = pfd_numerator(th, mu, others, beta)
                 r_k = num.w_coeffs_at((b,))
                 c_k = [CONE]
                 for t2, m2 in ordered:

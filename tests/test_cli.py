@@ -79,6 +79,23 @@ class TestEval:
     def test_malformed_b_exits_4(self, mat, capsys):
         assert main(["eval", mat(A2), "2,x"]) == 4
 
+    @pytest.mark.parametrize("blob", [
+        {"m": 1, "terms": 5},
+        {"m": 1, "terms": [{
+            "scalar": {"level": 1, "coeffs": ["1"]}, "phase": {"coeffs": ["0"]},
+            "poly": [], "guards": [{"coeffs": [1], "const": 0, "sense": "gt"}]}]},
+        {"m": 1, "terms": [{
+            "scalar": {"level": 1, "coeffs": ["1"]}, "phase": {"coeffs": ["3/2"]},
+            "poly": [], "guards": []}]},
+    ], ids=["terms-not-a-list", "guard-sense-gt", "phase-not-reduced"])
+    def test_malformed_expr_json_exits_4(self, mat, capsys, tmp_path, blob):
+        ep = tmp_path / "expr.json"
+        ep.write_text(json.dumps(blob))
+        assert main(["eval", str(ep), "1"]) == 4
+        assert "bad expression JSON" in capsys.readouterr().err
+        assert main(["verify", mat(ONE_ONE), "0..2", "--expr", str(ep)]) == 4
+        assert "bad expression JSON" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_a2_box(self, mat, capsys):
@@ -124,6 +141,14 @@ class TestDedekind:
 
     def test_vanishing_factor_exits_1(self, capsys):
         assert main(["dedekind", "1", "0", "0", "--factor", "1"]) == 1
+
+    def test_zero_n_exits_4(self, capsys):
+        assert main(["dedekind", "0", "0", "0"]) == 4
+        assert "MatrixParseError" in capsys.readouterr().err
+
+    def test_negative_n_exits_4(self, capsys):
+        assert main(["dedekind", "-2", "0", "0"]) == 4
+        assert "MatrixParseError" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -8,8 +8,8 @@ import pytest
 
 from vpf import (
     AffineForm,
+    Cyclotomic,
     Factor,
-    FactorGroup,
     GenFunState,
     Guard,
     NotCoprime,
@@ -221,13 +221,13 @@ class TestFinalUnivariate:
 
 class TestPfdNumerator:
     def test_trivial_single_pole(self):
-        num = pfd_numerator(FactorGroup(F(0), 1), [], AffineForm((0,), 0))
+        num = pfd_numerator(F(0), 1, [], AffineForm((0,), 0))
         assert num.constant_poly() == ParamPoly.one(1)
 
     def test_double_pole_numerator_coefficients(self):
         # (1-w)^2 group of 1/((1-w)^2 w^b): numerator b+1 - bw.
         beta = AffineForm((1,), 0)
-        num = pfd_numerator(FactorGroup(F(0), 2), [], beta)
+        num = pfd_numerator(F(0), 2, [], beta)
         assert num.constant_poly() == ParamPoly.from_affine(beta + 1)
         for b in range(0, 9):
             coeffs = num.w_coeffs_at((b,))
@@ -236,11 +236,28 @@ class TestPfdNumerator:
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
-            pfd_numerator(FactorGroup(F(0), 1), [F(0)], AffineForm((0,), 0))
+            pfd_numerator(F(0), 1, [F(0)], AffineForm((0,), 0))
+
+    def test_local_series_against_euclid_reference(self):
+        # beta = 0 leaves the local coefficients equal to the Taylor series
+        # of prod_th 1/(1 - e(th) w) at w = alpha^{-1} + t.  Reference: each
+        # factor's geometric series (1/u0) sum_j (e(th)/u0)^j t^j, with u0
+        # inverted by Euclid, multiplied out by truncated convolution.
+        theta, mu = F(1, 3), 3
+        others = [F(0), F(1, 4), F(1, 4), F(5, 6)]
+        num = pfd_numerator(theta, mu, others, AffineForm((0,), 0))
+        ref = [Cyclotomic.one()] + [Cyclotomic.zero()] * (mu - 1)
+        for th in others:
+            u0_inv = (1 - cyc_from_phase(th - theta)).inv()
+            ratio = cyc_from_phase(th) * u0_inv
+            series = [u0_inv * ratio**j for j in range(mu)]
+            ref = [sum((ref[i] * series[j - i] for i in range(j + 1)),
+                       Cyclotomic.zero()) for j in range(mu)]
+        assert [c.constant_value() for c in num.local_coeffs] == ref
 
     def test_constant_at_includes_phase(self):
         beta = AffineForm((1,), 0)
-        num = pfd_numerator(FactorGroup(F(1, 4), 1), [F(3, 4)], beta)
+        num = pfd_numerator(F(1, 4), 1, [F(3, 4)], beta)
         for b in range(0, 8):
             expect = cyc_from_phase(F(b, 4) % 1) * num.constant_poly().eval((b,))
             assert num.constant_at((b,)) == expect
@@ -249,6 +266,21 @@ class TestPfdNumerator:
 class TestDedekindSum:
     def test_empty_product(self):
         assert dedekind_sum(1, F(0), [], 0).to_rational() == 1
+
+    def test_matches_euclid_reference(self):
+        # (1/n) sum_l alpha_l^beta / f(alpha_l^{-1}), with alpha_l^{-1} and
+        # alpha_l^beta taken by Euclid inversion and repeated multiplication.
+        f = [cyc_from_phase(F(1, 3)), Cyclotomic.from_rational(F(1, 2))]
+        for n, a in ((1, F(1, 4)), (2, F(0)), (3, F(1, 2)), (4, F(2, 3))):
+            for beta in (-3, 0, 1, 5):
+                ref = Cyclotomic.zero()
+                for l in range(n):
+                    alpha = cyc_from_phase((a + l) / n)
+                    val = Cyclotomic.one()
+                    for c in f:
+                        val = val * (1 - c * alpha.inv())
+                    ref = ref + alpha**beta * val.inv()
+                assert dedekind_sum(n, a, f, beta) == ref * F(1, n)
 
     def test_half_coefficient(self):
         # (1/2)(1/(1/2) + 1/(3/2)) = 4/3 for f(w) = 1 - w/2 at alpha = +-1.
@@ -263,7 +295,7 @@ class TestDedekindSum:
         beta = AffineForm((1,), 0)
         theta = F(0)
         others = [F(1, 3), F(2, 3)]
-        num = pfd_numerator(FactorGroup(theta, 1), others, beta)
+        num = pfd_numerator(theta, 1, others, beta)
         f = [cyc_from_phase(th) for th in others]
         for b in range(0, 7):
             assert num.constant_at((b,)) == dedekind_sum(1, theta, f, b)
@@ -277,7 +309,7 @@ class TestDedekindSum:
         f = [cyc_from_phase(F(1, 3))]
         for b in range(0, 7):
             per_root = sum(
-                (pfd_numerator(FactorGroup(th, 1),
+                (pfd_numerator(th, 1,
                                other + [o for o in roots if o != th],
                                beta).constant_at((b,))
                  for th in roots),

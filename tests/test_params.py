@@ -52,6 +52,11 @@ class TestPhaseForm:
         p = PhaseForm((F(1, 4), F(0)))
         assert p.eval((5, 100)) == F(1, 4)
 
+    def test_unreduced_coeffs_rejected(self):
+        for c in (F(3, 2), F(-1, 2), F(1)):
+            with pytest.raises(ValueError):
+                PhaseForm((c,))
+
     def test_mod_one_reduction_agrees(self):
         # e(phase(b)) before/after coefficient reduction agree on a box.
         raw = F(7, 4)
@@ -133,6 +138,10 @@ class TestGuard:
         assert Guard(AffineForm((0,), 0), EQ_ZERO).is_trivial()
         assert not Guard(AffineForm((1,), 5), GE_ZERO).is_trivial()
         assert not Guard(AffineForm((0,), -1), GE_ZERO).is_trivial()
+
+    def test_unknown_sense_rejected(self):
+        with pytest.raises(ValueError):
+            Guard(AffineForm((1,), 0), "gt")
 
 
 class TestTerm:

@@ -194,6 +194,21 @@ class TestVerifyBox:
             with pytest.raises(MatrixParseError):
                 verify_box(A2, expr, lo, hi)
 
+    def test_phased_spec_rejected(self):
+        # The oracle counts unweighted solutions; a phased spec has no oracle.
+        for phases in ((F(1, 2), F(0)), (F(1, 3), F(0))):
+            spec = ProblemSpec.from_rows([(1, 1)], phases=phases)
+            with pytest.raises(MatrixParseError):
+                verify_box(spec, compute(spec), (0,), (6,))
+
+    def test_first_coordinate_varies_fastest(self):
+        # Every point is a mismatch against the (1 1; 3 1) expression, so
+        # the mismatch list shows the visiting order.
+        report = verify_box(A2, compute(THREE_ONE), (1, 1), (3, 2))
+        assert report.points_checked == 6
+        assert [b for b, _, _ in report.mismatches] == [
+            (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]
+
     def test_outside_cone_all_zero(self):
         expr = compute(A2)
         report = verify_box(A2, expr, (-5, -5), (-1, -1))

@@ -119,6 +119,15 @@ PINNED_JSON = [
      "32bfc5f8d4477b82c665e25c8f734ce9197dafac209b842b4c44d18f0a828f51"),
     ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (2, 1, 0),
      "04cbf8c3c8ff84d7fb714d1f7309967e4d4d997c7d9e4d1161f2297591da53ca"),
+    ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (2, 0, 1),
+     "469694bd5ff20ce2437e361b9e80d566ec0d954f12aa24f98f11899a72d505e6"),
+    ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (0, 2, 1),
+     "e2689f1addbc6bbce9c6fa48d3bc124b903b1a787ae7ea9bb345c80f5165abd7"),
+    # A mult-3 group at theta = 0.
+    ([(1, 11, 13)], None,
+     "10e5fadd9df5ef63343c518cf1d6bbd5370fc40ec6b24c72d85d0ba549b7f229"),
+    ([(1, -1, 0), (0, 1, 1)], None,
+     "62ffc146350d0ef2d14a35db4b262512e2bda5af75d9b3a3563d4dea0bf10577"),
 ]
 
 
