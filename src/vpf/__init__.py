@@ -33,7 +33,6 @@ from .genfun import (
     final_univariate,
     flip,
     pfd_numerator,
-    substitute_power,
 )
 from .oracle import count_points
 from .params import AffineForm, Guard, ParamPoly, PhaseForm, Term, binom_poly

@@ -102,9 +102,12 @@ def parse_box(text: str):
     return tuple(los), tuple(his)
 
 
-def parse_order(text: str):
-    order = parse_ints(text, "row order")
-    return tuple(i - 1 for i in order)
+def parse_order(text: str, m: int):
+    order = tuple(i - 1 for i in parse_ints(text, "row order"))
+    if sorted(order) != list(range(m)):
+        raise MatrixParseError(
+            f"row order '{text}' is not a permutation of 1..{m}")
+    return order
 
 
 def _read_expr_json(path: str):
@@ -132,7 +135,7 @@ def _load_expr(path: str):
 
 def cmd_compute(args) -> int:
     spec = parse_matrix_file(args.matrix)
-    order = parse_order(args.order) if args.order else None
+    order = parse_order(args.order, spec.m) if args.order else None
     expr = compute(spec, order=order)
     if args.format == "json":
         print(json.dumps(expr_to_json(expr), indent=2))
@@ -146,6 +149,9 @@ def cmd_compute(args) -> int:
 def cmd_eval(args) -> int:
     b = parse_ints(args.b, "parameter vector b")
     _, expr = _load_expr(args.path)
+    if len(b) != expr.m:
+        raise MatrixParseError(
+            f"b has {len(b)} entries but the expression has {expr.m} parameters")
     print(evaluate(expr, b))
     return 0
 
@@ -236,6 +242,22 @@ def build_parser() -> _Parser:
     return p
 
 
+def _level_cap(cap):
+    """--max-level, else VPF_MAX_LEVEL, else None; a cap must be positive."""
+    if cap is None:
+        text = os.environ.get("VPF_MAX_LEVEL")
+        if not text:
+            return None
+        try:
+            cap = int(text)
+        except ValueError as exc:
+            raise MatrixParseError(
+                f"VPF_MAX_LEVEL must be an integer, got '{text}'") from exc
+    if cap < 1:
+        raise MatrixParseError(f"the level cap must be positive, got {cap}")
+    return cap
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
@@ -243,9 +265,7 @@ def main(argv=None) -> int:
     old_cap = cyclotomic.get_level_cap()
     try:
         args = parser.parse_args(argv)
-        cap = args.max_level
-        if cap is None and os.environ.get("VPF_MAX_LEVEL"):
-            cap = int(os.environ["VPF_MAX_LEVEL"])
+        cap = _level_cap(args.max_level)
         if cap is not None:
             cyclotomic.set_level_cap(cap)
         return args.func(args)

@@ -38,7 +38,8 @@ class Factor:
     exps: tuple[int, ...]
 
     def __post_init__(self):
-        assert 0 <= self.phase < 1
+        if not 0 <= self.phase < 1:
+            raise ValueError(f"factor phase {self.phase} is not reduced mod 1")
         if self.phase == 0 and not any(self.exps):
             raise ValueError("factor 1 - 1 is the zero denominator")
 
@@ -60,12 +61,6 @@ class GenFunState:
     def active(self) -> int:
         return len(self.exps)
 
-    def dump(self) -> str:
-        lines = [f"exps: {[f'{f.coeffs}+{f.const}' for f in self.exps]}"]
-        for f in self.factors:
-            lines.append(f"1 - e({f.phase}) z^{list(f.exps)}")
-        return "\n".join(lines)
-
 
 def flip(state: GenFunState, k: int) -> GenFunState:
     """Replace factor k via 1/(1-e(q)z^v) = -e(-q) z^{-v} / (1-e(-q)z^{-v})."""
@@ -76,18 +71,6 @@ def flip(state: GenFunState, k: int) -> GenFunState:
     exps = tuple(beta + v for beta, v in zip(state.exps, f.exps))
     acc = state.acc.scaled(-cyc_from_phase(q))
     return GenFunState(exps, factors, acc)
-
-
-def substitute_power(state: GenFunState, j: int, n: int) -> GenFunState:
-    """Substitute z_j -> z_j^n; the constant term is unchanged."""
-    assert n >= 1 and 0 <= j < state.active
-    if n == 1:
-        return state
-    exps = tuple(f * n if i == j else f for i, f in enumerate(state.exps))
-    factors = tuple(
-        Factor(f.phase, tuple(e * n if i == j else e for i, e in enumerate(f.exps)))
-        for f in state.factors)
-    return GenFunState(exps, factors, state.acc)
 
 
 def _normalize_last(state: GenFunState) -> GenFunState:
@@ -155,49 +138,34 @@ def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
 class PfdNumerator:
     """Numerator of one factor group, formal in b.
 
-    `local_coeffs[j]` is the ParamPoly coefficient of t^j in the local
-    coordinate t = w - alpha^{-1} (alpha = e(theta)); the phase factor
-    alpha^{beta(b)} is kept separate so the coefficients stay polynomial.
+    `series[j]` is the coefficient of t^j in the product of the other
+    factors' inverses, expanded in the local coordinate t = w - alpha^{-1}
+    (alpha = e(theta)).  The numerator is alpha^{beta(b)} sum_{j<mult} N_j t^j
+    with N_j = sum_{i<=j} binom(beta+i-1, i) (-alpha)^i series[j-i]; the
+    phase alpha^beta is kept separate so the rest stays polynomial in b.
     """
 
     theta: Fraction
     mult: int
     beta: AffineForm
-    local_coeffs: tuple[ParamPoly, ...]
+    series: tuple[Cyclotomic, ...]
 
     def constant_poly(self) -> ParamPoly:
-        """A(b; 0) without the alpha^beta phase: evaluate at t = -alpha^{-1}."""
-        m = self.beta.arity
-        out = ParamPoly.zero(m)
+        """A(b) without the alpha^beta phase: the numerator at w = 0.
+
+        There t = -alpha^{-1} and (-alpha)^i t^i = 1, so
+        A = sum_{i<mult} binom(beta+i-1, i) S_{mult-1-i} with the partial
+        sums S_r = sum_{k<=r} series[k] t^k.
+        """
         point = -cyc_from_phase((-self.theta) % 1)  # -alpha^{-1}
+        partial = [self.series[0]]
         power = Cyclotomic.one()
-        for c in self.local_coeffs:
-            out = out + c.scale(power)
+        for c in self.series[1:]:
             power = power * point
-        return out
-
-    def constant_at(self, b) -> Cyclotomic:
-        """A(b; 0) at concrete b, including the alpha^beta phase."""
-        phase = (self.theta * self.beta.eval(b)) % 1
-        return cyc_from_phase(phase) * self.constant_poly().eval(b)
-
-    def w_coeffs_at(self, b) -> list[Cyclotomic]:
-        """Coefficients of the numerator polynomial in w at concrete b."""
-        phase = cyc_from_phase((self.theta * self.beta.eval(b)) % 1)
-        # Expand sum_j N_j(b) (w - alpha^{-1})^j.
-        alpha_inv = cyc_from_phase((-self.theta) % 1)
-        out = [Cyclotomic.zero() for _ in range(self.mult)]
-        base = [Cyclotomic.one()]  # (w - alpha^{-1})^j, ascending in w
-        for j, c in enumerate(self.local_coeffs):
-            cj = c.eval(b) * phase
-            for i, bc in enumerate(base):
-                out[i] = out[i] + cj * bc
-            # next power: multiply by (w - alpha^{-1})
-            nxt = [-(alpha_inv * base[0])]
-            for i in range(1, j + 2):
-                prev = base[i] if i < len(base) else Cyclotomic.zero()
-                nxt.append(base[i - 1] - alpha_inv * prev)
-            base = nxt
+            partial.append(partial[-1] + c * power)
+        out = ParamPoly.zero(self.beta.arity)
+        for i in range(self.mult):
+            out = out + binom_poly(i, self.beta).scale(partial[-1 - i])
         return out
 
 
@@ -212,8 +180,6 @@ def pfd_numerator(theta: Fraction, mu: int, others,
     """
     if any(th == theta for th in others):
         raise NotCoprime(f"root phase {theta} appears among the other factors")
-    m = beta.arity
-    alpha = cyc_from_phase(theta)
 
     # Product of the inverses of the other linear factors, mod t^mu.
     # 1 - e(th) w = u0 (1 - (e(th)/u0) t) with u0 = 1 - e(th - theta), so
@@ -225,23 +191,7 @@ def pfd_numerator(theta: Fraction, mu: int, others,
         prod[0] = prod[0] * u0_inv
         for j in range(1, mu):
             prod[j] = (prod[j] + root * prod[j - 1]) * u0_inv
-
-    # Inverse of w^beta, local part: alpha^beta (kept as phase) times
-    # (1 + alpha t)^{-beta} = sum_j binom(j+beta-1, j) (-alpha)^j t^j.
-    coeffs = []
-    neg_alpha_pow = Cyclotomic.one()
-    for j in range(mu):
-        h = binom_poly(j, beta).scale(neg_alpha_pow)
-        # multiply by prod, truncated
-        coeffs.append(h)
-        neg_alpha_pow = neg_alpha_pow * (-alpha)
-    local = []
-    for j in range(mu):
-        acc = ParamPoly.zero(m)
-        for i in range(j + 1):
-            acc = acc + coeffs[i].scale(prod[j - i])
-        local.append(acc)
-    return PfdNumerator(theta, mu, beta, tuple(local))
+    return PfdNumerator(theta, mu, beta, tuple(prod))
 
 
 def final_univariate(state: GenFunState) -> list[Term]:

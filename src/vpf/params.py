@@ -167,7 +167,8 @@ class ParamPoly:
         return all(not any(e) for e in self._monos)
 
     def constant_value(self) -> Cyclotomic:
-        assert self.is_constant()
+        if not self.is_constant():
+            raise ValueError(f"{self} is not a constant polynomial")
         return self._monos.get((0,) * self.arity, Cyclotomic.zero())
 
     def eval(self, b) -> Cyclotomic:
@@ -210,9 +211,14 @@ class ParamPoly:
     __hash__ = None
 
     def key(self):
-        """Deterministic, hashable structural key (used for term merging)."""
+        """Deterministic, hashable structural key (used for term merging).
+
+        A rational coefficient is keyed at level 1 whatever level it is held
+        at, so equal polynomials get equal keys.
+        """
         return tuple(sorted(
-            (e, c.level, c.coeffs) for e, c in self._monos.items()))
+            (e, 1, (c.to_rational(),)) if c.is_rational()
+            else (e, c.level, c.coeffs) for e, c in self._monos.items()))
 
     def __str__(self):
         if not self._monos:

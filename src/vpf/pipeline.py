@@ -255,6 +255,10 @@ def verify_box(spec: ProblemSpec, expr: ResultExpr, lo, hi) -> VerifyReport:
     hi = _int_vector(hi, "box corner")
     if not len(lo) == len(hi) == spec.m:
         raise MatrixParseError(f"box corners {lo}, {hi} need {spec.m} entries")
+    if expr.m != spec.m:
+        raise MatrixParseError(
+            f"the expression has {expr.m} parameters but the matrix has "
+            f"{spec.m} rows")
     if any(a > b for a, b in zip(lo, hi)):
         raise MatrixParseError(f"empty box: lower corner {lo} exceeds {hi}")
     if any(spec.phases):

@@ -7,8 +7,9 @@ engine, so engine steps can be checked against it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, prod
 
-from vpf import Cyclotomic, GenFunState, cyc_from_phase
+from vpf import Cyclotomic, Factor, GenFunState, cyc_from_phase
 
 
 def _last_nonzero(u):
@@ -71,6 +72,22 @@ def series_value(state: GenFunState, b) -> Cyclotomic:
     for ph, cnt in _phase_counts(dirs, goal).items():
         total = total + cyc_from_phase(ph) * cnt
     return state.acc.value(b) * cyc_from_phase(phase_const) * total * sign
+
+
+def substitute_power(state: GenFunState, j: int, n: int) -> GenFunState:
+    """Substitute z_j -> z_j^n; the constant term is unchanged.
+
+    `eliminate_last_var` fuses this substitution into child construction;
+    here it stands alone so the series identity can be checked by itself.
+    """
+    assert n >= 1 and 0 <= j < state.active
+    if n == 1:
+        return state
+    exps = tuple(f * n if i == j else f for i, f in enumerate(state.exps))
+    factors = tuple(
+        Factor(f.phase, tuple(e * n if i == j else e for i, e in enumerate(f.exps)))
+        for f in state.factors)
+    return GenFunState(exps, factors, state.acc)
 
 
 def terms_value(terms, b) -> Cyclotomic:
@@ -156,6 +173,32 @@ def cp_series_inv(p, order):
             acc = acc + p[j] * out[k - j]
         out.append(-inv0 * acc)
     return out
+
+
+def w_coeffs_at(num, b) -> list:
+    """Coefficients, ascending in w, of a PfdNumerator's polynomial at
+    concrete b: alpha^beta sum_{j<mult} N_j (w - alpha^{-1})^j, with
+    N_j = sum_{i<=j} binom(beta+i-1, i) (-alpha)^i series[j-i] built from
+    integer binomials and expanded by plain polynomial products."""
+    beta = num.beta.eval(b)
+    alpha = cyc_from_phase(num.theta)
+    h = [Fraction(prod(range(beta, beta + i)), factorial(i)) * (-alpha)**i
+         for i in range(num.mult)]
+    out = [CZERO] * num.mult
+    base = [CONE]  # (w - alpha^{-1})^j
+    for j in range(num.mult):
+        n_j = sum((h[i] * num.series[j - i] for i in range(j + 1)), CZERO)
+        for i, c in enumerate(base):
+            out[i] = out[i] + n_j * c
+        base = cp_mul(base, [-cyc_from_phase(-num.theta), CONE])
+    phase = cyc_from_phase(num.theta * beta)
+    return [phase * c for c in out]
+
+
+def constant_at(num, b) -> Cyclotomic:
+    """A PfdNumerator's value at w = 0 and concrete b, phase included, read
+    off the expanded polynomial rather than the engine's closed form."""
+    return w_coeffs_at(num, b)[0]
 
 
 def phase_fraction(num, den):

@@ -57,6 +57,11 @@ class TestCompute:
     def test_order_flag(self, mat, capsys):
         assert main(["compute", mat(A2), "--order", "2,1"]) == 0
 
+    @pytest.mark.parametrize("order", ["1,1", "1,2,3", "0,1", "2"])
+    def test_bad_order_exits_4(self, mat, capsys, order):
+        assert main(["compute", mat(A2), "--order", order]) == 4
+        assert "MatrixParseError" in capsys.readouterr().err
+
     def test_zero_column_exits_2(self, mat, capsys):
         assert main(["compute", mat("2 2\n1 0\n1 0\n")]) == 2
 
@@ -78,6 +83,11 @@ class TestEval:
 
     def test_malformed_b_exits_4(self, mat, capsys):
         assert main(["eval", mat(A2), "2,x"]) == 4
+
+    def test_b_length_mismatch_exits_4(self, mat, capsys):
+        assert main(["eval", mat(A2), "1"]) == 4
+        assert main(["eval", mat(A2), "1,2,3"]) == 4
+        assert "MatrixParseError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("blob", [
         {"m": 1, "terms": 5},
@@ -117,6 +127,13 @@ class TestVerify:
 
     def test_box_dimension_mismatch_exits_4(self, mat, capsys):
         assert main(["verify", mat(A2), "0..3"]) == 4
+
+    def test_expr_dimension_mismatch_exits_4(self, mat, capsys, tmp_path):
+        assert main(["compute", mat(ONE_ONE), "--format", "json"]) == 0
+        ep = tmp_path / "one.json"
+        ep.write_text(capsys.readouterr().out)
+        assert main(["verify", mat(A2), "0..2,0..2", "--expr", str(ep)]) == 4
+        assert "MatrixParseError" in capsys.readouterr().err
 
 
 class TestOracle:
@@ -177,6 +194,17 @@ class TestExitCodes:
         monkeypatch.setenv("VPF_MAX_LEVEL", "2")
         assert main(["compute", mat(THREE_ONE)]) == 6
         capsys.readouterr()
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_nonpositive_level_cap_exits_4(self, mat, capsys, cap):
+        assert main(["--max-level", cap, "compute", mat(ONE_ONE)]) == 4
+        assert "MatrixParseError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "2.5"])
+    def test_bad_level_cap_env_exits_4(self, mat, capsys, monkeypatch, cap):
+        monkeypatch.setenv("VPF_MAX_LEVEL", cap)
+        assert main(["compute", mat(ONE_ONE)]) == 4
+        assert "MatrixParseError" in capsys.readouterr().err
 
     def test_usage_error_is_4(self, capsys):
         assert main(["frobnicate"]) == 4

@@ -22,11 +22,16 @@ from vpf import (
     final_univariate,
     flip,
     pfd_numerator,
-    substitute_power,
 )
 from vpf.params import EQ_ZERO, GE_ZERO
 
-from .helpers import series_value, terms_value
+from .helpers import (
+    constant_at,
+    series_value,
+    substitute_power,
+    terms_value,
+    w_coeffs_at,
+)
 
 
 def F(p, q=1):
@@ -48,6 +53,11 @@ class TestFactor:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             Factor(F(0), (0, 0))
+
+    def test_unreduced_phase_rejected(self):
+        for q in (F(1), F(-1, 2), F(3, 2)):
+            with pytest.raises(ValueError):
+                Factor(q, (1,))
 
     def test_nonzero_phase_allows_zero_exps(self):
         f = Factor(F(1, 2), (0,))
@@ -230,7 +240,7 @@ class TestPfdNumerator:
         num = pfd_numerator(F(0), 2, [], beta)
         assert num.constant_poly() == ParamPoly.from_affine(beta + 1)
         for b in range(0, 9):
-            coeffs = num.w_coeffs_at((b,))
+            coeffs = w_coeffs_at(num, (b,))
             assert coeffs[0].to_rational() == b + 1
             assert coeffs[1].to_rational() == -b
 
@@ -253,14 +263,32 @@ class TestPfdNumerator:
             series = [u0_inv * ratio**j for j in range(mu)]
             ref = [sum((ref[i] * series[j - i] for i in range(j + 1)),
                        Cyclotomic.zero()) for j in range(mu)]
-        assert [c.constant_value() for c in num.local_coeffs] == ref
+        assert list(num.series) == ref
 
     def test_constant_at_includes_phase(self):
         beta = AffineForm((1,), 0)
         num = pfd_numerator(F(1, 4), 1, [F(3, 4)], beta)
         for b in range(0, 8):
             expect = cyc_from_phase(F(b, 4) % 1) * num.constant_poly().eval((b,))
-            assert num.constant_at((b,)) == expect
+            assert constant_at(num, (b,)) == expect
+
+    def test_closed_form_constant_against_expansion(self):
+        # constant_poly's partial-sum closed form against the w^0 coefficient
+        # of the numerator expanded from its local coefficients N_j.
+        rng = random.Random(6)
+        phases = [F(0), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 6)]
+        for _ in range(40):
+            theta = rng.choice(phases)
+            others = [rng.choice([q for q in phases if q != theta])
+                      for _ in range(rng.randint(0, 4))]
+            beta = AffineForm((rng.randint(-2, 2), rng.randint(-2, 2)),
+                              rng.randint(-3, 3))
+            num = pfd_numerator(theta, rng.randint(1, 4), others, beta)
+            a0 = num.constant_poly()
+            for _ in range(3):
+                b = (rng.randint(-4, 6), rng.randint(-4, 6))
+                phase = cyc_from_phase(theta * beta.eval(b))
+                assert phase * a0.eval(b) == constant_at(num, b)
 
 
 class TestDedekindSum:
@@ -298,7 +326,7 @@ class TestDedekindSum:
         num = pfd_numerator(theta, 1, others, beta)
         f = [cyc_from_phase(th) for th in others]
         for b in range(0, 7):
-            assert num.constant_at((b,)) == dedekind_sum(1, theta, f, b)
+            assert constant_at(num, (b,)) == dedekind_sum(1, theta, f, b)
 
     def test_grouped_equals_per_root_sum(self):
         # S for the group 1 - w^2 equals the sum of its two simple-root
@@ -309,9 +337,8 @@ class TestDedekindSum:
         f = [cyc_from_phase(F(1, 3))]
         for b in range(0, 7):
             per_root = sum(
-                (pfd_numerator(th, 1,
-                               other + [o for o in roots if o != th],
-                               beta).constant_at((b,))
+                (constant_at(pfd_numerator(
+                    th, 1, other + [o for o in roots if o != th], beta), (b,))
                  for th in roots),
                 cyc_from_phase(0) * 0)
             assert per_root == dedekind_sum(2, F(0), f, b)

@@ -96,10 +96,23 @@ class TestParamPoly:
         assert p.is_constant()
         assert p.constant_value() == F(1, 8)
 
+    def test_constant_value_of_nonconstant_rejected(self):
+        with pytest.raises(ValueError):
+            ParamPoly(1, {(1,): 2, (0,): 1}).constant_value()
+
     def test_key_is_structural(self):
         p = ParamPoly(1, {(1,): 2, (0,): 1})
         q = ParamPoly(1, {(0,): 1, (1,): 2})
         assert p.key() == q.key() and p == q
+
+    def test_key_of_rational_ignores_level(self):
+        half = Cyclotomic.from_rational(F(-1, 2))
+        p = ParamPoly(1, {(1,): half, (0,): 3})
+        q = ParamPoly(1, {(1,): half.raise_level(12),
+                          (0,): Cyclotomic.from_rational(3).raise_level(5)})
+        assert p.key() == q.key() and p == q
+        r = ParamPoly(1, {(1,): cyc_from_phase(F(1, 3)), (0,): 3})
+        assert r.key() != p.key()
 
 
 class TestBinomPoly:

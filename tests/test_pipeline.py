@@ -140,6 +140,16 @@ class TestCompute:
         with pytest.raises(ValueError):
             compute(A2, order=(0, 0))
 
+    def test_equal_terms_merged(self):
+        # Under this order two pairs of terms differ only in the level their
+        # rational polynomial coefficients are held at; each pair is one term.
+        spec = ProblemSpec.from_rows([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)])
+        terms = compute(spec, order=(1, 2, 0)).terms
+        for i, s in enumerate(terms):
+            for t in terms[i + 1:]:
+                assert not (set(s.guards) == set(t.guards)
+                            and s.phase == t.phase and s.poly == t.poly)
+
     def test_row_order_independence(self):
         for spec in (A2, BECK, THREE_ONE):
             exprs = [compute(spec, order=perm)
@@ -193,6 +203,10 @@ class TestVerifyBox:
                        ((0, 0), (2, 2, 2)), ((0.5, 0), (2, 2))):
             with pytest.raises(MatrixParseError):
                 verify_box(A2, expr, lo, hi)
+
+    def test_expression_of_other_arity_rejected(self):
+        with pytest.raises(MatrixParseError):
+            verify_box(A2, compute(ONE_ONE), (0, 0), (2, 2))
 
     def test_phased_spec_rejected(self):
         # The oracle counts unweighted solutions; a phased spec has no oracle.

@@ -116,18 +116,18 @@ PINNED_JSON = [
     ([(1, 7, 11)], None,
      "1be0d09e5bba06aadf888004ae2899d535fc060a86a025356a222e09f5489f89"),
     ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (1, 2, 0),
-     "32bfc5f8d4477b82c665e25c8f734ce9197dafac209b842b4c44d18f0a828f51"),
+     "15b30d937a13c94ef48627e422b638223a74d16ff3753d89bf79edc6fad91d4f"),
     ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (2, 1, 0),
-     "04cbf8c3c8ff84d7fb714d1f7309967e4d4d997c7d9e4d1161f2297591da53ca"),
+     "38a04b458ce662fb4054a802d231700d72a82f8e6232bfdd2079d99d9c674f0c"),
     ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (2, 0, 1),
-     "469694bd5ff20ce2437e361b9e80d566ec0d954f12aa24f98f11899a72d505e6"),
+     "a1a72e0ab9f9b8e732efc5f1f01563818c4fd666eef6806ee9711f8b1c17f987"),
     ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (0, 2, 1),
-     "e2689f1addbc6bbce9c6fa48d3bc124b903b1a787ae7ea9bb345c80f5165abd7"),
+     "78478a0fab7e5bc8b35ca6b2d803e1f3db55ab09de98d407a77e3e92c58c821f"),
     # A mult-3 group at theta = 0.
     ([(1, 11, 13)], None,
      "10e5fadd9df5ef63343c518cf1d6bbd5370fc40ec6b24c72d85d0ba549b7f229"),
     ([(1, -1, 0), (0, 1, 1)], None,
-     "62ffc146350d0ef2d14a35db4b262512e2bda5af75d9b3a3563d4dea0bf10577"),
+     "c1213e7cc739ea167082d0e7bea21219dd6ed9d9cd5c4f40e8c92705af46bb85"),
 ]
 
 
