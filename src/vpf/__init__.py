@@ -18,7 +18,6 @@ from .errors import (
     LevelMismatch,
     LevelOverflow,
     MatrixParseError,
-    NotCoprime,
     NotPointed,
     NotRational,
     SanityFailure,

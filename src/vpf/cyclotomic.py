@@ -8,7 +8,6 @@ common denominator, in lowest terms; nothing here ever rounds.
 """
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -240,11 +239,6 @@ class Cyclotomic:
             raise NotRational(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
 
-    def approx(self) -> complex:
-        """Double-precision value with zeta_N -> exp(2*pi*i/N). Testing only."""
-        z = cmath.exp(2j * cmath.pi / self.level)
-        return sum((complex(c) * z**i for i, c in enumerate(self.coeffs)), 0j)
-
     # -- field arithmetic --------------------------------------------------
 
     @staticmethod
@@ -314,31 +308,6 @@ class Cyclotomic:
             r0, r1 = r1, r
             u0, u1 = u1, u0 - Cyclotomic(n, q) * u1
         return (u1 * (self.den / r1[0])).raise_level(n)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inv()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        base = self.inv() if n < 0 else self
-        n = abs(n)
-        out = Cyclotomic.one()
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -53,7 +53,3 @@ class NotRational(VpfError):
 
 class DimensionMismatch(VpfError):
     """A parameter vector has the wrong length."""
-
-
-class NotCoprime(VpfError):
-    """Two partial-fraction factor groups share a root phase."""

@@ -10,14 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .cyclotomic import Cyclotomic, cyc_from_phase, inv_one_minus_phase
-from .errors import (
-    DimensionMismatch,
-    MatrixParseError,
-    NotCoprime,
-    UnsupportedMultiplePole,
-)
+from .errors import DimensionMismatch, MatrixParseError, UnsupportedMultiplePole
 from .params import (
     EQ_ZERO,
     GE_ZERO,
@@ -169,28 +165,41 @@ class PfdNumerator:
         return out
 
 
-def pfd_numerator(theta: Fraction, mu: int, others,
-                  beta: AffineForm) -> PfdNumerator:
+def pfd_numerator(theta: Fraction, factors, beta: AffineForm) -> PfdNumerator:
     """Numerator of the group (1 - e(theta) w)^mu in the decomposition of
-    1/(prod factors * w^beta).
+    1/(prod_k (1 - e(q_k) w^{n_k}) w^beta).
 
-    `others` lists the root phases of all remaining linear factors, with
-    multiplicity.  Computed by inversion in the truncated local ring at
-    w = alpha^{-1}, truncation t^mu.
+    `factors` lists the (q_k, n_k) pairs, n_k > 0; mu counts those with
+    n_k theta = q_k mod 1.  Each enters whole, in the local coordinate
+    t = w - alpha^{-1} (alpha = e(theta), alpha w = 1 + alpha t): a factor
+    through the root leaves (1 - (alpha w)^n)/(1 - alpha w)
+    = sum_{i<n} binom(n, i+1) e(i theta) t^i, any other factor is
+    (1 - e(q - n theta)) - sum_{i>=1} binom(n, i) e(q - (n-i) theta) t^i.
     """
-    if any(th == theta for th in others):
-        raise NotCoprime(f"root phase {theta} appears among the other factors")
-
-    # Product of the inverses of the other linear factors, mod t^mu.
-    # 1 - e(th) w = u0 (1 - (e(th)/u0) t) with u0 = 1 - e(th - theta), so
-    # dividing the series by it is Q_j = (P_j + e(th) Q_{j-1}) / u0, in place.
+    through = [(n * theta - q) % 1 == 0 for q, n in factors]
+    mu = sum(through)
+    if not mu:
+        raise ValueError(f"{theta} is not a root of any factor")
+    # Product of the factors' inverses mod t^mu: divide the series in place
+    # by g = g_0 - sum_{i>=1} h_i t^i, Q_j = (P_j + sum_i h_i Q_{j-i}) / g_0;
+    # the h_i are only formed when mu > 1.
     prod = [Cyclotomic.one()] + [Cyclotomic.zero()] * (mu - 1)
-    for th in others:
-        u0_inv = inv_one_minus_phase(th - theta)
-        root = cyc_from_phase(th)
-        prod[0] = prod[0] * u0_inv
+    for (q, n), hit in zip(factors, through):
+        if hit and n == 1:
+            continue
+        g0_inv = Fraction(1, n) if hit else inv_one_minus_phase(q - n * theta)
+        prod[0] = prod[0] * g0_inv
+        if hit:
+            h = [-cyc_from_phase(i * theta) * comb(n, i + 1)
+                 for i in range(1, min(n, mu))]
+        else:
+            h = [cyc_from_phase(q - (n - i) * theta) * comb(n, i)
+                 for i in range(1, min(n + 1, mu))]
         for j in range(1, mu):
-            prod[j] = (prod[j] + root * prod[j - 1]) * u0_inv
+            acc = prod[j]
+            for i, c in enumerate(h[:j], 1):
+                acc = acc + c * prod[j - i]
+            prod[j] = acc * g0_inv
     return PfdNumerator(theta, mu, beta, tuple(prod))
 
 
@@ -203,26 +212,21 @@ def final_univariate(state: GenFunState) -> list[Term]:
     beta = state.exps[0]
 
     # Scalar-only factors fold into the accumulated scalar.
-    groups: dict[Fraction, int] = {}
+    factors = []
     for f in state.factors:
-        n = f.exps[0]
-        if n == 0:
+        if f.exps[0]:
+            factors.append((f.phase, f.exps[0]))
+        else:
             acc = acc.scaled(inv_one_minus_phase(f.phase))
-            continue
-        for l in range(n):
-            theta = Fraction(f.phase - l, n) % 1
-            groups[theta] = groups.get(theta, 0) + 1
 
-    if not groups:
+    if not factors:
         term = acc.with_guard(Guard(beta, EQ_ZERO))
         return [] if term.is_zero() else [term]
 
-    ordered = sorted(groups.items())
+    roots = {Fraction(q - l, n) % 1 for q, n in factors for l in range(n)}
     terms = []
-    for theta, mu in ordered:
-        others = [th for th, m2 in ordered if th != theta for _ in range(m2)]
-        num = pfd_numerator(theta, mu, others, beta)
-        a0 = num.constant_poly()
+    for theta in sorted(roots):
+        a0 = pfd_numerator(theta, factors, beta).constant_poly()
         t = acc.with_guard(Guard(beta, GE_ZERO)).shift_phase(theta, beta)
         if a0.is_constant():
             t = t.scaled(a0.constant_value())

@@ -233,7 +233,8 @@ def evaluate(expr: ResultExpr, b) -> Fraction:
     """phi_A(b); rejects non-integer or negative totals loudly."""
     b = _int_vector(b, "b")
     if len(b) != expr.m:
-        raise SanityFailure(f"b must have length {expr.m}")
+        raise MatrixParseError(
+            f"b has {len(b)} entries but the expression has {expr.m} parameters")
     if expr.report is not None and not expr.report.is_identity:
         b = expr.report.transform(b)
     total = Cyclotomic.zero()

@@ -68,12 +68,19 @@ def term_to_json(t: Term) -> dict:
 
 
 def term_from_json(obj, arity: int) -> Term:
-    return Term(
+    """A term over `arity` parameters; a phase, guard or monomial of any
+    other length is a ValueError."""
+    term = Term(
         cyc_from_json(obj["scalar"]),
         phase_from_json(obj["phase"]),
         poly_from_json(obj["poly"], arity),
         tuple(guard_from_json(g) for g in obj["guards"]),
     )
+    lengths = [len(term.phase.coeffs)] + [len(g.form.coeffs) for g in term.guards]
+    lengths += [len(e) for e, _ in term.poly.items()]
+    if any(n != arity for n in lengths):
+        raise ValueError(f"a term has lengths {lengths}, expected {arity}")
+    return term
 
 
 def expr_to_json(expr: ResultExpr) -> dict:

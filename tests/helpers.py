@@ -6,6 +6,7 @@ engine, so engine steps can be checked against it.
 """
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from math import factorial, prod
 
@@ -88,6 +89,25 @@ def substitute_power(state: GenFunState, j: int, n: int) -> GenFunState:
         Factor(f.phase, tuple(e * n if i == j else e for i, e in enumerate(f.exps)))
         for f in state.factors)
     return GenFunState(exps, factors, state.acc)
+
+
+def cyc_pow(x: Cyclotomic, n: int) -> Cyclotomic:
+    """x^n by square-and-multiply; a negative n inverts x by Euclid first."""
+    base = x.inv() if n < 0 else x
+    n = abs(n)
+    out = Cyclotomic.one()
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def approx(x: Cyclotomic) -> complex:
+    """Double-precision value of x with zeta_N -> exp(2*pi*i/N)."""
+    z = cmath.exp(2j * cmath.pi / x.level)
+    return sum((complex(c) * z**i for i, c in enumerate(x.coeffs)), 0j)
 
 
 def terms_value(terms, b) -> Cyclotomic:
@@ -182,8 +202,8 @@ def w_coeffs_at(num, b) -> list:
     integer binomials and expanded by plain polynomial products."""
     beta = num.beta.eval(b)
     alpha = cyc_from_phase(num.theta)
-    h = [Fraction(prod(range(beta, beta + i)), factorial(i)) * (-alpha)**i
-         for i in range(num.mult)]
+    h = [Fraction(prod(range(beta, beta + i)), factorial(i))
+         * cyc_pow(-alpha, i) for i in range(num.mult)]
     out = [CZERO] * num.mult
     base = [CONE]  # (w - alpha^{-1})^j
     for j in range(num.mult):

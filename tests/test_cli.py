@@ -106,6 +106,25 @@ class TestEval:
         assert main(["verify", mat(ONE_ONE), "0..2", "--expr", str(ep)]) == 4
         assert "bad expression JSON" in capsys.readouterr().err
 
+    @pytest.fixture
+    def wrong_m(self, mat, capsys, tmp_path):
+        # The expression of (1 1) relabelled as two-parameter: every term
+        # still has one-entry phases, guards and monomials.
+        assert main(["compute", mat(ONE_ONE), "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        obj["m"] = 2
+        ep = tmp_path / "bad.json"
+        ep.write_text(json.dumps(obj))
+        return str(ep)
+
+    def test_eval_term_arity_mismatch_exits_4(self, capsys, wrong_m):
+        assert main(["eval", wrong_m, "1,2"]) == 4
+        assert "bad expression JSON" in capsys.readouterr().err
+
+    def test_verify_term_arity_mismatch_exits_4(self, mat, capsys, wrong_m):
+        assert main(["verify", mat(A2), "0..1,0..1", "--expr", wrong_m]) == 4
+        assert "bad expression JSON" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_a2_box(self, mat, capsys):

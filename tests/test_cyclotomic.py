@@ -19,6 +19,8 @@ from vpf import (
 )
 from vpf.cyclotomic import inv_one_minus_phase
 
+from .helpers import approx, cyc_pow
+
 
 def F(p, q=1):
     return Fraction(p, q)
@@ -90,9 +92,9 @@ class TestArithmetic:
 
     def test_pow(self):
         z = cyc_from_phase(F(1, 5))
-        assert z**5 == 1
-        assert z**-1 == cyc_from_phase(F(4, 5))
-        assert z**0 == 1
+        assert cyc_pow(z, 5) == 1
+        assert cyc_pow(z, -1) == cyc_from_phase(F(4, 5))
+        assert cyc_pow(z, 0) == 1
 
 
 class TestInverse:
@@ -124,17 +126,12 @@ class TestInverse:
                     Cyclotomic.zero())
             assert x * x.inv() == 1
 
-    def test_truediv(self):
-        i = cyc_from_phase(F(1, 4))
-        assert (2 / (1 + i)) == (1 - i)
-        assert ((1 + i) / (1 + i)) == 1
-
 
 class TestRaiseLevel:
     def test_minus_one_to_level_six(self):
         x = cyc_from_phase(F(1, 2)).raise_level(6)
         assert x.level == 6 and x == -1
-        assert abs(x.approx() - (-1)) < 1e-12
+        assert abs(approx(x) - (-1)) < 1e-12
 
     def test_same_level_identity(self):
         x = cyc_from_phase(F(1, 3))
@@ -152,7 +149,7 @@ class TestRaiseLevel:
         x = cyc_from_phase(F(1, 3))
         y = x.raise_level(12)
         assert x == y
-        assert abs(x.approx() - y.approx()) < 1e-12
+        assert abs(approx(x) - approx(y)) < 1e-12
 
 
 class TestToRational:
@@ -170,10 +167,10 @@ class TestToRational:
 
 class TestApprox:
     def test_values(self):
-        assert abs(Cyclotomic.one().approx() - 1) < 1e-12
-        assert abs(cyc_from_phase(F(1, 4)).approx() - 1j) < 1e-12
+        assert abs(approx(Cyclotomic.one()) - 1) < 1e-12
+        assert abs(approx(cyc_from_phase(F(1, 4))) - 1j) < 1e-12
         x = cyc_from_phase(F(1, 3)) + cyc_from_phase(F(2, 3))
-        assert abs(x.approx() - (-1)) < 1e-12
+        assert abs(approx(x) - (-1)) < 1e-12
 
 
 class TestFieldAxioms:

@@ -12,21 +12,26 @@ from vpf import (
     Factor,
     GenFunState,
     Guard,
-    NotCoprime,
     ParamPoly,
+    ProblemSpec,
     Term,
     UnsupportedMultiplePole,
+    compute,
+    count_points,
     cyc_from_phase,
     dedekind_sum,
     eliminate_last_var,
+    evaluate,
     final_univariate,
     flip,
     pfd_numerator,
 )
 from vpf.params import EQ_ZERO, GE_ZERO
+from vpf.serialize import expr_to_json
 
 from .helpers import (
     constant_at,
+    cyc_pow,
     series_value,
     substitute_power,
     terms_value,
@@ -231,22 +236,18 @@ class TestFinalUnivariate:
 
 class TestPfdNumerator:
     def test_trivial_single_pole(self):
-        num = pfd_numerator(F(0), 1, [], AffineForm((0,), 0))
+        num = pfd_numerator(F(0), [(F(0), 1)], AffineForm((0,), 0))
         assert num.constant_poly() == ParamPoly.one(1)
 
     def test_double_pole_numerator_coefficients(self):
         # (1-w)^2 group of 1/((1-w)^2 w^b): numerator b+1 - bw.
         beta = AffineForm((1,), 0)
-        num = pfd_numerator(F(0), 2, [], beta)
+        num = pfd_numerator(F(0), [(F(0), 1)] * 2, beta)
         assert num.constant_poly() == ParamPoly.from_affine(beta + 1)
         for b in range(0, 9):
             coeffs = w_coeffs_at(num, (b,))
             assert coeffs[0].to_rational() == b + 1
             assert coeffs[1].to_rational() == -b
-
-    def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
-            pfd_numerator(F(0), 1, [F(0)], AffineForm((0,), 0))
 
     def test_local_series_against_euclid_reference(self):
         # beta = 0 leaves the local coefficients equal to the Taylor series
@@ -255,19 +256,20 @@ class TestPfdNumerator:
         # inverted by Euclid, multiplied out by truncated convolution.
         theta, mu = F(1, 3), 3
         others = [F(0), F(1, 4), F(1, 4), F(5, 6)]
-        num = pfd_numerator(theta, mu, others, AffineForm((0,), 0))
+        factors = [(theta, 1)] * mu + [(th, 1) for th in others]
+        num = pfd_numerator(theta, factors, AffineForm((0,), 0))
         ref = [Cyclotomic.one()] + [Cyclotomic.zero()] * (mu - 1)
         for th in others:
             u0_inv = (1 - cyc_from_phase(th - theta)).inv()
             ratio = cyc_from_phase(th) * u0_inv
-            series = [u0_inv * ratio**j for j in range(mu)]
+            series = [u0_inv * cyc_pow(ratio, j) for j in range(mu)]
             ref = [sum((ref[i] * series[j - i] for i in range(j + 1)),
                        Cyclotomic.zero()) for j in range(mu)]
         assert list(num.series) == ref
 
     def test_constant_at_includes_phase(self):
         beta = AffineForm((1,), 0)
-        num = pfd_numerator(F(1, 4), 1, [F(3, 4)], beta)
+        num = pfd_numerator(F(1, 4), [(F(1, 4), 1), (F(3, 4), 1)], beta)
         for b in range(0, 8):
             expect = cyc_from_phase(F(b, 4) % 1) * num.constant_poly().eval((b,))
             assert constant_at(num, (b,)) == expect
@@ -283,12 +285,77 @@ class TestPfdNumerator:
                       for _ in range(rng.randint(0, 4))]
             beta = AffineForm((rng.randint(-2, 2), rng.randint(-2, 2)),
                               rng.randint(-3, 3))
-            num = pfd_numerator(theta, rng.randint(1, 4), others, beta)
+            factors = ([(theta, 1)] * rng.randint(1, 4)
+                       + [(q, 1) for q in others])
+            num = pfd_numerator(theta, factors, beta)
             a0 = num.constant_poly()
             for _ in range(3):
                 b = (rng.randint(-4, 6), rng.randint(-4, 6))
                 phase = cyc_from_phase(theta * beta.eval(b))
                 assert phase * a0.eval(b) == constant_at(num, b)
+
+    def test_whole_factor_equals_its_linear_roots(self):
+        # 1 - e(q) w^n is the product of its n linear factors
+        # 1 - e((q - l)/n) w, so both forms give the same series and the
+        # same constant; a factor through theta raises mu by one.
+        rng = random.Random(11)
+        sixths = [F(k, 6) for k in range(6)]
+        seen = set()
+        for _ in range(80):
+            theta, factors = None, []
+            for _ in range(rng.randint(1, 4)):
+                n = rng.randint(1, 4)
+                if theta is not None and rng.random() < 0.6:
+                    q = n * theta % 1
+                else:
+                    q = rng.choice(sixths)
+                factors.append((q, n))
+                if theta is None:
+                    theta = F(q - rng.randrange(n), n) % 1
+            linear = [(F(q - l, n) % 1, 1) for q, n in factors
+                      for l in range(n)]
+            beta = AffineForm((rng.choice((-2, -1, 1, 2)),),
+                              rng.randint(-3, 3))
+            whole = pfd_numerator(theta, factors, beta)
+            split = pfd_numerator(theta, linear, beta)
+            seen.add(whole.mult)
+            assert whole.mult == split.mult
+            assert list(whole.series) == list(split.series)
+            a_whole, a_split = whole.constant_poly(), split.constant_poly()
+            for b in range(-4, 7):
+                assert a_whole.eval((b,)) == a_split.eval((b,))
+        assert seen == {1, 2, 3, 4}
+
+    def test_theta_must_be_a_root(self):
+        with pytest.raises(ValueError):
+            pfd_numerator(F(1, 2), [(F(0), 1)], AffineForm((0,), 0))
+
+
+class TestLadderLevels:
+    """On (1 p q) every factor enters whole at a root of level p or q, so
+    compute forms no element above level max(p, q)."""
+
+    @staticmethod
+    def _levels(obj):
+        if isinstance(obj, dict):
+            if "level" in obj:
+                yield obj["level"]
+            obj = list(obj.values())
+        if isinstance(obj, list):
+            for v in obj:
+                yield from TestLadderLevels._levels(v)
+
+    @pytest.mark.parametrize("p, q", [
+        (5, 7), (7, 11), (11, 13), (13, 17), (97, 101)])
+    def test_no_level_above_max_pq(self, p, q):
+        expr = compute(ProblemSpec.from_rows([(1, p, q)]))
+        assert max(self._levels(expr_to_json(expr))) <= max(p, q)
+
+    def test_1_97_101_against_oracle(self):
+        spec = ProblemSpec.from_rows([(1, 97, 101)])
+        expr = compute(spec)
+        for b in (500, 1500):
+            assert evaluate(expr, (b,)) == count_points(spec, (b,))
 
 
 class TestDedekindSum:
@@ -307,7 +374,7 @@ class TestDedekindSum:
                     val = Cyclotomic.one()
                     for c in f:
                         val = val * (1 - c * alpha.inv())
-                    ref = ref + alpha**beta * val.inv()
+                    ref = ref + cyc_pow(alpha, beta) * val.inv()
                 assert dedekind_sum(n, a, f, beta) == ref * F(1, n)
 
     def test_half_coefficient(self):
@@ -323,7 +390,7 @@ class TestDedekindSum:
         beta = AffineForm((1,), 0)
         theta = F(0)
         others = [F(1, 3), F(2, 3)]
-        num = pfd_numerator(theta, 1, others, beta)
+        num = pfd_numerator(theta, [(q, 1) for q in [theta] + others], beta)
         f = [cyc_from_phase(th) for th in others]
         for b in range(0, 7):
             assert constant_at(num, (b,)) == dedekind_sum(1, theta, f, b)
@@ -338,7 +405,7 @@ class TestDedekindSum:
         for b in range(0, 7):
             per_root = sum(
                 (constant_at(pfd_numerator(
-                    th, 1, other + [o for o in roots if o != th], beta), (b,))
+                    th, [(o, 1) for o in roots + other], beta), (b,))
                  for th in roots),
                 cyc_from_phase(0) * 0)
             assert per_root == dedekind_sum(2, F(0), f, b)

@@ -11,7 +11,6 @@ from vpf import (
     MatrixParseError,
     NotPointed,
     ProblemSpec,
-    SanityFailure,
     check_pointed,
     compute,
     count_points,
@@ -173,7 +172,7 @@ class TestCompute:
 class TestEvaluate:
     def test_length_check(self):
         expr = compute(ONE_ONE)
-        with pytest.raises(SanityFailure):
+        with pytest.raises(MatrixParseError):
             evaluate(expr, (1, 2))
 
     def test_non_integer_b_rejected(self):

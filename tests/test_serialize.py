@@ -108,24 +108,24 @@ PINNED_JSON = [
     ([(1, 0, 1), (0, 1, 1)], None,
      "5cdebf6fd1a06270a908fe54e081d38a2e1ae96ad6235d5146e6a39b5bfc6771"),
     ([(1, 2, 1, 0), (1, 1, 0, 1)], None,
-     "de97b386344f7c5efa385adb3d5806abfa1d6e86be34fd18ec2a89dfd2bda0be"),
+     "bdd1527bdadc419962ef9bef9982470134a5329faf19e46a15b2d0dbb9909ff9"),
     ([(1, 1), (3, 1)], None,
-     "317e29f668d7742fff10d654ce9e5faff7d7ca96cfdac2369caac854eb7539f3"),
+     "e434bee4a457d4a87a14340f11d32a59b7006e66af14f5d48511f92d9abc1aa0"),
     ([(1, 5, 7)], None,
-     "21d7f9589d3a96735acba31ebf69e19ff953567a3bfcf0d4d9f740504128ff49"),
+     "e78d91bd8b873c145b3d39b8c8db7609b83a7678bf5fbff2df64c466d1002cf7"),
     ([(1, 7, 11)], None,
-     "1be0d09e5bba06aadf888004ae2899d535fc060a86a025356a222e09f5489f89"),
+     "ac3b0043ef89913c5a5479821b2a38f27aa15126579a77424a3b86357af12b81"),
     ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (1, 2, 0),
-     "15b30d937a13c94ef48627e422b638223a74d16ff3753d89bf79edc6fad91d4f"),
+     "5ed753f3ee0c1cd7b097268b9dc3536b88767f8f0be94996536e353f18e0d3a9"),
     ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (2, 1, 0),
-     "38a04b458ce662fb4054a802d231700d72a82f8e6232bfdd2079d99d9c674f0c"),
+     "b65d49def8eef31bc0079fe112768b37dabf450790fe5fb98191cbeaf7a189fa"),
     ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (2, 0, 1),
-     "a1a72e0ab9f9b8e732efc5f1f01563818c4fd666eef6806ee9711f8b1c17f987"),
+     "b7b461997844a54e893e22b4e83541b89056866a61e5c05f3bf8af964d5fa4d7"),
     ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (0, 2, 1),
-     "78478a0fab7e5bc8b35ca6b2d803e1f3db55ab09de98d407a77e3e92c58c821f"),
+     "9df7f8a0e79e870f01253bb57a6ef0b13d765443f27eeb20c3b6fb64f1fbefe4"),
     # A mult-3 group at theta = 0.
     ([(1, 11, 13)], None,
-     "10e5fadd9df5ef63343c518cf1d6bbd5370fc40ec6b24c72d85d0ba549b7f229"),
+     "bb41bb43fffb38d02a58205802cae868791ce257a140d814db1172298ab1f859"),
     ([(1, -1, 0), (0, 1, 1)], None,
      "c1213e7cc739ea167082d0e7bea21219dd6ed9d9cd5c4f40e8c92705af46bb85"),
 ]
