@@ -124,7 +124,8 @@ def _load_expr(path: str):
     """An expression JSON if the file looks like JSON, else compute from matrix."""
     try:
         with open(path) as fh:
-            head = fh.read(1)
+            while (head := fh.read(1)).isspace():
+                pass
     except OSError as exc:
         raise MatrixParseError(f"{path}: {exc}") from exc
     if head == "{":
@@ -170,11 +171,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = parse_matrix_file(args.matrix)
-    b = parse_ints(args.b, "parameter vector b")
-    if len(b) != spec.m:
-        raise MatrixParseError(
-            f"b has {len(b)} entries but the matrix has {spec.m} rows")
-    print(count_points(spec, b))
+    print(count_points(spec, parse_ints(args.b, "parameter vector b")))
     return 0
 
 

@@ -353,6 +353,13 @@ def _phase_root(q: Fraction) -> Cyclotomic:
     return Cyclotomic.from_phase(q)
 
 
+def cyc_sum(values) -> Cyclotomic:
+    """Sum of the nonzero values, started from the first of them, so no
+    level-1 zero is lifted to the level of the others."""
+    values = [v for v in values if v]
+    return sum(values[1:], values[0]) if values else Cyclotomic.zero()
+
+
 def inv_one_minus_phase(q) -> Cyclotomic:
     """1/(1 - e(q)) in closed form, memoised on q mod 1.
 

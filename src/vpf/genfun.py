@@ -121,8 +121,10 @@ def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
                 if not any(v2):
                     if q2 == 0:
                         raise UnsupportedMultiplePole(
-                            "two denominator factors share a root at a "
-                            "multivariate stage")
+                            f"with {state.active} active variables, factor "
+                            f"(phase {ft.phase}, exponents {ft.exps}) shares "
+                            f"a root with factor (phase {fk.phase}, "
+                            f"exponents {fk.exps})")
                     acc = acc.scaled(inv_one_minus_phase(q2))
                 else:
                     factors.append(Factor(q2, v2))
@@ -211,7 +213,7 @@ def final_univariate(state: GenFunState) -> list[Term]:
     acc = state.acc
     beta = state.exps[0]
 
-    # Scalar-only factors fold into the accumulated scalar.
+    # Factors free of w are constants of the accumulated term.
     factors = []
     for f in state.factors:
         if f.exps[0]:
@@ -220,18 +222,14 @@ def final_univariate(state: GenFunState) -> list[Term]:
             acc = acc.scaled(inv_one_minus_phase(f.phase))
 
     if not factors:
-        term = acc.with_guard(Guard(beta, EQ_ZERO))
-        return [] if term.is_zero() else [term]
+        return [acc.with_guard(Guard(beta, EQ_ZERO))]
 
     roots = {Fraction(q - l, n) % 1 for q, n in factors for l in range(n)}
     terms = []
     for theta in sorted(roots):
         a0 = pfd_numerator(theta, factors, beta).constant_poly()
         t = acc.with_guard(Guard(beta, GE_ZERO)).shift_phase(theta, beta)
-        if a0.is_constant():
-            t = t.scaled(a0.constant_value())
-        else:
-            t = t.times_poly(a0)
+        t = t.times_poly(a0)
         if not t.is_zero():
             terms.append(t)
     return terms

@@ -5,10 +5,19 @@ unimodular completion of a primitive row, and an exact determinant.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NotPointed
+from .errors import MatrixParseError, NotPointed
+
+
+def int_vector(values, what: str) -> tuple[int, ...]:
+    """Integers from outside input; a non-integer is rejected, never rounded."""
+    try:
+        return tuple(operator.index(x) for x in values)
+    except TypeError as exc:
+        raise MatrixParseError(f"{what} {values!r} has a non-integer entry") from exc
 
 
 def fm_certificate(columns) -> tuple[Fraction, ...]:

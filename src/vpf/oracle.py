@@ -7,17 +7,23 @@ certificate.
 """
 from __future__ import annotations
 
-from .matrixops import fm_certificate
+from .errors import MatrixParseError
+from .matrixops import fm_certificate, int_vector
 
 
 def count_points(spec, b, certificate=None) -> int:
-    """Exact number of nonnegative integer solutions of A x = b."""
+    """Exact number of nonnegative integer solutions of A x = b.
+
+    A b that is not m integers is a MatrixParseError.
+    """
+    b = int_vector(b, "b")
+    if len(b) != spec.m:
+        raise MatrixParseError(
+            f"b has {len(b)} entries but the matrix has {spec.m} rows")
     columns = spec.columns
     if certificate is None:
         certificate = fm_certificate(columns)
     y = certificate
-    m = spec.m
-    d = spec.d
     yc = [sum(yi * ci for yi, ci in zip(y, c)) for c in columns]
     # nonneg_prefix[k]: all columns 0..k are entrywise nonnegative.
     nonneg_prefix = []
@@ -41,6 +47,4 @@ def count_points(spec, b, certificate=None) -> int:
             total += rec(k - 1, tuple(ri - x * ci for ri, ci in zip(r, c)))
         return total
 
-    if len(b) != m:
-        raise ValueError(f"b must have length {m}")
-    return rec(d - 1, tuple(b))
+    return rec(spec.d - 1, b)

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
-from .cyclotomic import Cyclotomic, cyc_from_phase
+from .cyclotomic import Cyclotomic, cyc_from_phase, cyc_sum
 from .errors import DimensionMismatch
 
 
@@ -79,8 +79,8 @@ class AffineForm:
 class PhaseForm:
     """Phase e(coeffs . b) with rational coefficients reduced mod 1.
 
-    The constant part of a phase is always folded into a Term's scalar, so
-    only the b-dependent coefficients live here.
+    The constant part of a phase is always folded into a Term's polynomial,
+    so only the b-dependent coefficients live here.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -111,7 +111,7 @@ class PhaseForm:
         return PhaseForm(tuple((a + b) % 1 for a, b in zip(self.coeffs, other.coeffs)))
 
     def shifted(self, q: Fraction, f: AffineForm) -> "PhaseForm":
-        """Add q times the linear part of f (the constant goes to the scalar)."""
+        """Add q times the linear part of f (the constant goes to the poly)."""
         return PhaseForm(tuple((a + q * c) % 1 for a, c in zip(self.coeffs, f.coeffs)))
 
 
@@ -163,25 +163,12 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self._monos
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self._monos)
-
-    def constant_value(self) -> Cyclotomic:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not a constant polynomial")
-        return self._monos.get((0,) * self.arity, Cyclotomic.zero())
-
     def eval(self, b) -> Cyclotomic:
         if len(b) != self.arity:
             raise DimensionMismatch(
                 f"expected {self.arity} parameters, got {len(b)}")
-        total = Cyclotomic.zero()
-        for exps, coeff in self._monos.items():
-            v = 1
-            for x, e in zip(b, exps):
-                v *= x**e
-            total = total + coeff * v
-        return total
+        return cyc_sum(coeff * prod(x**e for x, e in zip(b, exps))
+                       for exps, coeff in self._monos.items())
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         monos = dict(self._monos)
@@ -209,16 +196,6 @@ class ParamPoly:
         return all(c == other._monos[e] for e, c in self._monos.items())
 
     __hash__ = None
-
-    def key(self):
-        """Deterministic, hashable structural key (used for term merging).
-
-        A rational coefficient is keyed at level 1 whatever level it is held
-        at, so equal polynomials get equal keys.
-        """
-        return tuple(sorted(
-            (e, 1, (c.to_rational(),)) if c.is_rational()
-            else (e, c.level, c.coeffs) for e, c in self._monos.items()))
 
     def __str__(self):
         if not self._monos:
@@ -279,50 +256,41 @@ class Guard:
 
 @dataclass(frozen=True)
 class Term:
-    """Closed summand scalar * e(phase(b)) * poly(b) under affine guards."""
+    """Closed summand e(phase(b)) * poly(b) under affine guards."""
 
-    scalar: Cyclotomic
     phase: PhaseForm
     poly: ParamPoly
     guards: tuple[Guard, ...] = ()
 
     @classmethod
     def one(cls, m: int) -> "Term":
-        return cls(Cyclotomic.one(), PhaseForm.zero(m), ParamPoly.one(m))
-
-    @property
-    def arity(self) -> int:
-        return self.phase.arity
+        return cls(PhaseForm.zero(m), ParamPoly.one(m))
 
     def is_zero(self) -> bool:
-        return self.scalar.is_zero() or self.poly.is_zero()
+        return self.poly.is_zero()
 
     def value(self, b) -> Cyclotomic:
-        """0 if any guard fails, else scalar * e(phase(b)) * poly(b)."""
-        if len(b) != self.arity:
-            raise DimensionMismatch(
-                f"expected {self.arity} parameters, got {len(b)}")
+        """0 if any guard fails, else e(phase(b)) * poly(b).  The guards'
+        and the phase's eval reject a b of the wrong length."""
         if not all(g.satisfied(b) for g in self.guards):
             return Cyclotomic.zero()
-        return self.scalar * cyc_from_phase(self.phase.eval(b)) * self.poly.eval(b)
+        return cyc_from_phase(self.phase.eval(b)) * self.poly.eval(b)
 
     def scaled(self, c) -> "Term":
-        if not isinstance(c, Cyclotomic):
-            c = Cyclotomic.from_rational(c)
-        return Term(self.scalar * c, self.phase, self.poly, self.guards)
+        return Term(self.phase, self.poly.scale(c), self.guards)
 
     def times_poly(self, p: ParamPoly) -> "Term":
-        return Term(self.scalar, self.phase, self.poly * p, self.guards)
+        return Term(self.phase, self.poly * p, self.guards)
 
     def with_guard(self, g: Guard) -> "Term":
         if g.is_trivial() or g in self.guards:
             return self
-        return Term(self.scalar, self.phase, self.poly, self.guards + (g,))
+        return Term(self.phase, self.poly, self.guards + (g,))
 
     def shift_phase(self, q: Fraction, beta: AffineForm) -> "Term":
         """Multiply by e(q * beta(b)): linear part into the phase, constant
-        part into the scalar."""
-        scalar = self.scalar
+        part into the poly."""
+        poly = self.poly
         if q * beta.const % 1:
-            scalar = scalar * cyc_from_phase(q * beta.const)
-        return Term(scalar, self.phase.shifted(q, beta), self.poly, self.guards)
+            poly = poly.scale(cyc_from_phase(q * beta.const))
+        return Term(self.phase.shifted(q, beta), poly, self.guards)

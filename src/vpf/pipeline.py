@@ -6,17 +6,23 @@ merges terms, and verifies closed forms against the brute-force oracle.
 """
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .cyclotomic import Cyclotomic
-from .errors import MatrixParseError, NotPointed, NotRational, SanityFailure
+from .cyclotomic import cyc_sum
+from .errors import (
+    MatrixParseError,
+    NotPointed,
+    NotRational,
+    SanityFailure,
+    UnsupportedMultiplePole,
+)
 from .genfun import Factor, GenFunState, eliminate_last_var, final_univariate
 from .matrixops import (
     fm_certificate,
+    int_vector,
     mat_mul_int,
     mat_vec_int,
     primitive_integer,
@@ -34,6 +40,8 @@ class ProblemSpec:
     phases: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(
+            int_vector(r, "matrix row") for r in self.entries))
         m = len(self.entries)
         if m == 0 or len(set(len(r) for r in self.entries)) != 1:
             raise ValueError("matrix must be rectangular and nonempty")
@@ -54,8 +62,7 @@ class ProblemSpec:
 
     @classmethod
     def from_rows(cls, rows, phases=()) -> "ProblemSpec":
-        return cls(tuple(_int_vector(r, "matrix row") for r in rows),
-                   tuple(phases))
+        return cls(tuple(rows), tuple(phases))
 
     @property
     def m(self) -> int:
@@ -68,14 +75,6 @@ class ProblemSpec:
     @property
     def columns(self) -> list[tuple[int, ...]]:
         return [tuple(row[k] for row in self.entries) for k in range(self.d)]
-
-
-def _int_vector(values, what: str) -> tuple[int, ...]:
-    """Integers from outside input; a non-integer is rejected, never rounded."""
-    try:
-        return tuple(operator.index(x) for x in values)
-    except TypeError as exc:
-        raise MatrixParseError(f"{what} {values!r} has a non-integer entry") from exc
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,13 @@ def check_pointed(spec: ProblemSpec) -> tuple[Fraction, ...]:
 def nonnegativize(spec: ProblemSpec, y) -> PreprocessReport:
     """Unimodular U with last row a primitive multiple of y and U A >= 0.
 
-    Counts are preserved: phi_A(b) = phi_{UA}(Ub).
+    Counts are preserved: phi_A(b) = phi_{UA}(Ub).  A y with y . c_k <= 0
+    for some column is a MatrixParseError.
     """
+    if len(y) != spec.m or any(
+            sum(yi * ci for yi, ci in zip(y, c)) <= 0 for c in spec.columns):
+        raise MatrixParseError(
+            f"y = {tuple(y)} does not give y . c > 0 on every column")
     y0 = primitive_integer(y)
     u = unimodular_with_last_row(y0)
     a = [list(row) for row in spec.entries]
@@ -144,7 +148,6 @@ def nonnegativize(spec: ProblemSpec, y) -> PreprocessReport:
         if t:
             u[i] = [ui + t * y0i for ui, y0i in zip(u[i], y0)]
             ua[i] = [v + t * yk for v, yk in zip(ua[i], ylast)]
-    assert all(v >= 0 for row in ua for v in row)
     return PreprocessReport(
         tuple(Fraction(v) for v in y),
         tuple(tuple(r) for r in u),
@@ -171,36 +174,20 @@ def _initial_state(normalized, phases, order) -> GenFunState:
 
 
 def _merge_terms(terms) -> tuple[Term, ...]:
-    """Exact structural merging: identical guards/phase/poly shape add scalars."""
+    """Add the polynomials of terms with equal guards and phase; drop zero
+    sums and sort by (guards, phase)."""
+    def guard_key(g):
+        return (g.sense, g.form.coeffs, g.form.const)
+
     buckets: dict = {}
-    order: list = []
     for t in terms:
-        if t.is_zero():
-            continue
-        guards = tuple(sorted(
-            t.guards, key=lambda g: (g.sense, g.form.coeffs, g.form.const)))
-        lead = max(t.poly.items(), key=lambda kv: kv[0])[1]
-        poly = t.poly.scale(lead.inv())
-        scalar = t.scalar * lead
-        key = (guards, t.phase.coeffs, poly.key())
-        if key in buckets:
-            prev = buckets[key]
-            buckets[key] = Term(prev.scalar + scalar, prev.phase, prev.poly, prev.guards)
-        else:
-            buckets[key] = Term(scalar, t.phase, poly, guards)
-            order.append(key)
-    out = []
-    for key in sorted(order, key=_term_sort_key):
-        t = buckets[key]
-        if not t.scalar.is_zero():
-            out.append(t)
-    return tuple(out)
-
-
-def _term_sort_key(key):
-    guards, phase, poly = key
-    gk = tuple((g.sense, g.form.coeffs, g.form.const) for g in guards)
-    return (gk, phase, poly)
+        guards = tuple(sorted(t.guards, key=guard_key))
+        key = (tuple(map(guard_key, guards)), t.phase.coeffs)
+        prev = buckets.get(key)
+        poly = t.poly if prev is None else prev.poly + t.poly
+        buckets[key] = Term(t.phase, poly, guards)
+    merged = (buckets[key] for key in sorted(buckets))
+    return tuple(t for t in merged if not t.is_zero())
 
 
 def compute(spec: ProblemSpec, order=None) -> ResultExpr:
@@ -220,26 +207,30 @@ def compute(spec: ProblemSpec, order=None) -> ResultExpr:
     state = _initial_state(report.normalized, spec.phases, order)
     terms: list[Term] = []
     stack = [state]
-    while stack:
-        st = stack.pop()
-        if st.active == 1:
-            terms.extend(final_univariate(st))
-        else:
-            stack.extend(reversed(eliminate_last_var(st)))
+    try:
+        while stack:
+            st = stack.pop()
+            if st.active == 1:
+                terms.extend(final_univariate(st))
+            else:
+                stack.extend(reversed(eliminate_last_var(st)))
+    except UnsupportedMultiplePole as exc:
+        rows = ",".join(str(i + 1) for i in order)
+        raise UnsupportedMultiplePole(
+            f"{exc}, eliminating rows in the order {rows} (last first); "
+            f"another order (--order) may avoid it") from exc
     return ResultExpr(m, _merge_terms(terms), spec, report)
 
 
 def evaluate(expr: ResultExpr, b) -> Fraction:
     """phi_A(b); rejects non-integer or negative totals loudly."""
-    b = _int_vector(b, "b")
+    b = int_vector(b, "b")
     if len(b) != expr.m:
         raise MatrixParseError(
             f"b has {len(b)} entries but the expression has {expr.m} parameters")
     if expr.report is not None and not expr.report.is_identity:
         b = expr.report.transform(b)
-    total = Cyclotomic.zero()
-    for t in expr.terms:
-        total = total + t.value(b)
+    total = cyc_sum(t.value(b) for t in expr.terms)
     try:
         value = total.to_rational()
     except NotRational as exc:
@@ -252,8 +243,8 @@ def evaluate(expr: ResultExpr, b) -> Fraction:
 
 def verify_box(spec: ProblemSpec, expr: ResultExpr, lo, hi) -> VerifyReport:
     """Compare evaluate against the oracle on every integer b in the box."""
-    lo = _int_vector(lo, "box corner")
-    hi = _int_vector(hi, "box corner")
+    lo = int_vector(lo, "box corner")
+    hi = int_vector(hi, "box corner")
     if not len(lo) == len(hi) == spec.m:
         raise MatrixParseError(f"box corners {lo}, {hi} need {spec.m} entries")
     if expr.m != spec.m:

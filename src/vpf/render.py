@@ -78,10 +78,22 @@ def render_poly(p: ParamPoly, names) -> str:
     return out
 
 
+def _split_lead(p: ParamPoly):
+    """(c, p / c) for the lead coefficient c when p / c has no new cyclotomic
+    coefficients (c rational, or p one monomial), else (1, p)."""
+    monos = dict(p.items())
+    lead = monos[max(monos)] if monos else Cyclotomic.one()
+    if len(monos) == 1:
+        return lead, ParamPoly(p.arity, {max(monos): 1})
+    if lead.is_rational():
+        return lead, p.scale(1 / lead.to_rational())
+    return Cyclotomic.one(), p
+
+
 def render_term(t: Term, names) -> str:
     neg = False
     factors = []
-    scalar = t.scalar
+    scalar, poly = _split_lead(t.poly)
     if scalar.is_rational():
         q = scalar.to_rational()
         if q < 0:
@@ -93,7 +105,7 @@ def render_term(t: Term, names) -> str:
         factors.append(f"({scalar})")
     if not t.phase.is_zero():
         factors.append(render_phase(t.phase, names))
-    poly = render_poly(t.poly, names)
+    poly = render_poly(poly, names)
     if poly != "1" or not factors:
         multi = any(ch in poly[1:] for ch in "+-")
         if (factors or neg) and multi:

@@ -11,6 +11,10 @@ from .cyclotomic import Cyclotomic
 from .params import AffineForm, Guard, ParamPoly, PhaseForm, Term
 from .pipeline import PreprocessReport, ResultExpr
 
+#: Version of the expression JSON written here.  Schema 1 terms carried a
+#: separate cyclotomic "scalar"; schema 2 folds it into "poly".
+SCHEMA = 2
+
 
 def rat_to_json(q: Fraction) -> str:
     q = Fraction(q)
@@ -60,20 +64,22 @@ def poly_from_json(obj, arity: int) -> ParamPoly:
 
 def term_to_json(t: Term) -> dict:
     return {
-        "scalar": cyc_to_json(t.scalar),
         "phase": phase_to_json(t.phase),
         "poly": poly_to_json(t.poly),
         "guards": [guard_to_json(g) for g in t.guards],
     }
 
 
-def term_from_json(obj, arity: int) -> Term:
+def term_from_json(obj, arity: int, schema: int = SCHEMA) -> Term:
     """A term over `arity` parameters; a phase, guard or monomial of any
-    other length is a ValueError."""
+    other length is a ValueError.  A schema-1 term's separate scalar is
+    folded into its poly."""
+    poly = poly_from_json(obj["poly"], arity)
+    if schema == 1:
+        poly = poly.scale(cyc_from_json(obj["scalar"]))
     term = Term(
-        cyc_from_json(obj["scalar"]),
         phase_from_json(obj["phase"]),
-        poly_from_json(obj["poly"], arity),
+        poly,
         tuple(guard_from_json(g) for g in obj["guards"]),
     )
     lengths = [len(term.phase.coeffs)] + [len(g.form.coeffs) for g in term.guards]
@@ -84,7 +90,8 @@ def term_from_json(obj, arity: int) -> Term:
 
 
 def expr_to_json(expr: ResultExpr) -> dict:
-    out = {"m": expr.m, "terms": [term_to_json(t) for t in expr.terms]}
+    out = {"schema": SCHEMA, "m": expr.m,
+           "terms": [term_to_json(t) for t in expr.terms]}
     if expr.spec is not None:
         out["matrix"] = [list(r) for r in expr.spec.entries]
     if expr.report is not None:
@@ -95,8 +102,12 @@ def expr_to_json(expr: ResultExpr) -> dict:
 
 
 def expr_from_json(obj) -> ResultExpr:
+    """Reads schema 2, and schema 1 (no "schema" key); others: ValueError."""
+    schema = obj["schema"] if "schema" in obj else 1
+    if schema not in (1, SCHEMA):
+        raise ValueError(f"unknown expression schema {schema!r}")
     m = int(obj["m"])
-    terms = tuple(term_from_json(t, m) for t in obj["terms"])
+    terms = tuple(term_from_json(t, m, schema) for t in obj["terms"])
     report = None
     if "unimodular" in obj:
         report = PreprocessReport(

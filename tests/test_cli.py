@@ -42,11 +42,12 @@ class TestCompute:
     def test_json_schema(self, mat, capsys):
         assert main(["compute", mat(A2), "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
+        assert obj["schema"] == 2
         assert obj["m"] == 2
         assert obj["matrix"] == [[1, 0, 1], [0, 1, 1]]
         for term in obj["terms"]:
-            assert set(term) == {"scalar", "phase", "poly", "guards"}
-            assert "level" in term["scalar"]
+            assert set(term) == {"phase", "poly", "guards"}
+            assert all("level" in mono["coeff"] for mono in term["poly"])
 
     def test_latex(self, mat, capsys):
         assert main(["compute", mat(A2), "--format", "latex"]) == 0
@@ -83,6 +84,22 @@ class TestEval:
 
     def test_malformed_b_exits_4(self, mat, capsys):
         assert main(["eval", mat(A2), "2,x"]) == 4
+
+    def test_expr_json_after_whitespace(self, mat, capsys, tmp_path):
+        assert main(["compute", mat(A2), "--format", "json"]) == 0
+        ep = tmp_path / "expr.json"
+        ep.write_text("\n  \n" + capsys.readouterr().out)
+        assert main(["eval", str(ep), "5,2"]) == 0
+        assert capsys.readouterr().out.strip() == "3"
+
+    def test_unknown_schema_exits_4(self, mat, capsys, tmp_path):
+        assert main(["compute", mat(A2), "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        obj["schema"] = 3
+        ep = tmp_path / "expr.json"
+        ep.write_text(json.dumps(obj))
+        assert main(["eval", str(ep), "5,2"]) == 4
+        assert "schema" in capsys.readouterr().err
 
     def test_b_length_mismatch_exits_4(self, mat, capsys):
         assert main(["eval", mat(A2), "1"]) == 4
@@ -136,7 +153,7 @@ class TestVerify:
     def test_corrupted_expr_mismatch(self, mat, capsys, tmp_path):
         assert main(["compute", mat(A2), "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        obj["terms"][0]["scalar"]["coeffs"] = ["7"]
+        obj["terms"][0]["poly"][0]["coeff"] = {"level": 1, "coeffs": ["7"]}
         ep = tmp_path / "bad.json"
         ep.write_text(json.dumps(obj))
         rc = main(["verify", mat(A2), "0..4,0..4", "--expr", str(ep)])
@@ -197,6 +214,14 @@ class TestExitCodes:
         assert main(["compute", mat(COLLIDE3)]) == 3
         err = capsys.readouterr().err
         assert "UnsupportedMultiplePole" in err
+
+    def test_multiple_pole_message(self, mat, capsys):
+        # Columns (1, 1) and (1, 1) collide with two variables active.
+        assert main(["compute", mat(COLLIDE), "--order", "2,1"]) == 3
+        err = capsys.readouterr().err
+        assert "with 2 active variables" in err
+        assert "(phase 0, exponents (1, 1))" in err
+        assert "order 2,1" in err and "--order" in err
 
     def test_parse_error_is_4(self, mat, capsys):
         assert main(["compute", mat("1 2\n1\n")]) == 4

@@ -76,21 +76,21 @@ class TestFlip:
         out = flip(st, 0)
         assert out.factors == (Factor(F(0), (2,)),)
         assert out.exps == (AffineForm((1, -1), -2),)
-        assert out.acc.scalar.to_rational() == -1
+        assert out.acc.poly == ParamPoly.constant(2, -1)
 
     def test_double_flip_is_identity(self):
         st = make_state([(F(1, 3), (2, -1))])
         out = flip(flip(st, 0), 0)
         assert out.factors == st.factors
         assert out.exps == st.exps
-        assert out.acc.scalar == 1
+        assert out.acc.poly == ParamPoly.one(2)
 
     def test_half_phase_flip(self):
         st = make_state([(F(1, 2), (-1,))])
         out = flip(st, 0)
         assert out.factors == (Factor(F(1, 2), (1,)),)
-        # scalar is -e(-1/2) = -(-1) = 1
-        assert out.acc.scalar.to_rational() == 1
+        # the constant is -e(-1/2) = -(-1) = 1
+        assert out.acc.poly == ParamPoly.one(1)
 
     def test_series_invariance(self):
         st = make_state([(F(1, 3), (1, -2)), (0, (0, 1))])
@@ -190,7 +190,7 @@ class TestFinalUnivariate:
         # 1/((1-w) w^b) -> single term: poly 1, guard b >= 0.
         st = make_state([(0, (1,))])
         (t,) = final_univariate(st)
-        assert t.scalar == 1 and t.poly == ParamPoly.one(1)
+        assert t.poly == ParamPoly.one(1)
         assert t.phase.is_zero()
         assert t.guards[0].form == AffineForm((1,), 0)
         assert t.guards[0].sense == GE_ZERO
@@ -211,8 +211,7 @@ class TestFinalUnivariate:
         by_phase = {t.phase.coeffs[0]: t for t in terms}
         for theta in (F(1, 4), F(3, 4)):
             t = by_phase[theta]
-            assert t.scalar.to_rational() == F(1, 8)
-            assert t.poly == ParamPoly.one(1)
+            assert t.poly == ParamPoly.constant(1, F(1, 8))
 
     def test_mixed_pole_total_matches_series(self):
         st = make_state([(0, (2,)), (0, (4,))])

@@ -4,7 +4,9 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from vpf import ProblemSpec, count_points
+import pytest
+
+from vpf import MatrixParseError, ProblemSpec, count_points
 
 
 A2 = ProblemSpec.from_rows([(1, 0, 1), (0, 1, 1)])
@@ -24,6 +26,11 @@ class TestCountPoints:
 
     def test_a2_example(self):
         assert count_points(A2, (2, 5)) == 3
+
+    @pytest.mark.parametrize("b", [(2.5, 5), (2, "5"), (2,), (2, 5, 0)])
+    def test_bad_b_rejected(self, b):
+        with pytest.raises(MatrixParseError):
+            count_points(A2, b)
 
     def test_a2_min_formula(self):
         # On the cone a, b >= 0, the count is min(a, b) + 1.

@@ -93,26 +93,17 @@ class TestParamPoly:
 
     def test_constant(self):
         p = ParamPoly.constant(2, F(1, 8))
-        assert p.is_constant()
-        assert p.constant_value() == F(1, 8)
+        assert list(p.items()) == [((0, 0), Cyclotomic.from_rational(F(1, 8)))]
+        assert p.eval((3, -4)) == F(1, 8)
 
-    def test_constant_value_of_nonconstant_rejected(self):
-        with pytest.raises(ValueError):
-            ParamPoly(1, {(1,): 2, (0,): 1}).constant_value()
-
-    def test_key_is_structural(self):
-        p = ParamPoly(1, {(1,): 2, (0,): 1})
-        q = ParamPoly(1, {(0,): 1, (1,): 2})
-        assert p.key() == q.key() and p == q
-
-    def test_key_of_rational_ignores_level(self):
+    def test_eq_of_rational_ignores_level(self):
         half = Cyclotomic.from_rational(F(-1, 2))
         p = ParamPoly(1, {(1,): half, (0,): 3})
-        q = ParamPoly(1, {(1,): half.raise_level(12),
-                          (0,): Cyclotomic.from_rational(3).raise_level(5)})
-        assert p.key() == q.key() and p == q
+        q = ParamPoly(1, {(0,): Cyclotomic.from_rational(3).raise_level(5),
+                          (1,): half.raise_level(12)})
+        assert p == q
         r = ParamPoly(1, {(1,): cyc_from_phase(F(1, 3)), (0,): 3})
-        assert r.key() != p.key()
+        assert r != p
 
 
 class TestBinomPoly:
@@ -164,20 +155,19 @@ class TestTerm:
 
     def test_a2_leaf(self):
         # a+1 under a >= 0, evaluated at a=3.
-        t = Term(Cyclotomic.one(), PhaseForm.zero(2),
+        t = Term(PhaseForm.zero(2),
                  ParamPoly.from_affine(AffineForm((1, 0), 1)),
                  (Guard(AffineForm((1, 0), 0), GE_ZERO),))
         assert t.value((3, 0)).to_rational() == 4
 
     def test_eighth_scalar_phase(self):
         # (1/8) e(b/4) at b=2 is -1/8.
-        t = Term(Cyclotomic.from_rational(F(1, 8)),
-                 PhaseForm((F(1, 4),)), ParamPoly.one(1))
+        t = Term(PhaseForm((F(1, 4),)), ParamPoly.constant(1, F(1, 8)))
         assert t.value((2,)).to_rational() == F(-1, 8)
 
     def test_linear_in_scalar(self):
-        t = Term(Cyclotomic.from_rational(2), PhaseForm((F(1, 3),)),
-                 ParamPoly.from_affine(AffineForm((1,), 1)))
+        t = Term(PhaseForm((F(1, 3),)),
+                 ParamPoly.from_affine(AffineForm((1,), 1)).scale(2))
         for b in range(4):
             assert t.scaled(3).value((b,)) == t.value((b,)) * 3
 
@@ -190,7 +180,7 @@ class TestTerm:
 
     def test_shift_phase_constant_goes_to_scalar(self):
         t = Term.one(1).shift_phase(F(1, 4), AffineForm((1,), 2))
-        assert t.scalar == cyc_from_phase(F(1, 2))
+        assert t.poly == ParamPoly.constant(1, cyc_from_phase(F(1, 2)))
         assert t.phase.coeffs == (F(1, 4),)
 
     def test_duplicate_guard_dropped(self):

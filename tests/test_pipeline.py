@@ -53,6 +53,8 @@ class TestProblemSpec:
         for rows in ([(1.5, 1)], [(1, F(1, 2))], [(1, "2")]):
             with pytest.raises(MatrixParseError):
                 ProblemSpec.from_rows(rows)
+            with pytest.raises(MatrixParseError):
+                ProblemSpec(tuple(rows))
         assert MatrixParseError.exit_code == 4
 
 
@@ -91,6 +93,12 @@ class TestNonnegativize:
                 b = (b1, b2)
                 assert count_points(spec, b) == count_points(
                     ua, mat_vec_int(report.unimodular, b))
+
+    @pytest.mark.parametrize("y", [(0, 0), (1, -5)])
+    def test_y_not_positive_on_columns_rejected(self, y):
+        spec = ProblemSpec.from_rows([(1, -1, 0), (0, 1, 1)])
+        with pytest.raises(MatrixParseError):
+            nonnegativize(spec, y)
 
     def test_random_negative_matrices(self):
         rng = random.Random(23)
@@ -140,14 +148,13 @@ class TestCompute:
             compute(A2, order=(0, 0))
 
     def test_equal_terms_merged(self):
-        # Under this order two pairs of terms differ only in the level their
-        # rational polynomial coefficients are held at; each pair is one term.
+        # Terms with equal guards and phase are one term.
         spec = ProblemSpec.from_rows([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)])
         terms = compute(spec, order=(1, 2, 0)).terms
         for i, s in enumerate(terms):
             for t in terms[i + 1:]:
                 assert not (set(s.guards) == set(t.guards)
-                            and s.phase == t.phase and s.poly == t.poly)
+                            and s.phase == t.phase)
 
     def test_row_order_independence(self):
         for spec in (A2, BECK, THREE_ONE):

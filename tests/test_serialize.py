@@ -4,6 +4,8 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,9 @@ from vpf.serialize import (
     term_from_json,
     term_to_json,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def F(p, q=1):
@@ -73,9 +78,9 @@ class TestComponents:
         assert poly_from_json(poly_to_json(p), 2) == p
 
     def test_term(self):
-        t = Term(cyc_from_phase(F(1, 4)) * F(1, 8),
-                 PhaseForm((F(1, 4), F(0))),
-                 ParamPoly.from_affine(AffineForm((1, 0), 1)),
+        t = Term(PhaseForm((F(1, 4), F(0))),
+                 ParamPoly.from_affine(AffineForm((1, 0), 1)).scale(
+                     cyc_from_phase(F(1, 4)) * F(1, 8)),
                  (Guard(AffineForm((0, 1), 0), GE_ZERO),))
         t2 = term_from_json(term_to_json(t), 2)
         assert t2 == t
@@ -100,34 +105,67 @@ class TestExpr:
         assert obj["matrix"] == [[1, 2], [-1, 0]]
         assert "unimodular" in obj and "certificate" in obj
 
+    @pytest.mark.parametrize("name, rows, box", [
+        ("a2_schema1.json", [(1, 0, 1), (0, 1, 1)], [range(-3, 16)] * 2),
+        ("p157_schema1.json", [(1, 5, 7)], [range(-3, 150)]),
+    ])
+    def test_schema1_file_evaluates_like_compute(self, name, rows, box):
+        # Written by `vpf compute --format json` before terms lost "scalar".
+        obj = json.loads((DATA / name).read_text())
+        assert "schema" not in obj and "scalar" in obj["terms"][0]
+        old = expr_from_json(obj)
+        new = compute(ProblemSpec.from_rows(rows))
+        assert len(old.terms) == len(new.terms)
+        for b in product(*box):
+            assert evaluate(old, b) == evaluate(new, b)
+
+    def test_unknown_schema_rejected(self):
+        obj = expr_to_json(compute(ProblemSpec.from_rows([(1, 1)])))
+        assert obj["schema"] == 2
+        for schema in (3, 0, "2", None):
+            with pytest.raises(ValueError):
+                expr_from_json({**obj, "schema": schema})
+
 
 #: sha256 of the CLI's `compute --format json` text (json.dumps(..., indent=2)
 #: of expr_to_json), pinned so changes to the arithmetic cannot move a
 #: coefficient, a level or the term order.
+M34 = [(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)]
 PINNED_JSON = [
-    ([(1, 0, 1), (0, 1, 1)], None,
-     "5cdebf6fd1a06270a908fe54e081d38a2e1ae96ad6235d5146e6a39b5bfc6771"),
-    ([(1, 2, 1, 0), (1, 1, 0, 1)], None,
-     "bdd1527bdadc419962ef9bef9982470134a5329faf19e46a15b2d0dbb9909ff9"),
-    ([(1, 1), (3, 1)], None,
-     "e434bee4a457d4a87a14340f11d32a59b7006e66af14f5d48511f92d9abc1aa0"),
-    ([(1, 5, 7)], None,
-     "e78d91bd8b873c145b3d39b8c8db7609b83a7678bf5fbff2df64c466d1002cf7"),
-    ([(1, 7, 11)], None,
-     "ac3b0043ef89913c5a5479821b2a38f27aa15126579a77424a3b86357af12b81"),
-    ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (1, 2, 0),
-     "5ed753f3ee0c1cd7b097268b9dc3536b88767f8f0be94996536e353f18e0d3a9"),
-    ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (2, 1, 0),
-     "b65d49def8eef31bc0079fe112768b37dabf450790fe5fb98191cbeaf7a189fa"),
-    ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (2, 0, 1),
-     "b7b461997844a54e893e22b4e83541b89056866a61e5c05f3bf8af964d5fa4d7"),
-    ([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)], (0, 2, 1),
-     "9df7f8a0e79e870f01253bb57a6ef0b13d765443f27eeb20c3b6fb64f1fbefe4"),
+    pytest.param([(1, 0, 1), (0, 1, 1)], None,
+                 "3af5e59f5622921cfffcee694c878b1b5195a90ddb3894d138c697ab094dfe1d",
+                 id="a2"),
+    pytest.param([(1, 2, 1, 0), (1, 1, 0, 1)], None,
+                 "d7af50f0cd1a51f11a48966d4825a49bf768cfd06cf5a7c0a3ad0ae37ba1e819",
+                 id="beck"),
+    pytest.param([(1, 1), (3, 1)], None,
+                 "cfa4f6bca0c4b6813549ff3c4c10ddab5e4c3ff9227b032ae6bc2cc4ee0920c6",
+                 id="three_one"),
+    pytest.param([(1, 5, 7)], None,
+                 "5a6b54ec6cd1f78945e2e87253ea4a9d4efdd9e4cb4582cf3cf2f733f1c14c95",
+                 id="p5_q7"),
+    pytest.param([(1, 7, 11)], None,
+                 "12f38a393a00743992c219ac027ef44fe3ce856a2b1837003de9288e4151d659",
+                 id="p7_q11"),
+    pytest.param(M34, (1, 2, 0),
+                 "72bbceb2e174623a516095eb61c4614f4616dbff166abc4711535eeaa1696eae",
+                 id="3x4_order_120"),
+    pytest.param(M34, (2, 1, 0),
+                 "80d78cec6937ecb42776f00d206a10f8d54d93a2e40534cbf494ca6b1fd96430",
+                 id="3x4_order_210"),
+    pytest.param(M34, (2, 0, 1),
+                 "5e3306b87059541a02c29ab14517c8372901673a7e1efc5f9cc4efdf0483a778",
+                 id="3x4_order_201"),
+    pytest.param(M34, (0, 2, 1),
+                 "dce29e6f6942a74c9c8f7e3680b81788f05acc91e69e68e61ae6524325d23941",
+                 id="3x4_order_021"),
     # A mult-3 group at theta = 0.
-    ([(1, 11, 13)], None,
-     "bb41bb43fffb38d02a58205802cae868791ce257a140d814db1172298ab1f859"),
-    ([(1, -1, 0), (0, 1, 1)], None,
-     "c1213e7cc739ea167082d0e7bea21219dd6ed9d9cd5c4f40e8c92705af46bb85"),
+    pytest.param([(1, 11, 13)], None,
+                 "800bbe62c8c6e2b96afe1c10a3e96368d5dba8b25bfd7983924a225fde6f7d42",
+                 id="p11_q13"),
+    pytest.param([(1, -1, 0), (0, 1, 1)], None,
+                 "b92c11a05ad9646ad3ad2c97ddaed5fddf3e78a51d13acaf152e6880ddfdb302",
+                 id="negative"),
 ]
 
 
