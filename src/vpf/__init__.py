@@ -9,7 +9,6 @@ brute-force lattice-point oracle.
 from .cyclotomic import (
     Cyclotomic,
     cyc_from_phase,
-    cyclotomic_polynomial,
     get_level_cap,
     set_level_cap,
 )

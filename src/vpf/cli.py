@@ -74,7 +74,7 @@ def parse_matrix_file(path: str) -> ProblemSpec:
         rows.append(tuple(row))
     try:
         return ProblemSpec.from_rows(rows)
-    except ValueError as exc:
+    except MatrixParseError as exc:
         raise MatrixParseError(f"{path}: {exc}") from exc
 
 

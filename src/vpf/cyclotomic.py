@@ -40,13 +40,6 @@ def _check_level(n: int) -> None:
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (dense, ascending coefficients).
 
-def _trim(p):
-    end = len(p)
-    while end > 0 and p[end - 1] == 0:
-        end -= 1
-    return tuple(p[:end])
-
-
 def _int_divexact(num, den):
     # Exact division of integer polynomials by a monic den.
     num = list(num)
@@ -67,12 +60,6 @@ def _cyclo_poly(n: int) -> tuple[int, ...]:
         if n % d == 0:
             p = _int_divexact(p, _cyclo_poly(d))
     return tuple(p)
-
-
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """The n-th cyclotomic polynomial Phi_n, ascending integer coefficients."""
-    _check_level(n)
-    return _cyclo_poly(n)
 
 
 @lru_cache(maxsize=None)
@@ -129,21 +116,6 @@ def _mul_mod(n: int, a, b) -> list:
         c[j - n] += c[j]
     del c[n:]
     return _reduce(n, c)
-
-
-def _poly_divmod(p, q):
-    p = list(p)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    out = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    for i in range(len(out) - 1, -1, -1):
-        c = p[i + len(q) - 1] / lead
-        if c:
-            out[i] = c
-            for j, d in enumerate(q):
-                p[i + j] -= c * d
-    return _trim(out), _trim(p[: len(q) - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +266,23 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclotomic":
-        """Multiplicative inverse via extended Euclid against Phi_N."""
+        """Multiplicative inverse by the Galois norm: with sigma_k sending
+        zeta to zeta^k for the units k mod N, N(x) = prod_k sigma_k(x) is a
+        nonzero rational, so 1/x = prod_{k != 1} sigma_k(x) / N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
         n = self.level
-        # Extended Euclid on the numerator polynomial, keeping u * num = r
-        # mod Phi_N; Phi_N is irreducible over Q, so r ends as a constant.
-        r0 = tuple(map(Fraction, cyclotomic_polynomial(n)))
-        r1 = _trim(tuple(map(Fraction, self.num)))
-        u0, u1 = Cyclotomic.zero(), Cyclotomic.one()
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, u0 - Cyclotomic(n, q) * u1
-        return (u1 * (self.den / r1[0])).raise_level(n)
+        conjs = [[1] + [0] * (len(self.num) - 1)]
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                c = [0] * n
+                for i, v in enumerate(self.num):
+                    c[i * k % n] = v
+                conjs.append(_reduce(n, c))
+        while len(conjs) > 1:  # oldest two first: operands grow alike
+            conjs.append(_mul_mod(n, conjs.pop(0), conjs.pop(0)))
+        rest = Cyclotomic._ints(n, conjs[0])
+        return rest * (1 / (self * rest).to_rational())
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -26,10 +26,6 @@ class AffineForm:
         return cls((0,) * m, 0)
 
     @classmethod
-    def constant(cls, m: int, c: int) -> "AffineForm":
-        return cls((0,) * m, c)
-
-    @classmethod
     def unit(cls, m: int, i: int) -> "AffineForm":
         return cls(tuple(1 if j == i else 0 for j in range(m)), 0)
 

@@ -10,6 +10,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from numbers import Rational
 
 from .cyclotomic import cyc_sum
 from .errors import (
@@ -44,14 +45,16 @@ class ProblemSpec:
             int_vector(r, "matrix row") for r in self.entries))
         m = len(self.entries)
         if m == 0 or len(set(len(r) for r in self.entries)) != 1:
-            raise ValueError("matrix must be rectangular and nonempty")
+            raise MatrixParseError("matrix must be rectangular and nonempty")
         d = len(self.entries[0])
         if d == 0:
-            raise ValueError("matrix needs at least one column")
+            raise MatrixParseError("matrix needs at least one column")
         if not self.phases:
             object.__setattr__(self, "phases", (Fraction(0),) * d)
         elif len(self.phases) != d:
-            raise ValueError("need one phase per column")
+            raise MatrixParseError("need one phase per column")
+        if not all(isinstance(q, Rational) for q in self.phases):
+            raise MatrixParseError(f"phases {self.phases!r} must be rational")
         object.__setattr__(
             self, "phases", tuple(Fraction(q) % 1 for q in self.phases))
         for k in range(d):
@@ -203,7 +206,7 @@ def compute(spec: ProblemSpec, order=None) -> ResultExpr:
     else:
         order = tuple(order)
         if sorted(order) != list(range(m)):
-            raise ValueError(f"order must be a permutation of 0..{m - 1}")
+            raise MatrixParseError(f"order is not a permutation of 0..{m - 1}")
     state = _initial_state(report.normalized, spec.phases, order)
     terms: list[Term] = []
     stack = [state]

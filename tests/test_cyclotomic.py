@@ -13,10 +13,10 @@ from vpf import (
     LevelOverflow,
     NotRational,
     cyc_from_phase,
-    cyclotomic_polynomial,
     get_level_cap,
     set_level_cap,
 )
+from vpf.cyclotomic import _cyclo_poly as cyclotomic_polynomial
 from vpf.cyclotomic import inv_one_minus_phase
 
 from .helpers import approx, cyc_pow
@@ -125,6 +125,32 @@ class TestInverse:
                      for _ in range(3)),
                     Cyclotomic.zero())
             assert x * x.inv() == 1
+
+    @staticmethod
+    def _three_term(rng, n):
+        x = Cyclotomic.zero()
+        while x.is_zero():
+            x = sum((cyc_from_phase(F(rng.randrange(n), n)) * rng.randint(-3, 3)
+                     for _ in range(3)), Cyclotomic.zero())
+        return x
+
+    def test_high_levels(self):
+        rng = random.Random(41)
+        for n in (143, 221):
+            for _ in range(4):
+                x = self._three_term(rng, n)
+                y = x.inv()
+                assert y.level == x.level
+                assert x * y == 1
+
+    def test_involution_high_level(self):
+        # x^-1 of a generic element has numerators of a few hundred bits,
+        # so inverting it again multiplies integers of millions of bits:
+        # about 2 s at level 143 but tens of seconds at level 221, which
+        # is why the involution is checked at level 143 only.
+        rng = random.Random(43)
+        x = self._three_term(rng, 143)
+        assert x.inv().inv() == x
 
 
 class TestRaiseLevel:
@@ -237,7 +263,7 @@ class TestLevelCap:
 
 
 class TestClosedFormInverse:
-    """1/(1 - e(q)) in closed form against extended Euclid."""
+    """1/(1 - e(q)) in closed form against the general inverse."""
 
     def test_matches_euclid_small_levels(self):
         for n in range(2, 61):

@@ -38,7 +38,7 @@ class TestProblemSpec:
             ProblemSpec.from_rows([(1, 0), (1, 0)])
 
     def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MatrixParseError):
             ProblemSpec.from_rows([(1, 2), (1,)])
 
     def test_phases_default_and_reduce(self):
@@ -48,6 +48,20 @@ class TestProblemSpec:
 
     def test_columns(self):
         assert A2.columns == [(1, 0), (0, 1), (1, 1)]
+
+    def test_shape_errors_typed(self):
+        for rows, phases in (([], ()), ([()], ()), ([(1, 1)], (F(0),))):
+            with pytest.raises(MatrixParseError):
+                ProblemSpec.from_rows(rows, phases)
+
+    def test_non_rational_phase_rejected(self):
+        # A float phase would become a huge-denominator Fraction and
+        # overflow the level cap in compute; reject it up front.
+        for bad in (0.1, 0.5, "1/3", None):
+            with pytest.raises(MatrixParseError):
+                ProblemSpec.from_rows([(1, 1)], phases=(bad, 0))
+        spec = ProblemSpec.from_rows([(1, 1)], phases=(F(5, 4), 2))
+        assert spec.phases == (F(1, 4), F(0))
 
     def test_non_integer_entry_rejected(self):
         for rows in ([(1.5, 1)], [(1, F(1, 2))], [(1, "2")]):
@@ -144,7 +158,7 @@ class TestCompute:
                 assert evaluate(expr, (a, b)) == count_points(THREE_ONE, (a, b))
 
     def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MatrixParseError):
             compute(A2, order=(0, 0))
 
     def test_equal_terms_merged(self):
