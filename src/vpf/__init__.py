@@ -4,7 +4,7 @@ phi_A(b) counts nonnegative integer solutions of A x = b.  This package
 computes piecewise quasi-polynomial expressions for phi_A by iterated
 partial fraction decomposition of the generating function, with all
 arithmetic exact in cyclotomic fields, and verifies them against a
-brute-force lattice-point oracle.
+lattice-point oracle: a dynamic program that counts a whole box of b at once.
 """
 from .cyclotomic import (
     Cyclotomic,

@@ -218,7 +218,7 @@ def build_parser() -> _Parser:
     v.add_argument("--expr", default=None, help="expression JSON to verify")
     v.set_defaults(func=cmd_verify)
 
-    o = sub.add_parser("oracle", help="brute-force count for one b")
+    o = sub.add_parser("oracle", help="oracle count for one b")
     o.add_argument("matrix")
     o.add_argument("b", help="comma-separated integers")
     o.set_defaults(func=cmd_oracle)

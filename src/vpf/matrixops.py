@@ -1,7 +1,7 @@
 """Exact integer/rational matrix utilities.
 
 Fourier-Motzkin feasibility for the pointedness certificate, primitivization,
-unimodular completion of a primitive row, and an exact determinant.
+and unimodular completion of a primitive row.
 """
 from __future__ import annotations
 
@@ -77,26 +77,14 @@ def primitive_integer(y) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def det_int(mat) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def integer_certificate(y, columns) -> tuple[int, ...]:
+    """The primitive integer multiple of y, so y . c >= 1 on every column;
+    a y of the wrong length or with y . c <= 0 is a MatrixParseError."""
+    if len(y) != len(columns[0]) or any(
+            sum(yi * ci for yi, ci in zip(y, c)) <= 0 for c in columns):
+        raise MatrixParseError(
+            f"y = {tuple(y)} does not give y . c > 0 on every column")
+    return primitive_integer(y)
 
 
 def unimodular_with_last_row(y0) -> list[list[int]]:
@@ -139,9 +127,7 @@ def unimodular_with_last_row(y0) -> list[list[int]]:
         col_neg(0)
     assert yrow[0] == 1 and not any(yrow[1:])
     # Row 0 of inv is y0; rotate it to the bottom.
-    u = inv[1:] + inv[:1]
-    assert abs(det_int(u)) == 1
-    return u
+    return inv[1:] + inv[:1]
 
 
 def mat_mul_int(a, b):

@@ -2,14 +2,13 @@
 
 Validates the input matrix, certifies pointedness, normalizes to nonnegative
 entries by a unimodular change of coordinates, runs the iterated elimination,
-merges terms, and verifies closed forms against the brute-force oracle.
+merges terms, and verifies closed forms against the lattice-point oracle.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from numbers import Rational
 
 from .cyclotomic import cyc_sum
@@ -24,12 +23,12 @@ from .genfun import Factor, GenFunState, eliminate_last_var, final_univariate
 from .matrixops import (
     fm_certificate,
     int_vector,
+    integer_certificate,
     mat_mul_int,
     mat_vec_int,
-    primitive_integer,
     unimodular_with_last_row,
 )
-from .oracle import count_points
+from .oracle import box_counts
 from .params import AffineForm, Term
 
 
@@ -131,11 +130,7 @@ def nonnegativize(spec: ProblemSpec, y) -> PreprocessReport:
     Counts are preserved: phi_A(b) = phi_{UA}(Ub).  A y with y . c_k <= 0
     for some column is a MatrixParseError.
     """
-    if len(y) != spec.m or any(
-            sum(yi * ci for yi, ci in zip(y, c)) <= 0 for c in spec.columns):
-        raise MatrixParseError(
-            f"y = {tuple(y)} does not give y . c > 0 on every column")
-    y0 = primitive_integer(y)
+    y0 = integer_certificate(y, spec.columns)
     u = unimodular_with_last_row(y0)
     a = [list(row) for row in spec.entries]
     ua = mat_mul_int(u, a)
@@ -257,7 +252,7 @@ def verify_box(spec: ProblemSpec, expr: ResultExpr, lo, hi) -> VerifyReport:
     if any(a > b for a, b in zip(lo, hi)):
         raise MatrixParseError(f"empty box: lower corner {lo} exceeds {hi}")
     if any(spec.phases):
-        # count_points counts unweighted solutions, so it is no oracle for a
+        # box_counts counts unweighted solutions, so it is no oracle for a
         # phase-weighted generating function.
         raise MatrixParseError(
             f"verify_box has no oracle for column phases {spec.phases}")
@@ -265,10 +260,7 @@ def verify_box(spec: ProblemSpec, expr: ResultExpr, lo, hi) -> VerifyReport:
     report = VerifyReport()
     start = time.perf_counter()
     # The first coordinate varies fastest.
-    ranges = [range(a, z + 1) for a, z in zip(lo, hi)]
-    for rev in product(*reversed(ranges)):
-        b = rev[::-1]
-        expected = count_points(spec, b, certificate=y)
+    for b, expected in box_counts(spec, lo, hi, y).items():
         got = evaluate(expr, b)
         report.points_checked += 1
         if got != expected:

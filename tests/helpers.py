@@ -2,7 +2,9 @@
 
 The truncated-series oracle here re-derives the constant-term semantics of a
 GenFunState directly from geometric series, independently of the elimination
-engine, so engine steps can be checked against it.
+engine, so engine steps can be checked against it.  The depth-first counter
+`count_points_dfs` is the reference for the graded box oracle `box_counts`,
+and `det_int` checks that unimodular completions have determinant +-1.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from vpf import Cyclotomic, Factor, GenFunState, cyc_from_phase
+from vpf.matrixops import fm_certificate
 
 
 def _last_nonzero(u):
@@ -49,6 +52,59 @@ def _phase_counts(factors, goal):
     if goal[p] >= 0:
         assign(0, goal[p], [0] * len(goal), Fraction(0))
     return out
+
+
+def count_points_dfs(spec, b, certificate=None) -> int:
+    """phi_A(b) by depth-first search over the last column's multiplicity.
+
+    Prunes a residual r with y . r < 0, and a residual with a negative entry
+    once every remaining column is entrywise nonnegative.
+    """
+    columns = spec.columns
+    y = fm_certificate(columns) if certificate is None else certificate
+    yc = [sum(yi * ci for yi, ci in zip(y, c)) for c in columns]
+    # nonneg_prefix[k]: all columns 0..k are entrywise nonnegative.
+    nonneg_prefix = []
+    flag = True
+    for c in columns:
+        flag = flag and all(e >= 0 for e in c)
+        nonneg_prefix.append(flag)
+
+    def rec(k: int, r) -> int:
+        if k < 0:
+            return 1 if not any(r) else 0
+        yr = sum(yi * ri for yi, ri in zip(y, r))
+        if yr < 0:
+            return 0
+        if nonneg_prefix[k] and any(ri < 0 for ri in r):
+            return 0
+        c = columns[k]
+        return sum(rec(k - 1, tuple(ri - x * ci for ri, ci in zip(r, c)))
+                   for x in range(yr // yc[k] + 1))
+
+    return rec(spec.d - 1, tuple(b))
+
+
+def det_int(mat) -> int:
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(mat)
+    a = [list(row) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def series_value(state: GenFunState, b) -> Cyclotomic:

@@ -31,7 +31,7 @@ from vpf import (
 )
 from vpf.cli import main as cli_main
 from vpf.errors import NotPointed
-from vpf.matrixops import det_int, mat_vec_int
+from vpf.matrixops import mat_vec_int
 
 from .helpers import (
     CONE,
@@ -44,6 +44,7 @@ from .helpers import (
     cp_pow,
     cp_series_inv,
     cp_sub,
+    det_int,
     series_value,
     substitute_power,
     w_coeffs_at,

@@ -353,7 +353,7 @@ class TestLadderLevels:
     def test_1_97_101_against_oracle(self):
         spec = ProblemSpec.from_rows([(1, 97, 101)])
         expr = compute(spec)
-        for b in (500, 1500):
+        for b in (500, 1500, 9797):
             assert evaluate(expr, (b,)) == count_points(spec, (b,))
 
 

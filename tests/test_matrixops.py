@@ -1,4 +1,5 @@
-"""Exact matrix utilities: Fourier-Motzkin, unimodular completion, determinant."""
+"""Exact matrix utilities: Fourier-Motzkin, unimodular completion; the
+test-side determinant that checks the completion."""
 from __future__ import annotations
 
 import random
@@ -8,13 +9,14 @@ import pytest
 
 from vpf.errors import NotPointed
 from vpf.matrixops import (
-    det_int,
     fm_certificate,
     mat_mul_int,
     mat_vec_int,
     primitive_integer,
     unimodular_with_last_row,
 )
+
+from .helpers import det_int
 
 
 def F(p, q=1):

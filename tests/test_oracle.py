@@ -1,12 +1,21 @@
-"""Brute-force lattice-point oracle."""
+"""Lattice-point oracle: the graded box DP, checked against the DFS."""
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from vpf import MatrixParseError, ProblemSpec, count_points
+from vpf import (
+    MatrixParseError,
+    NotPointed,
+    ProblemSpec,
+    check_pointed,
+    count_points,
+)
+from vpf.oracle import box_counts
+
+from .helpers import count_points_dfs
 
 
 A2 = ProblemSpec.from_rows([(1, 0, 1), (0, 1, 1)])
@@ -76,3 +85,65 @@ class TestCountPoints:
         # Compositions of 30 into 4 nonnegative parts: C(33, 3).
         assert count_points(spec, (30,)) == 5456
 
+
+    def test_1_97_101_coin_change(self):
+        # Ways to pay b with coins 1, 97 and 101: for each count z of 101s,
+        # the 97s range over 0..(b - 101 z) // 97.
+        spec = ProblemSpec.from_rows([(1, 97, 101)])
+        for b, want in ((9797, 4999), (10000, 5207)):
+            assert sum((b - 101 * z) // 97 + 1
+                       for z in range(b // 101 + 1)) == want
+            assert count_points(spec, (b,)) == want
+
+
+class TestBoxCounts:
+    NEG = ProblemSpec.from_rows([(1, -1, 0), (0, 1, 1)])
+
+    def test_negative_matrix_fiber(self):
+        # A x = b has the solutions x = (b1 + t, t, b2 - t): count the t that
+        # keep all three entries nonnegative.
+        counts = box_counts(self.NEG, (-6, 0), (12, 12))
+        assert len(counts) == 19 * 13
+        for (b1, b2), n in counts.items():
+            assert n == max(0, b2 - max(0, -b1) + 1)
+
+    def test_first_coordinate_fastest(self):
+        counts = box_counts(A2, (0, 1), (2, 2))
+        assert list(counts) == [(0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)]
+
+    def test_below_halfspace_is_all_zero(self):
+        # y . b < 0 on the whole box: the first column already exceeds it,
+        # so no cell is built, however far out the box lies.
+        y = check_pointed(self.NEG)
+        far = (10**12, -10**12)
+        for lo, hi in [((-6, -6), (-1, -1)), (far, far)]:
+            assert all(sum(yi * bi for yi, bi in zip(y, b)) < 0
+                       for b in product(*zip(lo, hi)))
+            counts = box_counts(self.NEG, lo, hi, y)
+            assert counts and not any(counts.values())
+
+    def test_bad_certificate_rejected(self):
+        for y in [(1, 0), (1,), (0, 0)]:
+            with pytest.raises(MatrixParseError):
+                box_counts(self.NEG, (0, 0), (1, 1), y)
+
+    def test_matches_dfs_on_random_specs(self):
+        rng = random.Random(404)
+        done = negative = 0
+        while done < 100:
+            m = rng.randint(1, 3)
+            d = rng.randint(1, 5)
+            rows = [tuple(rng.randint(-2, 3) for _ in range(d))
+                    for _ in range(m)]
+            try:
+                spec = ProblemSpec.from_rows(rows)
+                y = check_pointed(spec)
+            except NotPointed:
+                continue
+            counts = box_counts(spec, (-2,) * m, (2,) * m, y)
+            assert len(counts) == 5 ** m
+            for b, n in counts.items():
+                assert n == count_points_dfs(spec, b, y), (rows, b)
+            negative += any(v < 0 for r in rows for v in r)
+            done += 1
+        assert negative >= 50

@@ -18,8 +18,10 @@ from vpf import (
     nonnegativize,
     verify_box,
 )
-from vpf.matrixops import det_int, mat_vec_int
+from vpf.matrixops import mat_vec_int
 from vpf.pipeline import preprocess
+
+from .helpers import det_int
 
 
 A2 = ProblemSpec.from_rows([(1, 0, 1), (0, 1, 1)])
