@@ -6,12 +6,7 @@ partial fraction decomposition of the generating function, with all
 arithmetic exact in cyclotomic fields, and verifies them against a
 lattice-point oracle: a dynamic program that counts a whole box of b at once.
 """
-from .cyclotomic import (
-    Cyclotomic,
-    cyc_from_phase,
-    get_level_cap,
-    set_level_cap,
-)
+from .cyclotomic import Cyclotomic, cyc_from_phase, level_cap
 from .errors import (
     DimensionMismatch,
     LevelMismatch,

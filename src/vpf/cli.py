@@ -102,12 +102,9 @@ def parse_box(text: str):
     return tuple(los), tuple(his)
 
 
-def parse_order(text: str, m: int):
-    order = tuple(i - 1 for i in parse_ints(text, "row order"))
-    if sorted(order) != list(range(m)):
-        raise MatrixParseError(
-            f"row order '{text}' is not a permutation of 1..{m}")
-    return order
+def parse_order(text: str):
+    """A 1-based row list as 0-based indices; `compute` checks the order."""
+    return tuple(i - 1 for i in parse_ints(text, "row order"))
 
 
 def _read_expr_json(path: str):
@@ -136,7 +133,7 @@ def _load_expr(path: str):
 
 def cmd_compute(args) -> int:
     spec = parse_matrix_file(args.matrix)
-    order = parse_order(args.order, spec.m) if args.order else None
+    order = parse_order(args.order) if args.order else None
     expr = compute(spec, order=order)
     if args.format == "json":
         print(json.dumps(expr_to_json(expr), indent=2))
@@ -237,40 +234,33 @@ def build_parser() -> _Parser:
 
 
 def _level_cap(cap):
-    """--max-level, else VPF_MAX_LEVEL, else None; a cap must be positive."""
-    if cap is None:
-        text = os.environ.get("VPF_MAX_LEVEL")
-        if not text:
-            return None
-        try:
-            cap = int(text)
-        except ValueError as exc:
-            raise MatrixParseError(
-                f"VPF_MAX_LEVEL must be an integer, got '{text}'") from exc
-    if cap < 1:
-        raise MatrixParseError(f"the level cap must be positive, got {cap}")
-    return cap
+    """--max-level, else VPF_MAX_LEVEL, else the default cap."""
+    if cap is not None:
+        return cap
+    text = os.environ.get("VPF_MAX_LEVEL")
+    if not text:
+        return cyclotomic.DEFAULT_LEVEL_CAP
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise MatrixParseError(
+            f"VPF_MAX_LEVEL must be an integer, got '{text}'") from exc
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    old_cap = cyclotomic.get_level_cap()
     try:
         args = parser.parse_args(argv)
-        cap = _level_cap(args.max_level)
-        if cap is not None:
-            cyclotomic.set_level_cap(cap)
-        return args.func(args)
+        with cyclotomic.level_cap(_level_cap(args.max_level)):
+            return args.func(args)
     except VpfError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
     except ZeroDivisionError as exc:
         print(f"error: DivisionByZero: {exc}", file=sys.stderr)
         return 1
-    finally:
-        cyclotomic.set_level_cap(old_cap)
 
 
 if __name__ == "__main__":

@@ -8,33 +8,45 @@ common denominator, in lowest terms; nothing here ever rounds.
 """
 from __future__ import annotations
 
+import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import LevelMismatch, LevelOverflow, NotRational
+from .errors import LevelMismatch, LevelOverflow, MatrixParseError, NotRational
 
 DEFAULT_LEVEL_CAP = 10**6
-_level_cap = DEFAULT_LEVEL_CAP
+_level_cap = ContextVar("level_cap", default=DEFAULT_LEVEL_CAP)
 
 
-def get_level_cap() -> int:
-    return _level_cap
-
-
-def set_level_cap(cap: int) -> None:
-    """Set the maximal allowed cyclotomic level (lcm blow-up fails loudly)."""
+@contextmanager
+def level_cap(cap):
+    """Cap cyclotomic levels at `cap` inside the block, so lcm blow-up fails
+    loudly; the cap is per context, and a new thread starts at the default."""
+    try:
+        cap = operator.index(cap)
+    except TypeError as exc:
+        raise MatrixParseError(
+            f"the level cap must be an integer, got {cap!r}") from exc
     if cap < 1:
-        raise ValueError("level cap must be positive")
-    global _level_cap
-    _level_cap = cap
+        raise MatrixParseError(f"the level cap must be positive, got {cap}")
+    token = _level_cap.set(cap)
+    try:
+        yield
+    finally:
+        _level_cap.reset(token)
 
 
 def _check_level(n: int) -> None:
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
-    if n > _level_cap:
-        raise LevelOverflow(f"cyclotomic level {n} exceeds cap {_level_cap}")
+    cap = _level_cap.get()
+    if n > cap:
+        raise LevelOverflow(
+            f"cyclotomic level {n} exceeds cap {cap}; raise the cap with "
+            f"--max-level or VPF_MAX_LEVEL (CLI) or vpf.level_cap (library)")
 
 
 # ---------------------------------------------------------------------------

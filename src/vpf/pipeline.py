@@ -194,14 +194,13 @@ def compute(spec: ProblemSpec, order=None) -> ResultExpr:
     `order` optionally permutes the rows (elimination runs last-to-first);
     it affects branch count, never values.
     """
-    report = preprocess(spec)
     m = spec.m
-    if order is None:
-        order = tuple(range(m))
-    else:
-        order = tuple(order)
-        if sorted(order) != list(range(m)):
-            raise MatrixParseError(f"order is not a permutation of 0..{m - 1}")
+    order = tuple(range(m)) if order is None else int_vector(order, "order")
+    rows = ",".join(str(i + 1) for i in order)
+    if sorted(order) != list(range(m)):
+        raise MatrixParseError(
+            f"row order {rows} (1-based) is not a permutation of 1..{m}")
+    report = preprocess(spec)
     state = _initial_state(report.normalized, spec.phases, order)
     terms: list[Term] = []
     stack = [state]
@@ -213,7 +212,6 @@ def compute(spec: ProblemSpec, order=None) -> ResultExpr:
             else:
                 stack.extend(reversed(eliminate_last_var(st)))
     except UnsupportedMultiplePole as exc:
-        rows = ",".join(str(i + 1) for i in order)
         raise UnsupportedMultiplePole(
             f"{exc}, eliminating rows in the order {rows} (last first); "
             f"another order (--order) may avoid it") from exc

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from vpf import ProblemSpec, compute, count_points, evaluate
 from vpf.cli import main
 
 
@@ -233,6 +234,18 @@ class TestExitCodes:
     def test_level_overflow_is_6(self, mat, capsys):
         assert main(["--max-level", "2", "compute", mat(THREE_ONE)]) == 6
         assert "LevelOverflow" in capsys.readouterr().err
+
+    def test_level_overflow_says_how_to_raise_cap(self, mat, capsys):
+        assert main(["--max-level", "2", "compute", mat(THREE_ONE)]) == 6
+        err = capsys.readouterr().err
+        assert "exceeds cap 2" in err
+        assert "--max-level" in err and "VPF_MAX_LEVEL" in err
+
+    def test_level_cap_ends_with_command(self, mat, capsys):
+        assert main(["--max-level", "2", "compute", mat(THREE_ONE)]) == 6
+        capsys.readouterr()
+        spec = ProblemSpec.from_rows([(1, 1), (3, 1)])
+        assert evaluate(compute(spec), (4, 6)) == count_points(spec, (4, 6))
 
     def test_level_cap_env(self, mat, capsys, monkeypatch):
         monkeypatch.setenv("VPF_MAX_LEVEL", "2")

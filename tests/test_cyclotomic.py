@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -11,11 +12,12 @@ from vpf import (
     Cyclotomic,
     LevelMismatch,
     LevelOverflow,
+    MatrixParseError,
     NotRational,
     cyc_from_phase,
-    get_level_cap,
-    set_level_cap,
+    level_cap,
 )
+from vpf.cyclotomic import DEFAULT_LEVEL_CAP
 from vpf.cyclotomic import _cyclo_poly as cyclotomic_polynomial
 from vpf.cyclotomic import inv_one_minus_phase
 
@@ -228,38 +230,72 @@ class TestFieldAxioms:
 
 class TestLevelCap:
     def test_cap_enforced(self):
-        old = get_level_cap()
-        try:
-            set_level_cap(10)
+        with level_cap(10):
             with pytest.raises(LevelOverflow):
                 cyc_from_phase(F(1, 11))
             with pytest.raises(LevelOverflow):
                 cyc_from_phase(F(1, 3)) + cyc_from_phase(F(1, 7))
-        finally:
-            set_level_cap(old)
 
     def test_cap_checked_before_memo(self):
         cyc_from_phase(F(1, 11))
         inv_one_minus_phase(F(1, 11))
-        old = get_level_cap()
-        try:
-            set_level_cap(10)
+        with level_cap(10):
             with pytest.raises(LevelOverflow):
                 cyc_from_phase(F(1, 11))
             with pytest.raises(LevelOverflow):
                 inv_one_minus_phase(F(1, 11))
-        finally:
-            set_level_cap(old)
 
     def test_constructor_checks_cap(self):
         with pytest.raises(LevelOverflow):
-            Cyclotomic(get_level_cap() + 1, [1])
+            Cyclotomic(DEFAULT_LEVEL_CAP + 1, [1])
         with pytest.raises(ValueError):
             Cyclotomic(0, [1])
 
     def test_bad_cap(self):
-        with pytest.raises(ValueError):
-            set_level_cap(0)
+        for cap in (0, -3, 2.5, "10", None):
+            with pytest.raises(MatrixParseError):
+                with level_cap(cap):
+                    pass
+
+    def test_message_names_level_cap_and_remedy(self):
+        with level_cap(10), pytest.raises(LevelOverflow) as info:
+            Cyclotomic(11, [1])
+        msg = str(info.value)
+        assert "level 11" in msg and "cap 10" in msg
+        assert "--max-level" in msg and "VPF_MAX_LEVEL" in msg
+        assert "vpf.level_cap" in msg
+
+    def test_nested_blocks_restore_outer_cap(self):
+        with level_cap(10):
+            with level_cap(20):
+                Cyclotomic(15, [1])
+            with pytest.raises(LevelOverflow):
+                Cyclotomic(15, [1])
+            with pytest.raises(ZeroDivisionError):
+                with level_cap(5):
+                    1 / 0
+            Cyclotomic(10, [1])
+            with pytest.raises(LevelOverflow):
+                with level_cap(20):
+                    Cyclotomic(21, [1])
+            Cyclotomic(10, [1])
+            with pytest.raises(LevelOverflow):
+                Cyclotomic(11, [1])
+        Cyclotomic(21, [1])
+
+    def test_new_thread_starts_at_default_cap(self):
+        seen = []
+
+        def work():
+            seen.append(Cyclotomic(11, [1]).level)
+
+        with level_cap(10):
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join()
+            with pytest.raises(LevelOverflow):
+                Cyclotomic(11, [1])
+        assert seen == [11]
 
 
 class TestClosedFormInverse:

@@ -163,6 +163,13 @@ class TestCompute:
         with pytest.raises(MatrixParseError):
             compute(A2, order=(0, 0))
 
+    def test_bad_order_message_is_1_based(self):
+        with pytest.raises(MatrixParseError, match=r"row order 1,1 \(1-based\)"):
+            compute(A2, order=(0, 0))
+        for order in ((0.0, 1.0), 5):
+            with pytest.raises(MatrixParseError):
+                compute(A2, order=order)
+
     def test_equal_terms_merged(self):
         # Terms with equal guards and phase are one term.
         spec = ProblemSpec.from_rows([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)])
