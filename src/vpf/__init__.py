@@ -6,6 +6,8 @@ partial fraction decomposition of the generating function, with all
 arithmetic exact in cyclotomic fields, and verifies them against a
 lattice-point oracle: a dynamic program that counts a whole box of b at once.
 """
+from types import ModuleType as _ModuleType
+
 from .cyclotomic import Cyclotomic, cyc_from_phase, level_cap
 from .errors import (
     DimensionMismatch,
@@ -43,4 +45,6 @@ from .pipeline import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules are attributes here too, but no export.
+__all__ = sorted(name for name, value in dict(globals()).items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -8,7 +8,6 @@ common denominator, in lowest terms; nothing here ever rounds.
 """
 from __future__ import annotations
 
-import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
@@ -16,6 +15,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import LevelMismatch, LevelOverflow, MatrixParseError, NotRational
+from .matrixops import int_vector
 
 DEFAULT_LEVEL_CAP = 10**6
 _level_cap = ContextVar("level_cap", default=DEFAULT_LEVEL_CAP)
@@ -25,11 +25,7 @@ _level_cap = ContextVar("level_cap", default=DEFAULT_LEVEL_CAP)
 def level_cap(cap):
     """Cap cyclotomic levels at `cap` inside the block, so lcm blow-up fails
     loudly; the cap is per context, and a new thread starts at the default."""
-    try:
-        cap = operator.index(cap)
-    except TypeError as exc:
-        raise MatrixParseError(
-            f"the level cap must be an integer, got {cap!r}") from exc
+    (cap,) = int_vector((cap,), "the level cap")
     if cap < 1:
         raise MatrixParseError(f"the level cap must be positive, got {cap}")
     token = _level_cap.set(cap)

@@ -14,6 +14,7 @@ from math import comb
 
 from .cyclotomic import Cyclotomic, cyc_from_phase, inv_one_minus_phase
 from .errors import DimensionMismatch, MatrixParseError, UnsupportedMultiplePole
+from .matrixops import int_vector
 from .params import (
     EQ_ZERO,
     GE_ZERO,
@@ -70,15 +71,13 @@ def flip(state: GenFunState, k: int) -> GenFunState:
 
 
 def _normalize_last(state: GenFunState) -> GenFunState:
-    """Flip factors until the last variable's exponents are all >= 0."""
+    """Flip the factors whose last-variable exponent is negative; a flip
+    changes no other factor, so one pass leaves them all >= 0."""
     w = state.active - 1
-    while True:
-        for k, f in enumerate(state.factors):
-            if f.exps[w] < 0:
-                state = flip(state, k)
-                break
-        else:
-            return state
+    for k, f in enumerate(state.factors):
+        if f.exps[w] < 0:
+            state = flip(state, k)
+    return state
 
 
 def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
@@ -242,6 +241,7 @@ def dedekind_sum(n: int, a_phase: Fraction, f, beta: int) -> Cyclotomic:
     By the constant-term lemma this equals the numerator constant A(0) of the
     group 1 - e(a_phase) w^n in the decomposition of 1/(f(w) (1-e(a)w^n) w^beta).
     """
+    n, beta = int_vector((n, beta), "n and beta")
     if n < 1:
         raise MatrixParseError(f"the group size n must be positive, got {n}")
     total = Cyclotomic.zero()

@@ -77,16 +77,6 @@ def primitive_integer(y) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def integer_certificate(y, columns) -> tuple[int, ...]:
-    """The primitive integer multiple of y, so y . c >= 1 on every column;
-    a y of the wrong length or with y . c <= 0 is a MatrixParseError."""
-    if len(y) != len(columns[0]) or any(
-            sum(yi * ci for yi, ci in zip(y, c)) <= 0 for c in columns):
-        raise MatrixParseError(
-            f"y = {tuple(y)} does not give y . c > 0 on every column")
-    return primitive_integer(y)
-
-
 def unimodular_with_last_row(y0) -> list[list[int]]:
     """An integer matrix U with |det U| = 1 whose last row is the primitive y0.
 

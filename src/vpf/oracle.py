@@ -11,17 +11,27 @@ from itertools import product
 from operator import add, mul
 
 from .errors import MatrixParseError
-from .matrixops import fm_certificate, int_vector, integer_certificate
+from .matrixops import fm_certificate, int_vector, primitive_integer
 
 
-def box_counts(spec, lo, hi, certificate=None) -> dict:
+def box_counts(spec, lo, hi) -> dict:
     """phi_A(b) for every integer b in the box lo <= b <= hi.
 
     The keys run over the box with the first coordinate varying fastest.
+    Corners that are not m integers, an empty box, and a spec with column
+    phases (whose solutions are weighted, not counted) are MatrixParseErrors.
     """
     columns, m = spec.columns, spec.m
-    y = integer_certificate(
-        fm_certificate(columns) if certificate is None else certificate, columns)
+    lo, hi = int_vector(lo, "box corner"), int_vector(hi, "box corner")
+    if not len(lo) == len(hi) == m:
+        raise MatrixParseError(f"box corners {lo}, {hi} need {m} entries")
+    if any(a > z for a, z in zip(lo, hi)):
+        raise MatrixParseError(f"empty box: lower corner {lo} exceeds {hi}")
+    if any(spec.phases):
+        raise MatrixParseError(
+            f"the oracle counts no phase-weighted solutions, and the columns "
+            f"have phases {spec.phases}")
+    y = primitive_integer(fm_certificate(columns))
     top = sum(yi * (h if yi > 0 else l) for yi, l, h in zip(y, lo, hi))
     # A cell is a partial sum v of the columns so far, and spreads to v + t c
     # as column c is added.  y . c >= 1, so y . v only grows.
@@ -60,13 +70,7 @@ def box_counts(spec, lo, hi, certificate=None) -> dict:
     return {b[::-1]: cells.get(b[::-1], 0) for b in box}
 
 
-def count_points(spec, b, certificate=None) -> int:
-    """Exact number of nonnegative integer solutions of A x = b.
-
-    A b that is not m integers is a MatrixParseError.
-    """
-    b = int_vector(b, "b")
-    if len(b) != spec.m:
-        raise MatrixParseError(
-            f"b has {len(b)} entries but the matrix has {spec.m} rows")
-    return box_counts(spec, b, b, certificate)[b]
+def count_points(spec, b) -> int:
+    """Exact number of nonnegative integer solutions of A x = b."""
+    (count,) = box_counts(spec, b, b).values()
+    return count

@@ -1,13 +1,17 @@
 """JSON encoding/decoding of results.
 
 Rationals serialize as decimal strings "p/q" (or "p" when q = 1);
-cyclotomics as {"level": N, "coeffs": [...]}.
+cyclotomics as {"level": N, "coeffs": [...]}.  The readers take integers
+only as JSON integers and rationals only as strings or integers, so a float
+is rejected, never rounded.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
+from .errors import MatrixParseError
+from .matrixops import int_vector
 from .params import AffineForm, Guard, ParamPoly, PhaseForm, Term
 from .pipeline import PreprocessReport, ResultExpr
 
@@ -22,7 +26,10 @@ def rat_to_json(q: Fraction) -> str:
 
 
 def rat_from_json(s) -> Fraction:
-    return Fraction(s)
+    if isinstance(s, str):
+        return Fraction(s)
+    (n,) = int_vector((s,), "rational")
+    return Fraction(n)
 
 
 def cyc_to_json(x: Cyclotomic) -> dict:
@@ -30,8 +37,8 @@ def cyc_to_json(x: Cyclotomic) -> dict:
 
 
 def cyc_from_json(obj) -> Cyclotomic:
-    return Cyclotomic(int(obj["level"]),
-                      tuple(rat_from_json(c) for c in obj["coeffs"]))
+    (level,) = int_vector((obj["level"],), "level")
+    return Cyclotomic(level, tuple(rat_from_json(c) for c in obj["coeffs"]))
 
 
 def guard_to_json(g: Guard) -> dict:
@@ -39,8 +46,9 @@ def guard_to_json(g: Guard) -> dict:
 
 
 def guard_from_json(obj) -> Guard:
-    return Guard(AffineForm(tuple(int(c) for c in obj["coeffs"]),
-                            int(obj["const"])), obj["sense"])
+    (const,) = int_vector((obj["const"],), "guard constant")
+    return Guard(AffineForm(int_vector(obj["coeffs"], "guard"), const),
+                 obj["sense"])
 
 
 def phase_to_json(p: PhaseForm) -> dict:
@@ -58,7 +66,7 @@ def poly_to_json(p: ParamPoly) -> list:
 
 def poly_from_json(obj, arity: int) -> ParamPoly:
     return ParamPoly(arity, {
-        tuple(int(e) for e in mono["exps"]): cyc_from_json(mono["coeff"])
+        int_vector(mono["exps"], "exponents"): cyc_from_json(mono["coeff"])
         for mono in obj})
 
 
@@ -72,8 +80,8 @@ def term_to_json(t: Term) -> dict:
 
 def term_from_json(obj, arity: int, schema: int = SCHEMA) -> Term:
     """A term over `arity` parameters; a phase, guard or monomial of any
-    other length is a ValueError.  A schema-1 term's separate scalar is
-    folded into its poly."""
+    other length is a MatrixParseError.  A schema-1 term's separate scalar
+    is folded into its poly."""
     poly = poly_from_json(obj["poly"], arity)
     if schema == 1:
         poly = poly.scale(cyc_from_json(obj["scalar"]))
@@ -85,7 +93,8 @@ def term_from_json(obj, arity: int, schema: int = SCHEMA) -> Term:
     lengths = [len(term.phase.coeffs)] + [len(g.form.coeffs) for g in term.guards]
     lengths += [len(e) for e, _ in term.poly.items()]
     if any(n != arity for n in lengths):
-        raise ValueError(f"a term has lengths {lengths}, expected {arity}")
+        raise MatrixParseError(
+            f"a term has lengths {lengths}, expected {arity}")
     return term
 
 
@@ -102,17 +111,24 @@ def expr_to_json(expr: ResultExpr) -> dict:
 
 
 def expr_from_json(obj) -> ResultExpr:
-    """Reads schema 2, and schema 1 (no "schema" key); others: ValueError."""
-    schema = obj["schema"] if "schema" in obj else 1
-    if schema not in (1, SCHEMA):
-        raise ValueError(f"unknown expression schema {schema!r}")
-    m = int(obj["m"])
-    terms = tuple(term_from_json(t, m, schema) for t in obj["terms"])
-    report = None
-    if "unimodular" in obj:
-        report = PreprocessReport(
-            tuple(rat_from_json(c) for c in obj.get("certificate", [])),
-            tuple(tuple(int(v) for v in r) for r in obj["unimodular"]),
-            tuple(tuple(int(v) for v in r) for r in obj.get("normalized", [])),
-        )
+    """Reads schema 2, and schema 1 (no "schema" key).  Any other schema and
+    any malformed document is a MatrixParseError."""
+    try:
+        (schema,) = int_vector((obj["schema"] if "schema" in obj else 1,),
+                               "schema")
+        if schema not in (1, SCHEMA):
+            raise MatrixParseError(f"unknown expression schema {schema!r}")
+        (m,) = int_vector((obj["m"],), "m")
+        terms = tuple(term_from_json(t, m, schema) for t in obj["terms"])
+        report = None
+        if "unimodular" in obj:
+            report = PreprocessReport(
+                tuple(rat_from_json(c) for c in obj.get("certificate", [])),
+                tuple(int_vector(r, "unimodular row") for r in obj["unimodular"]),
+                tuple(int_vector(r, "normalized row")
+                      for r in obj.get("normalized", [])),
+            )
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MatrixParseError(
+            f"malformed expression: {type(exc).__name__}: {exc}") from exc
     return ResultExpr(m, terms, None, report)

@@ -12,6 +12,7 @@ from vpf import (
     Factor,
     GenFunState,
     Guard,
+    MatrixParseError,
     ParamPoly,
     ProblemSpec,
     Term,
@@ -384,6 +385,13 @@ class TestDedekindSum:
     def test_vanishing_factor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             dedekind_sum(1, F(0), [F(1)], 0)
+
+    @pytest.mark.parametrize("n, a, beta", [
+        (2.5, F(0), 0), (2.0, F(0), 0), (1, F(1, 3), 0.5), (1, F(0), "1")])
+    def test_non_integer_n_or_beta_rejected(self, n, a, beta):
+        # beta = 0.5 at a = 1/3 once ran on to a LevelOverflow, rounding none.
+        with pytest.raises(MatrixParseError):
+            dedekind_sum(n, a, [], beta)
 
     def test_matches_simple_group_numerator(self):
         beta = AffineForm((1,), 0)

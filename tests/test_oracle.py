@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction as F
 from itertools import permutations, product
 
 import pytest
@@ -40,6 +41,12 @@ class TestCountPoints:
     def test_bad_b_rejected(self, b):
         with pytest.raises(MatrixParseError):
             count_points(A2, b)
+
+    def test_phased_spec_rejected(self):
+        # At b = 1 the weighted count is 1 + e(1/3), not the 2 solutions.
+        spec = ProblemSpec.from_rows([(1, 1)], phases=(F(1, 3), F(0)))
+        with pytest.raises(MatrixParseError):
+            count_points(spec, (1,))
 
     def test_a2_min_formula(self):
         # On the cone a, b >= 0, the count is min(a, b) + 1.
@@ -119,13 +126,25 @@ class TestBoxCounts:
         for lo, hi in [((-6, -6), (-1, -1)), (far, far)]:
             assert all(sum(yi * bi for yi, bi in zip(y, b)) < 0
                        for b in product(*zip(lo, hi)))
-            counts = box_counts(self.NEG, lo, hi, y)
+            counts = box_counts(self.NEG, lo, hi)
             assert counts and not any(counts.values())
 
-    def test_bad_certificate_rejected(self):
-        for y in [(1, 0), (1,), (0, 0)]:
+    @pytest.mark.parametrize("lo, hi", [
+        ((0,), (2,)), ((0, 0), (2, 2, 2)), ((0, 0, 0), (1, 1, 1)), ((), ()),
+        ((3, 3), (1, 1)), ((0, 3), (2, 1)),
+        ((0.5, 0), (2, 2)), ((0, 0), (2, 2.0)), ((0, "0"), (2, 2)),
+    ], ids=["short", "long-hi", "long", "no-entries", "reversed",
+            "reversed-second", "float-lo", "float-hi", "string"])
+    def test_bad_box_rejected(self, lo, hi):
+        with pytest.raises(MatrixParseError):
+            box_counts(A2, lo, hi)
+
+    def test_phased_spec_rejected(self):
+        # The DP counts solutions; a phased spec weights each one by e(q . x).
+        for phases in ((F(1, 2), F(0)), (F(1, 3), F(0)), (F(0), F(2, 3))):
+            spec = ProblemSpec.from_rows([(1, 1)], phases=phases)
             with pytest.raises(MatrixParseError):
-                box_counts(self.NEG, (0, 0), (1, 1), y)
+                box_counts(spec, (0,), (6,))
 
     def test_matches_dfs_on_random_specs(self):
         rng = random.Random(404)
@@ -140,7 +159,7 @@ class TestBoxCounts:
                 y = check_pointed(spec)
             except NotPointed:
                 continue
-            counts = box_counts(spec, (-2,) * m, (2,) * m, y)
+            counts = box_counts(spec, (-2,) * m, (2,) * m)
             assert len(counts) == 5 ** m
             for b, n in counts.items():
                 assert n == count_points_dfs(spec, b, y), (rows, b)

@@ -110,7 +110,7 @@ class TestNonnegativize:
                 assert count_points(spec, b) == count_points(
                     ua, mat_vec_int(report.unimodular, b))
 
-    @pytest.mark.parametrize("y", [(0, 0), (1, -5)])
+    @pytest.mark.parametrize("y", [(0, 0), (1, -5), (1, 0), (1,)])
     def test_y_not_positive_on_columns_rejected(self, y):
         spec = ProblemSpec.from_rows([(1, -1, 0), (0, 1, 1)])
         with pytest.raises(MatrixParseError):
@@ -283,3 +283,13 @@ class TestVerifyBox:
                     merged = sum(t.value((a, b)) for t in expr.terms)
                     unmerged = sum(t.value((a, b)) for t in raw)
                     assert merged == unmerged
+
+
+def test_all_exports_no_module():
+    import types
+
+    import vpf
+
+    assert "compute" in vpf.__all__ and "level_cap" in vpf.__all__
+    for name in vpf.__all__:
+        assert not isinstance(getattr(vpf, name), types.ModuleType), name

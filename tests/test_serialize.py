@@ -13,6 +13,7 @@ from vpf import (
     AffineForm,
     Cyclotomic,
     Guard,
+    MatrixParseError,
     ParamPoly,
     PhaseForm,
     ProblemSpec,
@@ -122,9 +123,53 @@ class TestExpr:
     def test_unknown_schema_rejected(self):
         obj = expr_to_json(compute(ProblemSpec.from_rows([(1, 1)])))
         assert obj["schema"] == 2
-        for schema in (3, 0, "2", None):
-            with pytest.raises(ValueError):
+        for schema in (3, 0, "2", None, 2.0):
+            with pytest.raises(MatrixParseError):
                 expr_from_json({**obj, "schema": schema})
+
+    @pytest.mark.parametrize("edit", [
+        lambda o: o.update(m=1.9),
+        lambda o: o.update(m=1.0),
+        lambda o: o["terms"][0]["guards"][0]["coeffs"].__setitem__(0, 1.7),
+        lambda o: o["terms"][0]["guards"][0].update(const=0.0),
+        lambda o: o["terms"][0]["poly"][1]["exps"].__setitem__(0, 1.0),
+        lambda o: o["terms"][0]["poly"][0]["coeff"].update(level=1.0),
+        lambda o: o["terms"][0]["poly"][0]["coeff"].update(coeffs=[0.1]),
+        lambda o: o["terms"][0]["phase"].update(coeffs=[0.0]),
+        lambda o: o.update(certificate=[0.5]),
+        lambda o: o.update(unimodular=[[1.0]]),
+        lambda o: o["terms"][0]["poly"][0]["coeff"].update(coeffs=["1/0"]),
+        lambda o: o["terms"][0]["poly"][0]["coeff"].update(coeffs=["one"]),
+        lambda o: o["terms"][0]["poly"][0]["coeff"].update(level=0),
+        lambda o: o["terms"][0]["guards"][0].update(sense="gt"),
+        lambda o: o.pop("m"),
+        lambda o: o.pop("terms"),
+        lambda o: o["terms"][0].pop("phase"),
+        lambda o: o["terms"][0]["guards"][0].pop("const"),
+        lambda o: o["terms"][0]["poly"][0]["coeff"].pop("level"),
+        lambda o: o.update(terms=5),
+        lambda o: o["terms"].__setitem__(0, "term"),
+        lambda o: o["terms"][0]["guards"][0].update(coeffs=1),
+    ], ids=["float-m", "integral-float-m", "float-guard-coeff",
+            "float-guard-const", "float-exponent", "float-level",
+            "float-coeff", "float-phase", "float-certificate",
+            "float-unimodular", "zero-denominator", "not-a-number",
+            "level-0", "guard-sense", "no-m", "no-terms", "no-phase",
+            "no-guard-const", "no-level", "terms-not-a-list",
+            "term-not-an-object", "guard-coeffs-not-a-list"])
+    def test_malformed_document_rejected(self, edit):
+        # Typed, never a KeyError, TypeError or ValueError, and never rounded.
+        obj = json.loads(json.dumps(
+            expr_to_json(compute(ProblemSpec.from_rows([(1, 1)])))))
+        assert expr_from_json(obj).m == 1
+        edit(obj)
+        with pytest.raises(MatrixParseError):
+            expr_from_json(obj)
+
+    @pytest.mark.parametrize("doc", [[], 5, "expr", None])
+    def test_non_object_document_rejected(self, doc):
+        with pytest.raises(MatrixParseError):
+            expr_from_json(doc)
 
 
 #: sha256 of the CLI's `compute --format json` text (json.dumps(..., indent=2)
