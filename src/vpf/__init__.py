@@ -30,7 +30,15 @@ from .genfun import (
     pfd_numerator,
 )
 from .oracle import count_points
-from .params import AffineForm, Guard, ParamPoly, PhaseForm, Term, binom_poly
+from .params import (
+    AffineForm,
+    Guard,
+    ParamPoly,
+    PhaseForm,
+    Summand,
+    Term,
+    binom_poly,
+)
 from .pipeline import (
     PreprocessReport,
     ProblemSpec,

@@ -39,7 +39,7 @@ def parse_matrix_file(path: str) -> ProblemSpec:
     try:
         with open(path) as fh:
             raw = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise MatrixParseError(f"{path}: {exc}") from exc
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw)]
     lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
@@ -120,7 +120,7 @@ def _load_expr(path: str):
         with open(path) as fh:
             while (head := fh.read(1)).isspace():
                 pass
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise MatrixParseError(f"{path}: {exc}") from exc
     if head == "{":
         return None, _read_expr_json(path)

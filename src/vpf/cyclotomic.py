@@ -343,6 +343,37 @@ def cyc_sum(values) -> Cyclotomic:
     return sum(values[1:], values[0]) if values else Cyclotomic.zero()
 
 
+def orbit_table(modulus: int, parts) -> tuple:
+    """Entries sum_k e(k*j/L) * c_k for j < L = modulus, from pairs (k, c_k).
+
+    Works on integer numerators at level N = lcm(L, levels of the c_k): each
+    c_k is spread once over the N-th roots, and multiplying it by e(k*j/L)
+    rotates that vector by k*j*N/L places, so an entry costs one rotated
+    add per pair and one reduction mod Phi_N.  Rational entries are
+    Fractions, the others Cyclotomics at level N.
+    """
+    parts = [(k, c) for k, c in parts if c]
+    if not parts:
+        return (Fraction(0),) * modulus
+    n = lcm(modulus, *(c.level for _, c in parts))
+    _check_level(n)
+    den = lcm(*(c.den for _, c in parts))
+    spread = []
+    for k, c in parts:
+        dense = [0] * n
+        dense[::n // c.level] = [v * (den // c.den) for v in c.num] + [0] * (
+            c.level - len(c.num))
+        # The n entries of dense + dense from -s mod n on: dense rotated by s.
+        spread.append((k * (n // modulus), dense + dense))
+    table = []
+    for j in range(modulus):
+        windows = [d[(s := -k * j % n):s + n] for k, d in spread]
+        red = _reduce(n, list(map(sum, zip(*windows))))
+        table.append(Cyclotomic._ints(n, red, den) if any(red[1:])
+                     else Fraction(red[0], den))
+    return tuple(table)
+
+
 def inv_one_minus_phase(q) -> Cyclotomic:
     """1/(1 - e(q)) in closed form, memoised on q mod 1.
 

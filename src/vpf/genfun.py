@@ -177,7 +177,7 @@ def pfd_numerator(theta: Fraction, factors, beta: AffineForm) -> PfdNumerator:
     = sum_{i<n} binom(n, i+1) e(i theta) t^i, any other factor is
     (1 - e(q - n theta)) - sum_{i>=1} binom(n, i) e(q - (n-i) theta) t^i.
     """
-    through = [(n * theta - q) % 1 == 0 for q, n in factors]
+    through = [(n * theta - q).denominator == 1 for q, n in factors]
     mu = sum(through)
     if not mu:
         raise ValueError(f"{theta} is not a root of any factor")

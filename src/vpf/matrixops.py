@@ -13,11 +13,16 @@ from .errors import MatrixParseError, NotPointed
 
 
 def int_vector(values, what: str) -> tuple[int, ...]:
-    """Integers from outside input; a non-integer is rejected, never rounded."""
+    """Integers from outside input; a non-integer is rejected, never rounded,
+    and so is a bool, although Python counts it as an int."""
     try:
-        return tuple(operator.index(x) for x in values)
+        values = tuple(values)
+        out = tuple(map(operator.index, values))
     except TypeError as exc:
         raise MatrixParseError(f"{what} {values!r} has a non-integer entry") from exc
+    if bool in map(type, values):
+        raise MatrixParseError(f"{what} {values!r} has a bool entry")
+    return out
 
 
 def fm_certificate(columns) -> tuple[Fraction, ...]:

@@ -1,16 +1,27 @@
 """Symbolic objects formal in the parameter vector b.
 
 Affine forms (integer exponents and guards), phase forms e(rho . b),
-parameter polynomials with cyclotomic coefficients, guards, and closed
-Terms.  Everything is immutable and freely shareable between threads.
+parameter polynomials with cyclotomic coefficients, guards, the engine's
+closed Terms, and the Summands of the output, which collapse each Galois
+orbit of terms into one polynomial with periodic rational coefficients.
+Everything is immutable and freely shareable between threads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from functools import lru_cache
+from math import factorial, gcd, lcm, prod
+from operator import mul
+from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, cyc_from_phase, cyc_sum
+from .cyclotomic import (
+    Cyclotomic,
+    _check_level,
+    cyc_from_phase,
+    cyc_sum,
+    orbit_table,
+)
 from .errors import DimensionMismatch
 
 
@@ -37,7 +48,7 @@ class AffineForm:
         if len(b) != len(self.coeffs):
             raise DimensionMismatch(
                 f"expected {len(self.coeffs)} parameters, got {len(b)}")
-        return sum(c * x for c, x in zip(self.coeffs, b)) + self.const
+        return sum(map(mul, self.coeffs, b)) + self.const
 
     def is_zero(self) -> bool:
         return self.const == 0 and not any(self.coeffs)
@@ -290,3 +301,86 @@ class Term:
         if q * beta.const % 1:
             poly = poly.scale(cyc_from_phase(q * beta.const))
         return Term(self.phase.shifted(q, beta), poly, self.guards)
+
+
+class Summand(NamedTuple):
+    """sum_k e(k * (residue . b) / modulus) * poly_k(b) under shared guards,
+    one Galois orbit of terms, stored as a polynomial in b whose coefficients
+    are tables of `modulus` entries indexed by j = residue . b mod modulus.
+
+    `poly` holds (exponents, table) pairs; an entry is a Fraction, or a
+    Cyclotomic where the orbit sum is not rational (specs with phases).
+    A named tuple, not a dataclass: it is built and compared the same way,
+    and its class is cheaper to create at import.
+    """
+
+    guards: tuple[Guard, ...]
+    modulus: int
+    residue: tuple[int, ...]
+    poly: tuple[tuple[tuple[int, ...], tuple], ...]
+
+    def value(self, b):
+        """0 if any guard fails, else the polynomial at b with each
+        coefficient read from its table at residue . b mod modulus."""
+        if len(b) != len(self.residue):
+            raise DimensionMismatch(
+                f"expected {len(self.residue)} parameters, got {len(b)}")
+        if not all(g.satisfied(b) for g in self.guards):
+            return 0
+        j = sum(map(mul, self.residue, b)) % self.modulus
+        return sum(table[j] * prod(map(pow, b, exps))
+                   for exps, table in self.poly)
+
+
+def _guard_key(g: Guard):
+    return (g.sense, g.form.coeffs, g.form.const)
+
+
+@lru_cache(maxsize=None)
+def _orbit(phase: PhaseForm) -> tuple[int, tuple[int, ...], int]:
+    """(L, v, k) with phase = k * v / L: L the order of the phase in
+    (Q/Z)^m, v the smallest u * w mod L over the units u mod L, with
+    w = L * phase, which names the cyclic group the phase generates, and k
+    a unit mod L.
+
+    The first nonzero w_i, with g = gcd(w_i, L), goes to its smallest image
+    g exactly when u * w_i / g = 1 mod L / g, so only those units are tried.
+    """
+    n = lcm(*(c.denominator for c in phase.coeffs))
+    _check_level(n)  # the loop below may try up to n units
+    w = [c.numerator * (n // c.denominator) for c in phase.coeffs]
+    if n == 1:
+        return 1, tuple(w), 0
+    first = next(x for x in w if x)
+    step = n // gcd(first, n)
+    best = None
+    for u in range(pow(first * step // n, -1, step), n, step):
+        if gcd(u, n) == 1:
+            v = tuple(u * x % n for x in w)
+            if best is None or v < best:
+                best, unit = v, u
+    return n, best, pow(unit, -1, n)
+
+
+def collapse_terms(terms) -> tuple[Summand, ...]:
+    """Group terms by guards and by the cyclic group their phase generates,
+    and tabulate each group into one Summand.  Terms with equal phases land
+    in the same table entries, zero tables and summands are dropped, and
+    the summands are sorted by (guards, modulus, residue)."""
+    groups: dict = {}
+    for t in terms:
+        guards = tuple(sorted(t.guards, key=_guard_key))
+        n, v, k = _orbit(t.phase)
+        key = (tuple(map(_guard_key, guards)), n, v)
+        monos = groups.setdefault(key, (guards, {}))[1]
+        for exps, c in t.poly.items():
+            monos.setdefault(exps, []).append((k, c))
+    out = []
+    for key in sorted(groups):
+        guards, monos = groups[key]
+        _, n, v = key
+        tables = ((exps, orbit_table(n, monos[exps])) for exps in sorted(monos))
+        poly = tuple((exps, table) for exps, table in tables if any(table))
+        if poly:
+            out.append(Summand(guards, n, v, poly))
+    return tuple(out)

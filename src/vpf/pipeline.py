@@ -2,7 +2,8 @@
 
 Validates the input matrix, certifies pointedness, normalizes to nonnegative
 entries by a unimodular change of coordinates, runs the iterated elimination,
-merges terms, and verifies closed forms against the lattice-point oracle.
+collapses the terms into summands with periodic rational coefficients, and
+verifies closed forms against the lattice-point oracle.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
-from .cyclotomic import cyc_sum
+from .cyclotomic import Cyclotomic
 from .errors import (
     MatrixParseError,
     NotPointed,
@@ -29,7 +30,7 @@ from .matrixops import (
     unimodular_with_last_row,
 )
 from .oracle import box_counts
-from .params import AffineForm, Term
+from .params import AffineForm, Summand, Term, collapse_terms
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,10 @@ class PreprocessReport:
 
 @dataclass(frozen=True)
 class ResultExpr:
-    """Closed form: sum of guarded Terms, in the normalized coordinates."""
+    """Closed form: sum of guarded Summands, in the normalized coordinates."""
 
     m: int
-    terms: tuple[Term, ...]
+    terms: tuple[Summand, ...]
     spec: ProblemSpec | None = None
     report: PreprocessReport | None = None
 
@@ -175,23 +176,6 @@ def _initial_state(normalized, phases, order) -> GenFunState:
     return GenFunState(exps, factors, Term.one(m))
 
 
-def _merge_terms(terms) -> tuple[Term, ...]:
-    """Add the polynomials of terms with equal guards and phase; drop zero
-    sums and sort by (guards, phase)."""
-    def guard_key(g):
-        return (g.sense, g.form.coeffs, g.form.const)
-
-    buckets: dict = {}
-    for t in terms:
-        guards = tuple(sorted(t.guards, key=guard_key))
-        key = (tuple(map(guard_key, guards)), t.phase.coeffs)
-        prev = buckets.get(key)
-        poly = t.poly if prev is None else prev.poly + t.poly
-        buckets[key] = Term(t.phase, poly, guards)
-    merged = (buckets[key] for key in sorted(buckets))
-    return tuple(t for t in merged if not t.is_zero())
-
-
 def compute(spec: ProblemSpec, order=None) -> ResultExpr:
     """Closed-form expression with evaluate(expr, b) = phi_A(b) for integer b.
 
@@ -219,7 +203,15 @@ def compute(spec: ProblemSpec, order=None) -> ResultExpr:
         raise UnsupportedMultiplePole(
             f"{exc}, eliminating rows in the order {rows} (last first); "
             f"another order (--order) may avoid it") from exc
-    return ResultExpr(m, _merge_terms(terms), spec, report)
+    summands = collapse_terms(terms)
+    if not any(spec.phases):
+        for s in summands:
+            for exps, table in s.poly:
+                if any(isinstance(x, Cyclotomic) for x in table):
+                    raise SanityFailure(
+                        f"the table of b^{exps} under {s.guards} is not "
+                        f"rational: {table}")
+    return ResultExpr(m, summands, spec, report)
 
 
 def evaluate(expr: ResultExpr, b) -> Fraction:
@@ -230,11 +222,15 @@ def evaluate(expr: ResultExpr, b) -> Fraction:
             f"b has {len(b)} entries but the expression has {expr.m} parameters")
     if expr.report is not None and not expr.report.is_identity:
         b = expr.report.transform(b)
-    total = cyc_sum(t.value(b) for t in expr.terms)
-    try:
-        value = total.to_rational()
-    except NotRational as exc:
-        raise SanityFailure(f"evaluation at {b} is not rational: {total}") from exc
+    # A summand whose guards fail gives int 0, which costs an add to skip.
+    values = [v for s in expr.terms if (v := s.value(b))]
+    value = sum(values[1:], values[0]) if values else Fraction(0)
+    if isinstance(value, Cyclotomic):
+        try:
+            value = value.to_rational()
+        except NotRational as exc:
+            raise SanityFailure(
+                f"evaluation at {b} is not rational: {value}") from exc
     if value.denominator != 1 or value < 0:
         raise SanityFailure(
             f"evaluation at {b} is not a nonnegative integer: {value}")

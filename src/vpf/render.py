@@ -1,8 +1,10 @@
 """Text and LaTeX rendering of closed forms."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .cyclotomic import Cyclotomic
-from .params import EQ_ZERO, AffineForm, Guard, ParamPoly, PhaseForm, Term
+from .params import EQ_ZERO, AffineForm, Guard, Summand
 from .pipeline import ResultExpr
 
 _LETTERS = {1: ["b"], 2: ["a", "b"], 3: ["a", "b", "c"]}
@@ -37,40 +39,29 @@ def render_guard(g: Guard, names) -> str:
     return f"{render_affine(g.form, names)} {op} 0"
 
 
-def render_phase(p: PhaseForm, names) -> str:
-    parts = []
-    for c, name in zip(p.coeffs, names):
-        if c == 0:
-            continue
-        parts.append(name if c == 1 else f"{c}*{name}")
-    return "e(" + " + ".join(parts) + ")"
+def _coeff(table, index: str):
+    """(sign, body) of a coefficient table: one rational with its sign split
+    off, one cyclotomic in parentheses, else every entry read at `index`."""
+    x = table[0]
+    if any(y != x for y in table[1:]):
+        return "+", "[" + ", ".join(map(str, table)) + f"][{index}]"
+    if isinstance(x, Cyclotomic):
+        return "+", f"({x})"
+    return ("-", str(-x)) if x < 0 else ("+", str(x))
 
 
-def _render_coeff(c: Cyclotomic) -> str:
-    return str(c) if c.is_rational() else f"({c})"
-
-
-def render_poly(p: ParamPoly, names) -> str:
-    if p.is_zero():
+def render_poly(poly, names, index: str) -> str:
+    """sum of table * monomial over the (exponents, table) pairs."""
+    if not poly:
         return "0"
     parts = []
-    for exps, coeff in sorted(p.items(), key=lambda kv: kv[0], reverse=True):
+    for exps, table in sorted(poly, key=lambda kv: kv[0], reverse=True):
         mono = "*".join(
             (name if e == 1 else f"{name}^{e}")
             for name, e in zip(names, exps) if e)
-        if not mono:
-            body = _render_coeff(coeff)
-            sign = "+"
-            if coeff.is_rational() and coeff.to_rational() < 0:
-                sign, body = "-", str(-coeff.to_rational())
-        elif coeff == 1:
-            sign, body = "+", mono
-        elif coeff == -1:
-            sign, body = "-", mono
-        else:
-            sign, body = "+", f"{_render_coeff(coeff)}*{mono}"
-            if coeff.is_rational() and coeff.to_rational() < 0:
-                sign, body = "-", f"{-coeff.to_rational()}*{mono}"
+        sign, body = _coeff(table, index)
+        if mono:
+            body = mono if body == "1" else f"{body}*{mono}"
         parts.append((sign, body))
     out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
     for sign, body in parts[1:]:
@@ -78,42 +69,39 @@ def render_poly(p: ParamPoly, names) -> str:
     return out
 
 
-def _split_lead(p: ParamPoly):
-    """(c, p / c) for the lead coefficient c when p / c has no new cyclotomic
-    coefficients (c rational, or p one monomial), else (1, p)."""
-    monos = dict(p.items())
-    lead = monos[max(monos)] if monos else Cyclotomic.one()
-    if len(monos) == 1:
-        return lead, ParamPoly(p.arity, {max(monos): 1})
-    if lead.is_rational():
-        return lead, p.scale(1 / lead.to_rational())
-    return Cyclotomic.one(), p
+def _split_lead(poly):
+    """(c, poly / c) for the lead table c when it is one rational, or when
+    poly is one monomial; else (None, poly)."""
+    if not poly:
+        return None, poly
+    exps, lead = max(poly, key=lambda kv: kv[0])
+    if len(poly) == 1:
+        return lead, ((exps, (Fraction(1),)),)
+    q = lead[0]
+    if isinstance(q, Fraction) and all(x == q for x in lead[1:]):
+        return lead, tuple((e, tuple(x * (1 / q) for x in t)) for e, t in poly)
+    return None, poly
 
 
-def render_term(t: Term, names) -> str:
+def render_summand(s: Summand, names) -> str:
+    index = f"{render_affine(AffineForm(s.residue), names)} mod {s.modulus}"
     neg = False
     factors = []
-    scalar, poly = _split_lead(t.poly)
-    if scalar.is_rational():
-        q = scalar.to_rational()
-        if q < 0:
-            neg = True
-            q = -q
-        if q != 1:
-            factors.append(str(q))
-    else:
-        factors.append(f"({scalar})")
-    if not t.phase.is_zero():
-        factors.append(render_phase(t.phase, names))
-    poly = render_poly(poly, names)
+    lead, poly = _split_lead(s.poly)
+    if lead is not None:
+        sign, body = _coeff(lead, index)
+        neg = sign == "-"
+        if body != "1":
+            factors.append(body)
+    poly = render_poly(poly, names, index)
     if poly != "1" or not factors:
         multi = any(ch in poly[1:] for ch in "+-")
         if (factors or neg) and multi:
             poly = f"({poly})"
         factors.append(poly)
     body = ("-" if neg else "") + " * ".join(factors)
-    if t.guards:
-        conds = " and ".join(render_guard(g, names) for g in t.guards)
+    if s.guards:
+        conds = " and ".join(render_guard(g, names) for g in s.guards)
         return f"{body} if {conds}"
     return body
 
@@ -126,7 +114,7 @@ def render_expr_text(expr: ResultExpr) -> str:
     lines = [head]
     for i, t in enumerate(expr.terms):
         lead = "    " if i == 0 else "  + "
-        lines.append(lead + f"[{render_term(t, names)}]")
+        lines.append(lead + f"[{render_summand(t, names)}]")
     return "\n".join(lines)
 
 
@@ -137,8 +125,8 @@ def render_expr_latex(expr: ResultExpr) -> str:
         return head + " 0"
     chunks = []
     for t in expr.terms:
-        body = render_term(t, names)
-        body = body.replace("*", " ")
+        body = render_summand(t, names)
+        body = body.replace("*", " ").replace(" mod ", " \\bmod ")
         if " if " in body:
             val, cond = body.split(" if ", 1)
             cond = cond.replace(" and ", ",\\ ").replace(">=", "\\ge")

@@ -3,7 +3,7 @@
 Rationals serialize as decimal strings "p/q" (or "p" when q = 1);
 cyclotomics as {"level": N, "coeffs": [...]}.  The readers take integers
 only as JSON integers and rationals only as strings or integers, so a float
-is rejected, never rounded.
+(or a bool) is rejected, never rounded.
 """
 from __future__ import annotations
 
@@ -12,12 +12,22 @@ from fractions import Fraction
 from .cyclotomic import Cyclotomic
 from .errors import MatrixParseError
 from .matrixops import int_vector
-from .params import AffineForm, Guard, ParamPoly, PhaseForm, Term
+from .params import (
+    AffineForm,
+    Guard,
+    ParamPoly,
+    PhaseForm,
+    Summand,
+    Term,
+    collapse_terms,
+)
 from .pipeline import PreprocessReport, ResultExpr
 
-#: Version of the expression JSON written here.  Schema 1 terms carried a
-#: separate cyclotomic "scalar"; schema 2 folds it into "poly".
-SCHEMA = 2
+#: Version of the expression JSON written here.  Schemas 1 and 2 held the
+#: engine's terms (phase, poly, guards; schema 1 with a separate cyclotomic
+#: "scalar") and are collapsed into summands on load; schema 3 holds the
+#: summands, with tables of rationals as coefficients.
+SCHEMA = 3
 
 
 def rat_to_json(q: Fraction) -> str:
@@ -51,17 +61,8 @@ def guard_from_json(obj) -> Guard:
                  obj["sense"])
 
 
-def phase_to_json(p: PhaseForm) -> dict:
-    return {"coeffs": [rat_to_json(c) for c in p.coeffs]}
-
-
 def phase_from_json(obj) -> PhaseForm:
     return PhaseForm(tuple(rat_from_json(c) for c in obj["coeffs"]))
-
-
-def poly_to_json(p: ParamPoly) -> list:
-    return [{"exps": list(e), "coeff": cyc_to_json(c)}
-            for e, c in sorted(p.items(), key=lambda kv: kv[0])]
 
 
 def poly_from_json(obj, arity: int) -> ParamPoly:
@@ -70,18 +71,16 @@ def poly_from_json(obj, arity: int) -> ParamPoly:
         for mono in obj})
 
 
-def term_to_json(t: Term) -> dict:
-    return {
-        "phase": phase_to_json(t.phase),
-        "poly": poly_to_json(t.poly),
-        "guards": [guard_to_json(g) for g in t.guards],
-    }
+def _check_lengths(lengths, arity: int) -> None:
+    if any(n != arity for n in lengths):
+        raise MatrixParseError(
+            f"a term has lengths {lengths}, expected {arity}")
 
 
-def term_from_json(obj, arity: int, schema: int = SCHEMA) -> Term:
-    """A term over `arity` parameters; a phase, guard or monomial of any
-    other length is a MatrixParseError.  A schema-1 term's separate scalar
-    is folded into its poly."""
+def term_from_json(obj, arity: int, schema: int = 2) -> Term:
+    """A schema-1 or schema-2 term over `arity` parameters; a phase, guard
+    or monomial of any other length is a MatrixParseError.  A schema-1
+    term's separate scalar is folded into its poly."""
     poly = poly_from_json(obj["poly"], arity)
     if schema == 1:
         poly = poly.scale(cyc_from_json(obj["scalar"]))
@@ -90,17 +89,58 @@ def term_from_json(obj, arity: int, schema: int = SCHEMA) -> Term:
         poly,
         tuple(guard_from_json(g) for g in obj["guards"]),
     )
-    lengths = [len(term.phase.coeffs)] + [len(g.form.coeffs) for g in term.guards]
-    lengths += [len(e) for e, _ in term.poly.items()]
-    if any(n != arity for n in lengths):
-        raise MatrixParseError(
-            f"a term has lengths {lengths}, expected {arity}")
+    _check_lengths([len(term.phase.coeffs)]
+                   + [len(g.form.coeffs) for g in term.guards]
+                   + [len(e) for e, _ in term.poly.items()], arity)
     return term
+
+
+def entry_to_json(x):
+    """A table entry: a rational string, or a cyclotomic object."""
+    return cyc_to_json(x) if isinstance(x, Cyclotomic) else rat_to_json(x)
+
+
+def entry_from_json(obj):
+    if isinstance(obj, dict):
+        x = cyc_from_json(obj)
+        return x.to_rational() if x.is_rational() else x
+    return rat_from_json(obj)
+
+
+def summand_to_json(s: Summand) -> dict:
+    return {
+        "guards": [guard_to_json(g) for g in s.guards],
+        "modulus": s.modulus,
+        "residue": list(s.residue),
+        "poly": [{"exps": list(e), "table": [entry_to_json(x) for x in t]}
+                 for e, t in s.poly],
+    }
+
+
+def summand_from_json(obj, arity: int) -> Summand:
+    """A summand over `arity` parameters: the residue, guards and exponents
+    have `arity` entries, every table has `modulus` entries, and exponents
+    are nonnegative; anything else is a MatrixParseError."""
+    (modulus,) = int_vector((obj["modulus"],), "modulus")
+    if modulus < 1:
+        raise MatrixParseError(f"modulus {modulus} is not positive")
+    residue = int_vector(obj["residue"], "residue")
+    guards = tuple(guard_from_json(g) for g in obj["guards"])
+    poly = tuple((int_vector(mono["exps"], "exponents"),
+                  tuple(entry_from_json(x) for x in mono["table"]))
+                 for mono in obj["poly"])
+    _check_lengths([len(residue)] + [len(g.form.coeffs) for g in guards]
+                   + [len(e) for e, _ in poly], arity)
+    if any(len(t) != modulus for _, t in poly):
+        raise MatrixParseError(f"a table does not have {modulus} entries")
+    if any(min(e, default=0) < 0 for e, _ in poly):
+        raise MatrixParseError("an exponent is negative")
+    return Summand(guards, modulus, residue, poly)
 
 
 def expr_to_json(expr: ResultExpr) -> dict:
     out = {"schema": SCHEMA, "m": expr.m,
-           "terms": [term_to_json(t) for t in expr.terms]}
+           "terms": [summand_to_json(s) for s in expr.terms]}
     if expr.spec is not None:
         out["matrix"] = [list(r) for r in expr.spec.entries]
     if expr.report is not None:
@@ -111,15 +151,20 @@ def expr_to_json(expr: ResultExpr) -> dict:
 
 
 def expr_from_json(obj) -> ResultExpr:
-    """Reads schema 2, and schema 1 (no "schema" key).  Any other schema and
+    """Reads schema 3, and schemas 2 and 1 (no "schema" key), whose terms
+    are collapsed into summands as `compute` does.  Any other schema and
     any malformed document is a MatrixParseError."""
     try:
         (schema,) = int_vector((obj["schema"] if "schema" in obj else 1,),
                                "schema")
-        if schema not in (1, SCHEMA):
+        if schema not in (1, 2, SCHEMA):
             raise MatrixParseError(f"unknown expression schema {schema!r}")
         (m,) = int_vector((obj["m"],), "m")
-        terms = tuple(term_from_json(t, m, schema) for t in obj["terms"])
+        if schema == SCHEMA:
+            terms = tuple(summand_from_json(s, m) for s in obj["terms"])
+        else:
+            terms = collapse_terms(
+                [term_from_json(t, m, schema) for t in obj["terms"]])
         report = None
         if "unimodular" in obj:
             report = PreprocessReport(

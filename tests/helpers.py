@@ -5,6 +5,8 @@ GenFunState directly from geometric series, independently of the elimination
 engine, so engine steps can be checked against it.  The depth-first counter
 `count_points_dfs` is the reference for the graded box oracle `box_counts`,
 and `det_int` checks that unimodular completions have determinant +-1.
+`raw_terms` runs the engine without collapsing its terms into summands, and
+`schema2_doc` writes those terms as schema-2 expression JSON.
 """
 from __future__ import annotations
 
@@ -12,8 +14,19 @@ import cmath
 from fractions import Fraction
 from math import factorial, prod
 
-from vpf import Cyclotomic, Factor, GenFunState, cyc_from_phase
+from vpf import (
+    Cyclotomic,
+    Factor,
+    GenFunState,
+    ProblemSpec,
+    compute,
+    cyc_from_phase,
+    eliminate_last_var,
+    final_univariate,
+)
 from vpf.matrixops import fm_certificate
+from vpf.pipeline import _initial_state, preprocess
+from vpf.serialize import cyc_to_json, expr_to_json, guard_to_json, rat_to_json
 
 
 def _last_nonzero(u):
@@ -171,6 +184,46 @@ def terms_value(terms, b) -> Cyclotomic:
     for t in terms:
         total = total + t.value(b)
     return total
+
+
+def raw_terms(spec: ProblemSpec, order=None) -> list:
+    """The engine's terms for `spec`, before `compute` collapses them."""
+    report = preprocess(spec)
+    order = tuple(range(spec.m)) if order is None else order
+    stack = [_initial_state(report.normalized, spec.phases, order)]
+    out = []
+    while stack:
+        st = stack.pop()
+        if st.active == 1:
+            out.extend(final_univariate(st))
+        else:
+            stack.extend(eliminate_last_var(st))
+    return out
+
+
+def phase_to_json(p) -> dict:
+    return {"coeffs": [rat_to_json(c) for c in p.coeffs]}
+
+
+def poly_to_json(p) -> list:
+    return [{"exps": list(e), "coeff": cyc_to_json(c)}
+            for e, c in sorted(p.items(), key=lambda kv: kv[0])]
+
+
+def term_to_json(t) -> dict:
+    """A term as schema 2 wrote it."""
+    return {
+        "phase": phase_to_json(t.phase),
+        "poly": poly_to_json(t.poly),
+        "guards": [guard_to_json(g) for g in t.guards],
+    }
+
+
+def schema2_doc(spec: ProblemSpec, order=None) -> dict:
+    """Schema-2 expression JSON holding the engine's raw terms."""
+    doc = expr_to_json(compute(spec, order))
+    doc.update(schema=2, terms=[term_to_json(t) for t in raw_terms(spec, order)])
+    return doc
 
 
 # -- dense univariate polynomials with Cyclotomic coefficients (ascending) --

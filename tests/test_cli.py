@@ -43,12 +43,14 @@ class TestCompute:
     def test_json_schema(self, mat, capsys):
         assert main(["compute", mat(A2), "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert obj["schema"] == 2
+        assert obj["schema"] == 3
         assert obj["m"] == 2
         assert obj["matrix"] == [[1, 0, 1], [0, 1, 1]]
         for term in obj["terms"]:
-            assert set(term) == {"phase", "poly", "guards"}
-            assert all("level" in mono["coeff"] for mono in term["poly"])
+            assert set(term) == {"guards", "modulus", "residue", "poly"}
+            for mono in term["poly"]:
+                assert len(mono["table"]) == term["modulus"]
+                assert all(isinstance(x, str) for x in mono["table"])
 
     def test_latex(self, mat, capsys):
         assert main(["compute", mat(A2), "--format", "latex"]) == 0
@@ -96,7 +98,7 @@ class TestEval:
     def test_unknown_schema_exits_4(self, mat, capsys, tmp_path):
         assert main(["compute", mat(A2), "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        obj["schema"] = 3
+        obj["schema"] = 4
         ep = tmp_path / "expr.json"
         ep.write_text(json.dumps(obj))
         assert main(["eval", str(ep), "5,2"]) == 4
@@ -154,7 +156,7 @@ class TestVerify:
     def test_corrupted_expr_mismatch(self, mat, capsys, tmp_path):
         assert main(["compute", mat(A2), "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        obj["terms"][0]["poly"][0]["coeff"] = {"level": 1, "coeffs": ["7"]}
+        obj["terms"][0]["poly"][0]["table"] = ["7"] * obj["terms"][0]["modulus"]
         ep = tmp_path / "bad.json"
         ep.write_text(json.dumps(obj))
         rc = main(["verify", mat(A2), "0..4,0..4", "--expr", str(ep)])
@@ -230,6 +232,15 @@ class TestExitCodes:
         assert main(["eval", str(mat("x", "missing.mat")) + ".nope", "1"]) == 4
         err = capsys.readouterr().err
         assert "MatrixParseError" in err
+
+    @pytest.mark.parametrize("command", [["compute"], ["eval"]])
+    def test_non_utf8_file_is_4(self, tmp_path, capsys, command):
+        # A UTF-16 byte-order mark, then the (1 1) matrix file.
+        p = tmp_path / "utf16.mat"
+        p.write_bytes(b"\xff\xfe" + ONE_ONE.encode())
+        args = command + [str(p)] + (["1"] if command == ["eval"] else [])
+        assert main(args) == 4
+        assert "MatrixParseError" in capsys.readouterr().err
 
     def test_level_overflow_is_6(self, mat, capsys):
         assert main(["--max-level", "2", "compute", mat(THREE_ONE)]) == 6

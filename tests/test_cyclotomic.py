@@ -257,6 +257,13 @@ class TestLevelCap:
                 with level_cap(cap):
                     pass
 
+    def test_bool_cap_rejected(self):
+        # True is an int to Python, but no cap of 1.
+        for cap in (True, False):
+            with pytest.raises(MatrixParseError):
+                with level_cap(cap):
+                    pass
+
     def test_message_names_level_cap_and_remedy(self):
         with level_cap(10), pytest.raises(LevelOverflow) as info:
             Cyclotomic(11, [1])

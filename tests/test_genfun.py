@@ -33,8 +33,10 @@ from vpf.serialize import expr_to_json
 from .helpers import (
     constant_at,
     cyc_pow,
+    raw_terms,
     series_value,
     substitute_power,
+    term_to_json,
     terms_value,
     w_coeffs_at,
 )
@@ -348,8 +350,12 @@ class TestLadderLevels:
     @pytest.mark.parametrize("p, q", [
         (5, 7), (7, 11), (11, 13), (13, 17), (97, 101)])
     def test_no_level_above_max_pq(self, p, q):
-        expr = compute(ProblemSpec.from_rows([(1, p, q)]))
-        assert max(self._levels(expr_to_json(expr))) <= max(p, q)
+        # The engine's terms, as schema 2 wrote them, and the tables, whose
+        # entries are all rational, so the schema-3 JSON has no level left.
+        spec = ProblemSpec.from_rows([(1, p, q)])
+        terms = [term_to_json(t) for t in raw_terms(spec)]
+        assert max(self._levels(terms)) <= max(p, q)
+        assert list(self._levels(expr_to_json(compute(spec)))) == []
 
     def test_1_97_101_against_oracle(self):
         spec = ProblemSpec.from_rows([(1, 97, 101)])

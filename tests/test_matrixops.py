@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from vpf.errors import NotPointed
+from vpf.errors import MatrixParseError, NotPointed
 from vpf.matrixops import (
     fm_certificate,
+    int_vector,
     mat_mul_int,
     mat_vec_int,
     primitive_integer,
@@ -123,3 +124,15 @@ class TestMatHelpers:
 
     def test_mat_vec(self):
         assert mat_vec_int([[1, 2], [3, 4]], (5, 6)) == (17, 39)
+
+
+class TestIntVector:
+    def test_integers_pass(self):
+        assert int_vector([3, -1, 0], "row") == (3, -1, 0)
+        assert int_vector(iter([2, 5]), "row") == (2, 5)
+
+    @pytest.mark.parametrize("values", [
+        [True, 1], [1, False], [1.0], [F(1, 2)], ["2"], 5])
+    def test_non_integers_rejected(self, values):
+        with pytest.raises(MatrixParseError):
+            int_vector(values, "row")

@@ -21,7 +21,7 @@ from vpf import (
 from vpf.matrixops import mat_vec_int
 from vpf.pipeline import preprocess
 
-from .helpers import det_int
+from .helpers import det_int, raw_terms, terms_value
 
 
 A2 = ProblemSpec.from_rows([(1, 0, 1), (0, 1, 1)])
@@ -64,6 +64,14 @@ class TestProblemSpec:
                 ProblemSpec.from_rows([(1, 1)], phases=(bad, 0))
         spec = ProblemSpec.from_rows([(1, 1)], phases=(F(5, 4), 2))
         assert spec.phases == (F(1, 4), F(0))
+
+    def test_bool_entry_rejected(self):
+        # (True 1) would otherwise be read as (1 1).
+        for rows in ([(True, 1)], [(1, False), (0, 1)]):
+            with pytest.raises(MatrixParseError):
+                ProblemSpec.from_rows(rows)
+        with pytest.raises(MatrixParseError):
+            evaluate(compute(ONE_ONE), (True,))
 
     def test_non_integer_entry_rejected(self):
         for rows in ([(1.5, 1)], [(1, F(1, 2))], [(1, "2")]):
@@ -171,13 +179,14 @@ class TestCompute:
                 compute(A2, order=order)
 
     def test_equal_terms_merged(self):
-        # Terms with equal guards and phase are one term.
+        # Terms with equal guards whose phases generate the same cyclic
+        # group are one summand.
         spec = ProblemSpec.from_rows([(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)])
         terms = compute(spec, order=(1, 2, 0)).terms
         for i, s in enumerate(terms):
             for t in terms[i + 1:]:
                 assert not (set(s.guards) == set(t.guards)
-                            and s.phase == t.phase)
+                            and (s.modulus, s.residue) == (t.modulus, t.residue))
 
     def test_row_order_independence(self):
         for spec in (A2, BECK, THREE_ONE):
@@ -193,10 +202,12 @@ class TestCompute:
         # here we only check the pipeline stays exact and rational.
         spec = ProblemSpec.from_rows([(1, 1)], phases=(F(1, 2), F(0)))
         expr = compute(spec)
+        raw = raw_terms(spec)
         # sum_{x+y=b} (-1)^x is 1 for even b, 0 for odd b.
         for b in range(0, 10):
-            total = sum(t.value((b,)) for t in expr.terms)
-            assert total.to_rational() == (1 if b % 2 == 0 else 0)
+            total = sum(s.value((b,)) for s in expr.terms)
+            assert total == terms_value(raw, (b,))
+            assert total == (1 if b % 2 == 0 else 0)
 
 
 class TestEvaluate:
@@ -261,28 +272,14 @@ class TestVerifyBox:
                 assert evaluate(expr, (a, b)) == 0
 
     def test_merging_soundness(self):
-        # Raw (unmerged) term sum equals the merged expression everywhere.
-        from vpf.genfun import eliminate_last_var, final_univariate
-        from vpf.pipeline import _initial_state
-
+        # The raw engine terms' sum equals the summands' sum everywhere.
         for spec in (A2, THREE_ONE, BECK):
-            report = preprocess(spec)
-            state = _initial_state(report.normalized, spec.phases,
-                                   tuple(range(spec.m)))
-            raw = []
-            stack = [state]
-            while stack:
-                st = stack.pop()
-                if st.active == 1:
-                    raw.extend(final_univariate(st))
-                else:
-                    stack.extend(eliminate_last_var(st))
+            raw = raw_terms(spec)
             expr = compute(spec)
             for a in range(-2, 7):
                 for b in range(-2, 7):
-                    merged = sum(t.value((a, b)) for t in expr.terms)
-                    unmerged = sum(t.value((a, b)) for t in raw)
-                    assert merged == unmerged
+                    merged = sum(s.value((a, b)) for s in expr.terms)
+                    assert merged == terms_value(raw, (a, b))
 
 
 def test_all_exports_no_module():

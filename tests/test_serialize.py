@@ -31,14 +31,13 @@ from vpf.serialize import (
     guard_from_json,
     guard_to_json,
     phase_from_json,
-    phase_to_json,
     poly_from_json,
-    poly_to_json,
     rat_from_json,
     rat_to_json,
     term_from_json,
-    term_to_json,
 )
+
+from .helpers import phase_to_json, poly_to_json, schema2_doc, term_to_json
 
 
 DATA = Path(__file__).parent / "data"
@@ -120,10 +119,27 @@ class TestExpr:
         for b in product(*box):
             assert evaluate(old, b) == evaluate(new, b)
 
+    @pytest.mark.parametrize("name, rows", [
+        ("one_one_schema2.json", [(1, 1)]),
+        ("p157_schema2.json", [(1, 5, 7)]),
+        ("beck_schema2.json", [(1, 2, 1, 0), (1, 1, 0, 1)]),
+        ("negative_schema2.json", [(1, -1, 0), (0, 1, 1)]),
+    ])
+    def test_schema2_file_evaluates_like_compute(self, name, rows):
+        # Written by `vpf compute --format json` while terms were schema 2.
+        obj = json.loads((DATA / name).read_text())
+        assert obj["schema"] == 2
+        old = expr_from_json(obj)
+        new = compute(ProblemSpec.from_rows(rows))
+        assert old.terms == new.terms
+        box = [range(-4, 40)] * len(rows)
+        for b in product(*box):
+            assert evaluate(old, b) == evaluate(new, b)
+
     def test_unknown_schema_rejected(self):
         obj = expr_to_json(compute(ProblemSpec.from_rows([(1, 1)])))
-        assert obj["schema"] == 2
-        for schema in (3, 0, "2", None, 2.0):
+        assert obj["schema"] == 3
+        for schema in (4, 0, "3", None, 3.0, True):
             with pytest.raises(MatrixParseError):
                 expr_from_json({**obj, "schema": schema})
 
@@ -159,8 +175,41 @@ class TestExpr:
             "term-not-an-object", "guard-coeffs-not-a-list"])
     def test_malformed_document_rejected(self, edit):
         # Typed, never a KeyError, TypeError or ValueError, and never rounded.
+        # The schema-2 reader: the edits name its term fields.
+        obj = json.loads((DATA / "one_one_schema2.json").read_text())
+        assert expr_from_json(obj).m == 1
+        edit(obj)
+        with pytest.raises(MatrixParseError):
+            expr_from_json(obj)
+
+    @pytest.mark.parametrize("edit", [
+        lambda o: o.update(m=True),
+        lambda o: o["terms"][1].update(modulus=2.0),
+        lambda o: o["terms"][1].update(modulus=True),
+        lambda o: o["terms"][1].update(modulus=0),
+        lambda o: o["terms"][1].update(residue=[1, 0]),
+        lambda o: o["terms"][1].update(residue=[0.5]),
+        lambda o: o["terms"][1]["poly"][0].update(table=["1/4"]),
+        lambda o: o["terms"][1]["poly"][0]["table"].__setitem__(0, 0.25),
+        lambda o: o["terms"][1]["poly"][0]["table"].__setitem__(0, "1/0"),
+        lambda o: o["terms"][1]["poly"][0]["table"].__setitem__(
+            0, {"level": 1.0, "coeffs": ["1"]}),
+        lambda o: o["terms"][1]["poly"][0].update(exps=[-1]),
+        lambda o: o["terms"][1]["poly"][0].update(exps=[True]),
+        lambda o: o["terms"][1]["guards"][0].update(coeffs=[1, 0]),
+        lambda o: o["terms"][1].pop("modulus"),
+        lambda o: o["terms"][1].pop("residue"),
+        lambda o: o["terms"][1]["poly"][0].pop("table"),
+        lambda o: o["terms"][1].update(poly=[{"exps": [0], "coeff": "1"}]),
+    ], ids=["bool-m", "float-modulus", "bool-modulus", "modulus-0",
+            "residue-length", "float-residue", "table-length", "float-entry",
+            "zero-denominator-entry", "float-entry-level", "negative-exponent",
+            "bool-exponent", "guard-length", "no-modulus", "no-residue",
+            "no-table", "schema-2-monomial"])
+    def test_malformed_schema3_rejected(self, edit):
         obj = json.loads(json.dumps(
-            expr_to_json(compute(ProblemSpec.from_rows([(1, 1)])))))
+            expr_to_json(compute(ProblemSpec.from_rows([(1, 2)])))))
+        assert obj["terms"][1]["modulus"] == 2
         assert expr_from_json(obj).m == 1
         edit(obj)
         with pytest.raises(MatrixParseError):
@@ -174,42 +223,42 @@ class TestExpr:
 
 #: sha256 of the CLI's `compute --format json` text (json.dumps(..., indent=2)
 #: of expr_to_json), pinned so changes to the arithmetic cannot move a
-#: coefficient, a level or the term order.
+#: table entry, a modulus or the summand order.
 M34 = [(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)]
 PINNED_JSON = [
     pytest.param([(1, 0, 1), (0, 1, 1)], None,
-                 "3af5e59f5622921cfffcee694c878b1b5195a90ddb3894d138c697ab094dfe1d",
+                 "65b88901d4c047a31bf0d5ccfb03cff4ad19395bcf5068aa3f08b6700bb010b2",
                  id="a2"),
     pytest.param([(1, 2, 1, 0), (1, 1, 0, 1)], None,
-                 "d7af50f0cd1a51f11a48966d4825a49bf768cfd06cf5a7c0a3ad0ae37ba1e819",
+                 "4ab2d05f7dbc2319ae6463d5cafac18486fcbe69f06b49ae0821f09e6cefa12c",
                  id="beck"),
     pytest.param([(1, 1), (3, 1)], None,
-                 "cfa4f6bca0c4b6813549ff3c4c10ddab5e4c3ff9227b032ae6bc2cc4ee0920c6",
+                 "4f71bf9b35c07b27c92e16ac1fdcacd20630552925984049ab11d9f3d97a0dd1",
                  id="three_one"),
     pytest.param([(1, 5, 7)], None,
-                 "5a6b54ec6cd1f78945e2e87253ea4a9d4efdd9e4cb4582cf3cf2f733f1c14c95",
+                 "000a457286dc66f470844a004bc5b7ae91ec657ea9219a9922c5f17d63365207",
                  id="p5_q7"),
     pytest.param([(1, 7, 11)], None,
-                 "12f38a393a00743992c219ac027ef44fe3ce856a2b1837003de9288e4151d659",
+                 "eb001baa22979ab8c90cfcb7196e30bbe9ad0f8d373932a7c5f2bc5b53e83931",
                  id="p7_q11"),
     pytest.param(M34, (1, 2, 0),
-                 "72bbceb2e174623a516095eb61c4614f4616dbff166abc4711535eeaa1696eae",
+                 "890d19241e8d6542a7f86c96e1f3fd607103fa01fffe6fca7be3e58fbe98d6cf",
                  id="3x4_order_120"),
     pytest.param(M34, (2, 1, 0),
-                 "80d78cec6937ecb42776f00d206a10f8d54d93a2e40534cbf494ca6b1fd96430",
+                 "5df361578a829c7a4a62fe39c6e8540af48e769fd610c4e22310f50444434331",
                  id="3x4_order_210"),
     pytest.param(M34, (2, 0, 1),
-                 "5e3306b87059541a02c29ab14517c8372901673a7e1efc5f9cc4efdf0483a778",
+                 "4f510112b3540c6aa810061ea16a49d374bb62ef52d6631210e3d68df2f98bd2",
                  id="3x4_order_201"),
     pytest.param(M34, (0, 2, 1),
-                 "dce29e6f6942a74c9c8f7e3680b81788f05acc91e69e68e61ae6524325d23941",
+                 "68f0a60b214ee92c6e934a74dcfd979a9eb638663d6b0f04ad149fce06d455b8",
                  id="3x4_order_021"),
     # A mult-3 group at theta = 0.
     pytest.param([(1, 11, 13)], None,
-                 "800bbe62c8c6e2b96afe1c10a3e96368d5dba8b25bfd7983924a225fde6f7d42",
+                 "e8a2e4d378abd2804a5738ad54cb614396d3fbb4e46b53fcb202e2a9a00ee198",
                  id="p11_q13"),
     pytest.param([(1, -1, 0), (0, 1, 1)], None,
-                 "b92c11a05ad9646ad3ad2c97ddaed5fddf3e78a51d13acaf152e6880ddfdb302",
+                 "b7762865f2ecef1d0fffcf349d551b4b8515fbc95a55f66b1ce49344004b2963",
                  id="negative"),
 ]
 

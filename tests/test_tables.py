@@ -1,0 +1,266 @@
+"""Summands: each Galois orbit of engine terms collapsed into one polynomial
+whose coefficients are tables indexed by residue . b mod modulus.
+
+The raw engine terms, summed with `Term.value` in cyclotomic arithmetic, are
+the reference for every table."""
+from __future__ import annotations
+
+import json
+import random
+from fractions import Fraction
+from itertools import permutations, product
+from math import gcd, lcm
+from pathlib import Path
+
+import pytest
+
+from vpf import (
+    Cyclotomic,
+    LevelOverflow,
+    PhaseForm,
+    ProblemSpec,
+    SanityFailure,
+    Summand,
+    compute,
+    cyc_from_phase,
+    evaluate,
+)
+from vpf.cyclotomic import orbit_table
+from vpf.params import _orbit
+from vpf.render import render_expr_latex, render_expr_text
+from vpf.serialize import expr_from_json, expr_to_json
+
+from .helpers import raw_terms, schema2_doc, terms_value
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def F(p, q=1):
+    return Fraction(p, q)
+
+
+M34 = [(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)]
+A2 = [(1, 0, 1), (0, 1, 1)]
+BECK = [(1, 2, 1, 0), (1, 1, 0, 1)]
+THREE_ONE = [(1, 1), (3, 1)]
+NEGATIVE = [(1, -1, 0), (0, 1, 1)]
+
+#: The thirteen inputs of the benchmark's workloads, with their orders.
+BENCH_INPUTS = [pytest.param(M34, order, id="3x4_" + "".join(map(str, order)))
+                for order in permutations(range(3))] + [
+    pytest.param(A2, None, id="a2"),
+    pytest.param(BECK, None, id="beck"),
+    pytest.param(THREE_ONE, None, id="three_one"),
+    pytest.param(NEGATIVE, None, id="negative"),
+    pytest.param([(1, 5, 7)], None, id="p5_q7"),
+    pytest.param([(1, 7, 11)], None, id="p7_q11"),
+    pytest.param([(1, 11, 13)], None, id="p11_q13"),
+]
+
+PHASED = [
+    pytest.param([(1, 1)], (F(1, 2), 0), id="one_one_half"),
+    pytest.param([(1, 1)], (F(1, 3), 0), id="one_one_third"),
+    pytest.param([(1, 2)], (0, F(1, 4)), id="one_two_quarter"),
+    pytest.param(A2, (F(1, 2), 0, F(1, 3)), id="a2"),
+    pytest.param(THREE_ONE, (0, F(1, 2)), id="three_one"),
+    pytest.param(BECK, (F(1, 3), 0, 0, F(1, 2)), id="beck"),
+    pytest.param([(1, 5, 7)], (F(1, 2), 0, 0), id="p5_q7"),
+    pytest.param(NEGATIVE, (0, F(1, 4), 0), id="negative"),
+]
+
+
+def summands_value(expr, b):
+    """The summands' sum at normalized b, rational or cyclotomic."""
+    return sum(s.value(b) for s in expr.terms)
+
+
+def points(m, rng, count=12, lo=-3, hi=14):
+    return [tuple(rng.randint(lo, hi) for _ in range(m)) for _ in range(count)]
+
+
+class TestOrbit:
+    def test_canonical_generator_is_smallest_multiple(self):
+        # Against all units: v = min u * w mod L, and phase = k * v / L.
+        rng = random.Random(8)
+        dens = [1, 2, 3, 4, 5, 6, 9, 12, 15, 30, 36, 180]
+        for _ in range(500):
+            phase = PhaseForm(tuple(
+                F(rng.randrange(d), d)
+                for d in (rng.choice(dens) for _ in range(rng.randint(1, 3)))))
+            n, v, k = _orbit(phase)
+            assert n == lcm(*(c.denominator for c in phase.coeffs))
+            w = [int(c * n) for c in phase.coeffs]
+            assert v == min(tuple(u * x % n for x in w)
+                            for u in range(n) if gcd(u, n) == 1)
+            assert gcd(k, n) == 1 or n == 1
+            assert [k * x % n for x in v] == w
+
+    def test_table_entries_are_rotated_sums(self):
+        # Entry j is sum_k e(k j / L) c_k, here against Cyclotomic products.
+        rng = random.Random(4)
+        for modulus in (1, 2, 5, 6, 12):
+            units = [k for k in range(modulus) if gcd(k, modulus) == 1] or [0]
+            parts = [(rng.choice(units),
+                      cyc_from_phase(F(rng.randrange(q), q)) * F(rng.randint(-4, 4), 3)
+                      + F(rng.randint(-2, 2)))
+                     for q in (1, 3, 4, 10) for _ in range(2)]
+            table = orbit_table(modulus, parts)
+            assert len(table) == modulus
+            for j, entry in enumerate(table):
+                ref = sum((cyc_from_phase(F(k * j, modulus)) * c for k, c in parts),
+                          Cyclotomic.zero())
+                assert entry == ref
+                assert isinstance(entry, Fraction) == ref.is_rational()
+
+
+class TestSummandsMatchTerms:
+    @pytest.mark.parametrize("rows, order", BENCH_INPUTS)
+    def test_benchmark_inputs(self, rows, order):
+        spec = ProblemSpec.from_rows(rows)
+        expr = compute(spec, order)
+        raw = raw_terms(spec, order)
+        assert len(expr.terms) <= len(raw)
+        for b in points(spec.m, random.Random(len(raw))):
+            assert summands_value(expr, b) == terms_value(raw, b)
+
+    @pytest.mark.parametrize("rows, box", [
+        ([(1, 1)], [range(-10, 201)]),
+        (A2, [range(-3, 16)] * 2),
+        (BECK, [range(-2, 21)] * 2),
+        (THREE_ONE, [range(-2, 21)] * 2),
+    ], ids=["criterion_1", "criterion_4", "criterion_5", "criterion_6"])
+    def test_acceptance_boxes(self, rows, box):
+        spec = ProblemSpec.from_rows(rows)
+        expr = compute(spec)
+        raw = raw_terms(spec)
+        for b in product(*box):
+            assert summands_value(expr, b) == terms_value(raw, b)
+
+    @pytest.mark.parametrize("rows, phases", PHASED)
+    def test_phased_specs(self, rows, phases):
+        spec = ProblemSpec.from_rows(rows, phases)
+        expr = compute(spec)
+        raw = raw_terms(spec)
+        for b in points(spec.m, random.Random(3), count=20, lo=-2, hi=9):
+            assert summands_value(expr, b) == terms_value(raw, b)
+
+    def test_phased_entries_stay_cyclotomic(self):
+        # sum_{x <= b} e(x/3) is 1 + e(1/3) at b = 1 and 0 at b = 2.
+        spec = ProblemSpec.from_rows([(1, 1)], phases=(F(1, 3), 0))
+        expr = compute(spec)
+        entries = [x for s in expr.terms for _, t in s.poly for x in t]
+        assert any(isinstance(x, Cyclotomic) for x in entries)
+        assert all(isinstance(x, Fraction) or not x.is_rational()
+                   for x in entries)
+        assert evaluate(expr, (2,)) == 0
+        with pytest.raises(SanityFailure):
+            evaluate(expr, (1,))
+
+    def test_non_rational_table_without_phases_is_an_engine_bug(
+            self, monkeypatch):
+        import vpf.pipeline
+
+        def skewed(terms):
+            s = Summand((), 3, (1,), (((0,), (cyc_from_phase(F(1, 3)),) * 3),))
+            return (s,)
+
+        monkeypatch.setattr(vpf.pipeline, "collapse_terms", skewed)
+        with pytest.raises(SanityFailure, match="not rational"):
+            compute(ProblemSpec.from_rows([(1, 1)]))
+
+
+class TestSchema2Collapse:
+    @pytest.mark.parametrize("rows, order", BENCH_INPUTS)
+    def test_raw_terms_collapse_like_compute(self, rows, order):
+        # The reader collapses schema-2 terms with compute's own grouping,
+        # here from the unmerged terms, whose equal phases share a table.
+        spec = ProblemSpec.from_rows(rows)
+        doc = json.loads(json.dumps(schema2_doc(spec, order)))
+        back = expr_from_json(doc)
+        expr = compute(spec, order)
+        assert back.terms == expr.terms
+        for b in points(spec.m, random.Random(1)):
+            assert evaluate(back, b) == evaluate(expr, b)
+
+    def test_phase_order_above_level_cap(self):
+        # The phase (1/2, 1/10^12) has order 10^12: finding its group would
+        # try 5 * 10^11 units, so the level cap stops it first.
+        doc = json.loads((DATA / "one_one_schema2.json").read_text())
+        doc["m"] = 2
+        term = doc["terms"][0]
+        term["phase"]["coeffs"] = ["1/2", "1/1000000000000"]
+        term["guards"] = []
+        term["poly"] = [{"exps": [0, 0], "coeff": {"level": 1, "coeffs": ["1"]}}]
+        with pytest.raises(LevelOverflow):
+            expr_from_json(doc)
+
+    @pytest.mark.parametrize("rows, phases", PHASED)
+    def test_phased_round_trip(self, rows, phases):
+        expr = compute(ProblemSpec.from_rows(rows, phases))
+        back = expr_from_json(json.loads(json.dumps(expr_to_json(expr))))
+        assert back.terms == expr.terms
+
+
+class TestRationalEvaluate:
+    """Without column phases evaluate runs in int/Fraction arithmetic."""
+
+    @pytest.fixture
+    def no_cyclotomic_arithmetic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cyclotomic arithmetic in evaluate")
+
+        def arm():
+            for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+                monkeypatch.setattr(Cyclotomic, name, refuse)
+        return arm
+
+    def test_evaluate_is_rational(self, no_cyclotomic_arithmetic):
+        cases = [(A2, None, 2), (BECK, None, 2), (THREE_ONE, None, 2),
+                 (NEGATIVE, None, 2), ([(1, 5, 7)], None, 1)]
+        cases += [(M34, order, 3) for order in permutations(range(3))]
+        exprs = [(compute(ProblemSpec.from_rows(rows), order), m)
+                 for rows, order, m in cases]
+        boxes = [list(product(range(-2, 9 if m < 3 else 6), repeat=m))
+                 for _, m in exprs]
+        expected = [[evaluate(e, b) for b in box]
+                    for (e, _), box in zip(exprs, boxes)]
+        no_cyclotomic_arithmetic()
+        for (e, _), box, want in zip(exprs, boxes, expected):
+            assert [evaluate(e, b) for b in box] == want
+
+    def test_1_97_101_at_level_9797(self, no_cyclotomic_arithmetic):
+        # Coin change with coins 1, 97, 101: 4999 ways to make 9797 and
+        # 5207 to make 10000.
+        expr = compute(ProblemSpec.from_rows([(1, 97, 101)]))
+        assert len(expr.terms) == 3
+        no_cyclotomic_arithmetic()
+        assert evaluate(expr, (9797,)) == 4999
+        assert evaluate(expr, (10000,)) == 5207
+        assert evaluate(expr, (-1,)) == 0
+
+
+class TestRender:
+    def test_tables_printed(self):
+        expr = compute(ProblemSpec.from_rows([(1, 2)]))
+        text = render_expr_text(expr)
+        assert "[1/2 * (b+3/2) if b >= 0]" in text
+        assert "[[1/4, -1/4][b mod 2] if b >= 0]" in text
+        latex = render_expr_latex(expr)
+        assert "[1/4, -1/4][b \\bmod 2]" in latex
+
+    def test_summand_without_monomials(self):
+        # expr_from_json accepts an empty "poly"; it adds 0.
+        doc = expr_to_json(compute(ProblemSpec.from_rows([(1, 2)])))
+        doc["terms"][1]["poly"] = []
+        expr = expr_from_json(doc)
+        assert render_expr_text(expr).endswith("[0 if b >= 0]")
+        assert summands_value(expr, (3,)) == F(3, 2) + F(3, 4)
+
+    def test_every_entry_printed(self):
+        expr = compute(ProblemSpec.from_rows([(1, 5, 7)]))
+        text = render_expr_text(expr)
+        for s in expr.terms:
+            for _, table in s.poly:
+                if len(set(table)) > 1:
+                    assert "[" + ", ".join(map(str, table)) + "]" in text
