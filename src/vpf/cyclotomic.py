@@ -336,11 +336,30 @@ def _phase_root(q: Fraction) -> Cyclotomic:
     return Cyclotomic.from_phase(q)
 
 
-def cyc_sum(values) -> Cyclotomic:
-    """Sum of the nonzero values, started from the first of them, so no
-    level-1 zero is lifted to the level of the others."""
-    values = [v for v in values if v]
-    return sum(values[1:], values[0]) if values else Cyclotomic.zero()
+@lru_cache(maxsize=None)
+def phase_orbit(coeffs) -> tuple[int, tuple[int, ...], int]:
+    """(L, v, k) with coeffs = k * v / L mod 1 for the rational phase
+    vector `coeffs`: L its order in (Q/Z)^m, v the smallest u * w mod L
+    over the units u mod L, with w = L * coeffs, which names the cyclic
+    group the phase generates, and k a unit mod L.
+
+    The first nonzero w_i, with g = gcd(w_i, L), goes to its smallest image
+    g exactly when u * w_i / g = 1 mod L / g, so only those units are tried.
+    """
+    n = lcm(*(c.denominator for c in coeffs))
+    _check_level(n)  # the loop below may try up to n units
+    w = [c.numerator * (n // c.denominator) for c in coeffs]
+    if n == 1:
+        return 1, tuple(w), 0
+    first = next(x for x in w if x)
+    step = n // gcd(first, n)
+    best = None
+    for u in range(pow(first * step // n, -1, step), n, step):
+        if gcd(u, n) == 1:
+            v = tuple(u * x % n for x in w)
+            if best is None or v < best:
+                best, unit = v, u
+    return n, best, pow(unit, -1, n)
 
 
 def orbit_table(modulus: int, parts) -> tuple:

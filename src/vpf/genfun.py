@@ -4,7 +4,8 @@ A GenFunState is a guarded slice z^{-beta(b)} * prod 1/(1 - e(q_k) z^{v_k})
 mid-recursion, together with an accumulated Term.  One variable-elimination
 step rewrites the constant-term functional over the last active variable as
 a sum of child states with one variable fewer; the final univariate stage
-resolves arbitrary pole multiplicities and emits closed Terms.
+resolves arbitrary pole multiplicities and emits closed Terms.  `expand`
+runs the whole elimination, depth first, from the normalized matrix.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .params import (
     AffineForm,
     Guard,
     ParamPoly,
-    PhaseForm,
     Term,
     binom_poly,
 )
@@ -231,6 +231,35 @@ def final_univariate(state: GenFunState) -> list[Term]:
         t = t.times_poly(a0)
         if not t.is_zero():
             terms.append(t)
+    return terms
+
+
+def expand(normalized, phases, order) -> list[Term]:
+    """Closed Terms summing to the coefficient of z^b in
+    prod_k 1/(1 - e(phases[k]) z^{c_k}), c_k the k-th column of the
+    nonnegative matrix `normalized`.
+
+    The rows are eliminated in `order`, last first, depth first, so the
+    terms come out in the order the children are made.
+    """
+    m = len(normalized)
+    exps = tuple(AffineForm.unit(m, i) for i in order)
+    factors = tuple(Factor(q, tuple(normalized[i][k] for i in order))
+                    for k, q in enumerate(phases))
+    stack = [GenFunState(exps, factors, Term.one(m))]
+    terms: list[Term] = []
+    try:
+        while stack:
+            st = stack.pop()
+            if st.active == 1:
+                terms.extend(final_univariate(st))
+            else:
+                stack.extend(reversed(eliminate_last_var(st)))
+    except UnsupportedMultiplePole as exc:
+        rows = ",".join(str(i + 1) for i in order)
+        raise UnsupportedMultiplePole(
+            f"{exc}, eliminating rows in the order {rows} (last first); "
+            f"another order (--order) may avoid it") from exc
     return terms
 
 

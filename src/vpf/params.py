@@ -10,18 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, prod
 from operator import mul
 from typing import NamedTuple
 
-from .cyclotomic import (
-    Cyclotomic,
-    _check_level,
-    cyc_from_phase,
-    cyc_sum,
-    orbit_table,
-)
+from .cyclotomic import Cyclotomic, cyc_from_phase, orbit_table, phase_orbit
 from .errors import DimensionMismatch
 
 
@@ -31,10 +24,6 @@ class AffineForm:
 
     coeffs: tuple[int, ...]
     const: int = 0
-
-    @classmethod
-    def zero(cls, m: int) -> "AffineForm":
-        return cls((0,) * m, 0)
 
     @classmethod
     def unit(cls, m: int, i: int) -> "AffineForm":
@@ -49,9 +38,6 @@ class AffineForm:
             raise DimensionMismatch(
                 f"expected {len(self.coeffs)} parameters, got {len(b)}")
         return sum(map(mul, self.coeffs, b)) + self.const
-
-    def is_zero(self) -> bool:
-        return self.const == 0 and not any(self.coeffs)
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -101,21 +87,11 @@ class PhaseForm:
     def zero(cls, m: int) -> "PhaseForm":
         return cls((Fraction(0),) * m)
 
-    @property
-    def arity(self) -> int:
-        return len(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def eval(self, b) -> Fraction:
         if len(b) != len(self.coeffs):
             raise DimensionMismatch(
                 f"expected {len(self.coeffs)} parameters, got {len(b)}")
         return sum((c * x for c, x in zip(self.coeffs, b)), Fraction(0)) % 1
-
-    def __add__(self, other: "PhaseForm") -> "PhaseForm":
-        return PhaseForm(tuple((a + b) % 1 for a, b in zip(self.coeffs, other.coeffs)))
 
     def shifted(self, q: Fraction, f: AffineForm) -> "PhaseForm":
         """Add q times the linear part of f (the constant goes to the poly)."""
@@ -174,8 +150,8 @@ class ParamPoly:
         if len(b) != self.arity:
             raise DimensionMismatch(
                 f"expected {self.arity} parameters, got {len(b)}")
-        return cyc_sum(coeff * prod(x**e for x, e in zip(b, exps))
-                       for exps, coeff in self._monos.items())
+        return sum((coeff * prod(x**e for x, e in zip(b, exps))
+                    for exps, coeff in self._monos.items()), Cyclotomic.zero())
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         monos = dict(self._monos)
@@ -336,32 +312,6 @@ def _guard_key(g: Guard):
     return (g.sense, g.form.coeffs, g.form.const)
 
 
-@lru_cache(maxsize=None)
-def _orbit(phase: PhaseForm) -> tuple[int, tuple[int, ...], int]:
-    """(L, v, k) with phase = k * v / L: L the order of the phase in
-    (Q/Z)^m, v the smallest u * w mod L over the units u mod L, with
-    w = L * phase, which names the cyclic group the phase generates, and k
-    a unit mod L.
-
-    The first nonzero w_i, with g = gcd(w_i, L), goes to its smallest image
-    g exactly when u * w_i / g = 1 mod L / g, so only those units are tried.
-    """
-    n = lcm(*(c.denominator for c in phase.coeffs))
-    _check_level(n)  # the loop below may try up to n units
-    w = [c.numerator * (n // c.denominator) for c in phase.coeffs]
-    if n == 1:
-        return 1, tuple(w), 0
-    first = next(x for x in w if x)
-    step = n // gcd(first, n)
-    best = None
-    for u in range(pow(first * step // n, -1, step), n, step):
-        if gcd(u, n) == 1:
-            v = tuple(u * x % n for x in w)
-            if best is None or v < best:
-                best, unit = v, u
-    return n, best, pow(unit, -1, n)
-
-
 def collapse_terms(terms) -> tuple[Summand, ...]:
     """Group terms by guards and by the cyclic group their phase generates,
     and tabulate each group into one Summand.  Terms with equal phases land
@@ -370,7 +320,7 @@ def collapse_terms(terms) -> tuple[Summand, ...]:
     groups: dict = {}
     for t in terms:
         guards = tuple(sorted(t.guards, key=_guard_key))
-        n, v, k = _orbit(t.phase)
+        n, v, k = phase_orbit(t.phase.coeffs)
         key = (tuple(map(_guard_key, guards)), n, v)
         monos = groups.setdefault(key, (guards, {}))[1]
         for exps, c in t.poly.items():

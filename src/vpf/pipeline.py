@@ -1,9 +1,9 @@
 """End-to-end driver.
 
 Validates the input matrix, certifies pointedness, normalizes to nonnegative
-entries by a unimodular change of coordinates, runs the iterated elimination,
-collapses the terms into summands with periodic rational coefficients, and
-verifies closed forms against the lattice-point oracle.
+entries by a unimodular change of coordinates, runs the iterated elimination
+(`genfun.expand`), collapses the terms into summands with periodic rational
+coefficients, and verifies closed forms against the lattice-point oracle.
 """
 from __future__ import annotations
 
@@ -13,14 +13,8 @@ from fractions import Fraction
 from numbers import Rational
 
 from .cyclotomic import Cyclotomic
-from .errors import (
-    MatrixParseError,
-    NotPointed,
-    NotRational,
-    SanityFailure,
-    UnsupportedMultiplePole,
-)
-from .genfun import Factor, GenFunState, eliminate_last_var, final_univariate
+from .errors import MatrixParseError, NotPointed, SanityFailure
+from .genfun import expand
 from .matrixops import (
     fm_certificate,
     int_vector,
@@ -30,7 +24,7 @@ from .matrixops import (
     unimodular_with_last_row,
 )
 from .oracle import box_counts
-from .params import AffineForm, Summand, Term, collapse_terms
+from .params import Summand, collapse_terms
 
 
 @dataclass(frozen=True)
@@ -166,16 +160,6 @@ def preprocess(spec: ProblemSpec) -> PreprocessReport:
     return nonnegativize(spec, y)
 
 
-def _initial_state(normalized, phases, order) -> GenFunState:
-    m = len(normalized)
-    d = len(normalized[0])
-    exps = tuple(AffineForm.unit(m, order[j]) for j in range(m))
-    factors = tuple(
-        Factor(phases[k], tuple(normalized[order[j]][k] for j in range(m)))
-        for k in range(d))
-    return GenFunState(exps, factors, Term.one(m))
-
-
 def compute(spec: ProblemSpec, order=None) -> ResultExpr:
     """Closed-form expression with evaluate(expr, b) = phi_A(b) for integer b.
 
@@ -189,21 +173,7 @@ def compute(spec: ProblemSpec, order=None) -> ResultExpr:
         raise MatrixParseError(
             f"row order {rows} (1-based) is not a permutation of 1..{m}")
     report = preprocess(spec)
-    state = _initial_state(report.normalized, spec.phases, order)
-    terms: list[Term] = []
-    stack = [state]
-    try:
-        while stack:
-            st = stack.pop()
-            if st.active == 1:
-                terms.extend(final_univariate(st))
-            else:
-                stack.extend(reversed(eliminate_last_var(st)))
-    except UnsupportedMultiplePole as exc:
-        raise UnsupportedMultiplePole(
-            f"{exc}, eliminating rows in the order {rows} (last first); "
-            f"another order (--order) may avoid it") from exc
-    summands = collapse_terms(terms)
+    summands = collapse_terms(expand(report.normalized, spec.phases, order))
     if not any(spec.phases):
         for s in summands:
             for exps, table in s.poly:
@@ -214,8 +184,12 @@ def compute(spec: ProblemSpec, order=None) -> ResultExpr:
     return ResultExpr(m, summands, spec, report)
 
 
-def evaluate(expr: ResultExpr, b) -> Fraction:
-    """phi_A(b); rejects non-integer or negative totals loudly."""
+def evaluate(expr: ResultExpr, b) -> Fraction | Cyclotomic:
+    """phi_A(b); rejects non-integer or negative totals loudly.
+
+    For a spec with column phases the value is the exact weighted count, a
+    Fraction when it is rational and a Cyclotomic otherwise.
+    """
     b = int_vector(b, "b")
     if len(b) != expr.m:
         raise MatrixParseError(
@@ -225,12 +199,18 @@ def evaluate(expr: ResultExpr, b) -> Fraction:
     # A summand whose guards fail gives int 0, which costs an add to skip.
     values = [v for s in expr.terms if (v := s.value(b))]
     value = sum(values[1:], values[0]) if values else Fraction(0)
-    if isinstance(value, Cyclotomic):
-        try:
-            value = value.to_rational()
-        except NotRational as exc:
+    if isinstance(value, Cyclotomic) and value.is_rational():
+        value = value.to_rational()
+    if expr.spec is not None and any(expr.spec.phases):
+        # A sum of roots of unity lies in Z[zeta_N], whose power basis is
+        # integral, so its coefficients have no denominator.
+        den = value.den if isinstance(value, Cyclotomic) else value.denominator
+        if den != 1:
             raise SanityFailure(
-                f"evaluation at {b} is not rational: {value}") from exc
+                f"evaluation at {b} is not a cyclotomic integer: {value}")
+        return value
+    if isinstance(value, Cyclotomic):
+        raise SanityFailure(f"evaluation at {b} is not rational: {value}")
     if value.denominator != 1 or value < 0:
         raise SanityFailure(
             f"evaluation at {b} is not a nonnegative integer: {value}")

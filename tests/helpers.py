@@ -21,11 +21,10 @@ from vpf import (
     ProblemSpec,
     compute,
     cyc_from_phase,
-    eliminate_last_var,
-    final_univariate,
 )
+from vpf.genfun import expand
 from vpf.matrixops import fm_certificate
-from vpf.pipeline import _initial_state, preprocess
+from vpf.pipeline import preprocess
 from vpf.serialize import cyc_to_json, expr_to_json, guard_to_json, rat_to_json
 
 
@@ -188,17 +187,8 @@ def terms_value(terms, b) -> Cyclotomic:
 
 def raw_terms(spec: ProblemSpec, order=None) -> list:
     """The engine's terms for `spec`, before `compute` collapses them."""
-    report = preprocess(spec)
     order = tuple(range(spec.m)) if order is None else order
-    stack = [_initial_state(report.normalized, spec.phases, order)]
-    out = []
-    while stack:
-        st = stack.pop()
-        if st.active == 1:
-            out.extend(final_univariate(st))
-        else:
-            stack.extend(eliminate_last_var(st))
-    return out
+    return expand(preprocess(spec).normalized, spec.phases, order)
 
 
 def phase_to_json(p) -> dict:

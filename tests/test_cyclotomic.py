@@ -19,7 +19,7 @@ from vpf import (
 )
 from vpf.cyclotomic import DEFAULT_LEVEL_CAP
 from vpf.cyclotomic import _cyclo_poly as cyclotomic_polynomial
-from vpf.cyclotomic import inv_one_minus_phase
+from vpf.cyclotomic import inv_one_minus_phase, orbit_table, phase_orbit
 
 from .helpers import approx, cyc_pow
 
@@ -244,6 +244,20 @@ class TestLevelCap:
                 cyc_from_phase(F(1, 11))
             with pytest.raises(LevelOverflow):
                 inv_one_minus_phase(F(1, 11))
+
+    def test_cap_checked_before_allocation(self):
+        # Each call would first build a list with about as many entries as
+        # the new level, so the cap check cannot wait for _reduce: the lcm
+        # of two levels under the cap can be about 10^12.
+        third = cyc_from_phase(F(1, 3))
+        with pytest.raises(LevelOverflow):
+            third.raise_level(3 * 10**11)
+        with pytest.raises(LevelOverflow):
+            Cyclotomic.from_phase(F(10**12 - 1, 10**12))
+        with pytest.raises(LevelOverflow):
+            orbit_table(10**12, [(1, third)])
+        with pytest.raises(LevelOverflow):
+            phase_orbit((F(1, 2), F(1, 10**12)))
 
     def test_constructor_checks_cap(self):
         with pytest.raises(LevelOverflow):

@@ -194,7 +194,7 @@ class TestFinalUnivariate:
         st = make_state([(0, (1,))])
         (t,) = final_univariate(st)
         assert t.poly == ParamPoly.one(1)
-        assert t.phase.is_zero()
+        assert not any(t.phase.coeffs)
         assert t.guards[0].form == AffineForm((1,), 0)
         assert t.guards[0].sense == GE_ZERO
 

@@ -27,7 +27,6 @@ def F(p, q=1):
 class TestAffineForm:
     def test_eval_examples(self):
         assert AffineForm((1, -1), -1).eval((3, 1)) == 1
-        assert AffineForm.zero(2).eval((9, -7)) == 0
         assert AffineForm((3, -1), 0).eval((2, 4)) == 2
 
     def test_dimension_mismatch(self):
@@ -64,10 +63,8 @@ class TestPhaseForm:
         for b in range(-5, 6):
             assert (raw * b) % 1 == (red * b) % 1
 
-    def test_add_and_shift(self):
+    def test_shifted(self):
         p = PhaseForm((F(1, 3),))
-        q = p + PhaseForm((F(2, 3),))
-        assert q.is_zero()
         s = p.shifted(F(1, 2), AffineForm((1,), 7))
         assert s.coeffs == (F(5, 6),)
 

@@ -17,7 +17,6 @@ import pytest
 from vpf import (
     Cyclotomic,
     LevelOverflow,
-    PhaseForm,
     ProblemSpec,
     SanityFailure,
     Summand,
@@ -25,8 +24,7 @@ from vpf import (
     cyc_from_phase,
     evaluate,
 )
-from vpf.cyclotomic import orbit_table
-from vpf.params import _orbit
+from vpf.cyclotomic import orbit_table, phase_orbit
 from vpf.render import render_expr_latex, render_expr_text
 from vpf.serialize import expr_from_json, expr_to_json
 
@@ -85,12 +83,12 @@ class TestOrbit:
         rng = random.Random(8)
         dens = [1, 2, 3, 4, 5, 6, 9, 12, 15, 30, 36, 180]
         for _ in range(500):
-            phase = PhaseForm(tuple(
+            phase = tuple(
                 F(rng.randrange(d), d)
-                for d in (rng.choice(dens) for _ in range(rng.randint(1, 3)))))
-            n, v, k = _orbit(phase)
-            assert n == lcm(*(c.denominator for c in phase.coeffs))
-            w = [int(c * n) for c in phase.coeffs]
+                for d in (rng.choice(dens) for _ in range(rng.randint(1, 3))))
+            n, v, k = phase_orbit(phase)
+            assert n == lcm(*(c.denominator for c in phase))
+            w = [int(c * n) for c in phase]
             assert v == min(tuple(u * x % n for x in w)
                             for u in range(n) if gcd(u, n) == 1)
             assert gcd(k, n) == 1 or n == 1
@@ -154,8 +152,15 @@ class TestSummandsMatchTerms:
         assert all(isinstance(x, Fraction) or not x.is_rational()
                    for x in entries)
         assert evaluate(expr, (2,)) == 0
-        with pytest.raises(SanityFailure):
-            evaluate(expr, (1,))
+        assert evaluate(expr, (1,)) == 1 + cyc_from_phase(F(1, 3))
+
+    def test_phased_value_may_be_negative(self):
+        # sum_{x = b} e(x/2) is (-1)^b for b >= 0.
+        expr = compute(ProblemSpec.from_rows([(1,)], phases=(F(1, 2),)))
+        for b in range(-3, 12):
+            value = evaluate(expr, (b,))
+            assert isinstance(value, Fraction)
+            assert value == ((-1) ** b if b >= 0 else 0)
 
     def test_non_rational_table_without_phases_is_an_engine_bug(
             self, monkeypatch):
