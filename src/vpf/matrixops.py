@@ -133,4 +133,4 @@ def mat_mul_int(a, b):
 
 
 def mat_vec_int(a, v):
-    return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in a)
+    return tuple(sum(map(operator.mul, r, v)) for r in a)

@@ -295,18 +295,6 @@ class Summand(NamedTuple):
     residue: tuple[int, ...]
     poly: tuple[tuple[tuple[int, ...], tuple], ...]
 
-    def value(self, b):
-        """0 if any guard fails, else the polynomial at b with each
-        coefficient read from its table at residue . b mod modulus."""
-        if len(b) != len(self.residue):
-            raise DimensionMismatch(
-                f"expected {len(self.residue)} parameters, got {len(b)}")
-        if not all(g.satisfied(b) for g in self.guards):
-            return 0
-        j = sum(map(mul, self.residue, b)) % self.modulus
-        return sum(table[j] * prod(map(pow, b, exps))
-                   for exps, table in self.poly)
-
 
 def _guard_key(g: Guard):
     return (g.sense, g.form.coeffs, g.form.const)

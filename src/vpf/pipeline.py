@@ -10,10 +10,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm, prod
 from numbers import Rational
+from operator import mul
 
 from .cyclotomic import Cyclotomic
-from .errors import MatrixParseError, NotPointed, SanityFailure
+from .errors import DimensionMismatch, MatrixParseError, NotPointed, SanityFailure
 from .genfun import expand
 from .matrixops import (
     fm_certificate,
@@ -24,7 +27,7 @@ from .matrixops import (
     unimodular_with_last_row,
 )
 from .oracle import box_counts
-from .params import Summand, collapse_terms
+from .params import EQ_ZERO, Summand, collapse_terms
 
 
 @dataclass(frozen=True)
@@ -82,16 +85,6 @@ class PreprocessReport:
     unimodular: tuple[tuple[int, ...], ...]
     normalized: tuple[tuple[int, ...], ...]
 
-    def transform(self, b) -> tuple[int, ...]:
-        return mat_vec_int(self.unimodular, tuple(b))
-
-    @property
-    def is_identity(self) -> bool:
-        m = len(self.unimodular)
-        return all(
-            self.unimodular[i][j] == (1 if i == j else 0)
-            for i in range(m) for j in range(m))
-
 
 @dataclass(frozen=True)
 class ResultExpr:
@@ -101,6 +94,35 @@ class ResultExpr:
     terms: tuple[Summand, ...]
     spec: ProblemSpec | None = None
     report: PreprocessReport | None = None
+
+    @cached_property
+    def _plan(self):
+        """What `evaluate` reads, built on first use and not a field: the
+        transform (None for identity), each distinct guard form (coeffs,
+        const, is-equality) and exponent vector once, the summands grouped by
+        guard set, and the lcm D of all entry denominators (x stored as x*D)."""
+        m, u = self.m, self.report and self.report.unimodular
+        transform = None if u is None or u == tuple(
+            tuple(int(i == j) for j in range(m)) for i in range(m)) else u
+        den = lcm(*(x.den if isinstance(x, Cyclotomic) else x.denominator
+                    for s in self.terms for _, t in s.poly for x in t))
+        shape = {m} if u is None else {len(u), *map(len, u)}
+        forms, monos, groups = {}, {}, {}
+        for s in self.terms:
+            sizes = {*shape, len(s.residue), *(len(e) for e, _ in s.poly),
+                     *(len(g.form.coeffs) for g in s.guards)}
+            if sizes != {m}:
+                raise DimensionMismatch(f"expected {m} parameters, got {sizes}")
+            key = tuple(forms.setdefault(
+                (g.form.coeffs, g.form.const, g.sense == EQ_ZERO), len(forms))
+                for g in s.guards)
+            groups.setdefault(key, []).append((s.modulus, s.residue, [
+                (monos.setdefault(e, len(monos)),
+                 [x * den if isinstance(x, Cyclotomic)
+                  else x.numerator * (den // x.denominator) for x in t])
+                for e, t in s.poly]))
+        phased = self.spec is not None and any(self.spec.phases)
+        return transform, forms, monos, [*groups.items()], den, phased
 
 
 @dataclass
@@ -194,27 +216,37 @@ def evaluate(expr: ResultExpr, b) -> Fraction | Cyclotomic:
     if len(b) != expr.m:
         raise MatrixParseError(
             f"b has {len(b)} entries but the expression has {expr.m} parameters")
-    if expr.report is not None and not expr.report.is_identity:
-        b = expr.report.transform(b)
-    # A summand whose guards fail gives int 0, which costs an add to skip.
-    values = [v for s in expr.terms if (v := s.value(b))]
-    value = sum(values[1:], values[0]) if values else Fraction(0)
+    transform, forms, monos, groups, den, phased = expr._plan
+    nb = b if transform is None else mat_vec_int(transform, b)
+    holds = [v == 0 if eq else v >= 0
+             for c, k, eq in forms for v in (sum(map(mul, c, nb)) + k,)]
+    powers = [prod(map(pow, nb, e)) for e in monos]
+    total = 0  # over den; a Cyclotomic entry promotes it
+    for guards, summands in groups:
+        if all([holds[i] for i in guards]):
+            for n, r, pairs in summands:
+                j = sum(map(mul, r, nb)) % n
+                for k, table in pairs:
+                    total += table[j] * powers[k]
+    value = (Fraction(total, den) if isinstance(total, int)
+             else total * Fraction(1, den))
     if isinstance(value, Cyclotomic) and value.is_rational():
         value = value.to_rational()
-    if expr.spec is not None and any(expr.spec.phases):
+    if phased:
         # A sum of roots of unity lies in Z[zeta_N], whose power basis is
         # integral, so its coefficients have no denominator.
-        den = value.den if isinstance(value, Cyclotomic) else value.denominator
-        if den != 1:
-            raise SanityFailure(
-                f"evaluation at {b} is not a cyclotomic integer: {value}")
+        if (value.den if isinstance(value, Cyclotomic)
+                else value.denominator) == 1:
+            return value
+        wanted = "a cyclotomic integer"
+    elif isinstance(value, Cyclotomic):
+        wanted = "rational"
+    elif value.denominator == 1 and value >= 0:
         return value
-    if isinstance(value, Cyclotomic):
-        raise SanityFailure(f"evaluation at {b} is not rational: {value}")
-    if value.denominator != 1 or value < 0:
-        raise SanityFailure(
-            f"evaluation at {b} is not a nonnegative integer: {value}")
-    return value
+    else:
+        wanted = "a nonnegative integer"
+    at = b if transform is None else f"{b} (normalized {nb})"
+    raise SanityFailure(f"evaluation at {at} is not {wanted}: {value}")
 
 
 def verify_box(spec: ProblemSpec, expr: ResultExpr, lo, hi) -> VerifyReport:

@@ -6,16 +6,19 @@ engine, so engine steps can be checked against it.  The depth-first counter
 `count_points_dfs` is the reference for the graded box oracle `box_counts`,
 and `det_int` checks that unimodular completions have determinant +-1.
 `raw_terms` runs the engine without collapsing its terms into summands, and
-`schema2_doc` writes those terms as schema-2 expression JSON.
+`schema2_doc` writes those terms as schema-2 expression JSON.  `summand_value`
+evaluates one summand on its own, the reference for `evaluate`'s plan.
 """
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
 from math import factorial, prod
+from operator import mul
 
 from vpf import (
     Cyclotomic,
+    DimensionMismatch,
     Factor,
     GenFunState,
     ProblemSpec,
@@ -183,6 +186,19 @@ def terms_value(terms, b) -> Cyclotomic:
     for t in terms:
         total = total + t.value(b)
     return total
+
+
+def summand_value(s, b):
+    """0 if any guard of the Summand s fails at the normalized b, else its
+    polynomial at b with each coefficient read from its table at
+    residue . b mod modulus."""
+    if len(b) != len(s.residue):
+        raise DimensionMismatch(
+            f"expected {len(s.residue)} parameters, got {len(b)}")
+    if not all(g.satisfied(b) for g in s.guards):
+        return 0
+    j = sum(map(mul, s.residue, b)) % s.modulus
+    return sum(table[j] * prod(map(pow, b, exps)) for exps, table in s.poly)
 
 
 def raw_terms(spec: ProblemSpec, order=None) -> list:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -11,6 +12,7 @@ from vpf import (
     MatrixParseError,
     NotPointed,
     ProblemSpec,
+    SanityFailure,
     check_pointed,
     compute,
     count_points,
@@ -21,7 +23,7 @@ from vpf import (
 from vpf.matrixops import mat_vec_int
 from vpf.pipeline import preprocess
 
-from .helpers import det_int, raw_terms, terms_value
+from .helpers import det_int, raw_terms, summand_value, terms_value
 
 
 A2 = ProblemSpec.from_rows([(1, 0, 1), (0, 1, 1)])
@@ -102,7 +104,7 @@ class TestCheckPointed:
 class TestNonnegativize:
     def test_nonnegative_input_identity(self):
         report = preprocess(A2)
-        assert report.is_identity
+        assert report.unimodular == ((1, 0), (0, 1))
         assert report.normalized == A2.entries
 
     def test_negative_matrix(self):
@@ -205,7 +207,7 @@ class TestCompute:
         raw = raw_terms(spec)
         # sum_{x+y=b} (-1)^x is 1 for even b, 0 for odd b.
         for b in range(0, 10):
-            total = sum(s.value((b,)) for s in expr.terms)
+            total = sum(summand_value(s, (b,)) for s in expr.terms)
             assert total == terms_value(raw, (b,))
             assert total == (1 if b % 2 == 0 else 0)
 
@@ -221,6 +223,20 @@ class TestEvaluate:
         for b in ((2.7, 5.9), (2.0, 5), (F(5, 2), 5)):
             with pytest.raises(MatrixParseError):
                 evaluate(expr, b)
+
+    def test_failure_names_the_callers_b(self):
+        # The normalized b is added only where the transform moves b.
+        expr = compute(ProblemSpec.from_rows([(1, -1, 0), (0, 1, 1)]))
+        bad = replace(expr, terms=expr.terms[:1] + expr.terms[2:])
+        with pytest.raises(SanityFailure, match=(
+                r"^evaluation at \(-2, 4\) \(normalized \(4, 6\)\) is not a "
+                r"nonnegative integer: -2$")):
+            evaluate(bad, (-2, 4))
+        expr = compute(ProblemSpec.from_rows([(1, 2)]))
+        bad = replace(expr, terms=expr.terms[:1])
+        with pytest.raises(SanityFailure,
+                           match=r"^evaluation at \(3,\) is not a nonneg"):
+            evaluate(bad, (3,))
 
     def test_transform_applied(self):
         spec = ProblemSpec.from_rows([(1, 2), (-1, 0)])
@@ -278,7 +294,7 @@ class TestVerifyBox:
             expr = compute(spec)
             for a in range(-2, 7):
                 for b in range(-2, 7):
-                    merged = sum(s.value((a, b)) for s in expr.terms)
+                    merged = sum(summand_value(s, (a, b)) for s in expr.terms)
                     assert merged == terms_value(raw, (a, b))
 
 

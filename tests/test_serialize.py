@@ -37,7 +37,7 @@ from vpf.serialize import (
     term_from_json,
 )
 
-from .helpers import phase_to_json, poly_to_json, schema2_doc, term_to_json
+from .helpers import phase_to_json, poly_to_json, term_to_json
 
 
 DATA = Path(__file__).parent / "data"

@@ -6,7 +6,9 @@ the reference for every table."""
 from __future__ import annotations
 
 import json
+import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
@@ -25,10 +27,11 @@ from vpf import (
     evaluate,
 )
 from vpf.cyclotomic import orbit_table, phase_orbit
+from vpf.matrixops import mat_vec_int
 from vpf.render import render_expr_latex, render_expr_text
 from vpf.serialize import expr_from_json, expr_to_json
 
-from .helpers import raw_terms, schema2_doc, terms_value
+from .helpers import raw_terms, schema2_doc, summand_value, terms_value
 
 
 DATA = Path(__file__).parent / "data"
@@ -70,7 +73,7 @@ PHASED = [
 
 def summands_value(expr, b):
     """The summands' sum at normalized b, rational or cyclotomic."""
-    return sum(s.value(b) for s in expr.terms)
+    return sum(summand_value(s, b) for s in expr.terms)
 
 
 def points(m, rng, count=12, lo=-3, hi=14):
@@ -208,41 +211,109 @@ class TestSchema2Collapse:
 
 
 class TestRationalEvaluate:
-    """Without column phases evaluate runs in int/Fraction arithmetic."""
+    """Without column phases evaluate sums integer numerators: no
+    cyclotomic number is formed and no Fraction is added or multiplied."""
+
+    CASES = [(A2, None, 2), (BECK, None, 2), (THREE_ONE, None, 2),
+             (NEGATIVE, None, 2), ([(1, 5, 7)], None, 1)] + [
+        (M34, order, 3) for order in permutations(range(3))]
 
     @pytest.fixture
-    def no_cyclotomic_arithmetic(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("cyclotomic arithmetic in evaluate")
+    def refuse_arithmetic(self, monkeypatch):
+        def arm(cls):
+            def refuse(*args):
+                raise AssertionError(f"{cls.__name__} arithmetic in evaluate")
 
-        def arm():
             for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
-                monkeypatch.setattr(Cyclotomic, name, refuse)
+                monkeypatch.setattr(cls, name, refuse)
         return arm
 
-    def test_evaluate_is_rational(self, no_cyclotomic_arithmetic):
-        cases = [(A2, None, 2), (BECK, None, 2), (THREE_ONE, None, 2),
-                 (NEGATIVE, None, 2), ([(1, 5, 7)], None, 1)]
-        cases += [(M34, order, 3) for order in permutations(range(3))]
+    def check_without(self, cls, arm):
+        # The expected values are taken first, which also builds each plan.
         exprs = [(compute(ProblemSpec.from_rows(rows), order), m)
-                 for rows, order, m in cases]
+                 for rows, order, m in self.CASES]
         boxes = [list(product(range(-2, 9 if m < 3 else 6), repeat=m))
                  for _, m in exprs]
         expected = [[evaluate(e, b) for b in box]
                     for (e, _), box in zip(exprs, boxes)]
-        no_cyclotomic_arithmetic()
+        arm(cls)
         for (e, _), box, want in zip(exprs, boxes, expected):
             assert [evaluate(e, b) for b in box] == want
 
-    def test_1_97_101_at_level_9797(self, no_cyclotomic_arithmetic):
+    def test_evaluate_is_rational(self, refuse_arithmetic):
+        self.check_without(Cyclotomic, refuse_arithmetic)
+
+    def test_hot_path_on_integers(self, refuse_arithmetic):
+        self.check_without(Fraction, refuse_arithmetic)
+
+    def test_1_97_101_at_level_9797(self, refuse_arithmetic):
         # Coin change with coins 1, 97, 101: 4999 ways to make 9797 and
         # 5207 to make 10000.
         expr = compute(ProblemSpec.from_rows([(1, 97, 101)]))
         assert len(expr.terms) == 3
-        no_cyclotomic_arithmetic()
+        refuse_arithmetic(Cyclotomic)
         assert evaluate(expr, (9797,)) == 4999
         assert evaluate(expr, (10000,)) == 5207
         assert evaluate(expr, (-1,)) == 0
+
+
+def reference_value(expr, b):
+    """evaluate's value before its checks, from the summands one by one at
+    the normalized b: a Fraction, or a Cyclotomic when not rational."""
+    nb = mat_vec_int(expr.report.unimodular, b)
+    value = sum((summand_value(s, nb) for s in expr.terms), Fraction(0))
+    if isinstance(value, Cyclotomic) and value.is_rational():
+        value = value.to_rational()
+    return value
+
+
+def all_guards_fail(expr, m):
+    """Points near the origin where no guard of any summand holds."""
+    u = expr.report.unimodular
+    return [b for b in product(range(-4, 3), repeat=m)
+            if not any(g.satisfied(mat_vec_int(u, b))
+                       for s in expr.terms for g in s.guards)]
+
+
+class TestEvaluationPlan:
+    """evaluate reads a plan built once per expression; the summands one by
+    one are its reference."""
+
+    @pytest.mark.parametrize("rows, order, phases", [
+        pytest.param(*p.values, (), id=p.id) for p in BENCH_INPUTS] + [
+        pytest.param(rows, None, phases, id="phased_" + p.id)
+        for p in PHASED for rows, phases in [p.values]])
+    def test_agrees_with_reference(self, rows, order, phases):
+        spec = ProblemSpec.from_rows(rows, phases)
+        expr = compute(spec, order)
+        dead = all_guards_fail(expr, spec.m)
+        assert dead
+        for b in points(spec.m, random.Random(5), count=40, lo=-9) + dead:
+            got, want = evaluate(expr, b), reference_value(expr, b)
+            assert type(got) is type(want) and got == want, b
+
+    @pytest.mark.parametrize("rows, order", BENCH_INPUTS)
+    def test_plan_never_stale(self, rows, order):
+        spec = ProblemSpec.from_rows(rows)
+        expr = compute(spec, order)
+        fresh, before = replace(expr), repr(expr)
+        pts = points(spec.m, random.Random(6), lo=-2, hi=9)
+        values = [evaluate(expr, b) for b in pts]
+        assert repr(expr) == before and expr == fresh
+        # The benchmark's self-test drops the last summand this way.
+        short = replace(expr, terms=expr.terms[:-1])
+        assert short != expr
+        for b in pts:
+            want = reference_value(short, b)
+            if want.denominator == 1 and want >= 0:
+                assert evaluate(short, b) == want
+            else:
+                with pytest.raises(SanityFailure):
+                    evaluate(short, b)
+        back = expr_from_json(json.loads(json.dumps(expr_to_json(expr))))
+        assert [evaluate(back, b) for b in pts] == values
+        copy = pickle.loads(pickle.dumps(expr))
+        assert copy == expr and [evaluate(copy, b) for b in pts] == values
 
 
 class TestRender:
