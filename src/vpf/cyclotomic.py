@@ -160,6 +160,9 @@ class Cyclotomic:
         # Elements are shared through the memos, so they never change.
         raise AttributeError(f"Cyclotomic is immutable; cannot set {name}")
 
+    def __reduce__(self):  # pickle and copy rebuild through _ints
+        return (Cyclotomic._ints, (self.level, self.num, self.den))
+
     @classmethod
     def _ints(cls, level: int, num, den: int = 1) -> "Cyclotomic":
         """Element with integer numerators `num` over `den` > 0."""

@@ -1,15 +1,15 @@
 """The elimination engine.
 
-A GenFunState is a guarded slice z^{-beta(b)} * prod 1/(1 - e(q_k) z^{v_k})
-mid-recursion, together with an accumulated Term.  One variable-elimination
-step rewrites the constant-term functional over the last active variable as
-a sum of child states with one variable fewer; the final univariate stage
-resolves arbitrary pole multiplicities and emits closed Terms.  `expand`
-runs the whole elimination, depth first, from the normalized matrix.
+A GenFunState is z^{-beta(b)} * prod 1/(1 - e(q_k) z^{v_k}) times a phase
+and a constant scalar under guards.  One elimination step rewrites the
+constant-term functional over the last active variable as child states with
+one variable fewer, each moved by `accumulate`; the univariate stage resolves
+arbitrary pole multiplicities into closed Terms, the numerators times the
+scalar.  `expand` runs it all, depth first, from the normalized matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -22,6 +22,7 @@ from .params import (
     AffineForm,
     Guard,
     ParamPoly,
+    PhaseForm,
     Term,
     binom_poly,
 )
@@ -43,20 +44,37 @@ class Factor:
 
 @dataclass(frozen=True)
 class GenFunState:
-    """Product-form slice with an accumulated Term.
-
-    `exps` are the affine exponents beta of z^{-beta(b)}, one per active
-    variable; affine forms and the accumulated Term always refer to the full
-    original parameter count.
-    """
+    """z^{-beta(b)} prod_k 1/(1 - e(q_k) z^{v_k}) times e(phase(b)) * scalar
+    where every guard holds, 0 elsewhere.  `exps` are the exponents beta, one
+    per active variable; forms, guards and phase refer to all m parameters.
+    The scalar is constant in b.  Defaults: zero phase, no guards, scalar 1."""
 
     exps: tuple[AffineForm, ...]
     factors: tuple[Factor, ...]
-    acc: Term
+    phase: PhaseForm | None = None
+    guards: tuple[Guard, ...] = ()
+    scalar: Cyclotomic = field(default_factory=Cyclotomic.one)
+
+    def __post_init__(self):
+        if self.phase is None:
+            object.__setattr__(self, "phase", PhaseForm.zero(self.exps[0].arity))
 
     @property
     def active(self) -> int:
         return len(self.exps)
+
+
+def accumulate(state: GenFunState, guard: Guard, c=1, q=Fraction(0)):
+    """(phase, guards, scalar) of `state` times c * e(q * beta(b)) under `guard`
+    on beta = guard.form; the constant part of q * beta goes to the scalar."""
+    guards = state.guards
+    if not guard.is_trivial() and guard not in guards:
+        guards += (guard,)
+    scalar = state.scalar * c if c != 1 else state.scalar
+    if q * guard.form.const % 1:
+        scalar = scalar * cyc_from_phase(q * guard.form.const)
+    phase = state.phase.shifted(q, guard.form) if q else state.phase
+    return phase, guards, scalar
 
 
 def flip(state: GenFunState, k: int) -> GenFunState:
@@ -66,8 +84,8 @@ def flip(state: GenFunState, k: int) -> GenFunState:
     new_factor = Factor(q, tuple(-e for e in f.exps))
     factors = state.factors[:k] + (new_factor,) + state.factors[k + 1:]
     exps = tuple(beta + v for beta, v in zip(state.exps, f.exps))
-    acc = state.acc.scaled(-cyc_from_phase(q))
-    return GenFunState(exps, factors, acc)
+    return GenFunState(exps, factors, state.phase, state.guards,
+                       state.scalar * -cyc_from_phase(q))
 
 
 def _normalize_last(state: GenFunState) -> GenFunState:
@@ -96,18 +114,16 @@ def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
 
     if not chosen:
         # No factor involves the variable: const of z^{-beta_w} alone.
-        acc = state.acc.with_guard(Guard(beta_w, EQ_ZERO))
         factors = tuple(Factor(f.phase, f.exps[:w]) for f in state.factors)
-        return [GenFunState(state.exps[:w], factors, acc)]
+        return [GenFunState(state.exps[:w], factors,
+                            *accumulate(state, Guard(beta_w, EQ_ZERO)))]
 
     children = []
     for k in chosen:
         fk = state.factors[k]
         n = fk.exps[w]
         for l in range(n):
-            acc = state.acc.with_guard(Guard(beta_w, GE_ZERO))
-            acc = acc.scaled(Fraction(1, n))
-            acc = acc.shift_phase(Fraction(fk.phase - l, n), beta_w)
+            c = Fraction(1, n)
             exps = tuple(
                 n * state.exps[j] - fk.exps[j] * beta_w for j in range(w))
             factors = []
@@ -124,10 +140,11 @@ def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
                             f"(phase {ft.phase}, exponents {ft.exps}) shares "
                             f"a root with factor (phase {fk.phase}, "
                             f"exponents {fk.exps})")
-                    acc = acc.scaled(inv_one_minus_phase(q2))
+                    c = c * inv_one_minus_phase(q2)
                 else:
                     factors.append(Factor(q2, v2))
-            children.append(GenFunState(exps, tuple(factors), acc))
+            children.append(GenFunState(exps, tuple(factors), *accumulate(
+                state, Guard(beta_w, GE_ZERO), c, Fraction(fk.phase - l, n))))
     return children
 
 
@@ -209,28 +226,29 @@ def final_univariate(state: GenFunState) -> list[Term]:
     if state.active != 1:
         raise DimensionMismatch("final_univariate needs exactly 1 variable")
     state = _normalize_last(state)
-    acc = state.acc
     beta = state.exps[0]
 
-    # Factors free of w are constants of the accumulated term.
+    # Factors free of w are constants, folded into the scalar.
     factors = []
+    c = 1
     for f in state.factors:
         if f.exps[0]:
             factors.append((f.phase, f.exps[0]))
         else:
-            acc = acc.scaled(inv_one_minus_phase(f.phase))
+            c = c * inv_one_minus_phase(f.phase)
 
     if not factors:
-        return [acc.with_guard(Guard(beta, EQ_ZERO))]
+        phase, guards, scalar = accumulate(state, Guard(beta, EQ_ZERO), c)
+        return [Term(phase, ParamPoly.constant(beta.arity, scalar), guards)]
 
     roots = {Fraction(q - l, n) % 1 for q, n in factors for l in range(n)}
     terms = []
     for theta in sorted(roots):
         a0 = pfd_numerator(theta, factors, beta).constant_poly()
-        t = acc.with_guard(Guard(beta, GE_ZERO)).shift_phase(theta, beta)
-        t = t.times_poly(a0)
-        if not t.is_zero():
-            terms.append(t)
+        phase, guards, scalar = accumulate(state, Guard(beta, GE_ZERO), c, theta)
+        poly = a0.scale(scalar)
+        if not poly.is_zero():
+            terms.append(Term(phase, poly, guards))
     return terms
 
 
@@ -246,7 +264,7 @@ def expand(normalized, phases, order) -> list[Term]:
     exps = tuple(AffineForm.unit(m, i) for i in order)
     factors = tuple(Factor(q, tuple(normalized[i][k] for i in order))
                     for k, q in enumerate(phases))
-    stack = [GenFunState(exps, factors, Term.one(m))]
+    stack = [GenFunState(exps, factors)]
     terms: list[Term] = []
     try:
         while stack:

@@ -72,8 +72,8 @@ class AffineForm:
 class PhaseForm:
     """Phase e(coeffs . b) with rational coefficients reduced mod 1.
 
-    The constant part of a phase is always folded into a Term's polynomial,
-    so only the b-dependent coefficients live here.
+    The constant part of a phase is always folded into a state's scalar or
+    a Term's polynomial, so only the b-dependent coefficients live here.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -94,7 +94,7 @@ class PhaseForm:
         return sum((c * x for c, x in zip(self.coeffs, b)), Fraction(0)) % 1
 
     def shifted(self, q: Fraction, f: AffineForm) -> "PhaseForm":
-        """Add q times the linear part of f (the constant goes to the poly)."""
+        """Add q times the linear part of f (the caller keeps the constant)."""
         return PhaseForm(tuple((a + q * c) % 1 for a, c in zip(self.coeffs, f.coeffs)))
 
 
@@ -245,38 +245,12 @@ class Term:
     poly: ParamPoly
     guards: tuple[Guard, ...] = ()
 
-    @classmethod
-    def one(cls, m: int) -> "Term":
-        return cls(PhaseForm.zero(m), ParamPoly.one(m))
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
     def value(self, b) -> Cyclotomic:
         """0 if any guard fails, else e(phase(b)) * poly(b).  The guards'
         and the phase's eval reject a b of the wrong length."""
         if not all(g.satisfied(b) for g in self.guards):
             return Cyclotomic.zero()
         return cyc_from_phase(self.phase.eval(b)) * self.poly.eval(b)
-
-    def scaled(self, c) -> "Term":
-        return Term(self.phase, self.poly.scale(c), self.guards)
-
-    def times_poly(self, p: ParamPoly) -> "Term":
-        return Term(self.phase, self.poly * p, self.guards)
-
-    def with_guard(self, g: Guard) -> "Term":
-        if g.is_trivial() or g in self.guards:
-            return self
-        return Term(self.phase, self.poly, self.guards + (g,))
-
-    def shift_phase(self, q: Fraction, beta: AffineForm) -> "Term":
-        """Multiply by e(q * beta(b)): linear part into the phase, constant
-        part into the poly."""
-        poly = self.poly
-        if q * beta.const % 1:
-            poly = poly.scale(cyc_from_phase(q * beta.const))
-        return Term(self.phase.shifted(q, beta), poly, self.guards)
 
 
 class Summand(NamedTuple):

@@ -173,6 +173,9 @@ def expr_from_json(obj) -> ResultExpr:
                 tuple(int_vector(r, "normalized row")
                       for r in obj.get("normalized", [])),
             )
+            u = report.unimodular
+            if {len(u), *map(len, u)} != {m}:
+                raise MatrixParseError(f"unimodular is not {m} x {m}")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MatrixParseError(
             f"malformed expression: {type(exc).__name__}: {exc}") from exc

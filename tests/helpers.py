@@ -12,6 +12,7 @@ evaluates one summand on its own, the reference for `evaluate`'s plan.
 from __future__ import annotations
 
 import cmath
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial, prod
 from operator import mul
@@ -124,7 +125,10 @@ def det_int(mat) -> int:
 
 def series_value(state: GenFunState, b) -> Cyclotomic:
     """Constant-term contribution of a state at concrete b, by expanding every
-    factor as a geometric series in its standard-expansion direction."""
+    factor as a geometric series in its standard-expansion direction: 0 if a
+    guard fails, else e(phase(b)) * scalar times the series' constant term."""
+    if not all(g.satisfied(b) for g in state.guards):
+        return Cyclotomic.zero()
     goal = [f.eval(b) for f in state.exps]
     sign = 1
     phase_const = Fraction(0)
@@ -143,7 +147,8 @@ def series_value(state: GenFunState, b) -> Cyclotomic:
     total = Cyclotomic.zero()
     for ph, cnt in _phase_counts(dirs, goal).items():
         total = total + cyc_from_phase(ph) * cnt
-    return state.acc.value(b) * cyc_from_phase(phase_const) * total * sign
+    return (cyc_from_phase(state.phase.eval(b) + phase_const) * state.scalar
+            * total * sign)
 
 
 def substitute_power(state: GenFunState, j: int, n: int) -> GenFunState:
@@ -159,7 +164,7 @@ def substitute_power(state: GenFunState, j: int, n: int) -> GenFunState:
     factors = tuple(
         Factor(f.phase, tuple(e * n if i == j else e for i, e in enumerate(f.exps)))
         for f in state.factors)
-    return GenFunState(exps, factors, state.acc)
+    return replace(state, exps=exps, factors=factors)
 
 
 def cyc_pow(x: Cyclotomic, n: int) -> Cyclotomic:

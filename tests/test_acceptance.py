@@ -14,7 +14,6 @@ from vpf import (
     GenFunState,
     ParamPoly,
     ProblemSpec,
-    Term,
     UnsupportedMultiplePole,
     check_pointed,
     compute,
@@ -93,8 +92,7 @@ def test_criterion_03_mixed_pole_quarters():
                    "(1/8) e(+-b/4)"):
         st = GenFunState(
             (AffineForm((1,), 0),),
-            (Factor(F(0), (2,)), Factor(F(0), (4,))),
-            Term.one(1))
+            (Factor(F(0), (2,)), Factor(F(0), (4,))))
         terms = final_univariate(st)
         by_phase = {t.phase.coeffs[0]: t for t in terms}
         for theta in (F(1, 4), F(3, 4)):
@@ -127,27 +125,26 @@ def test_criterion_06_three_one():
         spec = ProblemSpec.from_rows([(1, 1), (3, 1)])
         st = GenFunState(
             (AffineForm((1, 0), 0), AffineForm((0, 1), 0)),
-            (Factor(F(0), (1, 3)), Factor(F(0), (1, 1))),
-            Term.one(2))
+            (Factor(F(0), (1, 3)), Factor(F(0), (1, 1))))
         children = eliminate_last_var(st)
         assert len(children) == 4
         cube = [c for c in children if c.exps == (AffineForm((3, -1), 0),)]
         assert len(cube) == 3
         seen = set()
         for c in cube:
-            assert c.acc.poly == ParamPoly.constant(2, F(1, 3))
+            assert c.scalar == F(1, 3)
             (f,) = c.factors
             assert f.exps == (2,)
             l = int(f.phase * 3)
             seen.add(l)
             # accumulated phase is ((0 - l)/3) b
-            assert c.acc.phase.coeffs == (F(0), F(-l, 3) % 1)
+            assert c.phase.coeffs == (F(0), F(-l, 3) % 1)
         assert seen == {0, 1, 2}
         (other,) = [c for c in children
                     if c.exps == (AffineForm((1, -1), 0),)]
         assert other.factors == (Factor(F(0), (-2,)),)
         flipped = flip(other, 0)
-        assert flipped.acc.poly == ParamPoly.constant(2, -1)
+        assert flipped.scalar == -1
         assert flipped.exps == (AffineForm((1, -1), -2),)
         assert flipped.factors == (Factor(F(0), (2,)),)
 
@@ -206,7 +203,7 @@ def _random_genfun_state(rng):
             v = [rng.randint(-3, 3) for _ in range(m)]
         factors.append(Factor(rng.choice(phases), tuple(v)))
     exps = tuple(AffineForm.unit(m, i) + rng.randint(-1, 1) for i in range(m))
-    return GenFunState(exps, tuple(factors), Term.one(m))
+    return GenFunState(exps, tuple(factors))
 
 
 def test_criterion_08_series_invariance():
@@ -259,8 +256,7 @@ def test_criterion_09_dedekind_cross_check():
                 continue  # only simple groups here
             st = GenFunState(
                 (AffineForm((1,), 0),),
-                tuple(Factor(q, (n,)) for q, n in facs),
-                Term.one(1))
+                tuple(Factor(q, (n,)) for q, n in facs))
             terms = final_univariate(st)
             ordered = sorted(roots)
             assert len(terms) == len(ordered)

@@ -16,6 +16,7 @@ BECK = "2 4\n1 2 1 0\n1 1 0 1\n"
 NOT_POINTED = "1 2\n1 -1\n"
 COLLIDE = "2 3\n1 1 2\n1 1 1\n"
 COLLIDE3 = "3 3\n1 1 0\n1 1 0\n0 0 1\n"
+NEGATIVE = "2 3\n1 -1 0\n0 1 1\n"
 
 
 @pytest.fixture
@@ -143,6 +144,19 @@ class TestEval:
 
     def test_verify_term_arity_mismatch_exits_4(self, mat, capsys, wrong_m):
         assert main(["verify", mat(A2), "0..1,0..1", "--expr", wrong_m]) == 4
+        assert "bad expression JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unimodular", [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0], [1, 2]],
+    ], ids=["3x3", "ragged"])
+    def test_unimodular_not_m_by_m_exits_4(self, mat, capsys, tmp_path,
+                                           unimodular):
+        assert main(["compute", mat(NEGATIVE), "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        obj["unimodular"] = unimodular
+        ep = tmp_path / "bad.json"
+        ep.write_text(json.dumps(obj))
+        assert main(["eval", str(ep), "1,2"]) == 4
         assert "bad expression JSON" in capsys.readouterr().err
 
 

@@ -1,6 +1,8 @@
-"""Symbolic parameter algebra: affine forms, phases, polynomials, terms."""
+"""Symbolic parameter algebra: affine forms, phases, polynomials, terms,
+and the elimination's accumulator step into a term's parts."""
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -10,6 +12,7 @@ from vpf import (
     AffineForm,
     Cyclotomic,
     DimensionMismatch,
+    GenFunState,
     Guard,
     ParamPoly,
     PhaseForm,
@@ -17,6 +20,7 @@ from vpf import (
     binom_poly,
     cyc_from_phase,
 )
+from vpf.genfun import accumulate
 from vpf.params import EQ_ZERO, GE_ZERO
 
 
@@ -145,10 +149,24 @@ class TestGuard:
             Guard(AffineForm((1,), 0), "gt")
 
 
+def _state(m):
+    """A state over m parameters with identity exponents and no factors."""
+    return GenFunState(tuple(AffineForm.unit(m, i) for i in range(m)), ())
+
+
+def _term(step):
+    """The Term of a (phase, guards, scalar) accumulator step."""
+    phase, guards, scalar = step
+    return Term(phase, ParamPoly.constant(len(phase.coeffs), scalar), guards)
+
+
 class TestTerm:
+    """Term.value, and the engine's accumulator step into a Term's parts."""
+
     def test_guard_failure_yields_zero(self):
-        t = Term.one(1).with_guard(Guard(AffineForm((1,), 0), GE_ZERO))
+        t = _term(accumulate(_state(1), Guard(AffineForm((1,), 0), GE_ZERO)))
         assert t.value((-1,)).is_zero()
+        assert t.value((0,)) == 1
 
     def test_a2_leaf(self):
         # a+1 under a >= 0, evaluated at a=3.
@@ -163,24 +181,29 @@ class TestTerm:
         assert t.value((2,)).to_rational() == F(-1, 8)
 
     def test_linear_in_scalar(self):
-        t = Term(PhaseForm((F(1, 3),)),
-                 ParamPoly.from_affine(AffineForm((1,), 1)).scale(2))
-        for b in range(4):
-            assert t.scaled(3).value((b,)) == t.value((b,)) * 3
+        # The step multiplies the scalar by c, and the value is linear in it.
+        st = replace(_state(1), scalar=cyc_from_phase(F(1, 3)) * 2)
+        g = Guard(AffineForm((1,), 1), GE_ZERO)
+        base = accumulate(st, g, 1, F(1, 3))
+        scaled = accumulate(st, g, 3, F(1, 3))
+        assert scaled[2] == base[2] * 3
+        assert scaled[:2] == base[:2]
+        for b in range(-2, 4):
+            assert _term(scaled).value((b,)) == _term(base).value((b,)) * 3
 
     def test_always_true_guard_changes_nothing(self):
-        t = Term.one(2)
-        t2 = t.with_guard(Guard(AffineForm((0, 0), 1), GE_ZERO))
-        assert t2 == t
-        for b in ((0, 0), (4, -2)):
-            assert t2.value(b) == t.value(b)
+        st = _state(2)
+        step = accumulate(st, Guard(AffineForm((0, 0), 1), GE_ZERO))
+        assert step == (st.phase, (), st.scalar)
 
     def test_shift_phase_constant_goes_to_scalar(self):
-        t = Term.one(1).shift_phase(F(1, 4), AffineForm((1,), 2))
-        assert t.poly == ParamPoly.constant(1, cyc_from_phase(F(1, 2)))
-        assert t.phase.coeffs == (F(1, 4),)
+        phase, guards, scalar = accumulate(
+            _state(1), Guard(AffineForm((1,), 2), GE_ZERO), 1, F(1, 4))
+        assert scalar == cyc_from_phase(F(1, 2))
+        assert phase.coeffs == (F(1, 4),)
 
     def test_duplicate_guard_dropped(self):
         g = Guard(AffineForm((1,), 0), GE_ZERO)
-        t = Term.one(1).with_guard(g).with_guard(g)
-        assert t.guards == (g,)
+        _, guards, _ = accumulate(_state(1), g)
+        _, guards, _ = accumulate(replace(_state(1), guards=guards), g)
+        assert guards == (g,)

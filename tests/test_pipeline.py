@@ -1,6 +1,8 @@
 """End-to-end pipeline: preprocessing, computation, evaluation, verification."""
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -210,6 +212,14 @@ class TestCompute:
             total = sum(summand_value(s, (b,)) for s in expr.terms)
             assert total == terms_value(raw, (b,))
             assert total == (1 if b % 2 == 0 else 0)
+
+    def test_phased_expression_pickles_and_copies(self):
+        # Its tables hold Cyclotomic entries, which are immutable.
+        expr = compute(ProblemSpec.from_rows([(1, 1)], phases=(F(1, 3), 0)))
+        values = [evaluate(expr, (b,)) for b in range(-2, 9)]
+        for other in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr)):
+            assert other == expr
+            assert [evaluate(other, (b,)) for b in range(-2, 9)] == values
 
 
 class TestEvaluate:

@@ -201,11 +201,14 @@ class TestExpr:
         lambda o: o["terms"][1].pop("residue"),
         lambda o: o["terms"][1]["poly"][0].pop("table"),
         lambda o: o["terms"][1].update(poly=[{"exps": [0], "coeff": "1"}]),
+        lambda o: o.update(unimodular=[[1, 0], [0, 1]]),
+        lambda o: o.update(unimodular=[[1, 0]]),
     ], ids=["bool-m", "float-modulus", "bool-modulus", "modulus-0",
             "residue-length", "float-residue", "table-length", "float-entry",
             "zero-denominator-entry", "float-entry-level", "negative-exponent",
             "bool-exponent", "guard-length", "no-modulus", "no-residue",
-            "no-table", "schema-2-monomial"])
+            "no-table", "schema-2-monomial", "unimodular-2x2",
+            "unimodular-long-row"])
     def test_malformed_schema3_rejected(self, edit):
         obj = json.loads(json.dumps(
             expr_to_json(compute(ProblemSpec.from_rows([(1, 2)])))))
@@ -260,11 +263,24 @@ PINNED_JSON = [
     pytest.param([(1, -1, 0), (0, 1, 1)], None,
                  "b7762865f2ecef1d0fffcf349d551b4b8515fbc95a55f66b1ce49344004b2963",
                  id="negative"),
+    # The two orders with the most raw engine terms (518 and 534).
+    pytest.param(M34, (0, 1, 2),
+                 "d42f9f0e6704097e69b32e7a6592f823fed628a20806d3469b05ae8aab38294e",
+                 id="3x4_order_012"),
+    pytest.param(M34, (1, 0, 2),
+                 "1004d0ff4f464ec63b2e43cdd0a29c9286c3e3dc583617b4942f5bb55e78a923",
+                 id="3x4_order_102"),
+    # Cyclotomic table entries.
+    pytest.param(ProblemSpec.from_rows([(1, 1), (0, 1)], phases=(F(1, 3), 0)),
+                 None,
+                 "471e74e4cd18597b8f6d916224a8344f2f2dbb6615f09dbb9c1964c001d4ace8",
+                 id="phased"),
 ]
 
 
 @pytest.mark.parametrize("rows, order, digest", PINNED_JSON)
 def test_pinned_json_output(rows, order, digest):
-    expr = compute(ProblemSpec.from_rows(rows), order=order)
+    spec = rows if isinstance(rows, ProblemSpec) else ProblemSpec.from_rows(rows)
+    expr = compute(spec, order=order)
     text = json.dumps(expr_to_json(expr), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
