@@ -5,11 +5,12 @@ and a constant scalar under guards.  One elimination step rewrites the
 constant-term functional over the last active variable as child states with
 one variable fewer, each moved by `accumulate`; the univariate stage resolves
 arbitrary pole multiplicities into closed Terms, the numerators times the
-scalar.  `expand` runs it all, depth first, from the normalized matrix.
+scalar.  `expand` runs it all from the normalized matrix, level by level,
+merging equal states.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 
@@ -252,33 +253,46 @@ def final_univariate(state: GenFunState) -> list[Term]:
     return terms
 
 
+def _merge_states(states) -> list[GenFunState]:
+    """One state per key, every field but the scalar (guards as a set), with
+    the scalars of its states summed; a state whose sum is zero is dropped.
+
+    Exact because every later step is linear in the scalar and a state's
+    value depends on its guards only through their conjunction.
+    """
+    merged: dict[tuple, GenFunState] = {}
+    for st in states:
+        key = (st.exps, st.factors, st.phase, frozenset(st.guards))
+        first = merged.get(key)
+        merged[key] = st if first is None else replace(
+            first, scalar=first.scalar + st.scalar)
+    return [st for st in merged.values() if not st.scalar.is_zero()]
+
+
 def expand(normalized, phases, order) -> list[Term]:
     """Closed Terms summing to the coefficient of z^b in
     prod_k 1/(1 - e(phases[k]) z^{c_k}), c_k the k-th column of the
     nonnegative matrix `normalized`.
 
-    The rows are eliminated in `order`, last first, depth first, so the
-    terms come out in the order the children are made.
+    The rows are eliminated in `order`, last first, level by level, merging
+    equal states: every state of a level is eliminated, and the children
+    that differ only in their scalars become one state.
     """
     m = len(normalized)
     exps = tuple(AffineForm.unit(m, i) for i in order)
     factors = tuple(Factor(q, tuple(normalized[i][k] for i in order))
                     for k, q in enumerate(phases))
-    stack = [GenFunState(exps, factors)]
-    terms: list[Term] = []
+    level = [GenFunState(exps, factors)]
     try:
-        while stack:
-            st = stack.pop()
-            if st.active == 1:
-                terms.extend(final_univariate(st))
-            else:
-                stack.extend(reversed(eliminate_last_var(st)))
+        for _ in range(m - 1):
+            level = _merge_states(
+                child for st in level for child in eliminate_last_var(st))
+        return [t for st in level for t in final_univariate(st)]
     except UnsupportedMultiplePole as exc:
         rows = ",".join(str(i + 1) for i in order)
         raise UnsupportedMultiplePole(
             f"{exc}, eliminating rows in the order {rows} (last first); "
             f"another order (--order) may avoid it") from exc
-    return terms
 
 
 def dedekind_sum(n: int, a_phase: Fraction, f, beta: int) -> Cyclotomic:

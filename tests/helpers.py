@@ -5,8 +5,9 @@ GenFunState directly from geometric series, independently of the elimination
 engine, so engine steps can be checked against it.  The depth-first counter
 `count_points_dfs` is the reference for the graded box oracle `box_counts`,
 and `det_int` checks that unimodular completions have determinant +-1.
-`raw_terms` runs the engine without collapsing its terms into summands, and
-`schema2_doc` writes those terms as schema-2 expression JSON.  `summand_value`
+`raw_terms` runs the engine without collapsing its terms into summands,
+`unmerged_terms` runs it without merging equal states either, and
+`schema2_doc` writes the raw terms as schema-2 expression JSON.  `summand_value`
 evaluates one summand on its own, the reference for `evaluate`'s plan.
 """
 from __future__ import annotations
@@ -18,6 +19,7 @@ from math import factorial, prod
 from operator import mul
 
 from vpf import (
+    AffineForm,
     Cyclotomic,
     DimensionMismatch,
     Factor,
@@ -25,6 +27,8 @@ from vpf import (
     ProblemSpec,
     compute,
     cyc_from_phase,
+    eliminate_last_var,
+    final_univariate,
 )
 from vpf.genfun import expand
 from vpf.matrixops import fm_certificate
@@ -210,6 +214,25 @@ def raw_terms(spec: ProblemSpec, order=None) -> list:
     """The engine's terms for `spec`, before `compute` collapses them."""
     order = tuple(range(spec.m)) if order is None else order
     return expand(preprocess(spec).normalized, spec.phases, order)
+
+
+def unmerged_terms(spec: ProblemSpec, order=None) -> list:
+    """The engine's terms for `spec` with every state eliminated on its own,
+    depth first, and no equal states merged: the reference for `expand`."""
+    order = tuple(range(spec.m)) if order is None else order
+    normalized = preprocess(spec).normalized
+    exps = tuple(AffineForm.unit(spec.m, i) for i in order)
+    factors = tuple(Factor(q, tuple(normalized[i][k] for i in order))
+                    for k, q in enumerate(spec.phases))
+    stack = [GenFunState(exps, factors)]
+    terms = []
+    while stack:
+        st = stack.pop()
+        if st.active == 1:
+            terms.extend(final_univariate(st))
+        else:
+            stack.extend(eliminate_last_var(st))
+    return terms
 
 
 def phase_to_json(p) -> dict:

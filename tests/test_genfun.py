@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -328,6 +329,28 @@ class TestPfdNumerator:
     def test_theta_must_be_a_root(self):
         with pytest.raises(ValueError):
             pfd_numerator(F(1, 2), [(F(0), 1)], AffineForm((0,), 0))
+
+
+class TestExpand:
+    @pytest.mark.parametrize("order", permutations(range(3)),
+                             ids=lambda o: "".join(map(str, o)))
+    def test_final_states_merged(self, order, monkeypatch):
+        # Every state that reaches the last variable has its own key, every
+        # field but the scalar, and a nonzero scalar.
+        import vpf.genfun
+
+        seen = []
+
+        def record(state):
+            seen.append(state)
+            return final_univariate(state)
+
+        monkeypatch.setattr(vpf.genfun, "final_univariate", record)
+        compute(ProblemSpec.from_rows(
+            [(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)]), order)
+        keys = {(s.exps, s.factors, s.phase, frozenset(s.guards)) for s in seen}
+        assert seen and len(keys) == len(seen)
+        assert not any(s.scalar.is_zero() for s in seen)
 
 
 class TestLadderLevels:

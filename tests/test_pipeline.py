@@ -297,6 +297,15 @@ class TestVerifyBox:
             for b in range(-5, 0):
                 assert evaluate(expr, (a, b)) == 0
 
+    def test_three_row_negative_entries(self):
+        # A 3-row matrix with negative entries from the differential fuzz:
+        # its normalized rows make many children at every elimination step.
+        spec = ProblemSpec.from_rows([(-2, 3, 2), (3, 0, -1), (1, 1, -2)])
+        expr = compute(spec, (2, 1, 0))
+        report = verify_box(spec, expr, (-2,) * 3, (3,) * 3)
+        assert report.points_checked == 216
+        assert report.ok, report.mismatches[:3]
+
     def test_merging_soundness(self):
         # The raw engine terms' sum equals the summands' sum everywhere.
         for spec in (A2, THREE_ONE, BECK):

@@ -263,7 +263,7 @@ PINNED_JSON = [
     pytest.param([(1, -1, 0), (0, 1, 1)], None,
                  "b7762865f2ecef1d0fffcf349d551b4b8515fbc95a55f66b1ce49344004b2963",
                  id="negative"),
-    # The two orders with the most raw engine terms (518 and 534).
+    # The two orders with the most raw engine terms (218 and 210).
     pytest.param(M34, (0, 1, 2),
                  "d42f9f0e6704097e69b32e7a6592f823fed628a20806d3469b05ae8aab38294e",
                  id="3x4_order_012"),

@@ -31,7 +31,13 @@ from vpf.matrixops import mat_vec_int
 from vpf.render import render_expr_latex, render_expr_text
 from vpf.serialize import expr_from_json, expr_to_json
 
-from .helpers import raw_terms, schema2_doc, summand_value, terms_value
+from .helpers import (
+    raw_terms,
+    schema2_doc,
+    summand_value,
+    terms_value,
+    unmerged_terms,
+)
 
 
 DATA = Path(__file__).parent / "data"
@@ -178,11 +184,36 @@ class TestSummandsMatchTerms:
             compute(ProblemSpec.from_rows([(1, 1)]))
 
 
+class TestMergedStates:
+    """`expand` merges the states of a level that differ only in their
+    scalars; the unmerged depth-first run is the reference."""
+
+    @pytest.mark.parametrize("rows, order", BENCH_INPUTS)
+    def test_benchmark_inputs(self, rows, order):
+        spec = ProblemSpec.from_rows(rows)
+        merged, unmerged = raw_terms(spec, order), unmerged_terms(spec, order)
+        for b in points(spec.m, random.Random(5)):
+            assert terms_value(merged, b) == terms_value(unmerged, b)
+
+    @pytest.mark.parametrize("rows, phases", PHASED)
+    def test_phased_specs(self, rows, phases):
+        spec = ProblemSpec.from_rows(rows, phases)
+        merged, unmerged = raw_terms(spec), unmerged_terms(spec)
+        for b in points(spec.m, random.Random(6), count=20, lo=-2, hi=9):
+            assert terms_value(merged, b) == terms_value(unmerged, b)
+
+    def test_default_order_makes_fewer_terms(self):
+        # Without the merge the 3x4 default order makes 518 raw terms.
+        spec = ProblemSpec.from_rows(M34)
+        assert len(unmerged_terms(spec, (0, 1, 2))) == 518
+        assert len(raw_terms(spec, (0, 1, 2))) < 518
+
+
 class TestSchema2Collapse:
     @pytest.mark.parametrize("rows, order", BENCH_INPUTS)
     def test_raw_terms_collapse_like_compute(self, rows, order):
         # The reader collapses schema-2 terms with compute's own grouping,
-        # here from the unmerged terms, whose equal phases share a table.
+        # here from the raw engine terms, whose equal phases share a table.
         spec = ProblemSpec.from_rows(rows)
         doc = json.loads(json.dumps(schema2_doc(spec, order)))
         back = expr_from_json(doc)
