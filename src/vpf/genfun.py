@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
+from numbers import Rational
 
 from .cyclotomic import Cyclotomic, cyc_from_phase, inv_one_minus_phase
 from .errors import DimensionMismatch, MatrixParseError, UnsupportedMultiplePole
@@ -35,6 +36,9 @@ class Factor:
 
     phase: Fraction
     exps: tuple[int, ...]
+    #: 0-based index of the input column this factor came from, carried for
+    #: error messages only; equal factors of different columns merge.
+    column: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.phase < 1:
@@ -82,7 +86,7 @@ def flip(state: GenFunState, k: int) -> GenFunState:
     """Replace factor k via 1/(1-e(q)z^v) = -e(-q) z^{-v} / (1-e(-q)z^{-v})."""
     f = state.factors[k]
     q = (-f.phase) % 1
-    new_factor = Factor(q, tuple(-e for e in f.exps))
+    new_factor = Factor(q, tuple(-e for e in f.exps), f.column)
     factors = state.factors[:k] + (new_factor,) + state.factors[k + 1:]
     exps = tuple(beta + v for beta, v in zip(state.exps, f.exps))
     return GenFunState(exps, factors, state.phase, state.guards,
@@ -115,37 +119,42 @@ def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
 
     if not chosen:
         # No factor involves the variable: const of z^{-beta_w} alone.
-        factors = tuple(Factor(f.phase, f.exps[:w]) for f in state.factors)
+        factors = tuple(Factor(f.phase, f.exps[:w], f.column)
+                        for f in state.factors)
         return [GenFunState(state.exps[:w], factors,
                             *accumulate(state, Guard(beta_w, EQ_ZERO)))]
 
+    guard = Guard(beta_w, GE_ZERO)
     children = []
     for k in chosen:
         fk = state.factors[k]
         n = fk.exps[w]
+        exps = tuple(n * state.exps[j] - fk.exps[j] * beta_w for j in range(w))
+        others = [(ft, tuple(n * ft.exps[j] - ft.exps[w] * fk.exps[j]
+                             for j in range(w)))
+                  for t, ft in enumerate(state.factors) if t != k]
         for l in range(n):
             c = Fraction(1, n)
-            exps = tuple(
-                n * state.exps[j] - fk.exps[j] * beta_w for j in range(w))
+            shift = Fraction(l - fk.phase, n)
             factors = []
-            for t, ft in enumerate(state.factors):
-                if t == k:
-                    continue
-                vw = ft.exps[w]
-                q2 = (ft.phase + vw * Fraction(l - fk.phase, n)) % 1
-                v2 = tuple(n * ft.exps[j] - vw * fk.exps[j] for j in range(w))
-                if not any(v2):
-                    if q2 == 0:
-                        raise UnsupportedMultiplePole(
-                            f"with {state.active} active variables, factor "
-                            f"(phase {ft.phase}, exponents {ft.exps}) shares "
-                            f"a root with factor (phase {fk.phase}, "
-                            f"exponents {fk.exps})")
-                    c = c * inv_one_minus_phase(q2)
+            for ft, v2 in others:
+                q2 = (ft.phase + ft.exps[w] * shift) % 1
+                if any(v2):
+                    factors.append(Factor(q2, v2, ft.column))
+                elif q2 == 0:
+                    cols = sorted(f.column + 1 for f in (ft, fk)
+                                  if f.column is not None)
+                    raise UnsupportedMultiplePole(
+                        f"with {state.active} active variables, factor "
+                        f"(phase {ft.phase}, exponents {ft.exps}) shares "
+                        f"a root with factor (phase {fk.phase}, "
+                        f"exponents {fk.exps})" + (
+                            f", input columns {cols[0]} and {cols[1]}"
+                            if len(cols) == 2 else ""))
                 else:
-                    factors.append(Factor(q2, v2))
+                    c = c * inv_one_minus_phase(q2)
             children.append(GenFunState(exps, tuple(factors), *accumulate(
-                state, Guard(beta_w, GE_ZERO), c, Fraction(fk.phase - l, n))))
+                state, guard, c, -shift)))
     return children
 
 
@@ -164,24 +173,6 @@ class PfdNumerator:
     mult: int
     beta: AffineForm
     series: tuple[Cyclotomic, ...]
-
-    def constant_poly(self) -> ParamPoly:
-        """A(b) without the alpha^beta phase: the numerator at w = 0.
-
-        There t = -alpha^{-1} and (-alpha)^i t^i = 1, so
-        A = sum_{i<mult} binom(beta+i-1, i) S_{mult-1-i} with the partial
-        sums S_r = sum_{k<=r} series[k] t^k.
-        """
-        point = -cyc_from_phase((-self.theta) % 1)  # -alpha^{-1}
-        partial = [self.series[0]]
-        power = Cyclotomic.one()
-        for c in self.series[1:]:
-            power = power * point
-            partial.append(partial[-1] + c * power)
-        out = ParamPoly.zero(self.beta.arity)
-        for i in range(self.mult):
-            out = out + binom_poly(i, self.beta).scale(partial[-1 - i])
-        return out
 
 
 def pfd_numerator(theta: Fraction, factors, beta: AffineForm) -> PfdNumerator:
@@ -222,6 +213,22 @@ def pfd_numerator(theta: Fraction, factors, beta: AffineForm) -> PfdNumerator:
     return PfdNumerator(theta, mu, beta, tuple(prod))
 
 
+def numerator_constants(beta: AffineForm, numerators) -> list[ParamPoly]:
+    """A(b), the numerator at w = 0 without its phase alpha^beta, for each of
+    a state's numerators over `beta`: by the hockey-stick identity, the sum
+    of series[k] t^k binom(beta+mult-1-k, mult-1-k) over k < mult at
+    t = -alpha^{-1}, on a basis binom(beta+r, r) built once for all roots."""
+    basis = [binom_poly(r, beta + 1) for r in range(max(x.mult for x in numerators))]
+    out = []
+    for num in numerators:
+        point = -cyc_from_phase((-num.theta) % 1)  # t at w = 0
+        a = ParamPoly.zero(beta.arity)
+        for k in reversed(range(num.mult)):  # Horner in t
+            a = a.scale(point) + basis[num.mult - 1 - k].scale(num.series[k])
+        out.append(a)
+    return out
+
+
 def final_univariate(state: GenFunState) -> list[Term]:
     """Resolve the last variable, arbitrary multiplicities, into closed Terms."""
     if state.active != 1:
@@ -243,10 +250,11 @@ def final_univariate(state: GenFunState) -> list[Term]:
         return [Term(phase, ParamPoly.constant(beta.arity, scalar), guards)]
 
     roots = {Fraction(q - l, n) % 1 for q, n in factors for l in range(n)}
+    nums = [pfd_numerator(theta, factors, beta) for theta in sorted(roots)]
+    guard = Guard(beta, GE_ZERO)
     terms = []
-    for theta in sorted(roots):
-        a0 = pfd_numerator(theta, factors, beta).constant_poly()
-        phase, guards, scalar = accumulate(state, Guard(beta, GE_ZERO), c, theta)
+    for num, a0 in zip(nums, numerator_constants(beta, nums)):
+        phase, guards, scalar = accumulate(state, guard, c, num.theta)
         poly = a0.scale(scalar)
         if not poly.is_zero():
             terms.append(Term(phase, poly, guards))
@@ -280,7 +288,7 @@ def expand(normalized, phases, order) -> list[Term]:
     """
     m = len(normalized)
     exps = tuple(AffineForm.unit(m, i) for i in order)
-    factors = tuple(Factor(q, tuple(normalized[i][k] for i in order))
+    factors = tuple(Factor(q, tuple(normalized[i][k] for i in order), k)
                     for k, q in enumerate(phases))
     level = [GenFunState(exps, factors)]
     try:
@@ -305,14 +313,20 @@ def dedekind_sum(n: int, a_phase: Fraction, f, beta: int) -> Cyclotomic:
     n, beta = int_vector((n, beta), "n and beta")
     if n < 1:
         raise MatrixParseError(f"the group size n must be positive, got {n}")
+    if bool in map(type, (a_phase, *f)) or not (
+            isinstance(a_phase, Rational)
+            and all(isinstance(c, (Rational, Cyclotomic)) for c in f)):
+        raise MatrixParseError(
+            f"a_phase {a_phase!r} must be rational and each coefficient of "
+            f"{f!r} rational or cyclotomic; floats and bools are rejected")
+    f = [c if isinstance(c, Cyclotomic) else Cyclotomic.from_rational(c)
+         for c in f]
     total = Cyclotomic.zero()
     for l in range(n):
         theta = (Fraction(a_phase) + l) / n
         alpha_inv = cyc_from_phase(-theta)
         val = Cyclotomic.one()
         for c in f:
-            if not isinstance(c, Cyclotomic):
-                c = Cyclotomic.from_rational(c)
             val = val * (1 - c * alpha_inv)
         if val.is_zero():
             raise ZeroDivisionError(

@@ -55,9 +55,10 @@ class ProblemSpec:
         object.__setattr__(
             self, "phases", tuple(Fraction(q) % 1 for q in self.phases))
         for k in range(d):
-            if self.phases[k] == 0 and not any(row[k] for row in self.entries):
+            if not any(row[k] for row in self.entries):
                 # A zero column puts e_k in ker(A) Z_{>=0}^d, so the cone
-                # condition fails no matter what the other columns are.
+                # condition fails no matter what the other columns or the
+                # phases are.
                 raise NotPointed(f"column {k} is zero")
 
     @classmethod

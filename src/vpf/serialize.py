@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
-from .errors import MatrixParseError
+from .errors import MatrixParseError, NotPointed
 from .matrixops import int_vector
 from .params import (
     AffineForm,
@@ -21,13 +21,16 @@ from .params import (
     Term,
     collapse_terms,
 )
-from .pipeline import PreprocessReport, ResultExpr
+from .pipeline import PreprocessReport, ProblemSpec, ResultExpr
 
-#: Version of the expression JSON written here.  Schemas 1 and 2 held the
-#: engine's terms (phase, poly, guards; schema 1 with a separate cyclotomic
-#: "scalar") and are collapsed into summands on load; schema 3 holds the
-#: summands, with tables of rationals as coefficients.
+#: Versions of the expression JSON.  Schemas 1 and 2 held the engine's terms
+#: (phase, poly, guards; schema 1 with a separate cyclotomic "scalar") and
+#: are collapsed into summands on load; schema 3 holds the summands, with
+#: tables of rationals as coefficients.  Schema 4 is schema 3 plus
+#: "phases", one rational per column, and is written only for a spec with a
+#: nonzero column phase, so an unphased document stays schema 3.
 SCHEMA = 3
+PHASED_SCHEMA = 4
 
 
 def rat_to_json(q: Fraction) -> str:
@@ -138,11 +141,28 @@ def summand_from_json(obj, arity: int) -> Summand:
     return Summand(guards, modulus, residue, poly)
 
 
+def spec_from_json(obj, m: int, schema: int) -> ProblemSpec:
+    """The spec of a document with a "matrix": `m` rows, no zero column,
+    and for schema 4 the "phases"; anything else is a MatrixParseError."""
+    rows = obj["matrix"]
+    if len(rows) != m:
+        raise MatrixParseError(f"the matrix has {len(rows)} rows, not {m}")
+    phases = (tuple(rat_from_json(q) for q in obj["phases"])
+              if schema == PHASED_SCHEMA else ())
+    try:
+        return ProblemSpec.from_rows(rows, phases)
+    except NotPointed as exc:
+        raise MatrixParseError(f"the matrix is not pointed: {exc}") from exc
+
+
 def expr_to_json(expr: ResultExpr) -> dict:
-    out = {"schema": SCHEMA, "m": expr.m,
+    phased = expr.spec is not None and any(expr.spec.phases)
+    out = {"schema": PHASED_SCHEMA if phased else SCHEMA, "m": expr.m,
            "terms": [summand_to_json(s) for s in expr.terms]}
     if expr.spec is not None:
         out["matrix"] = [list(r) for r in expr.spec.entries]
+    if phased:
+        out["phases"] = [rat_to_json(q) for q in expr.spec.phases]
     if expr.report is not None:
         out["certificate"] = [rat_to_json(c) for c in expr.report.certificate]
         out["unimodular"] = [list(r) for r in expr.report.unimodular]
@@ -151,20 +171,25 @@ def expr_to_json(expr: ResultExpr) -> dict:
 
 
 def expr_from_json(obj) -> ResultExpr:
-    """Reads schema 3, and schemas 2 and 1 (no "schema" key), whose terms
-    are collapsed into summands as `compute` does.  Any other schema and
-    any malformed document is a MatrixParseError."""
+    """Reads schemas 3 and 4, and schemas 2 and 1 (no "schema" key), whose
+    terms are collapsed into summands as `compute` does.  A document with a
+    "matrix" gets its spec back, with the column phases of schema 4, which
+    must have both.  Any other schema and any malformed document is a
+    MatrixParseError."""
     try:
         (schema,) = int_vector((obj["schema"] if "schema" in obj else 1,),
                                "schema")
-        if schema not in (1, 2, SCHEMA):
+        if schema not in (1, 2, SCHEMA, PHASED_SCHEMA):
             raise MatrixParseError(f"unknown expression schema {schema!r}")
         (m,) = int_vector((obj["m"],), "m")
-        if schema == SCHEMA:
+        if schema >= SCHEMA:
             terms = tuple(summand_from_json(s, m) for s in obj["terms"])
         else:
             terms = collapse_terms(
                 [term_from_json(t, m, schema) for t in obj["terms"]])
+        spec = None
+        if "matrix" in obj or schema == PHASED_SCHEMA:
+            spec = spec_from_json(obj, m, schema)
         report = None
         if "unimodular" in obj:
             report = PreprocessReport(
@@ -179,4 +204,4 @@ def expr_from_json(obj) -> ResultExpr:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MatrixParseError(
             f"malformed expression: {type(exc).__name__}: {exc}") from exc
-    return ResultExpr(m, terms, None, report)
+    return ResultExpr(m, terms, spec, report)

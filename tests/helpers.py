@@ -8,7 +8,9 @@ and `det_int` checks that unimodular completions have determinant +-1.
 `raw_terms` runs the engine without collapsing its terms into summands,
 `unmerged_terms` runs it without merging equal states either, and
 `schema2_doc` writes the raw terms as schema-2 expression JSON.  `summand_value`
-evaluates one summand on its own, the reference for `evaluate`'s plan.
+evaluates one summand on its own, the reference for `evaluate`'s plan, and
+`constant_poly` is the partial-sum form of a numerator constant, the
+reference for `genfun.numerator_constants`.
 """
 from __future__ import annotations
 
@@ -24,7 +26,9 @@ from vpf import (
     DimensionMismatch,
     Factor,
     GenFunState,
+    ParamPoly,
     ProblemSpec,
+    binom_poly,
     compute,
     cyc_from_phase,
     eliminate_last_var,
@@ -356,6 +360,23 @@ def w_coeffs_at(num, b) -> list:
         base = cp_mul(base, [-cyc_from_phase(-num.theta), CONE])
     phase = cyc_from_phase(num.theta * beta)
     return [phase * c for c in out]
+
+
+def constant_poly(num) -> ParamPoly:
+    """A(b) of a PfdNumerator without the alpha^beta phase: the numerator at
+    w = 0 by partial sums.  There t = -alpha^{-1} and (-alpha)^i t^i = 1, so
+    A = sum_{i<mult} binom(beta+i-1, i) S_{mult-1-i} with the partial sums
+    S_r = sum_{k<=r} series[k] t^k."""
+    point = -cyc_from_phase((-num.theta) % 1)  # -alpha^{-1}
+    partial = [num.series[0]]
+    power = CONE
+    for c in num.series[1:]:
+        power = power * point
+        partial.append(partial[-1] + c * power)
+    out = ParamPoly.zero(num.beta.arity)
+    for i in range(num.mult):
+        out = out + binom_poly(i, num.beta).scale(partial[-1 - i])
+    return out
 
 
 def constant_at(num, b) -> Cyclotomic:

@@ -238,6 +238,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "with 2 active variables" in err
         assert "(phase 0, exponents (1, 1))" in err
+        assert "input columns 1 and 2" in err
         assert "order 2,1" in err and "--order" in err
 
     def test_parse_error_is_4(self, mat, capsys):

@@ -27,11 +27,13 @@ from vpf import (
     flip,
     pfd_numerator,
 )
+from vpf.genfun import numerator_constants
 from vpf.params import EQ_ZERO, GE_ZERO
 from vpf.serialize import expr_to_json
 
 from .helpers import (
     constant_at,
+    constant_poly,
     cyc_pow,
     raw_terms,
     series_value,
@@ -47,15 +49,22 @@ def F(p, q=1):
 
 
 def make_state(factor_specs, exps=None, m=None):
-    """State over m variables with identity exponents unless given."""
+    """State over m variables with identity exponents unless given; factor
+    k stands for input column k."""
     if exps is None:
         m = m if m is not None else len(factor_specs[0][1])
         exps = tuple(AffineForm.unit(m, i) for i in range(m))
-    factors = tuple(Factor(F(q) % 1, tuple(v)) for q, v in factor_specs)
+    factors = tuple(Factor(F(q) % 1, tuple(v), k)
+                    for k, (q, v) in enumerate(factor_specs))
     return GenFunState(tuple(exps), factors)
 
 
 class TestFactor:
+    def test_column_not_compared(self):
+        # Equal factors of different input columns merge.
+        assert Factor(F(1, 2), (1, 2), 0) == Factor(F(1, 2), (1, 2), 3)
+        assert hash(Factor(F(1, 2), (1, 2), 0)) == hash(Factor(F(1, 2), (1, 2)))
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             Factor(F(0), (0, 0))
@@ -76,6 +85,7 @@ class TestFlip:
         st = make_state([(0, (-2,))], exps=(AffineForm((1, -1), 0),))
         out = flip(st, 0)
         assert out.factors == (Factor(F(0), (2,)),)
+        assert out.factors[0].column == 0
         assert out.exps == (AffineForm((1, -1), -2),)
         assert out.scalar == -1
 
@@ -181,9 +191,25 @@ class TestEliminateLastVar:
                 assert not all(g.satisfied(b) for g in c.guards)
 
     def test_multiple_pole_rejected(self):
-        st = make_state([(0, (1, 1)), (0, (1, 1))])
-        with pytest.raises(UnsupportedMultiplePole):
+        st = make_state([(0, (1, 0)), (0, (1, 1)), (0, (1, 1))])
+        with pytest.raises(UnsupportedMultiplePole,
+                           match="input columns 2 and 3$"):
             eliminate_last_var(st)
+        # A factor that knows no column leaves the columns out.
+        st = GenFunState(st.exps, tuple(Factor(f.phase, f.exps)
+                                        for f in st.factors))
+        with pytest.raises(UnsupportedMultiplePole, match=r"\(1, 1\)\)$"):
+            eliminate_last_var(st)
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([(1, 1, 0), (0, 0, 1), (1, 1, 1)], "1 and 2"),
+        ([(0, 1, 1), (1, 0, 0), (1, 1, 1)], "2 and 3"),
+        ([(1, 0, 1), (-1, 1, -1), (1, 1, 1)], "1 and 3"),
+    ])
+    def test_collision_names_input_columns(self, rows, cols):
+        with pytest.raises(UnsupportedMultiplePole,
+                           match=f"input columns {cols}, eliminating"):
+            compute(ProblemSpec.from_rows(rows))
 
 
 class TestFinalUnivariate:
@@ -236,14 +262,18 @@ class TestFinalUnivariate:
 
 class TestPfdNumerator:
     def test_trivial_single_pole(self):
-        num = pfd_numerator(F(0), [(F(0), 1)], AffineForm((0,), 0))
-        assert num.constant_poly() == ParamPoly.one(1)
+        beta = AffineForm((0,), 0)
+        num = pfd_numerator(F(0), [(F(0), 1)], beta)
+        assert numerator_constants(beta, [num]) == [ParamPoly.one(1)]
+        assert constant_poly(num) == ParamPoly.one(1)
 
     def test_double_pole_numerator_coefficients(self):
         # (1-w)^2 group of 1/((1-w)^2 w^b): numerator b+1 - bw.
         beta = AffineForm((1,), 0)
         num = pfd_numerator(F(0), [(F(0), 1)] * 2, beta)
-        assert num.constant_poly() == ParamPoly.from_affine(beta + 1)
+        assert numerator_constants(beta, [num]) == [
+            ParamPoly.from_affine(beta + 1)]
+        assert constant_poly(num) == ParamPoly.from_affine(beta + 1)
         for b in range(0, 9):
             coeffs = w_coeffs_at(num, (b,))
             assert coeffs[0].to_rational() == b + 1
@@ -270,13 +300,16 @@ class TestPfdNumerator:
     def test_constant_at_includes_phase(self):
         beta = AffineForm((1,), 0)
         num = pfd_numerator(F(1, 4), [(F(1, 4), 1), (F(3, 4), 1)], beta)
+        (a0,) = numerator_constants(beta, [num])
+        assert a0 == constant_poly(num)
         for b in range(0, 8):
-            expect = cyc_from_phase(F(b, 4) % 1) * num.constant_poly().eval((b,))
+            expect = cyc_from_phase(F(b, 4) % 1) * a0.eval((b,))
             assert constant_at(num, (b,)) == expect
 
     def test_closed_form_constant_against_expansion(self):
-        # constant_poly's partial-sum closed form against the w^0 coefficient
-        # of the numerator expanded from its local coefficients N_j.
+        # The engine's one-sum constants, for all roots of the factors at
+        # once, against the partial-sum reference and the w^0 coefficient of
+        # the numerator expanded from its local coefficients N_j.
         rng = random.Random(6)
         phases = [F(0), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 6)]
         for _ in range(40):
@@ -287,12 +320,15 @@ class TestPfdNumerator:
                               rng.randint(-3, 3))
             factors = ([(theta, 1)] * rng.randint(1, 4)
                        + [(q, 1) for q in others])
-            num = pfd_numerator(theta, factors, beta)
-            a0 = num.constant_poly()
-            for _ in range(3):
-                b = (rng.randint(-4, 6), rng.randint(-4, 6))
-                phase = cyc_from_phase(theta * beta.eval(b))
-                assert phase * a0.eval(b) == constant_at(num, b)
+            nums = [pfd_numerator(th, factors, beta)
+                    for th in sorted({theta, *others})]
+            consts = numerator_constants(beta, nums)
+            assert consts == [constant_poly(num) for num in nums]
+            for num, a0 in zip(nums, consts):
+                for _ in range(3):
+                    b = (rng.randint(-4, 6), rng.randint(-4, 6))
+                    phase = cyc_from_phase(num.theta * beta.eval(b))
+                    assert phase * a0.eval(b) == constant_at(num, b)
 
     def test_whole_factor_equals_its_linear_roots(self):
         # 1 - e(q) w^n is the product of its n linear factors
@@ -321,7 +357,9 @@ class TestPfdNumerator:
             seen.add(whole.mult)
             assert whole.mult == split.mult
             assert list(whole.series) == list(split.series)
-            a_whole, a_split = whole.constant_poly(), split.constant_poly()
+            (a_whole,) = numerator_constants(beta, [whole])
+            (a_split,) = numerator_constants(beta, [split])
+            assert a_whole == constant_poly(whole)
             for b in range(-4, 7):
                 assert a_whole.eval((b,)) == a_split.eval((b,))
         assert seen == {1, 2, 3, 4}
@@ -418,6 +456,13 @@ class TestDedekindSum:
         # beta = 0.5 at a = 1/3 once ran on to a LevelOverflow, rounding none.
         with pytest.raises(MatrixParseError):
             dedekind_sum(n, a, [], beta)
+
+    @pytest.mark.parametrize("a, f", [
+        (0, [0.5]), (0.1, []), (True, []), (F(0), [True]), (F(0), ["1/2"])])
+    def test_float_or_bool_phase_or_factor_rejected(self, a, f):
+        # [0.5] once gave 4/3, and a = 0.1 ran on to a LevelOverflow.
+        with pytest.raises(MatrixParseError):
+            dedekind_sum(2, a, f, 0)
 
     def test_matches_simple_group_numerator(self):
         beta = AffineForm((1,), 0)

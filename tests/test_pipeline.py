@@ -43,6 +43,12 @@ class TestProblemSpec:
         with pytest.raises(NotPointed):
             ProblemSpec.from_rows([(1, 0), (1, 0)])
 
+    def test_phased_zero_column_rejected(self):
+        # The same rule with a phase, not the generic Fourier-Motzkin
+        # failure that compute reported later.
+        with pytest.raises(NotPointed, match="column 1 is zero"):
+            ProblemSpec.from_rows([(1, 0)], phases=(0, F(1, 2)))
+
     def test_ragged_rejected(self):
         with pytest.raises(MatrixParseError):
             ProblemSpec.from_rows([(1, 2), (1,)])

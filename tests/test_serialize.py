@@ -38,6 +38,7 @@ from vpf.serialize import (
 )
 
 from .helpers import phase_to_json, poly_to_json, term_to_json
+from .test_tables import BENCH_INPUTS, PHASED
 
 
 DATA = Path(__file__).parent / "data"
@@ -139,9 +140,58 @@ class TestExpr:
     def test_unknown_schema_rejected(self):
         obj = expr_to_json(compute(ProblemSpec.from_rows([(1, 1)])))
         assert obj["schema"] == 3
-        for schema in (4, 0, "3", None, 3.0, True):
+        for schema in (4, 5, 0, "3", None, 3.0, True):
             with pytest.raises(MatrixParseError):
                 expr_from_json({**obj, "schema": schema})
+
+    @pytest.mark.parametrize("rows, order, phases", [
+        pytest.param(*p.values, (), id=p.id) for p in BENCH_INPUTS] + [
+        pytest.param(rows, None, phases, id="phased_" + p.id)
+        for p in PHASED for rows, phases in [p.values]])
+    def test_roundtrip_is_identity(self, rows, order, phases):
+        # The spec comes back with its phases, so a phased expression read
+        # from JSON gets the phased check and the same values.
+        expr = compute(ProblemSpec.from_rows(rows, phases), order=order)
+        doc = json.loads(json.dumps(expr_to_json(expr)))
+        assert doc["schema"] == (4 if any(phases) else 3)
+        back = expr_from_json(doc)
+        assert back == expr
+        assert expr_to_json(back) == doc
+        for b in product(range(-1, 4), repeat=expr.m):
+            assert evaluate(back, b) == evaluate(expr, b)
+
+    def test_phased_roundtrip_value(self):
+        # (-1)^b: the unphased check once rejected -1 at b = 1.
+        expr = compute(ProblemSpec.from_rows([(1,)], phases=(F(1, 2),)))
+        doc = expr_to_json(expr)
+        assert doc["phases"] == ["1/2"]
+        assert evaluate(expr_from_json(doc), (1,)) == -1
+
+    @pytest.mark.parametrize("edit", [
+        lambda o: o.pop("phases"),
+        lambda o: o.pop("matrix"),
+        lambda o: o.update(phases=["1/2"]),
+        lambda o: o.update(phases=[0.5, "0"]),
+        lambda o: o.update(matrix=[[1, 1]]),
+        lambda o: o.update(matrix=[[1, 0], [0, 0]]),
+        lambda o: o.update(matrix=[[1, 1.0], [0, 1]]),
+    ], ids=["no-phases", "no-matrix", "phase-count", "float-phase",
+            "row-count", "zero-column", "float-entry"])
+    def test_malformed_schema4_rejected(self, edit):
+        # Typed MatrixParseError (exit 4), never NotPointed.
+        spec = ProblemSpec.from_rows([(1, 1), (0, 1)], phases=(F(1, 3), 0))
+        obj = json.loads(json.dumps(expr_to_json(compute(spec))))
+        assert obj["schema"] == 4 and expr_from_json(obj).spec == spec
+        edit(obj)
+        with pytest.raises(MatrixParseError):
+            expr_from_json(obj)
+
+    @pytest.mark.parametrize("matrix", [[[1, 2], [0, 1]], [[0, 2]], [[1, 2.0]]],
+                             ids=["row-count", "zero-column", "float-entry"])
+    def test_bad_matrix_rejected(self, matrix):
+        obj = expr_to_json(compute(ProblemSpec.from_rows([(1, 2)])))
+        with pytest.raises(MatrixParseError):
+            expr_from_json({**obj, "matrix": matrix})
 
     @pytest.mark.parametrize("edit", [
         lambda o: o.update(m=1.9),
@@ -273,7 +323,7 @@ PINNED_JSON = [
     # Cyclotomic table entries.
     pytest.param(ProblemSpec.from_rows([(1, 1), (0, 1)], phases=(F(1, 3), 0)),
                  None,
-                 "471e74e4cd18597b8f6d916224a8344f2f2dbb6615f09dbb9c1964c001d4ace8",
+                 "f2ac2fdc557649b7ff1c83cb8f88ebf2e071acb94d0fb63913a017a017e25a59",
                  id="phased"),
 ]
 
