@@ -4,9 +4,9 @@ A GenFunState is z^{-beta(b)} * prod 1/(1 - e(q_k) z^{v_k}) times a phase
 and a constant scalar under guards.  One elimination step rewrites the
 constant-term functional over the last active variable as child states with
 one variable fewer, each moved by `accumulate`; the univariate stage resolves
-arbitrary pole multiplicities into closed Terms, the numerators times the
-scalar.  `expand` runs it all from the normalized matrix, level by level,
-merging equal states.
+arbitrary pole multiplicities into closed Terms, each root's local series
+times the scalar.  `expand` runs it all from the normalized matrix, level by
+level, merging equal states.
 """
 from __future__ import annotations
 
@@ -158,26 +158,9 @@ def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
     return children
 
 
-@dataclass(frozen=True)
-class PfdNumerator:
-    """Numerator of one factor group, formal in b.
-
-    `series[j]` is the coefficient of t^j in the product of the other
-    factors' inverses, expanded in the local coordinate t = w - alpha^{-1}
-    (alpha = e(theta)).  The numerator is alpha^{beta(b)} sum_{j<mult} N_j t^j
-    with N_j = sum_{i<=j} binom(beta+i-1, i) (-alpha)^i series[j-i]; the
-    phase alpha^beta is kept separate so the rest stays polynomial in b.
-    """
-
-    theta: Fraction
-    mult: int
-    beta: AffineForm
-    series: tuple[Cyclotomic, ...]
-
-
-def pfd_numerator(theta: Fraction, factors, beta: AffineForm) -> PfdNumerator:
-    """Numerator of the group (1 - e(theta) w)^mu in the decomposition of
-    1/(prod_k (1 - e(q_k) w^{n_k}) w^beta).
+def pfd_numerator(theta: Fraction, factors) -> tuple[Cyclotomic, ...]:
+    """Local series of the group (1 - e(theta) w)^mu in the decomposition of
+    1/prod_k (1 - e(q_k) w^{n_k}): its coefficients s_0..s_{mu-1} in t.
 
     `factors` lists the (q_k, n_k) pairs, n_k > 0; mu counts those with
     n_k theta = q_k mod 1.  Each enters whole, in the local coordinate
@@ -210,27 +193,18 @@ def pfd_numerator(theta: Fraction, factors, beta: AffineForm) -> PfdNumerator:
             for i, c in enumerate(h[:j], 1):
                 acc = acc + c * prod[j - i]
             prod[j] = acc * g0_inv
-    return PfdNumerator(theta, mu, beta, tuple(prod))
-
-
-def numerator_constants(beta: AffineForm, numerators) -> list[ParamPoly]:
-    """A(b), the numerator at w = 0 without its phase alpha^beta, for each of
-    a state's numerators over `beta`: by the hockey-stick identity, the sum
-    of series[k] t^k binom(beta+mult-1-k, mult-1-k) over k < mult at
-    t = -alpha^{-1}, on a basis binom(beta+r, r) built once for all roots."""
-    basis = [binom_poly(r, beta + 1) for r in range(max(x.mult for x in numerators))]
-    out = []
-    for num in numerators:
-        point = -cyc_from_phase((-num.theta) % 1)  # t at w = 0
-        a = ParamPoly.zero(beta.arity)
-        for k in reversed(range(num.mult)):  # Horner in t
-            a = a.scale(point) + basis[num.mult - 1 - k].scale(num.series[k])
-        out.append(a)
-    return out
+    return tuple(prod)
 
 
 def final_univariate(state: GenFunState) -> list[Term]:
-    """Resolve the last variable, arbitrary multiplicities, into closed Terms."""
+    """Resolve the last variable, arbitrary multiplicities, into closed Terms.
+
+    A root theta of multiplicity mu with local series s (`pfd_numerator`)
+    contributes e(theta beta(b)) A(b) times the state's phase and scalar x,
+    where A is its numerator at w = 0: by the hockey-stick identity
+    A(b) x = sum_{k<mu} binom(beta+mu-1-k, mu-1-k) s_k t^k x at
+    t = -e(-theta), on a basis binom(beta+r, r) built once for all roots.
+    """
     if state.active != 1:
         raise DimensionMismatch("final_univariate needs exactly 1 variable")
     state = _normalize_last(state)
@@ -250,12 +224,20 @@ def final_univariate(state: GenFunState) -> list[Term]:
         return [Term(phase, ParamPoly.constant(beta.arity, scalar), guards)]
 
     roots = {Fraction(q - l, n) % 1 for q, n in factors for l in range(n)}
-    nums = [pfd_numerator(theta, factors, beta) for theta in sorted(roots)]
+    series = [(theta, pfd_numerator(theta, factors))
+              for theta in sorted(roots)]
+    basis = [binom_poly(r, beta + 1)
+             for r in range(max(len(s) for _, s in series))]
     guard = Guard(beta, GE_ZERO)
     terms = []
-    for num, a0 in zip(nums, numerator_constants(beta, nums)):
-        phase, guards, scalar = accumulate(state, guard, c, num.theta)
-        poly = a0.scale(scalar)
+    for theta, s in series:
+        phase, guards, x = accumulate(state, guard, c, theta)
+        t = -cyc_from_phase(-theta)  # t at w = 0
+        mu = len(s)
+        poly = basis[mu - 1].scale(s[0] * x)
+        for k in range(1, mu):
+            x = x * t  # t^k times the scalar
+            poly = poly + basis[mu - 1 - k].scale(s[k] * x)
         if not poly.is_zero():
             terms.append(Term(phase, poly, guards))
     return terms

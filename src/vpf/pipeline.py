@@ -50,8 +50,10 @@ class ProblemSpec:
             object.__setattr__(self, "phases", (Fraction(0),) * d)
         elif len(self.phases) != d:
             raise MatrixParseError("need one phase per column")
-        if not all(isinstance(q, Rational) for q in self.phases):
-            raise MatrixParseError(f"phases {self.phases!r} must be rational")
+        if bool in map(type, self.phases) or not all(
+                isinstance(q, Rational) for q in self.phases):
+            raise MatrixParseError(
+                f"phases {self.phases!r} must be rational; bools are rejected")
         object.__setattr__(
             self, "phases", tuple(Fraction(q) % 1 for q in self.phases))
         for k in range(d):
@@ -59,7 +61,7 @@ class ProblemSpec:
                 # A zero column puts e_k in ker(A) Z_{>=0}^d, so the cone
                 # condition fails no matter what the other columns or the
                 # phases are.
-                raise NotPointed(f"column {k} is zero")
+                raise NotPointed(f"column {k + 1} is zero")
 
     @classmethod
     def from_rows(cls, rows, phases=()) -> "ProblemSpec":

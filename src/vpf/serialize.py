@@ -2,11 +2,13 @@
 
 Rationals serialize as decimal strings "p/q" (or "p" when q = 1);
 cyclotomics as {"level": N, "coeffs": [...]}.  The readers take integers
-only as JSON integers and rationals only as strings or integers, so a float
-(or a bool) is rejected, never rounded.
+only as JSON integers and rationals only as JSON integers or strings of the
+form -?[0-9]+(/[0-9]+)?, so a float, a bool, a decimal point, an exponent or
+a space is rejected, never rounded.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
@@ -38,8 +40,14 @@ def rat_to_json(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def rat_from_json(s) -> Fraction:
     if isinstance(s, str):
+        if not _RATIONAL.fullmatch(s):
+            raise MatrixParseError(
+                f"rational {s!r} is not of the form p or p/q")
         return Fraction(s)
     (n,) = int_vector((s,), "rational")
     return Fraction(n)

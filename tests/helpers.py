@@ -8,9 +8,11 @@ and `det_int` checks that unimodular completions have determinant +-1.
 `raw_terms` runs the engine without collapsing its terms into summands,
 `unmerged_terms` runs it without merging equal states either, and
 `schema2_doc` writes the raw terms as schema-2 expression JSON.  `summand_value`
-evaluates one summand on its own, the reference for `evaluate`'s plan, and
-`constant_poly` is the partial-sum form of a numerator constant, the
-reference for `genfun.numerator_constants`.
+evaluates one summand on its own, the reference for `evaluate`'s plan.
+`numerator` records a root's local series from `genfun.pfd_numerator` with
+its theta and beta; `constant_poly` is the partial-sum form of its numerator
+constant, the reference for the constants `engine_constants` reads off the
+Terms of `final_univariate`.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import factorial, prod
 from operator import mul
+from typing import NamedTuple
 
 from vpf import (
     AffineForm,
@@ -27,12 +30,14 @@ from vpf import (
     Factor,
     GenFunState,
     ParamPoly,
+    PhaseForm,
     ProblemSpec,
     binom_poly,
     compute,
     cyc_from_phase,
     eliminate_last_var,
     final_univariate,
+    pfd_numerator,
 )
 from vpf.genfun import expand
 from vpf.matrixops import fm_certificate
@@ -342,8 +347,49 @@ def cp_series_inv(p, order):
     return out
 
 
+class Numerator(NamedTuple):
+    """The numerator of root theta, multiplicity `mult`, formal in b:
+    alpha^{beta(b)} sum_{j<mult} N_j t^j in t = w - alpha^{-1}
+    (alpha = e(theta)), with N_j = sum_{i<=j} binom(beta+i-1, i) (-alpha)^i
+    series[j-i]; the phase alpha^beta is kept separate."""
+
+    theta: Fraction
+    mult: int
+    beta: AffineForm
+    series: tuple
+
+
+def numerator(theta, factors, beta) -> Numerator:
+    """The engine's local series at theta of 1/prod_k (1 - e(q_k) w^{n_k}),
+    recorded with the beta of 1/(... w^beta)."""
+    series = pfd_numerator(theta, factors)
+    return Numerator(theta, len(series), beta, series)
+
+
+def engine_constants(beta, factors) -> dict:
+    """A(b) of each root theta of `factors`, read off the engine: the Terms
+    that final_univariate returns for GenFunState((beta,), factors), in
+    ascending theta, each divided by e(theta beta.const).  The engine drops
+    a zero polynomial, so a root whose `constant_poly` is zero has no Term
+    and reads as zero; every other root takes the next Term."""
+    roots = sorted({Fraction(q - l, n) % 1 for q, n in factors
+                    for l in range(n)})
+    state = GenFunState((beta,), tuple(Factor(q, (n,)) for q, n in factors))
+    terms = iter(final_univariate(state))
+    out = {}
+    for theta in roots:
+        if constant_poly(numerator(theta, factors, beta)).is_zero():
+            out[theta] = ParamPoly.zero(beta.arity)
+            continue
+        term = next(terms)
+        assert term.phase == PhaseForm.zero(beta.arity).shifted(theta, beta)
+        out[theta] = term.poly.scale(cyc_from_phase(-theta * beta.const))
+    assert next(terms, None) is None
+    return out
+
+
 def w_coeffs_at(num, b) -> list:
-    """Coefficients, ascending in w, of a PfdNumerator's polynomial at
+    """Coefficients, ascending in w, of a Numerator's polynomial at
     concrete b: alpha^beta sum_{j<mult} N_j (w - alpha^{-1})^j, with
     N_j = sum_{i<=j} binom(beta+i-1, i) (-alpha)^i series[j-i] built from
     integer binomials and expanded by plain polynomial products."""
@@ -363,7 +409,7 @@ def w_coeffs_at(num, b) -> list:
 
 
 def constant_poly(num) -> ParamPoly:
-    """A(b) of a PfdNumerator without the alpha^beta phase: the numerator at
+    """A(b) of a Numerator without the alpha^beta phase: the numerator at
     w = 0 by partial sums.  There t = -alpha^{-1} and (-alpha)^i t^i = 1, so
     A = sum_{i<mult} binom(beta+i-1, i) S_{mult-1-i} with the partial sums
     S_r = sum_{k<=r} series[k] t^k."""
@@ -380,7 +426,7 @@ def constant_poly(num) -> ParamPoly:
 
 
 def constant_at(num, b) -> Cyclotomic:
-    """A PfdNumerator's value at w = 0 and concrete b, phase included, read
+    """A Numerator's value at w = 0 and concrete b, phase included, read
     off the expanded polynomial rather than the engine's closed form."""
     return w_coeffs_at(num, b)[0]
 

@@ -25,12 +25,10 @@ from vpf import (
     final_univariate,
     flip,
     nonnegativize,
-    pfd_numerator,
     verify_box,
 )
 from vpf.cli import main as cli_main
 from vpf.errors import NotPointed
-from vpf.genfun import numerator_constants
 from vpf.matrixops import mat_vec_int
 
 from .helpers import (
@@ -45,6 +43,8 @@ from .helpers import (
     cp_series_inv,
     cp_sub,
     det_int,
+    engine_constants,
+    numerator,
     series_value,
     substitute_power,
     w_coeffs_at,
@@ -81,9 +81,9 @@ def test_criterion_01_one_one():
 def test_criterion_02_repeated_pole_numerator():
     with criterion(2, 1.0, "numerator constant of 1/((1-w)^2 w^b) is b+1"):
         beta = AffineForm((1,), 0)
-        num = pfd_numerator(F(0), [(F(0), 1)] * 2, beta)
-        assert numerator_constants(beta, [num]) == [
-            ParamPoly.from_affine(beta + 1)]
+        num = numerator(F(0), [(F(0), 1)] * 2, beta)
+        assert engine_constants(beta, [(F(0), 1)] * 2) == {
+            F(0): ParamPoly.from_affine(beta + 1)}
         for b in range(0, 51):
             assert constant_at(num, (b,)).to_rational() == b + 1
 
@@ -179,7 +179,7 @@ def test_criterion_07_pfd_congruence():
             s = [Cyclotomic.zero()] * b + all_fac  # times w^b
             total = []
             for th, mu in ordered:
-                num = pfd_numerator(th, facs, beta)
+                num = numerator(th, facs, beta)
                 r_k = w_coeffs_at(num, (b,))
                 c_k = [CONE]
                 for t2, m2 in ordered:

@@ -105,6 +105,18 @@ class TestEval:
         assert main(["eval", str(ep), "5,2"]) == 4
         assert "schema" in capsys.readouterr().err
 
+    def test_decimal_table_entry_exits_4(self, mat, capsys, tmp_path):
+        # The "3/4" of (1 2) written as "0.75" used to load and be written
+        # back as "3/4".
+        assert main(["compute", mat("1 2\n1 2\n"), "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["terms"][0]["poly"][0]["table"] == ["3/4"]
+        obj["terms"][0]["poly"][0]["table"] = ["0.75"]
+        ep = tmp_path / "expr.json"
+        ep.write_text(json.dumps(obj))
+        assert main(["eval", str(ep), "3"]) == 4
+        assert "bad expression JSON" in capsys.readouterr().err
+
     def test_b_length_mismatch_exits_4(self, mat, capsys):
         assert main(["eval", mat(A2), "1"]) == 4
         assert main(["eval", mat(A2), "1,2,3"]) == 4

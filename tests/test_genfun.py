@@ -27,7 +27,6 @@ from vpf import (
     flip,
     pfd_numerator,
 )
-from vpf.genfun import numerator_constants
 from vpf.params import EQ_ZERO, GE_ZERO
 from vpf.serialize import expr_to_json
 
@@ -35,6 +34,8 @@ from .helpers import (
     constant_at,
     constant_poly,
     cyc_pow,
+    engine_constants,
+    numerator,
     raw_terms,
     series_value,
     substitute_power,
@@ -253,6 +254,23 @@ class TestFinalUnivariate:
         assert t.value((2,)).to_rational() == 1
         assert t.value((3,)).is_zero()
 
+    @pytest.mark.parametrize("q", [F(1, 2), F(1, 3), F(5, 6)])
+    def test_factor_free_of_w_folds_into_scalar(self, q):
+        # A factor 1 - e(q) w^0 is the constant 1 - e(q): the terms are
+        # 1/(1 - e(q)) times those of the state without it, with and
+        # without factors in w.  (series_value cannot take such a factor.)
+        exps = (AffineForm.unit(1, 0),)
+        for others in ([(0, (1,)), (F(1, 4), (2,)), (0, (-1,))], []):
+            st = make_state(others[:1] + [(q, (0,))] + others[1:], exps)
+            rest = make_state(others, exps)
+            inv = (1 - cyc_from_phase(q)).inv()
+            terms, ref = final_univariate(st), final_univariate(rest)
+            assert len(terms) == len(ref)
+            for b in range(-4, 9):
+                assert terms_value(terms, (b,)) == inv * series_value(
+                    rest, (b,))
+                assert terms_value(terms, (b,)) == inv * terms_value(ref, (b,))
+
     def test_negative_exponent_factor_flipped(self):
         st = make_state([(0, (-1,)), (0, (2,))])
         terms = final_univariate(st)
@@ -263,16 +281,16 @@ class TestFinalUnivariate:
 class TestPfdNumerator:
     def test_trivial_single_pole(self):
         beta = AffineForm((0,), 0)
-        num = pfd_numerator(F(0), [(F(0), 1)], beta)
-        assert numerator_constants(beta, [num]) == [ParamPoly.one(1)]
+        num = numerator(F(0), [(F(0), 1)], beta)
+        assert engine_constants(beta, [(F(0), 1)]) == {F(0): ParamPoly.one(1)}
         assert constant_poly(num) == ParamPoly.one(1)
 
     def test_double_pole_numerator_coefficients(self):
         # (1-w)^2 group of 1/((1-w)^2 w^b): numerator b+1 - bw.
         beta = AffineForm((1,), 0)
-        num = pfd_numerator(F(0), [(F(0), 1)] * 2, beta)
-        assert numerator_constants(beta, [num]) == [
-            ParamPoly.from_affine(beta + 1)]
+        num = numerator(F(0), [(F(0), 1)] * 2, beta)
+        assert engine_constants(beta, [(F(0), 1)] * 2) == {
+            F(0): ParamPoly.from_affine(beta + 1)}
         assert constant_poly(num) == ParamPoly.from_affine(beta + 1)
         for b in range(0, 9):
             coeffs = w_coeffs_at(num, (b,))
@@ -287,7 +305,7 @@ class TestPfdNumerator:
         theta, mu = F(1, 3), 3
         others = [F(0), F(1, 4), F(1, 4), F(5, 6)]
         factors = [(theta, 1)] * mu + [(th, 1) for th in others]
-        num = pfd_numerator(theta, factors, AffineForm((0,), 0))
+        local = pfd_numerator(theta, factors)
         ref = [Cyclotomic.one()] + [Cyclotomic.zero()] * (mu - 1)
         for th in others:
             u0_inv = (1 - cyc_from_phase(th - theta)).inv()
@@ -295,12 +313,13 @@ class TestPfdNumerator:
             series = [u0_inv * cyc_pow(ratio, j) for j in range(mu)]
             ref = [sum((ref[i] * series[j - i] for i in range(j + 1)),
                        Cyclotomic.zero()) for j in range(mu)]
-        assert list(num.series) == ref
+        assert list(local) == ref
 
     def test_constant_at_includes_phase(self):
         beta = AffineForm((1,), 0)
-        num = pfd_numerator(F(1, 4), [(F(1, 4), 1), (F(3, 4), 1)], beta)
-        (a0,) = numerator_constants(beta, [num])
+        factors = [(F(1, 4), 1), (F(3, 4), 1)]
+        num = numerator(F(1, 4), factors, beta)
+        a0 = engine_constants(beta, factors)[F(1, 4)]
         assert a0 == constant_poly(num)
         for b in range(0, 8):
             expect = cyc_from_phase(F(b, 4) % 1) * a0.eval((b,))
@@ -320,9 +339,9 @@ class TestPfdNumerator:
                               rng.randint(-3, 3))
             factors = ([(theta, 1)] * rng.randint(1, 4)
                        + [(q, 1) for q in others])
-            nums = [pfd_numerator(th, factors, beta)
+            nums = [numerator(th, factors, beta)
                     for th in sorted({theta, *others})]
-            consts = numerator_constants(beta, nums)
+            consts = list(engine_constants(beta, factors).values())
             assert consts == [constant_poly(num) for num in nums]
             for num, a0 in zip(nums, consts):
                 for _ in range(3):
@@ -352,13 +371,13 @@ class TestPfdNumerator:
                       for l in range(n)]
             beta = AffineForm((rng.choice((-2, -1, 1, 2)),),
                               rng.randint(-3, 3))
-            whole = pfd_numerator(theta, factors, beta)
-            split = pfd_numerator(theta, linear, beta)
+            whole = numerator(theta, factors, beta)
+            split = numerator(theta, linear, beta)
             seen.add(whole.mult)
             assert whole.mult == split.mult
             assert list(whole.series) == list(split.series)
-            (a_whole,) = numerator_constants(beta, [whole])
-            (a_split,) = numerator_constants(beta, [split])
+            a_whole = engine_constants(beta, factors)[theta]
+            a_split = engine_constants(beta, linear)[theta]
             assert a_whole == constant_poly(whole)
             for b in range(-4, 7):
                 assert a_whole.eval((b,)) == a_split.eval((b,))
@@ -366,7 +385,7 @@ class TestPfdNumerator:
 
     def test_theta_must_be_a_root(self):
         with pytest.raises(ValueError):
-            pfd_numerator(F(1, 2), [(F(0), 1)], AffineForm((0,), 0))
+            pfd_numerator(F(1, 2), [(F(0), 1)])
 
 
 class TestExpand:
@@ -468,7 +487,7 @@ class TestDedekindSum:
         beta = AffineForm((1,), 0)
         theta = F(0)
         others = [F(1, 3), F(2, 3)]
-        num = pfd_numerator(theta, [(q, 1) for q in [theta] + others], beta)
+        num = numerator(theta, [(q, 1) for q in [theta] + others], beta)
         f = [cyc_from_phase(th) for th in others]
         for b in range(0, 7):
             assert constant_at(num, (b,)) == dedekind_sum(1, theta, f, b)
@@ -482,7 +501,7 @@ class TestDedekindSum:
         f = [cyc_from_phase(F(1, 3))]
         for b in range(0, 7):
             per_root = sum(
-                (constant_at(pfd_numerator(
+                (constant_at(numerator(
                     th, [(o, 1) for o in roots + other], beta), (b,))
                  for th in roots),
                 cyc_from_phase(0) * 0)

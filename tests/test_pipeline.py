@@ -11,13 +11,17 @@ from itertools import permutations
 import pytest
 
 from vpf import (
+    DimensionMismatch,
     MatrixParseError,
     NotPointed,
     ProblemSpec,
+    ResultExpr,
     SanityFailure,
+    Summand,
     check_pointed,
     compute,
     count_points,
+    cyc_from_phase,
     evaluate,
     nonnegativize,
     verify_box,
@@ -46,8 +50,15 @@ class TestProblemSpec:
     def test_phased_zero_column_rejected(self):
         # The same rule with a phase, not the generic Fourier-Motzkin
         # failure that compute reported later.
-        with pytest.raises(NotPointed, match="column 1 is zero"):
+        with pytest.raises(NotPointed, match="column 2 is zero"):
             ProblemSpec.from_rows([(1, 0)], phases=(0, F(1, 2)))
+
+    def test_zero_column_named_1_based(self):
+        # Counted like --order and the input columns of a pole collision.
+        for rows, k in (([(0, 1)], 1), ([(1, 0)], 2),
+                        ([(1, 2, 0), (0, 1, 0)], 3)):
+            with pytest.raises(NotPointed, match=f"^column {k} is zero$"):
+                ProblemSpec.from_rows(rows)
 
     def test_ragged_rejected(self):
         with pytest.raises(MatrixParseError):
@@ -74,6 +85,12 @@ class TestProblemSpec:
                 ProblemSpec.from_rows([(1, 1)], phases=(bad, 0))
         spec = ProblemSpec.from_rows([(1, 1)], phases=(F(5, 4), 2))
         assert spec.phases == (F(1, 4), F(0))
+
+    def test_bool_phase_rejected(self):
+        # (True, 0) was read as the phase 1 = 0 mod 1, like (0, 0).
+        for phases in ((True, 0), (0, False), (F(1, 2), True)):
+            with pytest.raises(MatrixParseError, match="bool"):
+                ProblemSpec.from_rows([(1, 1)], phases=phases)
 
     def test_bool_entry_rejected(self):
         # (True 1) would otherwise be read as (1 1).
@@ -253,6 +270,36 @@ class TestEvaluate:
         with pytest.raises(SanityFailure,
                            match=r"^evaluation at \(3,\) is not a nonneg"):
             evaluate(bad, (3,))
+
+    def test_summand_of_wrong_arity_rejected(self):
+        # A hand-built expression whose summand has 2 entries in its residue
+        # and exponents while the expression has 1 parameter.
+        expr = compute(ONE_ONE)
+        bad = ResultExpr(1, expr.terms + (
+            Summand((), 1, (0, 0), (((0, 0), (F(1),)),)),))
+        with pytest.raises(DimensionMismatch, match="expected 1 parameters"):
+            evaluate(bad, (3,))
+
+    def test_phased_halved_table_not_cyclotomic_integer(self):
+        # (1 1) with phases (1/3, 0) gives 1 + e(1/3) at b = 1; halving
+        # every table entry leaves a denominator 2.
+        expr = compute(ProblemSpec.from_rows([(1, 1)], phases=(F(1, 3), 0)))
+        assert evaluate(expr, (1,)) == 1 + cyc_from_phase(F(1, 3))
+        bad = replace(expr, terms=tuple(s._replace(poly=tuple(
+            (e, tuple(x * F(1, 2) for x in t)) for e, t in s.poly))
+            for s in expr.terms))
+        with pytest.raises(SanityFailure, match=(
+                r"^evaluation at \(1,\) is not a cyclotomic integer: ")):
+            evaluate(bad, (1,))
+
+    def test_unphased_cyclotomic_entry_not_rational(self):
+        # An unphased expression whose tables hold e(1/3).
+        expr = compute(ONE_ONE)
+        bad = replace(expr, terms=expr.terms + (
+            Summand((), 1, (0,), (((0,), (cyc_from_phase(F(1, 3)),)),)),))
+        with pytest.raises(SanityFailure, match=(
+                r"^evaluation at \(2,\) is not rational: ")):
+            evaluate(bad, (2,))
 
     def test_transform_applied(self):
         spec = ProblemSpec.from_rows([(1, 2), (-1, 0)])

@@ -55,6 +55,21 @@ class TestScalars:
         for q in (F(0), F(5), F(-7, 3), F(22, 7)):
             assert rat_from_json(rat_to_json(q)) == q
 
+    @pytest.mark.parametrize("text", [
+        "0.5", "0.75", " 1e2 ", "1e2", "1_0", "+1", "1/ 2", " 3/4", "3/4\n",
+        "-1/-2", "1/2/3", "", "-", "/2", "inf", "nan", "\u0661"])
+    def test_rat_grammar(self, text):
+        # Only what rat_to_json writes: -?[0-9]+(/[0-9]+)? or a JSON
+        # integer; Fraction alone takes decimals, exponents, spaces and "_".
+        with pytest.raises(MatrixParseError):
+            rat_from_json(text)
+
+    def test_rat_grammar_accepts(self):
+        for text, q in (("3", F(3)), ("-7", F(-7)), ("3/4", F(3, 4)),
+                        ("-1/2", F(-1, 2)), ("2/4", F(1, 2)), ("007", F(7))):
+            assert rat_from_json(text) == q
+        assert rat_from_json(5) == F(5)
+
     def test_cyc(self):
         for x in (Cyclotomic.one(), cyc_from_phase(F(1, 4)),
                   cyc_from_phase(F(1, 3)) * F(2, 5) + 1):
@@ -183,6 +198,23 @@ class TestExpr:
         obj = json.loads(json.dumps(expr_to_json(compute(spec))))
         assert obj["schema"] == 4 and expr_from_json(obj).spec == spec
         edit(obj)
+        with pytest.raises(MatrixParseError):
+            expr_from_json(obj)
+
+    @pytest.mark.parametrize("text", ["0.75", " 1e2 ", "1_0"])
+    @pytest.mark.parametrize("place", [
+        lambda o: o["phases"], lambda o: o["terms"][0]["poly"][0]["table"],
+        lambda o: o["certificate"],
+        lambda o: o["terms"][0]["poly"][0]["table"][1]["coeffs"],
+    ], ids=["phase", "table-entry", "certificate", "cyclotomic-coeff"])
+    def test_rational_outside_grammar_rejected(self, place, text):
+        # The document loads as written and fails once one of its rational
+        # strings is a decimal, an exponent or has a "_".
+        spec = ProblemSpec.from_rows([(1, 1), (0, 1)], phases=(F(1, 3), 0))
+        obj = json.loads(json.dumps(expr_to_json(compute(spec))))
+        assert expr_from_json(obj).spec == spec
+        assert isinstance(place(obj)[0], str)
+        place(obj)[0] = text
         with pytest.raises(MatrixParseError):
             expr_from_json(obj)
 
