@@ -11,11 +11,11 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import cyclotomic
 from .errors import MatrixParseError, VpfError
 from .genfun import dedekind_sum
+from .matrixops import int_from_text, rat_from_text
 from .oracle import count_points
 from .pipeline import ProblemSpec, compute, evaluate, verify_box
 from .render import render_expr_latex, render_expr_text
@@ -49,10 +49,7 @@ def parse_matrix_file(path: str) -> ProblemSpec:
     fields = header.split()
     if len(fields) != 2:
         raise MatrixParseError(f"{path}:{no}: header must be 'm d'")
-    try:
-        m, d = int(fields[0]), int(fields[1])
-    except ValueError as exc:
-        raise MatrixParseError(f"{path}:{no}: non-integer header") from exc
+    m, d = (int_from_text(f, f"{path}:{no}: header") for f in fields)
     body = lines[1:]
     if len(body) != m:
         raise MatrixParseError(
@@ -63,15 +60,8 @@ def parse_matrix_file(path: str) -> ProblemSpec:
         if len(toks) != d:
             raise MatrixParseError(
                 f"{path}:{no}: expected {d} entries, found {len(toks)}")
-        row = []
-        for col, tok in enumerate(toks, 1):
-            try:
-                row.append(int(tok))
-            except ValueError as exc:
-                raise MatrixParseError(
-                    f"{path}:{no}: column {col}: '{tok}' is not an integer"
-                ) from exc
-        rows.append(tuple(row))
+        rows.append(tuple(int_from_text(tok, f"{path}:{no}: column {col}:")
+                          for col, tok in enumerate(toks, 1)))
     try:
         return ProblemSpec.from_rows(rows)
     except MatrixParseError as exc:
@@ -79,24 +69,15 @@ def parse_matrix_file(path: str) -> ProblemSpec:
 
 
 def parse_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise MatrixParseError(f"malformed {what}: '{text}'") from exc
+    return tuple(int_from_text(t, f"{what} '{text}': entry")
+                 for t in text.split(","))
 
 
 def parse_box(text: str):
-    los, his = [], []
-    for part in text.split(","):
-        if ".." not in part:
-            raise MatrixParseError(f"malformed box range: '{part}'")
-        a, _, b = part.partition("..")
-        try:
-            los.append(int(a))
-            his.append(int(b))
-        except ValueError as exc:
-            raise MatrixParseError(f"malformed box range: '{part}'") from exc
-    return tuple(los), tuple(his)
+    """Per-row ranges lo..hi as the corners (lo, ...), (hi, ...)."""
+    ranges = [[int_from_text(t, f"box range '{part}': corner")
+               for t in part.partition("..")[::2]] for part in text.split(",")]
+    return tuple(zip(*ranges))
 
 
 def parse_order(text: str):
@@ -167,15 +148,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_dedekind(args) -> int:
-    try:
-        a_phase = Fraction(args.a_phase)
-        factors = [cyclotomic.Cyclotomic.from_rational(Fraction(c))
-                   for c in args.factor]
-        factors += [cyclotomic.cyc_from_phase(Fraction(q))
-                    for q in args.factor_phase]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MatrixParseError(f"bad rational: {exc}") from exc
-    value = dedekind_sum(args.n, a_phase, factors, args.beta)
+    factors = [rat_from_text(c, "--factor") for c in args.factor]
+    factors += [cyclotomic.cyc_from_phase(rat_from_text(q, "--factor-phase"))
+                for q in args.factor_phase]
+    value = dedekind_sum(int_from_text(args.n, "n"),
+                         rat_from_text(args.a_phase, "a_phase"), factors,
+                         int_from_text(args.beta, "beta"))
     if args.format == "json":
         print(json.dumps(cyc_to_json(value)))
     else:
@@ -187,7 +165,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="vpf",
                 description="Exact vector partition functions by iterated "
                             "partial fraction decomposition")
-    p.add_argument("--max-level", type=int, default=None,
+    p.add_argument("--max-level", default=None,
                    help="cyclotomic level cap (env VPF_MAX_LEVEL)")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -215,9 +193,9 @@ def build_parser() -> _Parser:
     o.set_defaults(func=cmd_oracle)
 
     d = sub.add_parser("dedekind", help="generalized Dedekind sum S_{f,a}(n)")
-    d.add_argument("n", type=int)
+    d.add_argument("n")
     d.add_argument("a_phase", help="rational phase a with a = e(a_phase)")
-    d.add_argument("beta", type=int)
+    d.add_argument("beta")
     d.add_argument("--factor", action="append", default=[],
                    help="rational coefficient c of a linear factor (1 - c w); repeatable")
     d.add_argument("--factor-phase", action="append", default=[],
@@ -230,15 +208,10 @@ def build_parser() -> _Parser:
 def _level_cap(cap):
     """--max-level, else VPF_MAX_LEVEL, else the default cap."""
     if cap is not None:
-        return cap
+        return int_from_text(cap, "--max-level")
     text = os.environ.get("VPF_MAX_LEVEL")
-    if not text:
-        return cyclotomic.DEFAULT_LEVEL_CAP
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise MatrixParseError(
-            f"VPF_MAX_LEVEL must be an integer, got '{text}'") from exc
+    return (int_from_text(text, "VPF_MAX_LEVEL") if text
+            else cyclotomic.DEFAULT_LEVEL_CAP)
 
 
 def main(argv=None) -> int:

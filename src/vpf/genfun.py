@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
-from numbers import Rational
 
 from .cyclotomic import Cyclotomic, cyc_from_phase, inv_one_minus_phase
 from .errors import DimensionMismatch, MatrixParseError, UnsupportedMultiplePole
-from .matrixops import int_vector
+from .matrixops import int_vector, rat_vector
 from .params import (
     EQ_ZERO,
     GE_ZERO,
@@ -295,17 +294,13 @@ def dedekind_sum(n: int, a_phase: Fraction, f, beta: int) -> Cyclotomic:
     n, beta = int_vector((n, beta), "n and beta")
     if n < 1:
         raise MatrixParseError(f"the group size n must be positive, got {n}")
-    if bool in map(type, (a_phase, *f)) or not (
-            isinstance(a_phase, Rational)
-            and all(isinstance(c, (Rational, Cyclotomic)) for c in f)):
-        raise MatrixParseError(
-            f"a_phase {a_phase!r} must be rational and each coefficient of "
-            f"{f!r} rational or cyclotomic; floats and bools are rejected")
-    f = [c if isinstance(c, Cyclotomic) else Cyclotomic.from_rational(c)
+    (a_phase,) = rat_vector((a_phase,), "a_phase")
+    f = [c if isinstance(c, Cyclotomic)
+         else Cyclotomic.from_rational(*rat_vector((c,), "coefficient of f"))
          for c in f]
     total = Cyclotomic.zero()
     for l in range(n):
-        theta = (Fraction(a_phase) + l) / n
+        theta = (a_phase + l) / n
         alpha_inv = cyc_from_phase(-theta)
         val = Cyclotomic.one()
         for c in f:

@@ -1,13 +1,15 @@
 """Exact integer/rational matrix utilities.
 
-Fourier-Motzkin feasibility for the pointedness certificate, primitivization,
-and unimodular completion of a primitive row.
+Readers of outside numbers, Fourier-Motzkin feasibility for the pointedness
+certificate, primitivization, and unimodular completion of a primitive row.
 """
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 
 from .errors import MatrixParseError, NotPointed
 
@@ -23,6 +25,36 @@ def int_vector(values, what: str) -> tuple[int, ...]:
     if bool in map(type, values):
         raise MatrixParseError(f"{what} {values!r} has a bool entry")
     return out
+
+
+def rat_vector(values, what: str) -> tuple[Fraction, ...]:
+    """Rationals from outside input; a float or a bool is rejected, never
+    rounded."""
+    values = tuple(values)
+    if bool in map(type, values) or not all(
+            isinstance(q, Rational) for q in values):
+        raise MatrixParseError(f"{what} {values!r} has a bool or non-rational entry")
+    return tuple(map(Fraction, values))
+
+
+_INT_TEXT = re.compile(r"-?[0-9]+")
+_RAT_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def int_from_text(text: str, what: str) -> int:
+    """An integer written -?[0-9]+ in ASCII; int() also takes "1_0", "+2",
+    " 2" and the digits of other scripts."""
+    if not _INT_TEXT.fullmatch(text):
+        raise MatrixParseError(f"{what} '{text}' is not an integer")
+    return int(text)
+
+
+def rat_from_text(text: str, what: str) -> Fraction:
+    """A rational written p or p/q, -?[0-9]+(/[0-9]+)? in ASCII with q > 0;
+    Fraction() also takes "0.5", "1e-1", " 1/2" and "1/0" (raising)."""
+    if not _RAT_TEXT.fullmatch(text):
+        raise MatrixParseError(f"{what} '{text}' is not a rational p or p/q, q > 0")
+    return Fraction(text)
 
 
 def fm_certificate(columns) -> tuple[Fraction, ...]:

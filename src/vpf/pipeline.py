@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from numbers import Rational
 from operator import mul
 
 from .cyclotomic import Cyclotomic
@@ -24,6 +23,7 @@ from .matrixops import (
     mat_mul_int,
     mat_vec_int,
     primitive_integer,
+    rat_vector,
     unimodular_with_last_row,
 )
 from .oracle import box_counts
@@ -50,12 +50,8 @@ class ProblemSpec:
             object.__setattr__(self, "phases", (Fraction(0),) * d)
         elif len(self.phases) != d:
             raise MatrixParseError("need one phase per column")
-        if bool in map(type, self.phases) or not all(
-                isinstance(q, Rational) for q in self.phases):
-            raise MatrixParseError(
-                f"phases {self.phases!r} must be rational; bools are rejected")
-        object.__setattr__(
-            self, "phases", tuple(Fraction(q) % 1 for q in self.phases))
+        object.__setattr__(self, "phases", tuple(
+            q % 1 for q in rat_vector(self.phases, "phases")))
         for k in range(d):
             if not any(row[k] for row in self.entries):
                 # A zero column puts e_k in ker(A) Z_{>=0}^d, so the cone
@@ -150,10 +146,11 @@ def nonnegativize(spec: ProblemSpec, y) -> PreprocessReport:
     Counts are preserved: phi_A(b) = phi_{UA}(Ub).  A y with y . c_k <= 0
     for some column is a MatrixParseError.
     """
+    y = rat_vector(y, "y")
     if len(y) != spec.m or any(
             sum(yi * ci for yi, ci in zip(y, c)) <= 0 for c in spec.columns):
         raise MatrixParseError(
-            f"y = {tuple(y)} does not give y . c > 0 on every column")
+            f"y = {y} does not give y . c > 0 on every column")
     y0 = primitive_integer(y)
     u = unimodular_with_last_row(y0)
     a = [list(row) for row in spec.entries]
@@ -171,7 +168,7 @@ def nonnegativize(spec: ProblemSpec, y) -> PreprocessReport:
             u[i] = [ui + t * y0i for ui, y0i in zip(u[i], y0)]
             ua[i] = [v + t * yk for v, yk in zip(ua[i], ylast)]
     return PreprocessReport(
-        tuple(Fraction(v) for v in y),
+        y,
         tuple(tuple(r) for r in u),
         tuple(tuple(r) for r in ua))
 

@@ -1,19 +1,18 @@
 """JSON encoding/decoding of results.
 
 Rationals serialize as decimal strings "p/q" (or "p" when q = 1);
-cyclotomics as {"level": N, "coeffs": [...]}.  The readers take integers
-only as JSON integers and rationals only as JSON integers or strings of the
-form -?[0-9]+(/[0-9]+)?, so a float, a bool, a decimal point, an exponent or
-a space is rejected, never rounded.
+cyclotomics as {"level": N, "coeffs": [...]} with phi(N) coefficients.  The
+readers take integers only as JSON integers and rationals only as JSON
+integers or strings that matrixops.rat_from_text reads, so a float, a bool,
+a decimal point, an exponent or a space is rejected, never rounded.
 """
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
 from .errors import MatrixParseError, NotPointed
-from .matrixops import int_vector
+from .matrixops import int_vector, rat_from_text
 from .params import (
     AffineForm,
     Guard,
@@ -40,15 +39,9 @@ def rat_to_json(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
 def rat_from_json(s) -> Fraction:
     if isinstance(s, str):
-        if not _RATIONAL.fullmatch(s):
-            raise MatrixParseError(
-                f"rational {s!r} is not of the form p or p/q")
-        return Fraction(s)
+        return rat_from_text(s, "rational")
     (n,) = int_vector((s,), "rational")
     return Fraction(n)
 
@@ -59,7 +52,10 @@ def cyc_to_json(x: Cyclotomic) -> dict:
 
 def cyc_from_json(obj) -> Cyclotomic:
     (level,) = int_vector((obj["level"],), "level")
-    return Cyclotomic(level, tuple(rat_from_json(c) for c in obj["coeffs"]))
+    x = Cyclotomic(level, [rat_from_json(c) for c in obj["coeffs"]])
+    if len(obj["coeffs"]) != len(x.num):
+        raise MatrixParseError(f"level {level} takes {len(x.num)} coefficients")
+    return x
 
 
 def guard_to_json(g: Guard) -> dict:
@@ -190,6 +186,8 @@ def expr_from_json(obj) -> ResultExpr:
         if schema not in (1, 2, SCHEMA, PHASED_SCHEMA):
             raise MatrixParseError(f"unknown expression schema {schema!r}")
         (m,) = int_vector((obj["m"],), "m")
+        if m < 1:
+            raise MatrixParseError(f"m = {m} is not positive")
         if schema >= SCHEMA:
             terms = tuple(summand_from_json(s, m) for s in obj["terms"])
         else:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -116,6 +117,14 @@ class TestEval:
         ep.write_text(json.dumps(obj))
         assert main(["eval", str(ep), "3"]) == 4
         assert "bad expression JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_nonpositive_m_exits_4(self, capsys, tmp_path, m):
+        ep = tmp_path / "expr.json"
+        ep.write_text(json.dumps({"schema": 3, "m": m, "terms": []}))
+        assert main(["eval", str(ep), "1"]) == 4
+        err = capsys.readouterr().err
+        assert "bad expression JSON" in err and f"m = {m}" in err
 
     def test_b_length_mismatch_exits_4(self, mat, capsys):
         assert main(["eval", mat(A2), "1"]) == 4
@@ -303,6 +312,78 @@ class TestExitCodes:
 
     def test_usage_error_is_4(self, capsys):
         assert main(["frobnicate"]) == 4
+
+
+#: Spellings int() or Fraction() would take (or, for "1/0", fail on with a
+#: ZeroDivisionError) but the documented grammar does not: -?[0-9]+ for
+#: integers, -?[0-9]+(/[0-9]+)? with a positive denominator for rationals.
+REJECTED = ["1_0", "+2", "\u0662", "\uff12", " 2", "0.5", "1e-1", "1/0"]
+
+#: Every entry point that reads a number from outside: the argv with the
+#: spelling s in its place, and the message text that names the entry.
+NUMBER_ENTRIES = {
+    "header": (lambda mat, s: ["compute", mat(f"2 {s}\n1 0 1\n0 1 1\n")],
+               "header '{s}'"),
+    "matrix-entry": (lambda mat, s: ["compute", mat(f"2 3\n1 {s} 1\n0 1 1\n")],
+                     "m.mat:2: column 2: '{s}'"),
+    "eval-b": (lambda mat, s: ["eval", mat(A2), f"{s},5"],
+               "parameter vector b '{s},5': entry '{s}'"),
+    "oracle-b": (lambda mat, s: ["oracle", mat(A2), f"2,{s}"],
+                 "parameter vector b '2,{s}': entry '{s}'"),
+    "box-lo": (lambda mat, s: ["verify", mat(A2), f"{s}..3,0..3"],
+               "box range '{s}..3': corner '{s}'"),
+    "box-hi": (lambda mat, s: ["verify", mat(A2), f"0..3,0..{s}"],
+               "box range '0..{s}': corner '{s}'"),
+    "order": (lambda mat, s: ["compute", mat(A2), "--order", f"{s},1"],
+              "row order '{s},1': entry '{s}'"),
+    "max-level": (lambda mat, s: ["--max-level", s, "compute", mat(ONE_ONE)],
+                  "--max-level '{s}'"),
+    "env-max-level": (lambda mat, s: ["compute", mat(ONE_ONE)],
+                      "VPF_MAX_LEVEL '{s}'"),
+    "dedekind-n": (lambda mat, s: ["dedekind", s, "0", "0"], "n '{s}'"),
+    "dedekind-a-phase": (lambda mat, s: ["dedekind", "2", s, "0"],
+                         "a_phase '{s}'"),
+    "dedekind-beta": (lambda mat, s: ["dedekind", "2", "0", s], "beta '{s}'"),
+    "factor": (lambda mat, s: ["dedekind", "2", "0", "0", "--factor", s],
+               "--factor '{s}'"),
+    "factor-phase": (lambda mat, s: ["dedekind", "2", "0", "0",
+                                     "--factor-phase", s],
+                     "--factor-phase '{s}'"),
+}
+
+
+class TestNumberGrammar:
+    # A matrix file splits on whitespace, so " 2" is two fields there.
+    @pytest.mark.parametrize("entry, spelling", [
+        (entry, s) for entry in NUMBER_ENTRIES for s in REJECTED
+        if not (s == " 2" and entry in ("header", "matrix-entry"))])
+    def test_rejected_spelling_exits_4(self, mat, capsys, monkeypatch,
+                                       entry, spelling):
+        argv, named = NUMBER_ENTRIES[entry]
+        if entry == "env-max-level":
+            monkeypatch.setenv("VPF_MAX_LEVEL", spelling)
+        assert main(argv(mat, spelling)) == 4
+        err = capsys.readouterr().err
+        assert "MatrixParseError" in err
+        assert named.format(s=spelling) in err
+
+    @pytest.mark.parametrize("argv, out", [
+        (["eval", A2, "-1,4"], re.escape("0")),
+        (["verify", A2, "-3..8,-3..8"],
+         r"checked 144 points in [0-9.]+s; 0 mismatches"),
+        (["dedekind", "2", "0", "0", "--factor", "1/2"], re.escape("4/3")),
+        (["dedekind", "1", "0", "3", "--factor-phase", "1/3"],
+         re.escape("2/3 + 1/3*z3")),
+        (["--max-level", "2", "compute", ONE_ONE],
+         re.escape("phi(b) =\n    [b+1 if b >= 0]")),
+        (["compute", A2, "--order", "2,1"], re.escape(
+            "phi(a, b) =\n    [a-b if -a+b-1 >= 0 and a >= 0]\n"
+            "  + [b+1 if b >= 0 and a >= 0]")),
+    ], ids=["b", "box", "factor", "factor-phase", "max-level", "order"])
+    def test_documented_spelling_output(self, mat, capsys, argv, out):
+        argv = [mat(a) if a in (A2, ONE_ONE) else a for a in argv]
+        assert main(argv) == 0
+        assert re.fullmatch(out, capsys.readouterr().out.strip())
 
 
 class TestRoundTrip:

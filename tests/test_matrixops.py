@@ -10,10 +10,13 @@ import pytest
 from vpf.errors import MatrixParseError, NotPointed
 from vpf.matrixops import (
     fm_certificate,
+    int_from_text,
     int_vector,
     mat_mul_int,
     mat_vec_int,
     primitive_integer,
+    rat_from_text,
+    rat_vector,
     unimodular_with_last_row,
 )
 
@@ -136,3 +139,52 @@ class TestIntVector:
     def test_non_integers_rejected(self, values):
         with pytest.raises(MatrixParseError):
             int_vector(values, "row")
+
+
+#: The readers of numbers from outside: what each returns for an input, or
+#: MatrixParseError.  The text readers take ASCII -?[0-9]+ and
+#: -?[0-9]+(/[0-9]+)? with a positive denominator, and nothing else int()
+#: or Fraction() would read.
+READS = [
+    (rat_vector, [1, F(-1, 2), F(6, 4)], (F(1), F(-1, 2), F(3, 2))),
+    (rat_vector, range(0, 8, 7), (F(0), F(7))),
+    (rat_vector, [], ()),
+    (rat_vector, [0.5], MatrixParseError),
+    (rat_vector, [1, 2.0], MatrixParseError),
+    (rat_vector, [True, 1], MatrixParseError),
+    (rat_vector, [F(1, 2), False], MatrixParseError),
+    (rat_vector, ["1/2"], MatrixParseError),
+    (rat_vector, [1j], MatrixParseError),
+    (int_from_text, "0", 0),
+    (int_from_text, "-12", -12),
+    (int_from_text, "007", 7),
+    (int_from_text, "-0", 0),
+    (int_from_text, "123456789012345678901234567890", 123456789012345678901234567890),
+    *((int_from_text, text, MatrixParseError) for text in [
+        "", "-", "--1", "1_0", "+2", "\u0662", "\uff12", "\u00b2", " 2",
+        "2 ", "2\n", "0.5", "1e-1", "1/2", "1/0", "0x10", "inf"]),
+    (rat_from_text, "3", F(3)),
+    (rat_from_text, "-7", F(-7)),
+    (rat_from_text, "-3/6", F(-1, 2)),
+    (rat_from_text, "2/04", F(1, 2)),
+    (rat_from_text, "0/5", F(0)),
+    (rat_from_text, "007/1", F(7)),
+    *((rat_from_text, text, MatrixParseError) for text in [
+        "", "-", "/2", "1/", "1/0", "0/0", "1/00", "1/-2", "-1/-2", "1/+2",
+        "1/2/3", "1_0", "+2", "\u0662", "\uff12", "\u00bd", " 2", "1/ 2",
+        "3/4\n", "0.5", "1e-1", "1.5/2", "inf", "nan"]),
+]
+
+
+@pytest.mark.parametrize("reader, value, expect", READS, ids=[
+    f"{reader.__name__}-{value!r}" for reader, value, _ in READS])
+def test_number_readers(reader, value, expect):
+    if expect is MatrixParseError:
+        with pytest.raises(MatrixParseError, match="the entry"):
+            reader(value, "the entry")
+        return
+    got = reader(value, "the entry")
+    assert got == expect
+    assert type(got) is type(expect)
+    if reader is rat_vector:
+        assert all(type(q) is Fraction for q in got)

@@ -151,6 +151,21 @@ class TestNonnegativize:
         with pytest.raises(MatrixParseError):
             nonnegativize(spec, y)
 
+    @pytest.mark.parametrize("y", [(0.5, 1.5), (True, 2), (1, 2.0)])
+    def test_y_not_rational_rejected(self, y):
+        # y . c > 0 on every column, so (0.5, 1.5) and (True, 2) used to be
+        # taken as (1/2, 3/2) and (1, 2).
+        spec = ProblemSpec.from_rows([(1, -1, 0), (0, 1, 1)])
+        with pytest.raises(MatrixParseError, match="y"):
+            nonnegativize(spec, y)
+
+    def test_rational_y_recorded_as_fractions(self):
+        spec = ProblemSpec.from_rows([(1, -1, 0), (0, 1, 1)])
+        report = nonnegativize(spec, (1, F(3, 2)))
+        assert report.certificate == (F(1), F(3, 2))
+        assert all(type(q) is Fraction for q in report.certificate)
+        assert report.unimodular[-1] == (2, 3)
+
     def test_random_negative_matrices(self):
         rng = random.Random(23)
         done = 0

@@ -78,6 +78,17 @@ class TestScalars:
             # JSON-encodable as-is
             json.dumps(obj)
 
+    @pytest.mark.parametrize("coeffs", [
+        ["0", "0", "1"], ["1"], [], ["1", "0", "0", "0"]])
+    def test_cyc_coefficient_count(self, coeffs):
+        # phi(4) = 2 coefficients; ["0", "0", "1"] was read as zeta_4^2 = -1.
+        with pytest.raises(MatrixParseError, match="level 4 takes 2"):
+            cyc_from_json({"level": 4, "coeffs": coeffs})
+
+    def test_written_cyc_has_phi_coefficients(self):
+        for q, phi in ((F(0), 1), (F(1, 4), 2), (F(1, 9), 6), (F(5, 12), 4)):
+            assert len(cyc_to_json(cyc_from_phase(q))["coeffs"]) == phi
+
 
 class TestComponents:
     def test_guard(self):
@@ -151,6 +162,13 @@ class TestExpr:
         box = [range(-4, 40)] * len(rows)
         for b in product(*box):
             assert evaluate(old, b) == evaluate(new, b)
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_nonpositive_m_rejected(self, m):
+        # {"m": 0, "terms": []} loaded, and evaluate(e, ()) gave 0.
+        for schema in (2, 3):
+            with pytest.raises(MatrixParseError, match=f"m = {m}"):
+                expr_from_json({"schema": schema, "m": m, "terms": []})
 
     def test_unknown_schema_rejected(self):
         obj = expr_to_json(compute(ProblemSpec.from_rows([(1, 1)])))
