@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import LevelMismatch, LevelOverflow, MatrixParseError, NotRational
-from .matrixops import int_vector
+from .matrixops import int_vector, rat_vector
 
 DEFAULT_LEVEL_CAP = 10**6
 _level_cap = ContextVar("level_cap", default=DEFAULT_LEVEL_CAP)
@@ -140,9 +140,11 @@ class Cyclotomic:
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, level: int, coeffs):
-        """The element sum_i coeffs[i] zeta_level^i for rational coeffs."""
+        """The element sum_i coeffs[i] zeta_level^i for rational coeffs,
+        read like outside input: a float, a bool or a string is rejected."""
+        (level,) = int_vector((level,), "level")
         _check_level(level)
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = rat_vector(coeffs, "coefficients")
         den = lcm(*(c.denominator for c in coeffs))
         num = [c.numerator * den // c.denominator for c in coeffs]
         self._set(level, _reduce(level, num), den)

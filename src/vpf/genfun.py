@@ -16,7 +16,7 @@ from math import comb
 
 from .cyclotomic import Cyclotomic, cyc_from_phase, inv_one_minus_phase
 from .errors import DimensionMismatch, MatrixParseError, UnsupportedMultiplePole
-from .matrixops import int_vector, rat_vector
+from .matrixops import int_vector, rat_vector, sequence
 from .params import (
     EQ_ZERO,
     GE_ZERO,
@@ -297,7 +297,7 @@ def dedekind_sum(n: int, a_phase: Fraction, f, beta: int) -> Cyclotomic:
     (a_phase,) = rat_vector((a_phase,), "a_phase")
     f = [c if isinstance(c, Cyclotomic)
          else Cyclotomic.from_rational(*rat_vector((c,), "coefficient of f"))
-         for c in f]
+         for c in sequence(f, "f")]
     total = Cyclotomic.zero()
     for l in range(n):
         theta = (a_phase + l) / n

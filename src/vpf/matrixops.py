@@ -14,11 +14,23 @@ from numbers import Rational
 from .errors import MatrixParseError, NotPointed
 
 
-def int_vector(values, what: str) -> tuple[int, ...]:
-    """Integers from outside input; a non-integer is rejected, never rounded,
-    and so is a bool, although Python counts it as an int."""
+def sequence(values, what: str, n: int | None = None) -> tuple:
+    """Entries of a sequence from outside input, n of them if n is given."""
     try:
         values = tuple(values)
+    except TypeError as exc:
+        raise MatrixParseError(f"{what} {values!r} is not a sequence") from exc
+    if n is not None and len(values) != n:
+        raise MatrixParseError(
+            f"{what} {values!r} has length {len(values)}, not {n}")
+    return values
+
+
+def int_vector(values, what: str, n: int | None = None) -> tuple[int, ...]:
+    """Integers from outside input; a non-integer is rejected, never rounded,
+    and so is a bool, although Python counts it as an int."""
+    values = sequence(values, what, n)
+    try:
         out = tuple(map(operator.index, values))
     except TypeError as exc:
         raise MatrixParseError(f"{what} {values!r} has a non-integer entry") from exc
@@ -27,10 +39,10 @@ def int_vector(values, what: str) -> tuple[int, ...]:
     return out
 
 
-def rat_vector(values, what: str) -> tuple[Fraction, ...]:
+def rat_vector(values, what: str, n: int | None = None) -> tuple[Fraction, ...]:
     """Rationals from outside input; a float or a bool is rejected, never
     rounded."""
-    values = tuple(values)
+    values = sequence(values, what, n)
     if bool in map(type, values) or not all(
             isinstance(q, Rational) for q in values):
         raise MatrixParseError(f"{what} {values!r} has a bool or non-rational entry")

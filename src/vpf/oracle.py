@@ -22,9 +22,7 @@ def box_counts(spec, lo, hi) -> dict:
     phases (whose solutions are weighted, not counted) are MatrixParseErrors.
     """
     columns, m = spec.columns, spec.m
-    lo, hi = int_vector(lo, "box corner"), int_vector(hi, "box corner")
-    if not len(lo) == len(hi) == m:
-        raise MatrixParseError(f"box corners {lo}, {hi} need {m} entries")
+    lo, hi = int_vector(lo, "box corner", m), int_vector(hi, "box corner", m)
     if any(a > z for a, z in zip(lo, hi)):
         raise MatrixParseError(f"empty box: lower corner {lo} exceeds {hi}")
     if any(spec.phases):

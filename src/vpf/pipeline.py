@@ -24,6 +24,7 @@ from .matrixops import (
     mat_vec_int,
     primitive_integer,
     rat_vector,
+    sequence,
     unimodular_with_last_row,
 )
 from .oracle import box_counts
@@ -39,19 +40,16 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(
-            int_vector(r, "matrix row") for r in self.entries))
-        m = len(self.entries)
-        if m == 0 or len(set(len(r) for r in self.entries)) != 1:
+            int_vector(r, "matrix row") for r in sequence(self.entries, "matrix")))
+        if not self.entries or len(set(map(len, self.entries))) != 1:
             raise MatrixParseError("matrix must be rectangular and nonempty")
         d = len(self.entries[0])
         if d == 0:
             raise MatrixParseError("matrix needs at least one column")
-        if not self.phases:
-            object.__setattr__(self, "phases", (Fraction(0),) * d)
-        elif len(self.phases) != d:
-            raise MatrixParseError("need one phase per column")
+        # No phases, () or [], means a zero phase on every column.
+        phases = sequence(self.phases, "phases") or (0,) * d
         object.__setattr__(self, "phases", tuple(
-            q % 1 for q in rat_vector(self.phases, "phases")))
+            q % 1 for q in rat_vector(phases, "phases", d)))
         for k in range(d):
             if not any(row[k] for row in self.entries):
                 # A zero column puts e_k in ker(A) Z_{>=0}^d, so the cone
@@ -61,7 +59,7 @@ class ProblemSpec:
 
     @classmethod
     def from_rows(cls, rows, phases=()) -> "ProblemSpec":
-        return cls(tuple(rows), tuple(phases))
+        return cls(rows, phases)
 
     @property
     def m(self) -> int:
@@ -94,6 +92,28 @@ class ResultExpr:
     spec: ProblemSpec | None = None
     report: PreprocessReport | None = None
 
+    def __post_init__(self):
+        """Every shape rule.  Residues, guards and exponents have m entries,
+        the spec m rows and the unimodular m x m (DimensionMismatch); a
+        modulus is positive, its tables have that many entries, and no
+        exponent is negative (MatrixParseError)."""
+        m, u = self.m, self.report and self.report.unimodular
+        sizes = {m} if u is None else {len(u), *map(len, u)}
+        if self.spec is not None:
+            sizes.add(self.spec.m)
+        for s in self.terms:
+            sizes.update((len(s.residue), *(len(e) for e, _ in s.poly),
+                          *(len(g.form.coeffs) for g in s.guards)))
+            if s.modulus < 1:
+                raise MatrixParseError(f"modulus {s.modulus} is not positive")
+            if any(len(t) != s.modulus for _, t in s.poly):
+                raise MatrixParseError(
+                    f"a table does not have {s.modulus} entries")
+            if any(min(e, default=0) < 0 for e, _ in s.poly):
+                raise MatrixParseError("an exponent is negative")
+        if sizes != {m}:
+            raise DimensionMismatch(f"expected {m} parameters, got {sizes}")
+
     @cached_property
     def _plan(self):
         """What `evaluate` reads, built on first use and not a field: the
@@ -105,13 +125,8 @@ class ResultExpr:
             tuple(int(i == j) for j in range(m)) for i in range(m)) else u
         den = lcm(*(x.den if isinstance(x, Cyclotomic) else x.denominator
                     for s in self.terms for _, t in s.poly for x in t))
-        shape = {m} if u is None else {len(u), *map(len, u)}
         forms, monos, groups = {}, {}, {}
         for s in self.terms:
-            sizes = {*shape, len(s.residue), *(len(e) for e, _ in s.poly),
-                     *(len(g.form.coeffs) for g in s.guards)}
-            if sizes != {m}:
-                raise DimensionMismatch(f"expected {m} parameters, got {sizes}")
             key = tuple(forms.setdefault(
                 (g.form.coeffs, g.form.const, g.sense == EQ_ZERO), len(forms))
                 for g in s.guards)
@@ -146,9 +161,8 @@ def nonnegativize(spec: ProblemSpec, y) -> PreprocessReport:
     Counts are preserved: phi_A(b) = phi_{UA}(Ub).  A y with y . c_k <= 0
     for some column is a MatrixParseError.
     """
-    y = rat_vector(y, "y")
-    if len(y) != spec.m or any(
-            sum(yi * ci for yi, ci in zip(y, c)) <= 0 for c in spec.columns):
+    y = rat_vector(y, "y", spec.m)
+    if any(sum(yi * ci for yi, ci in zip(y, c)) <= 0 for c in spec.columns):
         raise MatrixParseError(
             f"y = {y} does not give y . c > 0 on every column")
     y0 = primitive_integer(y)
@@ -212,10 +226,7 @@ def evaluate(expr: ResultExpr, b) -> Fraction | Cyclotomic:
     For a spec with column phases the value is the exact weighted count, a
     Fraction when it is rational and a Cyclotomic otherwise.
     """
-    b = int_vector(b, "b")
-    if len(b) != expr.m:
-        raise MatrixParseError(
-            f"b has {len(b)} entries but the expression has {expr.m} parameters")
+    b = int_vector(b, "b", expr.m)
     transform, forms, monos, groups, den, phased = expr._plan
     nb = b if transform is None else mat_vec_int(transform, b)
     holds = [v == 0 if eq else v >= 0

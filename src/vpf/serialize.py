@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
-from .errors import MatrixParseError, NotPointed
+from .errors import DimensionMismatch, MatrixParseError, NotPointed
 from .matrixops import int_vector, rat_from_text
 from .params import (
     AffineForm,
@@ -51,10 +51,9 @@ def cyc_to_json(x: Cyclotomic) -> dict:
 
 
 def cyc_from_json(obj) -> Cyclotomic:
-    (level,) = int_vector((obj["level"],), "level")
-    x = Cyclotomic(level, [rat_from_json(c) for c in obj["coeffs"]])
+    x = Cyclotomic(obj["level"], [rat_from_json(c) for c in obj["coeffs"]])
     if len(obj["coeffs"]) != len(x.num):
-        raise MatrixParseError(f"level {level} takes {len(x.num)} coefficients")
+        raise MatrixParseError(f"level {x.level} takes {len(x.num)} coefficients")
     return x
 
 
@@ -78,28 +77,17 @@ def poly_from_json(obj, arity: int) -> ParamPoly:
         for mono in obj})
 
 
-def _check_lengths(lengths, arity: int) -> None:
-    if any(n != arity for n in lengths):
-        raise MatrixParseError(
-            f"a term has lengths {lengths}, expected {arity}")
-
-
 def term_from_json(obj, arity: int, schema: int = 2) -> Term:
-    """A schema-1 or schema-2 term over `arity` parameters; a phase, guard
-    or monomial of any other length is a MatrixParseError.  A schema-1
+    """A schema-1 or schema-2 term over `arity` parameters.  A schema-1
     term's separate scalar is folded into its poly."""
     poly = poly_from_json(obj["poly"], arity)
     if schema == 1:
         poly = poly.scale(cyc_from_json(obj["scalar"]))
-    term = Term(
+    return Term(
         phase_from_json(obj["phase"]),
         poly,
         tuple(guard_from_json(g) for g in obj["guards"]),
     )
-    _check_lengths([len(term.phase.coeffs)]
-                   + [len(g.form.coeffs) for g in term.guards]
-                   + [len(e) for e, _ in term.poly.items()], arity)
-    return term
 
 
 def entry_to_json(x):
@@ -124,37 +112,26 @@ def summand_to_json(s: Summand) -> dict:
     }
 
 
-def summand_from_json(obj, arity: int) -> Summand:
-    """A summand over `arity` parameters: the residue, guards and exponents
-    have `arity` entries, every table has `modulus` entries, and exponents
-    are nonnegative; anything else is a MatrixParseError."""
+def summand_from_json(obj) -> Summand:
+    """A summand with its integers and entries checked; its shape is
+    checked by the ResultExpr it goes into."""
     (modulus,) = int_vector((obj["modulus"],), "modulus")
-    if modulus < 1:
-        raise MatrixParseError(f"modulus {modulus} is not positive")
-    residue = int_vector(obj["residue"], "residue")
-    guards = tuple(guard_from_json(g) for g in obj["guards"])
-    poly = tuple((int_vector(mono["exps"], "exponents"),
-                  tuple(entry_from_json(x) for x in mono["table"]))
-                 for mono in obj["poly"])
-    _check_lengths([len(residue)] + [len(g.form.coeffs) for g in guards]
-                   + [len(e) for e, _ in poly], arity)
-    if any(len(t) != modulus for _, t in poly):
-        raise MatrixParseError(f"a table does not have {modulus} entries")
-    if any(min(e, default=0) < 0 for e, _ in poly):
-        raise MatrixParseError("an exponent is negative")
-    return Summand(guards, modulus, residue, poly)
+    return Summand(
+        tuple(guard_from_json(g) for g in obj["guards"]),
+        modulus,
+        int_vector(obj["residue"], "residue"),
+        tuple((int_vector(mono["exps"], "exponents"),
+               tuple(entry_from_json(x) for x in mono["table"]))
+              for mono in obj["poly"]))
 
 
-def spec_from_json(obj, m: int, schema: int) -> ProblemSpec:
-    """The spec of a document with a "matrix": `m` rows, no zero column,
-    and for schema 4 the "phases"; anything else is a MatrixParseError."""
-    rows = obj["matrix"]
-    if len(rows) != m:
-        raise MatrixParseError(f"the matrix has {len(rows)} rows, not {m}")
+def spec_from_json(obj, schema: int) -> ProblemSpec:
+    """The spec of a document with a "matrix": no zero column, and for
+    schema 4 the "phases"; anything else is a MatrixParseError."""
     phases = (tuple(rat_from_json(q) for q in obj["phases"])
               if schema == PHASED_SCHEMA else ())
     try:
-        return ProblemSpec.from_rows(rows, phases)
+        return ProblemSpec.from_rows(obj["matrix"], phases)
     except NotPointed as exc:
         raise MatrixParseError(f"the matrix is not pointed: {exc}") from exc
 
@@ -189,13 +166,13 @@ def expr_from_json(obj) -> ResultExpr:
         if m < 1:
             raise MatrixParseError(f"m = {m} is not positive")
         if schema >= SCHEMA:
-            terms = tuple(summand_from_json(s, m) for s in obj["terms"])
+            terms = tuple(summand_from_json(s) for s in obj["terms"])
         else:
             terms = collapse_terms(
                 [term_from_json(t, m, schema) for t in obj["terms"]])
         spec = None
         if "matrix" in obj or schema == PHASED_SCHEMA:
-            spec = spec_from_json(obj, m, schema)
+            spec = spec_from_json(obj, schema)
         report = None
         if "unimodular" in obj:
             report = PreprocessReport(
@@ -204,10 +181,8 @@ def expr_from_json(obj) -> ResultExpr:
                 tuple(int_vector(r, "normalized row")
                       for r in obj.get("normalized", [])),
             )
-            u = report.unimodular
-            if {len(u), *map(len, u)} != {m}:
-                raise MatrixParseError(f"unimodular is not {m} x {m}")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return ResultExpr(m, terms, spec, report)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError,
+            DimensionMismatch) as exc:
         raise MatrixParseError(
             f"malformed expression: {type(exc).__name__}: {exc}") from exc
-    return ResultExpr(m, terms, spec, report)

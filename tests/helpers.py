@@ -181,7 +181,7 @@ def substitute_power(state: GenFunState, j: int, n: int) -> GenFunState:
 
 
 def cyc_pow(x: Cyclotomic, n: int) -> Cyclotomic:
-    """x^n by square-and-multiply; a negative n inverts x by Euclid first."""
+    """x^n by square-and-multiply; a negative n inverts x first."""
     base = x.inv() if n < 0 else x
     n = abs(n)
     out = Cyclotomic.one()

@@ -269,6 +269,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "MatrixParseError" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("# a comment\n\n  # and another\n", "empty matrix file"),
+        ("2 2\n1 1\n", "expected 2 matrix rows, found 1"),
+    ], ids=["comments-only", "header-row-count"])
+    def test_matrix_file_shape_is_4(self, mat, capsys, text, message):
+        assert main(["compute", mat(text)]) == 4
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["compute"], ["eval"]])
     def test_non_utf8_file_is_4(self, tmp_path, capsys, command):
         # A UTF-16 byte-order mark, then the (1 1) matrix file.

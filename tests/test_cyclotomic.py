@@ -265,6 +265,17 @@ class TestLevelCap:
         with pytest.raises(ValueError):
             Cyclotomic(0, [1])
 
+    @pytest.mark.parametrize("level, coeffs", [
+        (1, [0.1]), (3, [True, 0]), (1, ["1/2"]), (True, [1]), (2.0, [1]),
+        (3, None), (3, 5)])
+    def test_constructor_reads_like_outside_input(self, level, coeffs):
+        # A float would be rounded to its binary fraction and True read as
+        # 1; a string is outside the number grammar.
+        with pytest.raises(MatrixParseError):
+            Cyclotomic(level, coeffs)
+        assert Cyclotomic(3, (Fraction(1, 2), 1)).coeffs == (
+            Fraction(1, 2), Fraction(1))
+
     def test_bad_cap(self):
         for cap in (0, -3, 2.5, "10", None):
             with pytest.raises(MatrixParseError):

@@ -17,6 +17,7 @@ from vpf.matrixops import (
     primitive_integer,
     rat_from_text,
     rat_vector,
+    sequence,
     unimodular_with_last_row,
 )
 
@@ -139,6 +140,21 @@ class TestIntVector:
     def test_non_integers_rejected(self, values):
         with pytest.raises(MatrixParseError):
             int_vector(values, "row")
+
+    @pytest.mark.parametrize("reader", [int_vector, rat_vector, sequence])
+    def test_length(self, reader):
+        assert reader([1, 2], "row", 2) == reader([1, 2], "row")
+        assert reader([], "row", 0) == ()
+        for values in ([1], [1, 2, 3]):
+            with pytest.raises(MatrixParseError,
+                               match=rf"^row .* has length {len(values)}, not 2$"):
+                reader(values, "row", 2)
+
+    @pytest.mark.parametrize("reader", [int_vector, rat_vector, sequence])
+    @pytest.mark.parametrize("values", [5, None, 2.5, F(1, 2)])
+    def test_non_sequence_named(self, reader, values):
+        with pytest.raises(MatrixParseError, match=r"^row .* is not a sequence$"):
+            reader(values, "row")
 
 
 #: The readers of numbers from outside: what each returns for an input, or

@@ -97,6 +97,14 @@ class TestParamPoly:
         assert list(p.items()) == [((0, 0), Cyclotomic.from_rational(F(1, 8)))]
         assert p.eval((3, -4)) == F(1, 8)
 
+    def test_str_and_repr(self):
+        p = ParamPoly(2, {(2, 1): 1, (0, 1): F(-1, 2), (1, 0): 3,
+                          (0, 0): cyc_from_phase(F(1, 3))})
+        assert str(p) == "x0^2*x1 + (3)*x0 + (-1/2)*x1 + z3"
+        assert repr(p) == "ParamPoly(2, 'x0^2*x1 + (3)*x0 + (-1/2)*x1 + z3')"
+        assert (str(ParamPoly.zero(1)), repr(ParamPoly.zero(1))) == (
+            "0", "ParamPoly(1, '0')")
+
     def test_eq_of_rational_ignores_level(self):
         half = Cyclotomic.from_rational(F(-1, 2))
         p = ParamPoly(1, {(1,): half, (0,): 3})

@@ -11,22 +11,27 @@ from itertools import permutations
 import pytest
 
 from vpf import (
+    AffineForm,
     DimensionMismatch,
+    Guard,
     MatrixParseError,
     NotPointed,
     ProblemSpec,
     ResultExpr,
     SanityFailure,
     Summand,
+    VpfError,
     check_pointed,
     compute,
     count_points,
     cyc_from_phase,
+    dedekind_sum,
     evaluate,
     nonnegativize,
     verify_box,
 )
 from vpf.matrixops import mat_vec_int
+from vpf.oracle import box_counts
 from vpf.pipeline import preprocess
 
 from .helpers import det_int, raw_terms, summand_value, terms_value
@@ -288,12 +293,12 @@ class TestEvaluate:
 
     def test_summand_of_wrong_arity_rejected(self):
         # A hand-built expression whose summand has 2 entries in its residue
-        # and exponents while the expression has 1 parameter.
+        # and exponents while the expression has 1 parameter: rejected when
+        # it is built, before any evaluate.
         expr = compute(ONE_ONE)
-        bad = ResultExpr(1, expr.terms + (
-            Summand((), 1, (0, 0), (((0, 0), (F(1),)),)),))
         with pytest.raises(DimensionMismatch, match="expected 1 parameters"):
-            evaluate(bad, (3,))
+            ResultExpr(1, expr.terms + (
+                Summand((), 1, (0, 0), (((0, 0), (F(1),)),)),))
 
     def test_phased_halved_table_not_cyclotomic_integer(self):
         # (1 1) with phases (1/3, 0) gives 1 + e(1/3) at b = 1; halving
@@ -322,6 +327,79 @@ class TestEvaluate:
         for b1 in range(-3, 5):
             for b2 in range(-3, 3):
                 assert evaluate(expr, (b1, b2)) == count_points(spec, (b1, b2))
+
+
+def _summand(modulus=1, residue=(0,), exps=(0,), table=(F(1),), guards=()):
+    return Summand(guards, modulus, residue, ((exps, table),))
+
+
+class TestResultExprShape:
+    """A hand-built expression is checked when it is built, so evaluate
+    never indexes past a table, divides by a modulus 0 or raises b to a
+    negative power."""
+
+    @pytest.mark.parametrize("summand, error, message", [
+        (_summand(modulus=2, residue=(1,)), MatrixParseError,
+         "a table does not have 2 entries"),
+        (_summand(modulus=0, table=()), MatrixParseError,
+         "modulus 0 is not positive"),
+        (_summand(exps=(-1,)), MatrixParseError, "an exponent is negative"),
+        (_summand(residue=(0, 1)), DimensionMismatch, "expected 1 parameters"),
+        (_summand(exps=(0, 0)), DimensionMismatch, "expected 1 parameters"),
+        (_summand(guards=(Guard(AffineForm((1, 1))),)), DimensionMismatch,
+         "expected 1 parameters"),
+    ], ids=["short-table", "modulus-0", "negative-exponent", "residue-length",
+            "exponent-length", "guard-length"])
+    def test_bad_summand_rejected_when_built(self, summand, error, message):
+        good = compute(ONE_ONE)
+        with pytest.raises(error, match=message):
+            ResultExpr(1, good.terms + (summand,))
+        with pytest.raises(error, match=message):
+            replace(good, terms=(summand,))
+
+    def test_spec_and_unimodular_of_wrong_size(self):
+        expr = compute(A2)
+        for u in (((1, 0),), ((1, 0), (0,)), ((1, 0, 0),) * 2):
+            with pytest.raises(DimensionMismatch):
+                replace(expr, report=replace(expr.report, unimodular=u))
+        with pytest.raises(DimensionMismatch, match="expected 2 parameters"):
+            replace(expr, spec=ONE_ONE)
+
+
+#: Not a vector or a matrix: an int, None, a str and a float.
+NOT_VECTORS = [5, None, "ab", 2.5]
+
+#: Every public entry point that takes a vector or a matrix, by argument.
+TAKES_VECTORS = {
+    "spec-rows": lambda bad: ProblemSpec(bad),
+    "spec-phases": lambda bad: ProblemSpec(((1, 1),), bad),
+    "from_rows-rows": lambda bad: ProblemSpec.from_rows(bad),
+    "from_rows-row": lambda bad: ProblemSpec.from_rows([bad]),
+    "from_rows-phases": lambda bad: ProblemSpec.from_rows([(1, 1)], bad),
+    "nonnegativize-y": lambda bad: nonnegativize(A2, bad),
+    "compute-order": lambda bad: compute(A2, bad),
+    "evaluate-b": lambda bad: evaluate(compute(A2), bad),
+    "verify_box-lo": lambda bad: verify_box(A2, compute(A2), bad, (1, 1)),
+    "verify_box-hi": lambda bad: verify_box(A2, compute(A2), (0, 0), bad),
+    "box_counts-lo": lambda bad: box_counts(A2, bad, (1, 1)),
+    "box_counts-hi": lambda bad: box_counts(A2, (0, 0), bad),
+    "count_points-b": lambda bad: count_points(A2, bad),
+    "dedekind_sum-f": lambda bad: dedekind_sum(2, 0, bad, 0),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_VECTORS, ids=repr)
+@pytest.mark.parametrize("entry", TAKES_VECTORS)
+def test_non_vector_argument_is_typed(entry, bad):
+    # A VpfError, never a bare TypeError; a non-sequence is named as one.
+    # compute's order=None is its documented default.
+    if entry == "compute-order" and bad is None:
+        assert TAKES_VECTORS[entry](bad) == compute(A2)
+        return
+    with pytest.raises(VpfError) as info:
+        TAKES_VECTORS[entry](bad)
+    if not isinstance(bad, str):
+        assert "is not a sequence" in str(info.value)
 
 
 class TestVerifyBox:

@@ -17,9 +17,12 @@ from pathlib import Path
 import pytest
 
 from vpf import (
+    AffineForm,
     Cyclotomic,
+    Guard,
     LevelOverflow,
     ProblemSpec,
+    ResultExpr,
     SanityFailure,
     Summand,
     compute,
@@ -28,6 +31,7 @@ from vpf import (
 )
 from vpf.cyclotomic import orbit_table, phase_orbit
 from vpf.matrixops import mat_vec_int
+from vpf.params import EQ_ZERO
 from vpf.render import render_expr_latex, render_expr_text
 from vpf.serialize import expr_from_json, expr_to_json
 
@@ -363,6 +367,20 @@ class TestRender:
         expr = expr_from_json(doc)
         assert render_expr_text(expr).endswith("[0 if b >= 0]")
         assert summands_value(expr, (3,)) == F(3, 2) + F(3, 4)
+
+    def test_no_summands(self):
+        assert render_expr_text(ResultExpr(1, ())) == "phi(b) = 0"
+        assert render_expr_latex(ResultExpr(2, ())) == "\\phi(a, b) = 0"
+
+    def test_guard_coefficients(self):
+        # A coefficient other than +-1 is written with its factor.
+        expr = ResultExpr(2, (Summand(
+            (Guard(AffineForm((2, -3), -1)), Guard(AffineForm((1, -1)), EQ_ZERO)),
+            1, (0, 0), (((1, 0), (F(1),)),)),))
+        assert render_expr_text(expr) == (
+            "phi(a, b) =\n    [a if 2*a-3*b-1 >= 0 and a-b = 0]")
+        assert render_expr_latex(expr) == (
+            "\\phi(a, b) = \\left[a\\right]_{2 a-3 b-1 \\ge 0,\\ a-b = 0}")
 
     def test_every_entry_printed(self):
         expr = compute(ProblemSpec.from_rows([(1, 5, 7)]))
