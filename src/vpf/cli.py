@@ -34,14 +34,20 @@ class _Parser(argparse.ArgumentParser):
         raise MatrixParseError(message)
 
 
-def parse_matrix_file(path: str) -> ProblemSpec:
-    """Matrix file: '#' comments, header "m d", then m rows of d integers."""
+def _read_text(path: str) -> str:
+    """The text of a file, read as UTF-8; an unreadable file is a parse error."""
     try:
-        with open(path) as fh:
-            raw = fh.readlines()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, UnicodeError) as exc:
         raise MatrixParseError(f"{path}: {exc}") from exc
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw)]
+
+
+def parse_matrix_file(path: str, text: str | None = None) -> ProblemSpec:
+    """Matrix file: '#' comments, header "m d", then m rows of d integers.
+    `text` is the file's text when the caller has read it already."""
+    text = _read_text(path) if text is None else text
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.split("\n"))]
     lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise MatrixParseError(f"{path}: empty matrix file")
@@ -85,28 +91,13 @@ def parse_order(text: str):
     return tuple(i - 1 for i in parse_ints(text, "row order"))
 
 
-def _read_expr_json(path: str):
+def _read_expr_json(path: str, text: str | None = None):
     """A saved expression; any unreadable or malformed file is a parse error."""
+    text = _read_text(path) if text is None else text
     try:
-        with open(path) as fh:
-            return expr_from_json(json.load(fh))
-    except (OSError, UnicodeError, json.JSONDecodeError,
-            MatrixParseError) as exc:
+        return expr_from_json(json.loads(text))
+    except (json.JSONDecodeError, MatrixParseError) as exc:
         raise MatrixParseError(f"{path}: bad expression JSON: {exc}") from exc
-
-
-def _load_expr(path: str):
-    """An expression JSON if the file looks like JSON, else compute from matrix."""
-    try:
-        with open(path) as fh:
-            while (head := fh.read(1)).isspace():
-                pass
-    except (OSError, UnicodeError) as exc:
-        raise MatrixParseError(f"{path}: {exc}") from exc
-    if head == "{":
-        return None, _read_expr_json(path)
-    spec = parse_matrix_file(path)
-    return spec, compute(spec)
 
 
 def cmd_compute(args) -> int:
@@ -124,7 +115,9 @@ def cmd_compute(args) -> int:
 
 def cmd_eval(args) -> int:
     b = parse_ints(args.b, "parameter vector b")
-    _, expr = _load_expr(args.path)
+    text = _read_text(args.path)  # an expression JSON or a matrix file
+    expr = (_read_expr_json(args.path, text) if text.lstrip().startswith("{")
+            else compute(parse_matrix_file(args.path, text)))
     print(evaluate(expr, b))
     return 0
 

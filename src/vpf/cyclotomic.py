@@ -178,11 +178,6 @@ class Cyclotomic:
         return tuple(Fraction(v, self.den) for v in self.num)
 
     @classmethod
-    def from_rational(cls, q) -> "Cyclotomic":
-        q = Fraction(q)
-        return cls._ints(1, (q.numerator,), q.denominator)
-
-    @classmethod
     def zero(cls) -> "Cyclotomic":
         return cls._ints(1, (0,))
 
@@ -193,10 +188,7 @@ class Cyclotomic:
     @classmethod
     def from_phase(cls, q) -> "Cyclotomic":
         """The root of unity e(q) = exp(2*pi*i*q) for rational q."""
-        q = Fraction(q) % 1
-        n = q.denominator
-        _check_level(n)
-        return cls._ints(n, _reduce(n, [0] * q.numerator + [1]))
+        return cyc_from_phase(q)
 
     # -- representation changes ------------------------------------------
 
@@ -231,7 +223,7 @@ class Cyclotomic:
         if isinstance(x, Cyclotomic):
             return x
         if isinstance(x, (int, Fraction)):
-            return Cyclotomic.from_rational(x)
+            return Cyclotomic._ints(1, (x.numerator,), x.denominator)
         return None
 
     def _common(self, other):
@@ -329,16 +321,25 @@ class Cyclotomic:
         return f"Cyclotomic({self.level}, '{self}')"
 
 
-def cyc_from_phase(q) -> Cyclotomic:
-    """e(q), memoised on q mod 1."""
-    q = Fraction(q) % 1
+def _phase(q) -> Fraction:
+    """q mod 1, its level checked; a q that is not a Fraction is read like
+    outside input, so a float, a bool or a string is rejected."""
+    if not isinstance(q, Fraction):
+        (q,) = rat_vector((q,), "phase")
+    q %= 1
     _check_level(q.denominator)
-    return _phase_root(q)
+    return q
+
+
+def cyc_from_phase(q) -> Cyclotomic:
+    """e(q) = exp(2*pi*i*q) for rational q, memoised on q mod 1."""
+    return _phase_root(_phase(q))
 
 
 @lru_cache(maxsize=None)
 def _phase_root(q: Fraction) -> Cyclotomic:
-    return Cyclotomic.from_phase(q)
+    n = q.denominator
+    return Cyclotomic._ints(n, _reduce(n, [0] * q.numerator + [1]))
 
 
 @lru_cache(maxsize=None)
@@ -404,10 +405,8 @@ def inv_one_minus_phase(q) -> Cyclotomic:
     For x = e(q) of order n > 1, sum_{j<n} j x^j = n/(x - 1), so
     1/(1 - x) = -(1/n) sum_{j<n} j x^j; no Euclid runs.
     """
-    q = Fraction(q) % 1
-    n = q.denominator
-    _check_level(n)
-    if n == 1:
+    q = _phase(q)
+    if q == 0:
         raise ZeroDivisionError("1 - e(0) is zero")
     return _inv_one_minus_root(q)
 

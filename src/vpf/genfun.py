@@ -272,16 +272,10 @@ def expand(normalized, phases, order) -> list[Term]:
     factors = tuple(Factor(q, tuple(normalized[i][k] for i in order), k)
                     for k, q in enumerate(phases))
     level = [GenFunState(exps, factors)]
-    try:
-        for _ in range(m - 1):
-            level = _merge_states(
-                child for st in level for child in eliminate_last_var(st))
-        return [t for st in level for t in final_univariate(st)]
-    except UnsupportedMultiplePole as exc:
-        rows = ",".join(str(i + 1) for i in order)
-        raise UnsupportedMultiplePole(
-            f"{exc}, eliminating rows in the order {rows} (last first); "
-            f"another order (--order) may avoid it") from exc
+    for _ in range(m - 1):
+        level = _merge_states(
+            child for st in level for child in eliminate_last_var(st))
+    return [t for st in level for t in final_univariate(st)]
 
 
 def dedekind_sum(n: int, a_phase: Fraction, f, beta: int) -> Cyclotomic:
@@ -295,8 +289,7 @@ def dedekind_sum(n: int, a_phase: Fraction, f, beta: int) -> Cyclotomic:
     if n < 1:
         raise MatrixParseError(f"the group size n must be positive, got {n}")
     (a_phase,) = rat_vector((a_phase,), "a_phase")
-    f = [c if isinstance(c, Cyclotomic)
-         else Cyclotomic.from_rational(*rat_vector((c,), "coefficient of f"))
+    f = [c if isinstance(c, Cyclotomic) else Cyclotomic(1, (c,))
          for c in sequence(f, "f")]
     total = Cyclotomic.zero()
     for l in range(n):

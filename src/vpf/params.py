@@ -112,7 +112,7 @@ class ParamPoly:
         if monos:
             for exps, coeff in monos.items():
                 if not isinstance(coeff, Cyclotomic):
-                    coeff = Cyclotomic.from_rational(coeff)
+                    coeff = Cyclotomic(1, (coeff,))
                 if not coeff.is_zero():
                     clean[tuple(exps)] = coeff
         self._monos = clean

@@ -15,7 +15,8 @@ from math import lcm, prod
 from operator import mul
 
 from .cyclotomic import Cyclotomic
-from .errors import DimensionMismatch, MatrixParseError, NotPointed, SanityFailure
+from .errors import (DimensionMismatch, MatrixParseError, NotPointed,
+                     SanityFailure, UnsupportedMultiplePole)
 from .genfun import expand
 from .matrixops import (
     fm_certificate,
@@ -93,17 +94,27 @@ class ResultExpr:
     report: PreprocessReport | None = None
 
     def __post_init__(self):
-        """Every shape rule.  Residues, guards and exponents have m entries,
-        the spec m rows and the unimodular m x m (DimensionMismatch); a
-        modulus is positive, its tables have that many entries, and no
-        exponent is negative (MatrixParseError)."""
-        m, u = self.m, self.report and self.report.unimodular
+        """Every type and shape rule.  m is an int >= 1; a summand's modulus
+        (>= 1), residue, exponents (>= 0) and guards are ints, its tables
+        have modulus entries, each a rational or a Cyclotomic
+        (MatrixParseError).  Residues, guards and exponents have m entries,
+        the spec m rows and the unimodular m x m (DimensionMismatch)."""
+        (m,) = int_vector((self.m,), "m")
+        if m < 1:
+            raise MatrixParseError(f"m = {m} is not positive")
+        u = self.report and self.report.unimodular
         sizes = {m} if u is None else {len(u), *map(len, u)}
         if self.spec is not None:
             sizes.add(self.spec.m)
         for s in self.terms:
-            sizes.update((len(s.residue), *(len(e) for e, _ in s.poly),
-                          *(len(g.form.coeffs) for g in s.guards)))
+            vectors = (s.residue, *(e for e, _ in s.poly),
+                       *(g.form.coeffs for g in s.guards))
+            int_vector((s.modulus, *(g.form.const for g in s.guards),
+                        *(x for v in vectors for x in v)),
+                       "summand modulus, residue, exponents and guards")
+            rat_vector([x for _, t in s.poly for x in t
+                        if not isinstance(x, Cyclotomic)], "table entries")
+            sizes.update(map(len, vectors))
             if s.modulus < 1:
                 raise MatrixParseError(f"modulus {s.modulus} is not positive")
             if any(len(t) != s.modulus for _, t in s.poly):
@@ -209,7 +220,12 @@ def compute(spec: ProblemSpec, order=None) -> ResultExpr:
         raise MatrixParseError(
             f"row order {rows} (1-based) is not a permutation of 1..{m}")
     report = preprocess(spec)
-    summands = collapse_terms(expand(report.normalized, spec.phases, order))
+    try:
+        summands = collapse_terms(expand(report.normalized, spec.phases, order))
+    except UnsupportedMultiplePole as exc:
+        raise UnsupportedMultiplePole(
+            f"{exc}, eliminating rows in the order {rows} (last first); "
+            f"another order (--order) may avoid it") from exc
     if not any(spec.phases):
         for s in summands:
             for exps, table in s.poly:

@@ -15,6 +15,11 @@ def param_names(m: int) -> list[str]:
     return _LETTERS.get(m, [f"b{i + 1}" for i in range(m)])
 
 
+def _join(parts) -> str:
+    """(sign, body) pairs written as a sum, without a leading "+"."""
+    return "".join(sign + body for sign, body in parts).removeprefix("+")
+
+
 def render_affine(f: AffineForm, names) -> str:
     parts = []
     for c, name in zip(f.coeffs, names):
@@ -28,10 +33,7 @@ def render_affine(f: AffineForm, names) -> str:
             parts.append(("+" if c > 0 else "-", f"{abs(c)}*{name}"))
     if f.const or not parts:
         parts.append(("+" if f.const >= 0 else "-", str(abs(f.const))))
-    out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
+    return _join(parts)
 
 
 def render_guard(g: Guard, names) -> str:
@@ -63,10 +65,7 @@ def render_poly(poly, names, index: str) -> str:
         if mono:
             body = mono if body == "1" else f"{body}*{mono}"
         parts.append((sign, body))
-    out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
+    return _join(parts)
 
 
 def _split_lead(poly):

@@ -35,8 +35,7 @@ PHASED_SCHEMA = 4
 
 
 def rat_to_json(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))
 
 
 def rat_from_json(s) -> Fraction:
@@ -113,14 +112,13 @@ def summand_to_json(s: Summand) -> dict:
 
 
 def summand_from_json(obj) -> Summand:
-    """A summand with its integers and entries checked; its shape is
-    checked by the ResultExpr it goes into."""
-    (modulus,) = int_vector((obj["modulus"],), "modulus")
+    """A summand with its guards and entries read; its other integers and
+    its shape are checked by the ResultExpr it goes into."""
     return Summand(
         tuple(guard_from_json(g) for g in obj["guards"]),
-        modulus,
-        int_vector(obj["residue"], "residue"),
-        tuple((int_vector(mono["exps"], "exponents"),
+        obj["modulus"],
+        tuple(obj["residue"]),
+        tuple((tuple(mono["exps"]),
                tuple(entry_from_json(x) for x in mono["table"]))
               for mono in obj["poly"]))
 
@@ -162,9 +160,7 @@ def expr_from_json(obj) -> ResultExpr:
                                "schema")
         if schema not in (1, 2, SCHEMA, PHASED_SCHEMA):
             raise MatrixParseError(f"unknown expression schema {schema!r}")
-        (m,) = int_vector((obj["m"],), "m")
-        if m < 1:
-            raise MatrixParseError(f"m = {m} is not positive")
+        m = obj["m"]  # ResultExpr checks it
         if schema >= SCHEMA:
             terms = tuple(summand_from_json(s) for s in obj["terms"])
         else:

@@ -353,6 +353,6 @@ def test_criterion_12_rejection(tmp_path, capsys):
         ]
         for i, (text, code) in enumerate(cases):
             p = tmp_path / f"m{i}.mat"
-            p.write_text(text)
+            p.write_text(text, encoding="utf-8")
             assert cli_main(["compute", str(p)]) == code
         capsys.readouterr()

@@ -24,7 +24,7 @@ NEGATIVE = "2 3\n1 -1 0\n0 1 1\n"
 def mat(tmp_path):
     def write(text, name="m.mat"):
         p = tmp_path / name
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         return str(p)
     return write
 
@@ -83,7 +83,7 @@ class TestEval:
         assert main(["compute", mat(A2), "--format", "json"]) == 0
         blob = capsys.readouterr().out
         ep = tmp_path / "expr.json"
-        ep.write_text(blob)
+        ep.write_text(blob, encoding="utf-8")
         assert main(["eval", str(ep), "5,2"]) == 0
         assert capsys.readouterr().out.strip() == "3"
 
@@ -93,7 +93,7 @@ class TestEval:
     def test_expr_json_after_whitespace(self, mat, capsys, tmp_path):
         assert main(["compute", mat(A2), "--format", "json"]) == 0
         ep = tmp_path / "expr.json"
-        ep.write_text("\n  \n" + capsys.readouterr().out)
+        ep.write_text("\n  \n" + capsys.readouterr().out, encoding="utf-8")
         assert main(["eval", str(ep), "5,2"]) == 0
         assert capsys.readouterr().out.strip() == "3"
 
@@ -102,7 +102,7 @@ class TestEval:
         obj = json.loads(capsys.readouterr().out)
         obj["schema"] = 4
         ep = tmp_path / "expr.json"
-        ep.write_text(json.dumps(obj))
+        ep.write_text(json.dumps(obj), encoding="utf-8")
         assert main(["eval", str(ep), "5,2"]) == 4
         assert "schema" in capsys.readouterr().err
 
@@ -114,14 +114,14 @@ class TestEval:
         assert obj["terms"][0]["poly"][0]["table"] == ["3/4"]
         obj["terms"][0]["poly"][0]["table"] = ["0.75"]
         ep = tmp_path / "expr.json"
-        ep.write_text(json.dumps(obj))
+        ep.write_text(json.dumps(obj), encoding="utf-8")
         assert main(["eval", str(ep), "3"]) == 4
         assert "bad expression JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("m", [0, -2])
     def test_nonpositive_m_exits_4(self, capsys, tmp_path, m):
         ep = tmp_path / "expr.json"
-        ep.write_text(json.dumps({"schema": 3, "m": m, "terms": []}))
+        ep.write_text(json.dumps({"schema": 3, "m": m, "terms": []}), encoding="utf-8")
         assert main(["eval", str(ep), "1"]) == 4
         err = capsys.readouterr().err
         assert "bad expression JSON" in err and f"m = {m}" in err
@@ -142,7 +142,7 @@ class TestEval:
     ], ids=["terms-not-a-list", "guard-sense-gt", "phase-not-reduced"])
     def test_malformed_expr_json_exits_4(self, mat, capsys, tmp_path, blob):
         ep = tmp_path / "expr.json"
-        ep.write_text(json.dumps(blob))
+        ep.write_text(json.dumps(blob), encoding="utf-8")
         assert main(["eval", str(ep), "1"]) == 4
         assert "bad expression JSON" in capsys.readouterr().err
         assert main(["verify", mat(ONE_ONE), "0..2", "--expr", str(ep)]) == 4
@@ -156,7 +156,7 @@ class TestEval:
         obj = json.loads(capsys.readouterr().out)
         obj["m"] = 2
         ep = tmp_path / "bad.json"
-        ep.write_text(json.dumps(obj))
+        ep.write_text(json.dumps(obj), encoding="utf-8")
         return str(ep)
 
     def test_eval_term_arity_mismatch_exits_4(self, capsys, wrong_m):
@@ -176,7 +176,7 @@ class TestEval:
         obj = json.loads(capsys.readouterr().out)
         obj["unimodular"] = unimodular
         ep = tmp_path / "bad.json"
-        ep.write_text(json.dumps(obj))
+        ep.write_text(json.dumps(obj), encoding="utf-8")
         assert main(["eval", str(ep), "1,2"]) == 4
         assert "bad expression JSON" in capsys.readouterr().err
 
@@ -193,7 +193,7 @@ class TestVerify:
         obj = json.loads(capsys.readouterr().out)
         obj["terms"][0]["poly"][0]["table"] = ["7"] * obj["terms"][0]["modulus"]
         ep = tmp_path / "bad.json"
-        ep.write_text(json.dumps(obj))
+        ep.write_text(json.dumps(obj), encoding="utf-8")
         rc = main(["verify", mat(A2), "0..4,0..4", "--expr", str(ep)])
         out = capsys.readouterr().out
         assert rc == 1
@@ -205,7 +205,7 @@ class TestVerify:
     def test_expr_dimension_mismatch_exits_4(self, mat, capsys, tmp_path):
         assert main(["compute", mat(ONE_ONE), "--format", "json"]) == 0
         ep = tmp_path / "one.json"
-        ep.write_text(capsys.readouterr().out)
+        ep.write_text(capsys.readouterr().out, encoding="utf-8")
         assert main(["verify", mat(A2), "0..2,0..2", "--expr", str(ep)]) == 4
         assert "MatrixParseError" in capsys.readouterr().err
 
@@ -400,6 +400,6 @@ class TestRoundTrip:
         assert main(["compute", path, "--format", "json"]) == 0
         blob = capsys.readouterr().out
         ep = tmp_path / "expr.json"
-        ep.write_text(blob)
+        ep.write_text(blob, encoding="utf-8")
         assert main(["verify", path, "-2..6,-2..6", "--expr", str(ep)]) == 0
         assert "0 mismatches" in capsys.readouterr().out

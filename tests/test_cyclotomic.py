@@ -72,6 +72,23 @@ class TestFromPhase:
         assert cyc_from_phase(F(5, 4)) == cyc_from_phase(F(1, 4))
         assert cyc_from_phase(F(-1, 4)) == cyc_from_phase(F(3, 4))
 
+    @pytest.mark.parametrize("q", [0.25, 0.5, 0.1, "1/2", True, None],
+                             ids=repr)
+    @pytest.mark.parametrize("read", [
+        cyc_from_phase, Cyclotomic.from_phase, inv_one_minus_phase],
+        ids=["cyc_from_phase", "from_phase", "inv_one_minus_phase"])
+    def test_phase_reads_like_outside_input(self, read, q):
+        # A float would be taken as its binary fraction (0.1 has level
+        # 2^55), True as 1 and "1/2" parsed.
+        with pytest.raises(MatrixParseError):
+            read(q)
+
+    def test_one_root_of_unity_per_phase(self):
+        # Every reader of e(q) returns the one memoised element.
+        root = cyc_from_phase(F(2, 7))
+        assert Cyclotomic.from_phase(F(9, 7)) is root
+        assert Cyclotomic.from_phase(F(-5, 7)) is root
+
 
 class TestArithmetic:
     def test_cube_roots_sum(self):

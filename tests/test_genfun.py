@@ -448,7 +448,7 @@ class TestDedekindSum:
     def test_matches_euclid_reference(self):
         # (1/n) sum_l alpha_l^beta / f(alpha_l^{-1}), with alpha_l^{-1} and
         # alpha_l^beta taken by Euclid inversion and repeated multiplication.
-        f = [cyc_from_phase(F(1, 3)), Cyclotomic.from_rational(F(1, 2))]
+        f = [cyc_from_phase(F(1, 3)), Cyclotomic(1, [F(1, 2)])]
         for n, a in ((1, F(1, 4)), (2, F(0)), (3, F(1, 2)), (4, F(2, 3))):
             for beta in (-3, 0, 1, 5):
                 ref = Cyclotomic.zero()

@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "vpf"
 
 
 def _private_imports(path: Path):
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if not isinstance(node, ast.ImportFrom):
             continue
         inside = node.level > 0 or (node.module or "").split(".")[0] == "vpf"

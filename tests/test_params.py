@@ -14,6 +14,7 @@ from vpf import (
     DimensionMismatch,
     GenFunState,
     Guard,
+    MatrixParseError,
     ParamPoly,
     PhaseForm,
     Term,
@@ -90,11 +91,11 @@ class TestParamPoly:
 
     def test_zero_coeffs_dropped(self):
         p = ParamPoly(1, {(1,): Cyclotomic.zero(), (0,): 2})
-        assert list(p.items()) == [((0,), Cyclotomic.from_rational(2))]
+        assert list(p.items()) == [((0,), Cyclotomic(1, [2]))]
 
     def test_constant(self):
         p = ParamPoly.constant(2, F(1, 8))
-        assert list(p.items()) == [((0, 0), Cyclotomic.from_rational(F(1, 8)))]
+        assert list(p.items()) == [((0, 0), Cyclotomic(1, [F(1, 8)]))]
         assert p.eval((3, -4)) == F(1, 8)
 
     def test_str_and_repr(self):
@@ -106,13 +107,20 @@ class TestParamPoly:
             "0", "ParamPoly(1, '0')")
 
     def test_eq_of_rational_ignores_level(self):
-        half = Cyclotomic.from_rational(F(-1, 2))
+        half = Cyclotomic(1, [F(-1, 2)])
         p = ParamPoly(1, {(1,): half, (0,): 3})
-        q = ParamPoly(1, {(0,): Cyclotomic.from_rational(3).raise_level(5),
+        q = ParamPoly(1, {(0,): Cyclotomic(1, [3]).raise_level(5),
                           (1,): half.raise_level(12)})
         assert p == q
         r = ParamPoly(1, {(1,): cyc_from_phase(F(1, 3)), (0,): 3})
         assert r != p
+
+
+    @pytest.mark.parametrize("coeff", [0.5, True, "1/2"], ids=repr)
+    def test_coefficient_reads_like_outside_input(self, coeff):
+        # 0.5 was taken as the rational 1/2, True as 1.
+        with pytest.raises(MatrixParseError):
+            ParamPoly(1, {(0,): coeff})
 
 
 class TestBinomPoly:

@@ -357,6 +357,40 @@ class TestResultExprShape:
         with pytest.raises(error, match=message):
             replace(good, terms=(summand,))
 
+    @pytest.mark.parametrize("summand, message", [
+        (_summand(modulus=2.0, residue=(1,), table=(F(1), F(1))),
+         "non-integer"),
+        (_summand(residue=(0.5,)), "non-integer"),
+        (_summand(exps=(1.0,)), "non-integer"),
+        (_summand(exps=(True,)), "bool"),
+        (_summand(guards=(Guard(AffineForm((0.5,))),)), "non-integer"),
+        (_summand(guards=(Guard(AffineForm((1,), 0.5)),)), "non-integer"),
+        (_summand(table=(1.5,)), "non-rational"),
+        (_summand(table=("1",)), "non-rational"),
+    ], ids=["float-modulus", "float-residue", "float-exponent",
+            "bool-exponent", "float-guard-coeff", "float-guard-const",
+            "float-entry", "str-entry"])
+    def test_summand_number_of_wrong_type_rejected(self, summand, message):
+        # These reached evaluate: a float modulus or residue was a
+        # TypeError, a float entry or exponent an AttributeError, and a
+        # guard coefficient 0.5 was evaluated as written.
+        good = compute(ONE_ONE)
+        with pytest.raises(MatrixParseError, match=message):
+            ResultExpr(1, good.terms + (summand,))
+        with pytest.raises(MatrixParseError, match=message):
+            replace(good, terms=(summand,))
+
+    @pytest.mark.parametrize("m, message", [
+        (0, "m = 0 is not positive"), (-2, "m = -2 is not positive"),
+        (True, "bool"), (1.0, "non-integer")])
+    def test_m_not_a_positive_int_rejected(self, m, message):
+        # The JSON reader's rule: ResultExpr(0, ()) evaluated to 0 at b = (),
+        # and m = True passed as 1.
+        with pytest.raises(MatrixParseError, match=message):
+            ResultExpr(m, ())
+        with pytest.raises(MatrixParseError, match=message):
+            replace(compute(ONE_ONE), m=m)
+
     def test_spec_and_unimodular_of_wrong_size(self):
         expr = compute(A2)
         for u in (((1, 0),), ((1, 0), (0,)), ((1, 0, 0),) * 2):

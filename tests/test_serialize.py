@@ -138,7 +138,7 @@ class TestExpr:
     ])
     def test_schema1_file_evaluates_like_compute(self, name, rows, box):
         # Written by `vpf compute --format json` before terms lost "scalar".
-        obj = json.loads((DATA / name).read_text())
+        obj = json.loads((DATA / name).read_text(encoding="utf-8"))
         assert "schema" not in obj and "scalar" in obj["terms"][0]
         old = expr_from_json(obj)
         new = compute(ProblemSpec.from_rows(rows))
@@ -154,7 +154,7 @@ class TestExpr:
     ])
     def test_schema2_file_evaluates_like_compute(self, name, rows):
         # Written by `vpf compute --format json` while terms were schema 2.
-        obj = json.loads((DATA / name).read_text())
+        obj = json.loads((DATA / name).read_text(encoding="utf-8"))
         assert obj["schema"] == 2
         old = expr_from_json(obj)
         new = compute(ProblemSpec.from_rows(rows))
@@ -276,7 +276,7 @@ class TestExpr:
     def test_malformed_document_rejected(self, edit):
         # Typed, never a KeyError, TypeError or ValueError, and never rounded.
         # The schema-2 reader: the edits name its term fields.
-        obj = json.loads((DATA / "one_one_schema2.json").read_text())
+        obj = json.loads((DATA / "one_one_schema2.json").read_text(encoding="utf-8"))
         assert expr_from_json(obj).m == 1
         edit(obj)
         with pytest.raises(MatrixParseError):

@@ -229,7 +229,7 @@ class TestSchema2Collapse:
     def test_phase_order_above_level_cap(self):
         # The phase (1/2, 1/10^12) has order 10^12: finding its group would
         # try 5 * 10^11 units, so the level cap stops it first.
-        doc = json.loads((DATA / "one_one_schema2.json").read_text())
+        doc = json.loads((DATA / "one_one_schema2.json").read_text(encoding="utf-8"))
         doc["m"] = 2
         term = doc["terms"][0]
         term["phase"]["coeffs"] = ["1/2", "1/1000000000000"]
