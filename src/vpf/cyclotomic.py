@@ -321,40 +321,46 @@ class Cyclotomic:
         return f"Cyclotomic({self.level}, '{self}')"
 
 
-def _phase(q) -> Fraction:
-    """q mod 1, its level checked; a q that is not a Fraction is read like
-    outside input, so a float, a bool or a string is rejected."""
+def root(a: int, n: int) -> Cyclotomic:
+    """e(a/n) = zeta_n^a for integers a and n >= 1, memoised on a/n in
+    lowest terms; the level cap is checked on every call, memo or not."""
+    g = gcd(a, n)
+    n //= g
+    _check_level(n)
+    return _root(a // g % n, n)
+
+
+@lru_cache(maxsize=None)
+def _root(a: int, n: int) -> Cyclotomic:
+    return Cyclotomic._ints(n, _reduce(n, [0] * a + [1]))
+
+
+def _read_phase(q) -> Fraction:
+    """A phase q that is not a Fraction is read like outside input, so a
+    float, a bool or a string is rejected."""
     if not isinstance(q, Fraction):
         (q,) = rat_vector((q,), "phase")
-    q %= 1
-    _check_level(q.denominator)
     return q
 
 
 def cyc_from_phase(q) -> Cyclotomic:
-    """e(q) = exp(2*pi*i*q) for rational q, memoised on q mod 1."""
-    return _phase_root(_phase(q))
+    """e(q) = exp(2*pi*i*q) for rational q: `root` of its numerator and
+    denominator."""
+    q = _read_phase(q)
+    return root(q.numerator, q.denominator)
 
 
 @lru_cache(maxsize=None)
-def _phase_root(q: Fraction) -> Cyclotomic:
-    n = q.denominator
-    return Cyclotomic._ints(n, _reduce(n, [0] * q.numerator + [1]))
+def phase_orbit(w, n: int) -> tuple[int, tuple[int, ...], int]:
+    """(n, v, k) with w = k * v mod n for the phase vector w / n, given in
+    lowest terms (gcd(n, *w) = 1, so n is its order in (Q/Z)^m): v the
+    smallest u * w mod n over the units u mod n, which names the cyclic
+    group the phase generates, and k a unit mod n.
 
-
-@lru_cache(maxsize=None)
-def phase_orbit(coeffs) -> tuple[int, tuple[int, ...], int]:
-    """(L, v, k) with coeffs = k * v / L mod 1 for the rational phase
-    vector `coeffs`: L its order in (Q/Z)^m, v the smallest u * w mod L
-    over the units u mod L, with w = L * coeffs, which names the cyclic
-    group the phase generates, and k a unit mod L.
-
-    The first nonzero w_i, with g = gcd(w_i, L), goes to its smallest image
-    g exactly when u * w_i / g = 1 mod L / g, so only those units are tried.
+    The first nonzero w_i, with g = gcd(w_i, n), goes to its smallest image
+    g exactly when u * w_i / g = 1 mod n / g, so only those units are tried.
     """
-    n = lcm(*(c.denominator for c in coeffs))
     _check_level(n)  # the loop below may try up to n units
-    w = [c.numerator * (n // c.denominator) for c in coeffs]
     if n == 1:
         return 1, tuple(w), 0
     first = next(x for x in w if x)
@@ -399,22 +405,31 @@ def orbit_table(modulus: int, parts) -> tuple:
     return tuple(table)
 
 
-def inv_one_minus_phase(q) -> Cyclotomic:
-    """1/(1 - e(q)) in closed form, memoised on q mod 1.
+def inv_one_minus_root(a: int, n: int) -> Cyclotomic:
+    """1/(1 - e(a/n)) in closed form, memoised on a/n in lowest terms; the
+    level cap is checked on every call.
 
-    For x = e(q) of order n > 1, sum_{j<n} j x^j = n/(x - 1), so
+    For x = e(a/n) of order n > 1, sum_{j<n} j x^j = n/(x - 1), so
     1/(1 - x) = -(1/n) sum_{j<n} j x^j; no Euclid runs.
     """
-    q = _phase(q)
-    if q == 0:
+    g = gcd(a, n)
+    n //= g
+    if n == 1:
         raise ZeroDivisionError("1 - e(0) is zero")
-    return _inv_one_minus_root(q)
+    _check_level(n)
+    return _inv_one_minus_root(a // g % n, n)
 
 
 @lru_cache(maxsize=None)
-def _inv_one_minus_root(q: Fraction) -> Cyclotomic:
-    n, a = q.denominator, q.numerator
+def _inv_one_minus_root(a: int, n: int) -> Cyclotomic:
     c = [0] * n
     for j in range(1, n):
         c[a * j % n] = -j
     return Cyclotomic._ints(n, _reduce(n, c), n)
+
+
+def inv_one_minus_phase(q) -> Cyclotomic:
+    """1/(1 - e(q)) for rational q: `inv_one_minus_root` of its numerator
+    and denominator."""
+    q = _read_phase(q)
+    return inv_one_minus_root(q.numerator, q.denominator)

@@ -1,20 +1,22 @@
 """The elimination engine.
 
-A GenFunState is z^{-beta(b)} * prod 1/(1 - e(q_k) z^{v_k}) times a phase
-and a constant scalar under guards.  One elimination step rewrites the
-constant-term functional over the last active variable as child states with
-one variable fewer, each moved by `accumulate`; the univariate stage resolves
-arbitrary pole multiplicities into closed Terms, each root's local series
-times the scalar.  `expand` runs it all from the normalized matrix, level by
-level, merging equal states.
+A GenFunState is z^{-beta(b)} * prod 1/(1 - e(a_k / N) z^{v_k}) times a
+phase and a constant scalar under guards.  Every phase is an integer
+numerator over the state's level N, so the engine does no rational
+bookkeeping.  One elimination step rewrites the constant-term functional
+over the last active variable as child states with one variable fewer, each
+moved by `accumulate`; the univariate stage resolves arbitrary pole
+multiplicities into closed Terms, each root's local series times the
+scalar.  `expand` runs it all from the normalized matrix, level by level,
+merging equal states.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
-from .cyclotomic import Cyclotomic, cyc_from_phase, inv_one_minus_phase
+from .cyclotomic import Cyclotomic, cyc_from_phase, inv_one_minus_root, root
 from .errors import DimensionMismatch, MatrixParseError, UnsupportedMultiplePole
 from .matrixops import int_vector, rat_vector, sequence
 from .params import (
@@ -31,65 +33,84 @@ from .params import (
 
 @dataclass(frozen=True)
 class Factor:
-    """Denominator factor 1 - e(phase) * z^exps over the active variables."""
+    """Denominator factor 1 - e(phase / N) * z^exps over the active
+    variables, N the level of the state that holds it."""
 
-    phase: Fraction
+    phase: int
     exps: tuple[int, ...]
     #: 0-based index of the input column this factor came from, carried for
     #: error messages only; equal factors of different columns merge.
     column: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not 0 <= self.phase < 1:
-            raise ValueError(f"factor phase {self.phase} is not reduced mod 1")
-        if self.phase == 0 and not any(self.exps):
+        if not self.phase and not any(self.exps):
             raise ValueError("factor 1 - 1 is the zero denominator")
 
 
 @dataclass(frozen=True)
 class GenFunState:
-    """z^{-beta(b)} prod_k 1/(1 - e(q_k) z^{v_k}) times e(phase(b)) * scalar
-    where every guard holds, 0 elsewhere.  `exps` are the exponents beta, one
-    per active variable; forms, guards and phase refer to all m parameters.
-    The scalar is constant in b.  Defaults: zero phase, no guards, scalar 1."""
+    """z^{-beta(b)} prod_k 1/(1 - e(a_k / N) z^{v_k}) times
+    e(phase . b / N) * scalar where every guard holds, 0 elsewhere.  `exps`
+    are the exponents beta, one per active variable; forms, guards and phase
+    refer to all m parameters.  The scalar is constant in b.
+
+    N = `level`, and the factor phases a_k and the phase numerators lie in
+    [0, N).  N is kept canonical, gcd(N, a_k, phase) = 1, so equal states
+    are equal fields.  Defaults: zero phase, no guards, scalar 1, level 1.
+    """
 
     exps: tuple[AffineForm, ...]
     factors: tuple[Factor, ...]
-    phase: PhaseForm | None = None
+    phase: tuple[int, ...] | None = None
     guards: tuple[Guard, ...] = ()
     scalar: Cyclotomic = field(default_factory=Cyclotomic.one)
+    level: int = 1
 
     def __post_init__(self):
         if self.phase is None:
-            object.__setattr__(self, "phase", PhaseForm.zero(self.exps[0].arity))
+            object.__setattr__(self, "phase", (0,) * self.exps[0].arity)
+        n = self.level
+        nums = [f.phase for f in self.factors] + list(self.phase)
+        if n < 1 or nums and not 0 <= min(nums) <= max(nums) < n:
+            raise ValueError(f"phase numerators {nums} are not reduced mod {n}")
+        g = gcd(n, *nums)
+        if g != 1:
+            object.__setattr__(self, "factors", tuple(
+                Factor(f.phase // g, f.exps, f.column) for f in self.factors))
+            object.__setattr__(self, "phase", tuple(a // g for a in self.phase))
+            object.__setattr__(self, "level", n // g)
 
     @property
     def active(self) -> int:
         return len(self.exps)
 
 
-def accumulate(state: GenFunState, guard: Guard, c=1, q=Fraction(0)):
-    """(phase, guards, scalar) of `state` times c * e(q * beta(b)) under `guard`
-    on beta = guard.form; the constant part of q * beta goes to the scalar."""
+def accumulate(state: GenFunState, guard: Guard, c=1, s=0, n=1):
+    """(phase, guards, scalar, level) of `state` times c * e(s beta(b) / M)
+    under `guard` on beta = guard.form, with M = n N: the phase is lifted to
+    level M and the constant part of s beta goes to the scalar."""
     guards = state.guards
     if not guard.is_trivial() and guard not in guards:
         guards += (guard,)
     scalar = state.scalar * c if c != 1 else state.scalar
-    if q * guard.form.const % 1:
-        scalar = scalar * cyc_from_phase(q * guard.form.const)
-    phase = state.phase.shifted(q, guard.form) if q else state.phase
-    return phase, guards, scalar
+    level = state.level * n
+    const = s * guard.form.const % level
+    if const:
+        scalar = scalar * root(const, level)
+    phase = tuple((a * n + s * x) % level
+                  for a, x in zip(state.phase, guard.form.coeffs))
+    return phase, guards, scalar, level
 
 
 def flip(state: GenFunState, k: int) -> GenFunState:
     """Replace factor k via 1/(1-e(q)z^v) = -e(-q) z^{-v} / (1-e(-q)z^{-v})."""
     f = state.factors[k]
-    q = (-f.phase) % 1
+    q = -f.phase % state.level
     new_factor = Factor(q, tuple(-e for e in f.exps), f.column)
     factors = state.factors[:k] + (new_factor,) + state.factors[k + 1:]
     exps = tuple(beta + v for beta, v in zip(state.exps, f.exps))
     return GenFunState(exps, factors, state.phase, state.guards,
-                       state.scalar * -cyc_from_phase(q))
+                       state.scalar * -root(q, state.level), state.level)
 
 
 def _normalize_last(state: GenFunState) -> GenFunState:
@@ -107,13 +128,16 @@ def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
 
     The children sum to the parent's contribution for every integer b.  The
     power substitution z_j -> z_j^{n_k} is fused into child construction, so
-    rational exponents never materialize.
+    rational exponents never materialize.  The child of root l of factor k
+    (phase a_k / N, last exponent n) lives at level M = n N, shifted by
+    s / M with s = l N - a_k.
     """
     if state.active < 2:
         raise DimensionMismatch("eliminate_last_var needs at least 2 variables")
     state = _normalize_last(state)
     w = state.active - 1
     beta_w = state.exps[w]
+    level = state.level
     chosen = [k for k, f in enumerate(state.factors) if f.exps[w] > 0]
 
     if not chosen:
@@ -128,16 +152,18 @@ def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
     for k in chosen:
         fk = state.factors[k]
         n = fk.exps[w]
+        m = level * n
+        inv_n = Fraction(1, n)
         exps = tuple(n * state.exps[j] - fk.exps[j] * beta_w for j in range(w))
         others = [(ft, tuple(n * ft.exps[j] - ft.exps[w] * fk.exps[j]
                              for j in range(w)))
                   for t, ft in enumerate(state.factors) if t != k]
         for l in range(n):
-            c = Fraction(1, n)
-            shift = Fraction(l - fk.phase, n)
+            s = l * level - fk.phase
+            c = inv_n
             factors = []
             for ft, v2 in others:
-                q2 = (ft.phase + ft.exps[w] * shift) % 1
+                q2 = (ft.phase * n + ft.exps[w] * s) % m
                 if any(v2):
                     factors.append(Factor(q2, v2, ft.column))
                 elif q2 == 0:
@@ -145,33 +171,35 @@ def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
                                   if f.column is not None)
                     raise UnsupportedMultiplePole(
                         f"with {state.active} active variables, factor "
-                        f"(phase {ft.phase}, exponents {ft.exps}) shares "
-                        f"a root with factor (phase {fk.phase}, "
-                        f"exponents {fk.exps})" + (
-                            f", input columns {cols[0]} and {cols[1]}"
-                            if len(cols) == 2 else ""))
+                        f"(phase {Fraction(ft.phase, level)}, exponents "
+                        f"{ft.exps}) shares a root with factor (phase "
+                        f"{Fraction(fk.phase, level)}, exponents {fk.exps})"
+                        + (f", input columns {cols[0]} and {cols[1]}"
+                           if len(cols) == 2 else ""))
                 else:
-                    c = c * inv_one_minus_phase(q2)
+                    c = c * inv_one_minus_root(q2, m)
             children.append(GenFunState(exps, tuple(factors), *accumulate(
-                state, guard, c, -shift)))
+                state, guard, c, -s, n)))
     return children
 
 
-def pfd_numerator(theta: Fraction, factors) -> tuple[Cyclotomic, ...]:
+def pfd_numerator(theta: int, factors, level: int) -> tuple[Cyclotomic, ...]:
     """Local series of the group (1 - e(theta) w)^mu in the decomposition of
     1/prod_k (1 - e(q_k) w^{n_k}): its coefficients s_0..s_{mu-1} in t.
 
-    `factors` lists the (q_k, n_k) pairs, n_k > 0; mu counts those with
-    n_k theta = q_k mod 1.  Each enters whole, in the local coordinate
-    t = w - alpha^{-1} (alpha = e(theta), alpha w = 1 + alpha t): a factor
-    through the root leaves (1 - (alpha w)^n)/(1 - alpha w)
+    Phases are integer numerators over `level` R: theta stands for
+    theta / R, and `factors` lists the (q_k, n_k) pairs, n_k > 0; mu counts
+    those with n_k theta = q_k mod R.  Each enters whole, in the local
+    coordinate t = w - alpha^{-1} (alpha = e(theta), alpha w = 1 + alpha t):
+    a factor through the root leaves (1 - (alpha w)^n)/(1 - alpha w)
     = sum_{i<n} binom(n, i+1) e(i theta) t^i, any other factor is
     (1 - e(q - n theta)) - sum_{i>=1} binom(n, i) e(q - (n-i) theta) t^i.
     """
-    through = [(n * theta - q).denominator == 1 for q, n in factors]
+    through = [(n * theta - q) % level == 0 for q, n in factors]
     mu = sum(through)
     if not mu:
-        raise ValueError(f"{theta} is not a root of any factor")
+        raise ValueError(
+            f"{Fraction(theta, level)} is not a root of any factor")
     # Product of the factors' inverses mod t^mu: divide the series in place
     # by g = g_0 - sum_{i>=1} h_i t^i, Q_j = (P_j + sum_i h_i Q_{j-i}) / g_0;
     # the h_i are only formed when mu > 1.
@@ -179,13 +207,14 @@ def pfd_numerator(theta: Fraction, factors) -> tuple[Cyclotomic, ...]:
     for (q, n), hit in zip(factors, through):
         if hit and n == 1:
             continue
-        g0_inv = Fraction(1, n) if hit else inv_one_minus_phase(q - n * theta)
+        g0_inv = (Fraction(1, n) if hit
+                  else inv_one_minus_root(q - n * theta, level))
         prod[0] = prod[0] * g0_inv
         if hit:
-            h = [-cyc_from_phase(i * theta) * comb(n, i + 1)
+            h = [-root(i * theta, level) * comb(n, i + 1)
                  for i in range(1, min(n, mu))]
         else:
-            h = [cyc_from_phase(q - (n - i) * theta) * comb(n, i)
+            h = [root(q - (n - i) * theta, level) * comb(n, i)
                  for i in range(1, min(n + 1, mu))]
         for j in range(1, mu):
             acc = prod[j]
@@ -203,11 +232,13 @@ def final_univariate(state: GenFunState) -> list[Term]:
     where A is its numerator at w = 0: by the hockey-stick identity
     A(b) x = sum_{k<mu} binom(beta+mu-1-k, mu-1-k) s_k t^k x at
     t = -e(-theta), on a basis binom(beta+r, r) built once for all roots.
+    The roots are integer numerators over R = N lcm(n_k).
     """
     if state.active != 1:
         raise DimensionMismatch("final_univariate needs exactly 1 variable")
     state = _normalize_last(state)
     beta = state.exps[0]
+    level = state.level
 
     # Factors free of w are constants, folded into the scalar.
     factors = []
@@ -216,29 +247,34 @@ def final_univariate(state: GenFunState) -> list[Term]:
         if f.exps[0]:
             factors.append((f.phase, f.exps[0]))
         else:
-            c = c * inv_one_minus_phase(f.phase)
+            c = c * inv_one_minus_root(f.phase, level)
 
     if not factors:
-        phase, guards, scalar = accumulate(state, Guard(beta, EQ_ZERO), c)
-        return [Term(phase, ParamPoly.constant(beta.arity, scalar), guards)]
+        phase, guards, scalar, n = accumulate(state, Guard(beta, EQ_ZERO), c)
+        return [Term(PhaseForm(phase, n),
+                     ParamPoly.constant(beta.arity, scalar), guards)]
 
-    roots = {Fraction(q - l, n) % 1 for q, n in factors for l in range(n)}
-    series = [(theta, pfd_numerator(theta, factors))
+    lift = lcm(*(n for _, n in factors))
+    big = level * lift
+    factors = [(q * lift, n) for q, n in factors]
+    # Root l of 1 - e(q/R) w^n is theta = (q - l R) / (n R) = (q - l R)/n over R.
+    roots = {(q - l * big) // n % big for q, n in factors for l in range(n)}
+    series = [(theta, pfd_numerator(theta, factors, big))
               for theta in sorted(roots)]
     basis = [binom_poly(r, beta + 1)
              for r in range(max(len(s) for _, s in series))]
     guard = Guard(beta, GE_ZERO)
     terms = []
     for theta, s in series:
-        phase, guards, x = accumulate(state, guard, c, theta)
-        t = -cyc_from_phase(-theta)  # t at w = 0
+        phase, guards, x, n = accumulate(state, guard, c, theta, lift)
+        t = -root(-theta, big)  # t at w = 0
         mu = len(s)
         poly = basis[mu - 1].scale(s[0] * x)
         for k in range(1, mu):
             x = x * t  # t^k times the scalar
             poly = poly + basis[mu - 1 - k].scale(s[k] * x)
         if not poly.is_zero():
-            terms.append(Term(phase, poly, guards))
+            terms.append(Term(PhaseForm(phase, n), poly, guards))
     return terms
 
 
@@ -246,12 +282,13 @@ def _merge_states(states) -> list[GenFunState]:
     """One state per key, every field but the scalar (guards as a set), with
     the scalars of its states summed; a state whose sum is zero is dropped.
 
-    Exact because every later step is linear in the scalar and a state's
-    value depends on its guards only through their conjunction.
+    Exact because every later step is linear in the scalar, a state's value
+    depends on its guards only through their conjunction, and its level is
+    canonical.
     """
     merged: dict[tuple, GenFunState] = {}
     for st in states:
-        key = (st.exps, st.factors, st.phase, frozenset(st.guards))
+        key = (st.exps, st.factors, st.phase, st.level, frozenset(st.guards))
         first = merged.get(key)
         merged[key] = st if first is None else replace(
             first, scalar=first.scalar + st.scalar)
@@ -263,19 +300,22 @@ def expand(normalized, phases, order) -> list[Term]:
     prod_k 1/(1 - e(phases[k]) z^{c_k}), c_k the k-th column of the
     nonnegative matrix `normalized`.
 
+    The rational phases become numerators over their common denominator.
     The rows are eliminated in `order`, last first, level by level, merging
     equal states: every state of a level is eliminated, and the children
     that differ only in their scalars become one state.
     """
     m = len(normalized)
     exps = tuple(AffineForm.unit(m, i) for i in order)
-    factors = tuple(Factor(q, tuple(normalized[i][k] for i in order), k)
+    den = lcm(*(q.denominator for q in phases))
+    factors = tuple(Factor(q.numerator * (den // q.denominator),
+                           tuple(normalized[i][k] for i in order), k)
                     for k, q in enumerate(phases))
-    level = [GenFunState(exps, factors)]
+    states = [GenFunState(exps, factors, level=den)]
     for _ in range(m - 1):
-        level = _merge_states(
-            child for st in level for child in eliminate_last_var(st))
-    return [t for st in level for t in final_univariate(st)]
+        states = _merge_states(
+            child for st in states for child in eliminate_last_var(st))
+    return [t for st in states for t in final_univariate(st)]
 
 
 def dedekind_sum(n: int, a_phase: Fraction, f, beta: int) -> Cyclotomic:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -70,32 +70,45 @@ class AffineForm:
 
 @dataclass(frozen=True)
 class PhaseForm:
-    """Phase e(coeffs . b) with rational coefficients reduced mod 1.
+    """Phase e(nums . b / level) in lowest terms: every numerator lies in
+    [0, level) and gcd(level, *nums) = 1, so equal phases are equal forms.
 
     The constant part of a phase is always folded into a state's scalar or
     a Term's polynomial, so only the b-dependent coefficients live here.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    level: int = 1
 
     def __post_init__(self):
-        if not all(0 <= c < 1 for c in self.coeffs):
+        n = self.level
+        if n < 1 or not all(0 <= a < n for a in self.nums):
             raise ValueError(
-                f"phase coefficients {self.coeffs} are not reduced mod 1")
+                f"phase numerators {self.nums} are not reduced mod {n}")
+        g = gcd(n, *self.nums)
+        if g != 1:
+            object.__setattr__(self, "nums", tuple(a // g for a in self.nums))
+            object.__setattr__(self, "level", n // g)
 
     @classmethod
     def zero(cls, m: int) -> "PhaseForm":
-        return cls((Fraction(0),) * m)
+        return cls((0,) * m)
+
+    @classmethod
+    def from_coeffs(cls, coeffs) -> "PhaseForm":
+        """The phase e(coeffs . b) for rational coefficients in [0, 1)."""
+        n = lcm(*(c.denominator for c in coeffs))
+        return cls(tuple(c.numerator * (n // c.denominator) for c in coeffs), n)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.level) for a in self.nums)
 
     def eval(self, b) -> Fraction:
-        if len(b) != len(self.coeffs):
+        if len(b) != len(self.nums):
             raise DimensionMismatch(
-                f"expected {len(self.coeffs)} parameters, got {len(b)}")
-        return sum((c * x for c, x in zip(self.coeffs, b)), Fraction(0)) % 1
-
-    def shifted(self, q: Fraction, f: AffineForm) -> "PhaseForm":
-        """Add q times the linear part of f (the caller keeps the constant)."""
-        return PhaseForm(tuple((a + q * c) % 1 for a, c in zip(self.coeffs, f.coeffs)))
+                f"expected {len(self.nums)} parameters, got {len(b)}")
+        return Fraction(sum(map(mul, self.nums, b)) % self.level, self.level)
 
 
 class ParamPoly:
@@ -111,7 +124,11 @@ class ParamPoly:
         clean = {}
         if monos:
             for exps, coeff in monos.items():
-                if not isinstance(coeff, Cyclotomic):
+                # An int is engine-made (binom_poly, from_affine): it skips
+                # the reader, which still rejects a bool or a float.
+                if type(coeff) is int:
+                    coeff = Cyclotomic._ints(1, (coeff,))
+                elif not isinstance(coeff, Cyclotomic):
                     coeff = Cyclotomic(1, (coeff,))
                 if not coeff.is_zero():
                     clean[tuple(exps)] = coeff
@@ -282,7 +299,7 @@ def collapse_terms(terms) -> tuple[Summand, ...]:
     groups: dict = {}
     for t in terms:
         guards = tuple(sorted(t.guards, key=_guard_key))
-        n, v, k = phase_orbit(t.phase.coeffs)
+        n, v, k = phase_orbit(t.phase.nums, t.phase.level)
         key = (tuple(map(_guard_key, guards)), n, v)
         monos = groups.setdefault(key, (guards, {}))[1]
         for exps, c in t.poly.items():

@@ -67,7 +67,7 @@ def guard_from_json(obj) -> Guard:
 
 
 def phase_from_json(obj) -> PhaseForm:
-    return PhaseForm(tuple(rat_from_json(c) for c in obj["coeffs"]))
+    return PhaseForm.from_coeffs([rat_from_json(c) for c in obj["coeffs"]])
 
 
 def poly_from_json(obj, arity: int) -> ParamPoly:

@@ -9,8 +9,9 @@ and `det_int` checks that unimodular completions have determinant +-1.
 `unmerged_terms` runs it without merging equal states either, and
 `schema2_doc` writes the raw terms as schema-2 expression JSON.  `summand_value`
 evaluates one summand on its own, the reference for `evaluate`'s plan.
-`numerator` records a root's local series from `genfun.pfd_numerator` with
-its theta and beta; `constant_poly` is the partial-sum form of its numerator
+`phased_state` builds an engine state from rational factor phases, and
+`state_phase` reads its phase back as rationals.  `numerator` records a
+root's local series from `genfun.pfd_numerator` with its theta and beta; `constant_poly` is the partial-sum form of its numerator
 constant, the reference for the constants `engine_constants` reads off the
 Terms of `final_univariate`.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -136,6 +137,25 @@ def det_int(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def phased_state(exps, pairs, columns=False) -> GenFunState:
+    """The state z^{-exps} prod_k 1/(1 - e(q_k) z^{v_k}) for (q_k, v_k)
+    pairs of rational q_k, its phases numerators over the lcm of the
+    denominators of the q_k mod 1; with `columns`, factor k carries input
+    column k."""
+    qs = [Fraction(q) % 1 for q, _ in pairs]
+    level = lcm(*(q.denominator for q in qs))
+    factors = tuple(
+        Factor(q.numerator * (level // q.denominator), tuple(v),
+               k if columns else None)
+        for k, (q, (_, v)) in enumerate(zip(qs, pairs)))
+    return GenFunState(tuple(exps), factors, level=level)
+
+
+def state_phase(state: GenFunState) -> tuple:
+    """The rational coefficients rho of a state's phase e(rho . b)."""
+    return tuple(Fraction(a, state.level) for a in state.phase)
+
+
 def series_value(state: GenFunState, b) -> Cyclotomic:
     """Constant-term contribution of a state at concrete b, by expanding every
     factor as a geometric series in its standard-expansion direction: 0 if a
@@ -148,7 +168,7 @@ def series_value(state: GenFunState, b) -> Cyclotomic:
     dirs = []
     for f in state.factors:
         u = list(f.exps)
-        q = f.phase
+        q = Fraction(f.phase, state.level)
         if u[_last_nonzero(u)] < 0:
             # 1/(1-e(q)z^v) = -e(-q) z^{-v} / (1 - e(-q) z^{-v})
             sign = -sign
@@ -160,7 +180,8 @@ def series_value(state: GenFunState, b) -> Cyclotomic:
     total = Cyclotomic.zero()
     for ph, cnt in _phase_counts(dirs, goal).items():
         total = total + cyc_from_phase(ph) * cnt
-    return (cyc_from_phase(state.phase.eval(b) + phase_const) * state.scalar
+    phase = sum(map(mul, state_phase(state), b), phase_const)
+    return (cyc_from_phase(phase) * state.scalar
             * total * sign)
 
 
@@ -231,9 +252,9 @@ def unmerged_terms(spec: ProblemSpec, order=None) -> list:
     order = tuple(range(spec.m)) if order is None else order
     normalized = preprocess(spec).normalized
     exps = tuple(AffineForm.unit(spec.m, i) for i in order)
-    factors = tuple(Factor(q, tuple(normalized[i][k] for i in order))
-                    for k, q in enumerate(spec.phases))
-    stack = [GenFunState(exps, factors)]
+    stack = [phased_state(exps, [
+        (q, [normalized[i][k] for i in order])
+        for k, q in enumerate(spec.phases)])]
     terms = []
     while stack:
         st = stack.pop()
@@ -359,10 +380,19 @@ class Numerator(NamedTuple):
     series: tuple
 
 
+def local_series(theta, factors) -> tuple:
+    """`pfd_numerator` for rational theta and (q_k, n_k) pairs of rational
+    q_k, read as numerators over the lcm of their denominators."""
+    level = lcm(theta.denominator, *(Fraction(q).denominator for q, _ in factors))
+    return pfd_numerator(
+        theta.numerator * (level // theta.denominator),
+        [(int(q * level), n) for q, n in factors], level)
+
+
 def numerator(theta, factors, beta) -> Numerator:
     """The engine's local series at theta of 1/prod_k (1 - e(q_k) w^{n_k}),
     recorded with the beta of 1/(... w^beta)."""
-    series = pfd_numerator(theta, factors)
+    series = local_series(theta, factors)
     return Numerator(theta, len(series), beta, series)
 
 
@@ -374,7 +404,7 @@ def engine_constants(beta, factors) -> dict:
     and reads as zero; every other root takes the next Term."""
     roots = sorted({Fraction(q - l, n) % 1 for q, n in factors
                     for l in range(n)})
-    state = GenFunState((beta,), tuple(Factor(q, (n,)) for q, n in factors))
+    state = phased_state((beta,), [(q, (n,)) for q, n in factors])
     terms = iter(final_univariate(state))
     out = {}
     for theta in roots:
@@ -382,7 +412,8 @@ def engine_constants(beta, factors) -> dict:
             out[theta] = ParamPoly.zero(beta.arity)
             continue
         term = next(terms)
-        assert term.phase == PhaseForm.zero(beta.arity).shifted(theta, beta)
+        assert term.phase == PhaseForm.from_coeffs(
+            [theta * c % 1 for c in beta.coeffs])
         out[theta] = term.poly.scale(cyc_from_phase(-theta * beta.const))
     assert next(terms, None) is None
     return out

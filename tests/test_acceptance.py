@@ -45,7 +45,9 @@ from .helpers import (
     det_int,
     engine_constants,
     numerator,
+    phased_state,
     series_value,
+    state_phase,
     substitute_power,
     w_coeffs_at,
 )
@@ -94,7 +96,7 @@ def test_criterion_03_mixed_pole_quarters():
                    "(1/8) e(+-b/4)"):
         st = GenFunState(
             (AffineForm((1,), 0),),
-            (Factor(F(0), (2,)), Factor(F(0), (4,))))
+            (Factor(0, (2,)), Factor(0, (4,))))
         terms = final_univariate(st)
         by_phase = {t.phase.coeffs[0]: t for t in terms}
         for theta in (F(1, 4), F(3, 4)):
@@ -127,7 +129,7 @@ def test_criterion_06_three_one():
         spec = ProblemSpec.from_rows([(1, 1), (3, 1)])
         st = GenFunState(
             (AffineForm((1, 0), 0), AffineForm((0, 1), 0)),
-            (Factor(F(0), (1, 3)), Factor(F(0), (1, 1))))
+            (Factor(0, (1, 3)), Factor(0, (1, 1))))
         children = eliminate_last_var(st)
         assert len(children) == 4
         cube = [c for c in children if c.exps == (AffineForm((3, -1), 0),)]
@@ -137,18 +139,18 @@ def test_criterion_06_three_one():
             assert c.scalar == F(1, 3)
             (f,) = c.factors
             assert f.exps == (2,)
-            l = int(f.phase * 3)
+            l = int(F(f.phase, c.level) * 3)
             seen.add(l)
             # accumulated phase is ((0 - l)/3) b
-            assert c.phase.coeffs == (F(0), F(-l, 3) % 1)
+            assert state_phase(c) == (F(0), F(-l, 3) % 1)
         assert seen == {0, 1, 2}
         (other,) = [c for c in children
                     if c.exps == (AffineForm((1, -1), 0),)]
-        assert other.factors == (Factor(F(0), (-2,)),)
+        assert other.factors == (Factor(0, (-2,)),)
         flipped = flip(other, 0)
         assert flipped.scalar == -1
         assert flipped.exps == (AffineForm((1, -1), -2),)
-        assert flipped.factors == (Factor(F(0), (2,)),)
+        assert flipped.factors == (Factor(0, (2,)),)
 
         expr = compute(spec)
         report = verify_box(spec, expr, (-2, -2), (20, 20))
@@ -203,9 +205,9 @@ def _random_genfun_state(rng):
         v = [0] * m
         while not any(v):
             v = [rng.randint(-3, 3) for _ in range(m)]
-        factors.append(Factor(rng.choice(phases), tuple(v)))
+        factors.append((rng.choice(phases), tuple(v)))
     exps = tuple(AffineForm.unit(m, i) + rng.randint(-1, 1) for i in range(m))
-    return GenFunState(exps, tuple(factors))
+    return phased_state(exps, factors)
 
 
 def test_criterion_08_series_invariance():
@@ -256,9 +258,8 @@ def test_criterion_09_dedekind_cross_check():
                     roots[th] = roots.get(th, 0) + 1
             if any(mu > 1 for mu in roots.values()):
                 continue  # only simple groups here
-            st = GenFunState(
-                (AffineForm((1,), 0),),
-                tuple(Factor(q, (n,)) for q, n in facs))
+            st = phased_state((AffineForm((1,), 0),),
+                              [(q, (n,)) for q, n in facs])
             terms = final_univariate(st)
             ordered = sorted(roots)
             assert len(terms) == len(ordered)

@@ -14,12 +14,20 @@ from vpf import (
     LevelOverflow,
     MatrixParseError,
     NotRational,
+    ProblemSpec,
+    compute,
     cyc_from_phase,
     level_cap,
 )
 from vpf.cyclotomic import DEFAULT_LEVEL_CAP
 from vpf.cyclotomic import _cyclo_poly as cyclotomic_polynomial
-from vpf.cyclotomic import inv_one_minus_phase, orbit_table, phase_orbit
+from vpf.cyclotomic import (
+    inv_one_minus_phase,
+    inv_one_minus_root,
+    orbit_table,
+    phase_orbit,
+    root,
+)
 
 from .helpers import approx, cyc_pow
 
@@ -88,6 +96,20 @@ class TestFromPhase:
         root = cyc_from_phase(F(2, 7))
         assert Cyclotomic.from_phase(F(9, 7)) is root
         assert Cyclotomic.from_phase(F(-5, 7)) is root
+
+    def test_integer_root_in_lowest_terms(self):
+        # e(a/n) for integers is memoised on a/n in lowest terms, so every
+        # spelling of 2/7, and the rational reader, share one element.
+        z = root(2, 7)
+        assert root(4, 14) is z and root(-10, 14) is z and root(9, 7) is z
+        assert cyc_from_phase(F(2, 7)) is z
+        assert root(0, 5) == 1 and root(0, 5).level == 1
+        assert root(3, 6) == -1 and root(3, 6).level == 2
+        assert inv_one_minus_root(6, 22) is inv_one_minus_root(3, 11)
+        assert inv_one_minus_root(3, 6) == F(1, 2)
+        for a, n in ((0, 1), (0, 4), (8, 4)):
+            with pytest.raises(ZeroDivisionError):
+                inv_one_minus_root(a, n)
 
 
 class TestArithmetic:
@@ -262,6 +284,14 @@ class TestLevelCap:
             with pytest.raises(LevelOverflow):
                 inv_one_minus_phase(F(1, 11))
 
+    def test_cap_holds_on_warm_memos(self):
+        # The uncapped compute fills the memos of every root it forms (the
+        # cube roots of (1 1; 3 1)); the capped one must still refuse them.
+        spec = ProblemSpec.from_rows([(1, 1), (3, 1)])
+        compute(spec)
+        with level_cap(2), pytest.raises(LevelOverflow):
+            compute(spec)
+
     def test_cap_checked_before_allocation(self):
         # Each call would first build a list with about as many entries as
         # the new level, so the cap check cannot wait for _reduce: the lcm
@@ -274,7 +304,7 @@ class TestLevelCap:
         with pytest.raises(LevelOverflow):
             orbit_table(10**12, [(1, third)])
         with pytest.raises(LevelOverflow):
-            phase_orbit((F(1, 2), F(1, 10**12)))
+            phase_orbit((5 * 10**11, 1), 10**12)  # (1/2, 1/10^12)
 
     def test_constructor_checks_cap(self):
         with pytest.raises(LevelOverflow):

@@ -35,7 +35,9 @@ from .helpers import (
     constant_poly,
     cyc_pow,
     engine_constants,
+    local_series,
     numerator,
+    phased_state,
     raw_terms,
     series_value,
     substitute_power,
@@ -55,29 +57,41 @@ def make_state(factor_specs, exps=None, m=None):
     if exps is None:
         m = m if m is not None else len(factor_specs[0][1])
         exps = tuple(AffineForm.unit(m, i) for i in range(m))
-    factors = tuple(Factor(F(q) % 1, tuple(v), k)
-                    for k, (q, v) in enumerate(factor_specs))
-    return GenFunState(tuple(exps), factors)
+    return phased_state(exps, factor_specs, columns=True)
 
 
 class TestFactor:
     def test_column_not_compared(self):
         # Equal factors of different input columns merge.
-        assert Factor(F(1, 2), (1, 2), 0) == Factor(F(1, 2), (1, 2), 3)
-        assert hash(Factor(F(1, 2), (1, 2), 0)) == hash(Factor(F(1, 2), (1, 2)))
+        assert Factor(1, (1, 2), 0) == Factor(1, (1, 2), 3)
+        assert hash(Factor(1, (1, 2), 0)) == hash(Factor(1, (1, 2)))
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
-            Factor(F(0), (0, 0))
-
-    def test_unreduced_phase_rejected(self):
-        for q in (F(1), F(-1, 2), F(3, 2)):
-            with pytest.raises(ValueError):
-                Factor(q, (1,))
+            Factor(0, (0, 0))
 
     def test_nonzero_phase_allows_zero_exps(self):
-        f = Factor(F(1, 2), (0,))
-        assert f.phase == F(1, 2)
+        f = Factor(1, (0,))
+        assert f.phase == 1
+
+
+class TestGenFunState:
+    def test_unreduced_phase_rejected(self):
+        # Phases are numerators over the level: 2/2, -1/2 and 3/2.
+        exps = (AffineForm.unit(1, 0),)
+        for q in (2, -1, 3):
+            with pytest.raises(ValueError):
+                GenFunState(exps, (Factor(q, (1,)),), level=2)
+            with pytest.raises(ValueError):
+                GenFunState(exps, (), (q,), level=2)
+
+    def test_level_is_canonical(self):
+        # 2/4 and 2/4 are 1/2 and 1/2; 0 over 6 is 0 over 1.
+        exps = (AffineForm.unit(1, 0),)
+        st = GenFunState(exps, (Factor(2, (1,), 0),), (2,), level=4)
+        assert (st.factors, st.phase, st.level) == ((Factor(1, (1,)),), (1,), 2)
+        assert st.factors[0].column == 0
+        assert GenFunState(exps, (Factor(0, (1,)),), level=6).level == 1
 
 
 class TestFlip:
@@ -85,7 +99,7 @@ class TestFlip:
         # 1/((1-z^{-2}) z^{-(a-b)}) = -1/((1-z^2) z^{-(a-b-2)})
         st = make_state([(0, (-2,))], exps=(AffineForm((1, -1), 0),))
         out = flip(st, 0)
-        assert out.factors == (Factor(F(0), (2,)),)
+        assert out.factors == (Factor(0, (2,)),)
         assert out.factors[0].column == 0
         assert out.exps == (AffineForm((1, -1), -2),)
         assert out.scalar == -1
@@ -100,7 +114,7 @@ class TestFlip:
     def test_half_phase_flip(self):
         st = make_state([(F(1, 2), (-1,))])
         out = flip(st, 0)
-        assert out.factors == (Factor(F(1, 2), (1,)),)
+        assert (out.factors, out.level) == ((Factor(1, (1,)),), 2)
         # the constant is -e(-1/2) = -(-1) = 1
         assert out.scalar == 1
 
@@ -120,7 +134,7 @@ class TestSubstitutePower:
     def test_exponent_scaling(self):
         st = make_state([(0, (1,))])
         out = substitute_power(st, 0, 2)
-        assert out.factors == (Factor(F(0), (2,)),)
+        assert out.factors == (Factor(0, (2,)),)
         assert out.exps == (AffineForm((2,), 0),)
 
     def test_series_invariance(self):
@@ -147,7 +161,7 @@ class TestEliminateLastVar:
         (child,) = eliminate_last_var(st)
         assert child.guards[0].sense == EQ_ZERO
         assert child.guards[0].form == AffineForm((0, 1), 0)
-        assert child.factors == (Factor(F(0), (1,)),)
+        assert child.factors == (Factor(0, (1,)),)
 
     def test_a2_children_structure(self):
         st = make_state([(0, (1, 0)), (0, (0, 1)), (0, (1, 1))])
@@ -158,11 +172,11 @@ class TestEliminateLastVar:
         # Child from column (0,1): exps a, a double pole at the next stage.
         c1 = by_exps[AffineForm((1, 0), 0)]
         assert sorted(c1.factors, key=fkey) == [
-            Factor(F(0), (1,)), Factor(F(0), (1,))]
+            Factor(0, (1,)), Factor(0, (1,))]
         # Child from column (1,1): exps a-b, factors (0,1) and (0,-1).
         c2 = by_exps[AffineForm((1, -1), 0)]
         assert sorted(c2.factors, key=fkey) == [
-            Factor(F(0), (-1,)), Factor(F(0), (1,))]
+            Factor(0, (-1,)), Factor(0, (1,))]
         for c in children:
             assert c.guards == (Guard(AffineForm((0, 1), 0), GE_ZERO),)
 
@@ -305,7 +319,7 @@ class TestPfdNumerator:
         theta, mu = F(1, 3), 3
         others = [F(0), F(1, 4), F(1, 4), F(5, 6)]
         factors = [(theta, 1)] * mu + [(th, 1) for th in others]
-        local = pfd_numerator(theta, factors)
+        local = local_series(theta, factors)
         ref = [Cyclotomic.one()] + [Cyclotomic.zero()] * (mu - 1)
         for th in others:
             u0_inv = (1 - cyc_from_phase(th - theta)).inv()
@@ -385,7 +399,8 @@ class TestPfdNumerator:
 
     def test_theta_must_be_a_root(self):
         with pytest.raises(ValueError):
-            pfd_numerator(F(1, 2), [(F(0), 1)])
+            # 1/2 over level 2 is no root of 1 - w.
+            pfd_numerator(1, [(0, 1)], 2)
 
 
 class TestExpand:
@@ -405,7 +420,8 @@ class TestExpand:
         monkeypatch.setattr(vpf.genfun, "final_univariate", record)
         compute(ProblemSpec.from_rows(
             [(1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)]), order)
-        keys = {(s.exps, s.factors, s.phase, frozenset(s.guards)) for s in seen}
+        keys = {(s.exps, s.factors, s.phase, s.level, frozenset(s.guards))
+                for s in seen}
         assert seen and len(keys) == len(seen)
         assert not any(s.scalar.is_zero() for s in seen)
 

@@ -53,13 +53,24 @@ class TestAffineForm:
 
 class TestPhaseForm:
     def test_coeffs_reduced(self):
-        p = PhaseForm((F(1, 4), F(0)))
+        p = PhaseForm((1, 0), 4)
         assert p.eval((5, 100)) == F(1, 4)
 
     def test_unreduced_coeffs_rejected(self):
-        for c in (F(3, 2), F(-1, 2), F(1)):
+        # 3/2, -1/2 and 1/1, as numerators over their levels.
+        for num, level in ((3, 2), (-1, 2), (1, 1)):
             with pytest.raises(ValueError):
-                PhaseForm((c,))
+                PhaseForm((num,), level)
+        with pytest.raises(ValueError):
+            PhaseForm.from_coeffs((F(3, 2),))
+
+    def test_lowest_terms(self):
+        # 2/6 and 4/6 are 1/3 and 2/3, so equal phases are equal forms.
+        p = PhaseForm((2, 4), 6)
+        assert (p.nums, p.level) == ((1, 2), 3)
+        assert p == PhaseForm.from_coeffs((F(1, 3), F(2, 3)))
+        assert p.coeffs == (F(1, 3), F(2, 3))
+        assert PhaseForm((0, 0), 5) == PhaseForm.zero(2)
 
     def test_mod_one_reduction_agrees(self):
         # e(phase(b)) before/after coefficient reduction agree on a box.
@@ -68,10 +79,6 @@ class TestPhaseForm:
         for b in range(-5, 6):
             assert (raw * b) % 1 == (red * b) % 1
 
-    def test_shifted(self):
-        p = PhaseForm((F(1, 3),))
-        s = p.shifted(F(1, 2), AffineForm((1,), 7))
-        assert s.coeffs == (F(5, 6),)
 
 
 class TestParamPoly:
@@ -122,6 +129,23 @@ class TestParamPoly:
         with pytest.raises(MatrixParseError):
             ParamPoly(1, {(0,): coeff})
 
+    def test_int_fast_path_takes_no_float(self):
+        # An int skips the strict reader; a float that equals one does not.
+        assert list(ParamPoly(1, {(0,): 3}).items()) == [
+            ((0,), Cyclotomic(1, [3]))]
+        with pytest.raises(MatrixParseError):
+            ParamPoly(1, {(0,): 0.5})
+        with pytest.raises(MatrixParseError):
+            ParamPoly(1, {(0,): 3.0})
+
+    def test_int_fast_path_takes_no_bool(self):
+        # bool is a subclass of int, but True is not the integer 1 here.
+        assert ParamPoly(1, {(0,): 1}) == ParamPoly.one(1)
+        with pytest.raises(MatrixParseError):
+            ParamPoly(1, {(0,): True})
+        with pytest.raises(MatrixParseError):
+            ParamPoly(1, {(0,): False})
+
 
 class TestBinomPoly:
     def test_j_zero_is_one(self):
@@ -171,9 +195,10 @@ def _state(m):
 
 
 def _term(step):
-    """The Term of a (phase, guards, scalar) accumulator step."""
-    phase, guards, scalar = step
-    return Term(phase, ParamPoly.constant(len(phase.coeffs), scalar), guards)
+    """The Term of a (phase, guards, scalar, level) accumulator step."""
+    phase, guards, scalar, level = step
+    return Term(PhaseForm(phase, level),
+                ParamPoly.constant(len(phase), scalar), guards)
 
 
 class TestTerm:
@@ -193,33 +218,42 @@ class TestTerm:
 
     def test_eighth_scalar_phase(self):
         # (1/8) e(b/4) at b=2 is -1/8.
-        t = Term(PhaseForm((F(1, 4),)), ParamPoly.constant(1, F(1, 8)))
+        t = Term(PhaseForm((1,), 4), ParamPoly.constant(1, F(1, 8)))
         assert t.value((2,)).to_rational() == F(-1, 8)
 
     def test_linear_in_scalar(self):
         # The step multiplies the scalar by c, and the value is linear in it.
         st = replace(_state(1), scalar=cyc_from_phase(F(1, 3)) * 2)
         g = Guard(AffineForm((1,), 1), GE_ZERO)
-        base = accumulate(st, g, 1, F(1, 3))
-        scaled = accumulate(st, g, 3, F(1, 3))
+        base = accumulate(st, g, 1, 1, 3)  # times e(b/3)
+        scaled = accumulate(st, g, 3, 1, 3)
         assert scaled[2] == base[2] * 3
-        assert scaled[:2] == base[:2]
+        assert scaled[:2] == base[:2] and scaled[3] == base[3]
         for b in range(-2, 4):
             assert _term(scaled).value((b,)) == _term(base).value((b,)) * 3
 
     def test_always_true_guard_changes_nothing(self):
         st = _state(2)
         step = accumulate(st, Guard(AffineForm((0, 0), 1), GE_ZERO))
-        assert step == (st.phase, (), st.scalar)
+        assert step == (st.phase, (), st.scalar, st.level)
 
     def test_shift_phase_constant_goes_to_scalar(self):
-        phase, guards, scalar = accumulate(
-            _state(1), Guard(AffineForm((1,), 2), GE_ZERO), 1, F(1, 4))
+        phase, guards, scalar, level = accumulate(
+            _state(1), Guard(AffineForm((1,), 2), GE_ZERO), 1, 1, 4)
         assert scalar == cyc_from_phase(F(1, 2))
-        assert phase.coeffs == (F(1, 4),)
+        assert (phase, level) == ((1,), 4)
+
+    def test_phase_lifted_and_shifted(self):
+        # e(b/3) times e((b + 7)/2): the phase 5/6 over level 6, and the
+        # constant e(7/2) = -1 in the scalar.
+        st = GenFunState((AffineForm.unit(1, 0),), (), (1,), level=3)
+        phase, _, scalar, level = accumulate(
+            st, Guard(AffineForm((1,), 7), GE_ZERO), 1, 3, 2)
+        assert (phase, level) == ((5,), 6)
+        assert scalar == -1
 
     def test_duplicate_guard_dropped(self):
         g = Guard(AffineForm((1,), 0), GE_ZERO)
-        _, guards, _ = accumulate(_state(1), g)
-        _, guards, _ = accumulate(replace(_state(1), guards=guards), g)
+        _, guards, _, _ = accumulate(_state(1), g)
+        _, guards, _, _ = accumulate(replace(_state(1), guards=guards), g)
         assert guards == (g,)

@@ -97,7 +97,7 @@ class TestComponents:
             assert guard_from_json(guard_to_json(g)) == g
 
     def test_phase(self):
-        p = PhaseForm((F(1, 4), F(0)))
+        p = PhaseForm((1, 0), 4)
         assert phase_from_json(phase_to_json(p)) == p
 
     def test_poly(self):
@@ -105,7 +105,7 @@ class TestComponents:
         assert poly_from_json(poly_to_json(p), 2) == p
 
     def test_term(self):
-        t = Term(PhaseForm((F(1, 4), F(0))),
+        t = Term(PhaseForm((1, 0), 4),
                  ParamPoly.from_affine(AffineForm((1, 0), 1)).scale(
                      cyc_from_phase(F(1, 4)) * F(1, 8)),
                  (Guard(AffineForm((0, 1), 0), GE_ZERO),))
@@ -375,6 +375,21 @@ PINNED_JSON = [
                  None,
                  "f2ac2fdc557649b7ff1c83cb8f88ebf2e071acb94d0fb63913a017a017e25a59",
                  id="phased"),
+    # Phases whose denominators differ, so the engine's levels do too.
+    pytest.param(ProblemSpec.from_rows([(1, 1, 0), (0, 1, 1)],
+                                       phases=(F(1, 6), F(1, 2), F(2, 3))),
+                 None,
+                 "ce53bf167814283b0105a8c45fd3f5b8552e7391598135ca07a43cc9080fd926",
+                 id="phased_a2_sixths"),
+    pytest.param(ProblemSpec.from_rows([(1, 2, 3)],
+                                       phases=(F(1, 3), F(1, 4), 0)),
+                 None,
+                 "b02c5be85f3c930201f2f2eddb9b4baf63364517fb744a949ad3a7fda5c2b1d8",
+                 id="phased_1_2_3"),
+    pytest.param(ProblemSpec.from_rows(M34, phases=(F(1, 2), 0, F(1, 3), F(3, 4))),
+                 (2, 0, 1),
+                 "a72d32329fc628184a7d6eedf4b478f4053b9905194988d81b6f83b038213aeb",
+                 id="phased_3x4_order_201"),
 ]
 
 

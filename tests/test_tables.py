@@ -99,13 +99,14 @@ class TestOrbit:
             phase = tuple(
                 F(rng.randrange(d), d)
                 for d in (rng.choice(dens) for _ in range(rng.randint(1, 3))))
-            n, v, k = phase_orbit(phase)
-            assert n == lcm(*(c.denominator for c in phase))
-            w = [int(c * n) for c in phase]
+            level = lcm(*(c.denominator for c in phase))
+            w = tuple(int(c * level) for c in phase)
+            n, v, k = phase_orbit(w, level)
+            assert n == level
             assert v == min(tuple(u * x % n for x in w)
                             for u in range(n) if gcd(u, n) == 1)
             assert gcd(k, n) == 1 or n == 1
-            assert [k * x % n for x in v] == w
+            assert tuple(k * x % n for x in v) == w
 
     def test_table_entries_are_rotated_sums(self):
         # Entry j is sum_k e(k j / L) c_k, here against Cyclotomic products.
