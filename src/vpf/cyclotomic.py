@@ -126,6 +126,15 @@ def _mul_mod(n: int, a, b) -> list:
     return _reduce(n, c)
 
 
+def _conjugate(n: int, num, u: int) -> list:
+    """The numerators of sigma_u(sum_i num[i] zeta_n^i) mod Phi_n: each
+    power i moves to i * u mod n."""
+    c = [0] * n
+    for i, v in enumerate(num):
+        c[i * u % n] = v
+    return _reduce(n, c)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -277,17 +286,20 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
         n = self.level
-        conjs = [[1] + [0] * (len(self.num) - 1)]
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                c = [0] * n
-                for i, v in enumerate(self.num):
-                    c[i * k % n] = v
-                conjs.append(_reduce(n, c))
+        conjs = [[1] + [0] * (len(self.num) - 1)] + [
+            _conjugate(n, self.num, k) for k in range(2, n) if gcd(k, n) == 1]
         while len(conjs) > 1:  # oldest two first: operands grow alike
             conjs.append(_mul_mod(n, conjs.pop(0), conjs.pop(0)))
         rest = Cyclotomic._ints(n, conjs[0])
         return rest * (1 / (self * rest).to_rational())
+
+    def galois(self, u: int) -> "Cyclotomic":
+        """sigma_u(self), the conjugate under zeta -> zeta^u, for an integer
+        u coprime to the level; only u mod the level matters."""
+        n = self.level
+        if u % n == 1 % n:
+            return self
+        return Cyclotomic._ints(n, _conjugate(n, self.num, u), self.den)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -351,51 +363,98 @@ def cyc_from_phase(q) -> Cyclotomic:
 
 
 @lru_cache(maxsize=None)
+def least_conjugate(w, n: int, h: int = 1) -> tuple[tuple[int, ...], int]:
+    """(v, u) with v = u * w mod n the smallest over the units u mod n with
+    u = 1 mod h, for the phase vector w / n in lowest terms (gcd(n, *w) = 1),
+    and u one unit that attains it.
+
+    The first nonzero w_i = g w' (g = gcd(w_i, n), n = g n') has the images
+    g x for the units x mod n' with x = w' mod gcd(h, n'), so the least such
+    x is found first and only the units u = x / w' mod n' are tried on the
+    whole vector.
+    """
+    _check_level(n)  # the loop below may try up to n / n' units
+    if n == 1:
+        return tuple(w), 1
+    first = next(x for x in w if x)
+    g = gcd(first, n)
+    n1, w1 = n // g, first // g
+    h1 = gcd(h, n1)
+    x = w1 % h1 or h1
+    while gcd(x, n1) != 1:
+        x += h1
+    best = None
+    for u in range(x * pow(w1, -1, n1) % n1, n, n1):
+        if (u - 1) % h == 0 and gcd(u, n) == 1:
+            v = tuple(u * a % n for a in w)
+            if best is None or v < best:
+                best, unit = v, u
+    return best, unit
+
+
 def phase_orbit(w, n: int) -> tuple[int, tuple[int, ...], int]:
     """(n, v, k) with w = k * v mod n for the phase vector w / n, given in
     lowest terms (gcd(n, *w) = 1, so n is its order in (Q/Z)^m): v the
-    smallest u * w mod n over the units u mod n, which names the cyclic
-    group the phase generates, and k a unit mod n.
-
-    The first nonzero w_i, with g = gcd(w_i, n), goes to its smallest image
-    g exactly when u * w_i / g = 1 mod n / g, so only those units are tried.
-    """
-    _check_level(n)  # the loop below may try up to n units
-    if n == 1:
-        return 1, tuple(w), 0
-    first = next(x for x in w if x)
-    step = n // gcd(first, n)
-    best = None
-    for u in range(pow(first * step // n, -1, step), n, step):
-        if gcd(u, n) == 1:
-            v = tuple(u * x % n for x in w)
-            if best is None or v < best:
-                best, unit = v, u
-    return n, best, pow(unit, -1, n)
+    smallest u * w mod n over the units u mod n (`least_conjugate`), which
+    names the cyclic group the phase generates, and k a unit mod n."""
+    v, u = least_conjugate(tuple(w), n)
+    return n, v, pow(u, -1, n) if n > 1 else 0
 
 
-def orbit_table(modulus: int, parts) -> tuple:
-    """Entries sum_k e(k*j/L) * c_k for j < L = modulus, from pairs (k, c_k).
+def unit_lift(a: int, n: int, l: int, level: int) -> int:
+    """A unit u mod lcm(n, l, level) with u = a mod n and u = 1 mod l, for a
+    unit a mod n with a = 1 mod gcd(n, l): the solution mod lcm(n, l),
+    stepped by lcm(n, l) until it is prime to `level` too."""
+    g = gcd(n, l)
+    u = a + n * ((1 - a) // g * pow(n // g, -1, l // g) % (l // g))
+    step = n // g * l
+    while gcd(u, level) != 1:
+        u += step
+    return u
+
+
+@lru_cache(maxsize=None)
+def galois_group(n: int, l0: int) -> tuple[int, ...]:
+    """The units u mod n with u = 1 mod l0, the image mod n of the group G
+    over which the engine averages (l0 = 0: u = 1 alone)."""
+    _check_level(n)
+    # u = 1 + t h for h = gcd(n, l0), up to n: u = 1 is the unit mod 1, and
+    # u = n is no unit mod n > 1.
+    return tuple(u for u in range(1, n + 1, gcd(n, l0)) if gcd(u, n) == 1)
+
+
+def orbit_table(modulus: int, parts, l0: int) -> tuple:
+    """Entries sum_k avg_u e(u*k*j/L) * sigma_u(c_k) for j < L = modulus,
+    from pairs (k, c_k): each pair stands for its average over the units
+    u = 1 mod l0 (`galois_group`; l0 = 0 leaves the pair itself).
 
     Works on integer numerators at level N = lcm(L, levels of the c_k): each
-    c_k is spread once over the N-th roots, and multiplying it by e(k*j/L)
-    rotates that vector by k*j*N/L places, so an entry costs one rotated
-    add per pair and one reduction mod Phi_N.  Rational entries are
-    Fractions, the others Cyclotomics at level N.
+    c_k is spread once over the N-th roots, its conjugate sigma_u(c_k) is
+    that vector with every place multiplied by u, and the conjugates of one
+    phase u*k mod L add up in one vector.  Multiplying it by e(u*k*j/L)
+    rotates it by u*k*j*N/L places, so an entry costs one rotated add per
+    phase and one reduction mod Phi_N.  Rational entries are Fractions, the
+    others Cyclotomics at level N.
     """
-    parts = [(k, c) for k, c in parts if c]
+    parts = [(k, c, galois_group(lcm(modulus, c.level), l0))
+             for k, c in parts if c]
     if not parts:
         return (Fraction(0),) * modulus
-    n = lcm(modulus, *(c.level for _, c in parts))
+    n = lcm(modulus, *(c.level for _, c, _ in parts))
     _check_level(n)
-    den = lcm(*(c.den for _, c in parts))
-    spread = []
-    for k, c in parts:
-        dense = [0] * n
-        dense[::n // c.level] = [v * (den // c.den) for v in c.num] + [0] * (
-            c.level - len(c.num))
-        # The n entries of dense + dense from -s mod n on: dense rotated by s.
-        spread.append((k * (n // modulus), dense + dense))
+    den = lcm(*(c.den * len(us) for _, c, us in parts))
+    spread: dict = {}
+    for k, c, us in parts:
+        step, scale = n // c.level, den // (c.den * len(us))
+        places = [(i * step, v * scale) for i, v in enumerate(c.num) if v]
+        for u in us:
+            dense = spread.get(u * k % modulus)
+            if dense is None:
+                dense = spread[u * k % modulus] = [0] * n
+            for i, v in places:
+                dense[i * u % n] += v
+    # The n entries of dense + dense from -s mod n on: dense rotated by s.
+    spread = [(k * (n // modulus), d + d) for k, d in spread.items()]
     table = []
     for j in range(modulus):
         windows = [d[(s := -k * j % n):s + n] for k, d in spread]

@@ -8,7 +8,12 @@ over the last active variable as child states with one variable fewer, each
 moved by `accumulate`; the univariate stage resolves arbitrary pole
 multiplicities into closed Terms, each root's local series times the
 scalar.  `expand` runs it all from the normalized matrix, level by level,
-merging equal states.
+merging conjugate and equal states.
+
+Every step commutes with the Galois automorphisms sigma_u: zeta -> zeta^u,
+so each state and each Term stands for its average over the group G of the
+units u = 1 mod L0, L0 the level of the input phases: one state per orbit
+of states, one Term per orbit of roots.
 """
 from __future__ import annotations
 
@@ -16,7 +21,15 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .cyclotomic import Cyclotomic, cyc_from_phase, inv_one_minus_root, root
+from .cyclotomic import (
+    Cyclotomic,
+    cyc_from_phase,
+    galois_group,
+    inv_one_minus_root,
+    least_conjugate,
+    root,
+    unit_lift,
+)
 from .errors import DimensionMismatch, MatrixParseError, UnsupportedMultiplePole
 from .matrixops import int_vector, rat_vector, sequence
 from .params import (
@@ -224,7 +237,7 @@ def pfd_numerator(theta: int, factors, level: int) -> tuple[Cyclotomic, ...]:
     return tuple(prod)
 
 
-def final_univariate(state: GenFunState) -> list[Term]:
+def final_univariate(state: GenFunState, l0: int) -> list[Term]:
     """Resolve the last variable, arbitrary multiplicities, into closed Terms.
 
     A root theta of multiplicity mu with local series s (`pfd_numerator`)
@@ -233,6 +246,12 @@ def final_univariate(state: GenFunState) -> list[Term]:
     A(b) x = sum_{k<mu} binom(beta+mu-1-k, mu-1-k) s_k t^k x at
     t = -e(-theta), on a basis binom(beta+r, r) built once for all roots.
     The roots are integer numerators over R = N lcm(n_k).
+
+    The state and its Terms stand for their averages over the group G of
+    units u = 1 mod l0.  The units of G that fix the state (u = 1 mod N)
+    permute its roots, and the average of the Term of u theta with scalar x
+    is that of theta with sigma_u^{-1}(x); so only the least root of each
+    orbit gets a Term, whose scalar is the sum of those conjugates of x.
     """
     if state.active != 1:
         raise DimensionMismatch("final_univariate needs exactly 1 variable")
@@ -259,14 +278,39 @@ def final_univariate(state: GenFunState) -> list[Term]:
     factors = [(q * lift, n) for q, n in factors]
     # Root l of 1 - e(q/R) w^n is theta = (q - l R) / (n R) = (q - l R)/n over R.
     roots = {(q - l * big) // n % big for q, n in factors for l in range(n)}
-    series = [(theta, pfd_numerator(theta, factors, big))
-              for theta in sorted(roots)]
+    # The units that fix the state are those = 1 mod fixed, and they fix x
+    # too when its level divides `fixed`.
+    fixed = lcm(level, l0)
+    x = state.scalar
+    reps = []
+    seen = set()
+    for theta in sorted(roots):
+        if theta in seen:
+            continue
+        # The orbit of theta = g t' mod big = g n' is g (u t' mod n') over
+        # the units u mod n' that are = 1 mod gcd(n', fixed).
+        n1 = big // gcd(theta, big)
+        units = galois_group(n1, fixed)
+        seen.update(u * theta % big for u in units)
+        if fixed % x.level == 0:
+            # Every conjugate of x is x: the sum is a factor of the constant.
+            rep, weight = state, len(units)
+        else:
+            trace = sum((x.galois(unit_lift(u, n1, fixed, x.level))
+                         for u in units), Cyclotomic.zero())
+            if trace.is_zero():
+                continue
+            rep, weight = replace(state, scalar=trace), 1
+        reps.append((theta, rep, c * weight,
+                     pfd_numerator(theta, factors, big)))
+    if not reps:
+        return []
     basis = [binom_poly(r, beta + 1)
-             for r in range(max(len(s) for _, s in series))]
+             for r in range(max(len(s) for *_, s in reps))]
     guard = Guard(beta, GE_ZERO)
     terms = []
-    for theta, s in series:
-        phase, guards, x, n = accumulate(state, guard, c, theta, lift)
+    for theta, rep, cw, s in reps:
+        phase, guards, x, n = accumulate(rep, guard, cw, theta, lift)
         t = -root(-theta, big)  # t at w = 0
         mu = len(s)
         poly = basis[mu - 1].scale(s[0] * x)
@@ -278,32 +322,53 @@ def final_univariate(state: GenFunState) -> list[Term]:
     return terms
 
 
-def _merge_states(states) -> list[GenFunState]:
-    """One state per key, every field but the scalar (guards as a set), with
-    the scalars of its states summed; a state whose sum is zero is dropped.
+def _merge_states(states, l0: int) -> list[GenFunState]:
+    """One state per orbit of keys under the group G of units u = 1 mod l0.
+    A key is every field but the scalar (guards as a set); each state moves
+    to its least conjugate (`least_conjugate` of its phase numerators,
+    factors first), its scalar x to sigma_u(x), and the scalars of one key
+    are summed; a state whose sum is zero is dropped.
 
-    Exact because every later step is linear in the scalar, a state's value
-    depends on its guards only through their conjunction, and its level is
-    canonical.
+    Exact because every state stands for its average over G, which its
+    conjugates share, every later step is linear in the scalar, a state's
+    value depends on its guards only through their conjunction, and its
+    level is canonical.
     """
-    merged: dict[tuple, GenFunState] = {}
+    merged: dict[tuple, list] = {}
     for st in states:
-        key = (st.exps, st.factors, st.phase, st.level, frozenset(st.guards))
-        first = merged.get(key)
-        merged[key] = st if first is None else replace(
-            first, scalar=first.scalar + st.scalar)
-    return [st for st in merged.values() if not st.scalar.is_zero()]
+        n = st.level
+        w = tuple(f.phase for f in st.factors) + st.phase
+        v, u = least_conjugate(w, n, gcd(n, l0))
+        x = st.scalar
+        if u != 1:
+            x = x.galois(unit_lift(u, n, l0, x.level))
+        key = (st.exps, tuple(f.exps for f in st.factors), v, n,
+               frozenset(st.guards))
+        entry = merged.get(key)
+        if entry is not None:
+            entry[1] = entry[1] + x
+            continue
+        if u != 1:
+            k = len(st.factors)
+            st = GenFunState(st.exps, tuple(
+                Factor(a, f.exps, f.column) for a, f in zip(v, st.factors)),
+                v[k:], st.guards, x, n)
+        merged[key] = [st, x]
+    return [st if x is st.scalar else replace(st, scalar=x)
+            for st, x in merged.values() if not x.is_zero()]
 
 
 def expand(normalized, phases, order) -> list[Term]:
-    """Closed Terms summing to the coefficient of z^b in
-    prod_k 1/(1 - e(phases[k]) z^{c_k}), c_k the k-th column of the
-    nonnegative matrix `normalized`.
+    """Closed Terms whose averages over the Galois group G sum to the
+    coefficient of z^b in prod_k 1/(1 - e(phases[k]) z^{c_k}), c_k the k-th
+    column of the nonnegative matrix `normalized`.
 
-    The rational phases become numerators over their common denominator.
-    The rows are eliminated in `order`, last first, level by level, merging
-    equal states: every state of a level is eliminated, and the children
-    that differ only in their scalars become one state.
+    The rational phases become numerators over their common denominator L0,
+    and G is the group of units u = 1 mod L0, which fixes the input; every
+    step commutes with each sigma_u.  The rows are eliminated in `order`,
+    last first, level by level, merging the states that are conjugate or
+    equal: every state of a level is eliminated, and the children of one
+    orbit that differ only in their scalars become one state.
     """
     m = len(normalized)
     exps = tuple(AffineForm.unit(m, i) for i in order)
@@ -314,8 +379,8 @@ def expand(normalized, phases, order) -> list[Term]:
     states = [GenFunState(exps, factors, level=den)]
     for _ in range(m - 1):
         states = _merge_states(
-            child for st in states for child in eliminate_last_var(st))
-    return [t for st in states for t in final_univariate(st)]
+            (child for st in states for child in eliminate_last_var(st)), den)
+    return [t for st in states for t in final_univariate(st, den)]
 
 
 def dedekind_sum(n: int, a_phase: Fraction, f, beta: int) -> Cyclotomic:

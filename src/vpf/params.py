@@ -223,7 +223,7 @@ def binom_poly(j: int, beta: AffineForm) -> ParamPoly:
     out = ParamPoly.one(m)
     for i in range(j):
         out = out * ParamPoly.from_affine(beta + i)
-    return out.scale(Fraction(1, factorial(j)))
+    return out if j < 2 else out.scale(Fraction(1, factorial(j)))
 
 
 GE_ZERO = "ge"
@@ -291,11 +291,14 @@ def _guard_key(g: Guard):
     return (g.sense, g.form.coeffs, g.form.const)
 
 
-def collapse_terms(terms) -> tuple[Summand, ...]:
+def collapse_terms(terms, l0: int) -> tuple[Summand, ...]:
     """Group terms by guards and by the cyclic group their phase generates,
-    and tabulate each group into one Summand.  Terms with equal phases land
-    in the same table entries, zero tables and summands are dropped, and
-    the summands are sorted by (guards, modulus, residue)."""
+    and tabulate each group into one Summand.  Each term stands for its
+    average over the Galois group of the units u = 1 mod l0, which
+    `orbit_table` spreads over the table (l0 = 0: each term stands for
+    itself).  Terms with equal phases land in the same table entries, zero
+    tables and summands are dropped, and the summands are sorted by
+    (guards, modulus, residue)."""
     groups: dict = {}
     for t in terms:
         guards = tuple(sorted(t.guards, key=_guard_key))
@@ -308,7 +311,8 @@ def collapse_terms(terms) -> tuple[Summand, ...]:
     for key in sorted(groups):
         guards, monos = groups[key]
         _, n, v = key
-        tables = ((exps, orbit_table(n, monos[exps])) for exps in sorted(monos))
+        tables = ((exps, orbit_table(n, monos[exps], l0))
+                  for exps in sorted(monos))
         poly = tuple((exps, table) for exps, table in tables if any(table))
         if poly:
             out.append(Summand(guards, n, v, poly))

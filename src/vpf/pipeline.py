@@ -29,7 +29,7 @@ from .matrixops import (
     unimodular_with_last_row,
 )
 from .oracle import box_counts
-from .params import EQ_ZERO, Summand, collapse_terms
+from .params import EQ_ZERO, Guard, Summand, collapse_terms
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,12 @@ class ResultExpr:
 
     def __post_init__(self):
         """Every type and shape rule.  m is an int >= 1; a summand's modulus
-        (>= 1), residue, exponents (>= 0) and guards are ints, its tables
-        have modulus entries, each a rational or a Cyclotomic
-        (MatrixParseError).  Residues, guards and exponents have m entries,
-        the spec m rows and the unimodular m x m (DimensionMismatch)."""
+        (>= 1), residue, exponents (>= 0) and guards are ints, its residue,
+        poly, (exponents, table) pairs and tables are sequences, its guards
+        Guards, and its tables have modulus entries, each a rational or a
+        Cyclotomic (MatrixParseError).  Residues, guards and exponents have
+        m entries, the spec m rows and the unimodular m x m
+        (DimensionMismatch)."""
         (m,) = int_vector((self.m,), "m")
         if m < 1:
             raise MatrixParseError(f"m = {m} is not positive")
@@ -107,20 +109,29 @@ class ResultExpr:
         if self.spec is not None:
             sizes.add(self.spec.m)
         for s in self.terms:
-            vectors = (s.residue, *(e for e, _ in s.poly),
-                       *(g.form.coeffs for g in s.guards))
-            int_vector((s.modulus, *(g.form.const for g in s.guards),
+            guards = sequence(s.guards, "summand guards")
+            if not all(isinstance(g, Guard) for g in guards):
+                raise MatrixParseError(f"summand guards {guards!r} are not "
+                                       f"all Guards")
+            poly = [(sequence(e, "summand exponents"),
+                     sequence(t, "summand table"))
+                    for e, t in (sequence(p, "summand monomial", 2)
+                                 for p in sequence(s.poly, "summand poly"))]
+            vectors = (sequence(s.residue, "summand residue"),
+                       *(e for e, _ in poly),
+                       *(g.form.coeffs for g in guards))
+            int_vector((s.modulus, *(g.form.const for g in guards),
                         *(x for v in vectors for x in v)),
                        "summand modulus, residue, exponents and guards")
-            rat_vector([x for _, t in s.poly for x in t
+            rat_vector([x for _, t in poly for x in t
                         if not isinstance(x, Cyclotomic)], "table entries")
             sizes.update(map(len, vectors))
             if s.modulus < 1:
                 raise MatrixParseError(f"modulus {s.modulus} is not positive")
-            if any(len(t) != s.modulus for _, t in s.poly):
+            if any(len(t) != s.modulus for _, t in poly):
                 raise MatrixParseError(
                     f"a table does not have {s.modulus} entries")
-            if any(min(e, default=0) < 0 for e, _ in s.poly):
+            if any(min(e, default=0) < 0 for e, _ in poly):
                 raise MatrixParseError("an exponent is negative")
         if sizes != {m}:
             raise DimensionMismatch(f"expected {m} parameters, got {sizes}")
@@ -221,7 +232,9 @@ def compute(spec: ProblemSpec, order=None) -> ResultExpr:
             f"row order {rows} (1-based) is not a permutation of 1..{m}")
     report = preprocess(spec)
     try:
-        summands = collapse_terms(expand(report.normalized, spec.phases, order))
+        summands = collapse_terms(
+            expand(report.normalized, spec.phases, order),
+            lcm(*(q.denominator for q in spec.phases)))
     except UnsupportedMultiplePole as exc:
         raise UnsupportedMultiplePole(
             f"{exc}, eliminating rows in the order {rows} (last first); "

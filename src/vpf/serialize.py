@@ -164,8 +164,9 @@ def expr_from_json(obj) -> ResultExpr:
         if schema >= SCHEMA:
             terms = tuple(summand_from_json(s) for s in obj["terms"])
         else:
+            # Every engine term was written, so each stands for itself.
             terms = collapse_terms(
-                [term_from_json(t, m, schema) for t in obj["terms"]])
+                [term_from_json(t, m, schema) for t in obj["terms"]], 0)
         spec = None
         if "matrix" in obj or schema == PHASED_SCHEMA:
             spec = spec_from_json(obj, schema)

@@ -5,22 +5,28 @@ GenFunState directly from geometric series, independently of the elimination
 engine, so engine steps can be checked against it.  The depth-first counter
 `count_points_dfs` is the reference for the graded box oracle `box_counts`,
 and `det_int` checks that unimodular completions have determinant +-1.
-`raw_terms` runs the engine without collapsing its terms into summands,
-`unmerged_terms` runs it without merging equal states either, and
-`schema2_doc` writes the raw terms as schema-2 expression JSON.  `summand_value`
+`raw_terms` runs the engine without collapsing its terms into summands;
+each of them stands for its average over the Galois group G of the units
+u = 1 mod the level L0 of the input phases (`spec_level`), which `average`
+and `conjugate_terms` write out.  `all_root_terms` is the univariate stage
+with one Term per root and no averaging, and `unmerged_terms` runs the
+engine through it without merging states either: the reference for
+`expand`.  `schema2_doc` writes the engine's terms, written out, as
+schema-2 expression JSON.  `summand_value`
 evaluates one summand on its own, the reference for `evaluate`'s plan.
 `phased_state` builds an engine state from rational factor phases, and
 `state_phase` reads its phase back as rationals.  `numerator` records a
-root's local series from `genfun.pfd_numerator` with its theta and beta; `constant_poly` is the partial-sum form of its numerator
-constant, the reference for the constants `engine_constants` reads off the
-Terms of `final_univariate`.
+root's local series from `genfun.pfd_numerator` with its theta and beta;
+`constant_poly` is the partial-sum form of its numerator constant, the
+reference for the constants `engine_constants` reads off the Terms of
+`all_root_terms`.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -30,18 +36,21 @@ from vpf import (
     DimensionMismatch,
     Factor,
     GenFunState,
+    Guard,
     ParamPoly,
     PhaseForm,
     ProblemSpec,
+    Term,
     binom_poly,
     compute,
     cyc_from_phase,
     eliminate_last_var,
-    final_univariate,
     pfd_numerator,
 )
-from vpf.genfun import expand
+from vpf.cyclotomic import inv_one_minus_root, root
+from vpf.genfun import _normalize_last, accumulate, expand
 from vpf.matrixops import fm_certificate
+from vpf.params import EQ_ZERO, GE_ZERO
 from vpf.pipeline import preprocess
 from vpf.serialize import cyc_to_json, expr_to_json, guard_to_json, rat_to_json
 
@@ -240,15 +249,93 @@ def summand_value(s, b):
     return sum(table[j] * prod(map(pow, b, exps)) for exps, table in s.poly)
 
 
+def spec_level(spec: ProblemSpec) -> int:
+    """L0, the level of the column phases: the lcm of their denominators."""
+    return lcm(*(q.denominator for q in spec.phases))
+
+
+def galois_units(n: int, l0: int) -> list:
+    """The units u mod n with u = 1 mod gcd(n, l0): the image mod n of the
+    group G of the units u = 1 mod l0."""
+    h = gcd(n, l0)
+    return [u for u in range(1, n + 1) if gcd(u, n) == 1 and (u - 1) % h == 0]
+
+
+def average(x: Cyclotomic, l0: int) -> Cyclotomic:
+    """x averaged over its conjugates sigma_u(x), u in G = units = 1 mod l0."""
+    units = galois_units(x.level, l0)
+    return sum((x.galois(u) for u in units), Cyclotomic.zero()) * Fraction(
+        1, len(units))
+
+
+def conjugate_terms(terms, l0: int) -> list:
+    """Each Term's average over G written out: its conjugates sigma_u(t),
+    the phase times u and every coefficient conjugated, each divided by the
+    number of units u mod the lcm K of the term's levels."""
+    out = []
+    for t in terms:
+        k = lcm(t.phase.level, *(c.level for _, c in t.poly.items()))
+        units = galois_units(k, l0)
+        for u in units:
+            poly = ParamPoly(t.poly.arity, {
+                e: c.galois(u) * Fraction(1, len(units))
+                for e, c in t.poly.items()})
+            phase = PhaseForm(tuple(u * a % t.phase.level
+                                    for a in t.phase.nums), t.phase.level)
+            out.append(Term(phase, poly, t.guards))
+    return out
+
+
 def raw_terms(spec: ProblemSpec, order=None) -> list:
-    """The engine's terms for `spec`, before `compute` collapses them."""
+    """The engine's terms for `spec`, before `compute` collapses them; each
+    stands for its average over G (`spec_level`)."""
     order = tuple(range(spec.m)) if order is None else order
     return expand(preprocess(spec).normalized, spec.phases, order)
 
 
+def all_root_terms(state: GenFunState) -> list:
+    """The univariate stage with one Term per root and no averaging: the
+    reference for `final_univariate`, whose Terms are one per Galois orbit
+    of roots.  Each root theta of multiplicity mu gets its local series s
+    from `pfd_numerator` and the Term e(theta beta) sum_{k<mu}
+    binom(beta+mu-1-k, mu-1-k) s_k t^k x at t = -e(-theta)."""
+    state = _normalize_last(state)
+    (beta,) = state.exps
+    level = state.level
+    factors, c = [], 1
+    for f in state.factors:
+        if f.exps[0]:
+            factors.append((f.phase, f.exps[0]))
+        else:
+            c = c * inv_one_minus_root(f.phase, level)
+    if not factors:
+        phase, guards, scalar, n = accumulate(state, Guard(beta, EQ_ZERO), c)
+        return [Term(PhaseForm(phase, n),
+                     ParamPoly.constant(beta.arity, scalar), guards)]
+    lift = lcm(*(n for _, n in factors))
+    big = level * lift
+    factors = [(q * lift, n) for q, n in factors]
+    roots = {(q - l * big) // n % big for q, n in factors for l in range(n)}
+    terms = []
+    for theta in sorted(roots):
+        s = pfd_numerator(theta, factors, big)
+        phase, guards, x, n = accumulate(
+            state, Guard(beta, GE_ZERO), c, theta, lift)
+        t = -root(-theta, big)
+        mu = len(s)
+        poly = binom_poly(mu - 1, beta + 1).scale(s[0] * x)
+        for k in range(1, mu):
+            x = x * t
+            poly = poly + binom_poly(mu - 1 - k, beta + 1).scale(s[k] * x)
+        if not poly.is_zero():
+            terms.append(Term(PhaseForm(phase, n), poly, guards))
+    return terms
+
+
 def unmerged_terms(spec: ProblemSpec, order=None) -> list:
     """The engine's terms for `spec` with every state eliminated on its own,
-    depth first, and no equal states merged: the reference for `expand`."""
+    depth first, no states merged and one Term per root (`all_root_terms`):
+    the reference for `expand`, each Term standing for itself."""
     order = tuple(range(spec.m)) if order is None else order
     normalized = preprocess(spec).normalized
     exps = tuple(AffineForm.unit(spec.m, i) for i in order)
@@ -259,7 +346,7 @@ def unmerged_terms(spec: ProblemSpec, order=None) -> list:
     while stack:
         st = stack.pop()
         if st.active == 1:
-            terms.extend(final_univariate(st))
+            terms.extend(all_root_terms(st))
         else:
             stack.extend(eliminate_last_var(st))
     return terms
@@ -284,9 +371,11 @@ def term_to_json(t) -> dict:
 
 
 def schema2_doc(spec: ProblemSpec, order=None) -> dict:
-    """Schema-2 expression JSON holding the engine's raw terms."""
+    """Schema-2 expression JSON holding the engine's raw terms, each written
+    out over its Galois orbit, as schema 2 held every term."""
     doc = expr_to_json(compute(spec, order))
-    doc.update(schema=2, terms=[term_to_json(t) for t in raw_terms(spec, order)])
+    terms = conjugate_terms(raw_terms(spec, order), spec_level(spec))
+    doc.update(schema=2, terms=[term_to_json(t) for t in terms])
     return doc
 
 
@@ -398,14 +487,14 @@ def numerator(theta, factors, beta) -> Numerator:
 
 def engine_constants(beta, factors) -> dict:
     """A(b) of each root theta of `factors`, read off the engine: the Terms
-    that final_univariate returns for GenFunState((beta,), factors), in
+    that all_root_terms returns for GenFunState((beta,), factors), in
     ascending theta, each divided by e(theta beta.const).  The engine drops
     a zero polynomial, so a root whose `constant_poly` is zero has no Term
     and reads as zero; every other root takes the next Term."""
     roots = sorted({Fraction(q - l, n) % 1 for q, n in factors
                     for l in range(n)})
     state = phased_state((beta,), [(q, (n,)) for q, n in factors])
-    terms = iter(final_univariate(state))
+    terms = iter(all_root_terms(state))
     out = {}
     for theta in roots:
         if constant_poly(numerator(theta, factors, beta)).is_zero():

@@ -33,7 +33,9 @@ from vpf.matrixops import mat_vec_int
 
 from .helpers import (
     CONE,
+    all_root_terms,
     approx,
+    conjugate_terms,
     constant_at,
     cp_add,
     cp_divmod,
@@ -97,11 +99,17 @@ def test_criterion_03_mixed_pole_quarters():
         st = GenFunState(
             (AffineForm((1,), 0),),
             (Factor(0, (2,)), Factor(0, (4,))))
-        terms = final_univariate(st)
-        by_phase = {t.phase.coeffs[0]: t for t in terms}
+        eighth = ParamPoly.constant(1, F(1, 8))
+        by_phase = {t.phase.coeffs[0]: t for t in all_root_terms(st)}
         for theta in (F(1, 4), F(3, 4)):
-            t = by_phase[theta]
-            assert t.poly == ParamPoly.constant(1, F(1, 8))
+            assert by_phase[theta].poly == eighth
+        # The engine's one Term for the orbit {1/4, 3/4}, written out over
+        # its conjugates, is those two Terms.
+        (rep,) = [t for t in final_univariate(st, 1)
+                  if t.phase.coeffs[0] in (F(1, 4), F(3, 4))]
+        assert {t.phase.coeffs[0]: t.poly
+                for t in conjugate_terms([rep], 1)} == {
+            F(1, 4): eighth, F(3, 4): eighth}
 
 
 def test_criterion_04_a2_kostant():
@@ -260,22 +268,26 @@ def test_criterion_09_dedekind_cross_check():
                 continue  # only simple groups here
             st = phased_state((AffineForm((1,), 0),),
                               [(q, (n,)) for q, n in facs])
-            terms = final_univariate(st)
+            # The engine's Terms, one per orbit of roots, written out over
+            # their conjugates; with l0 the state's level the state is fixed,
+            # so the conjugates of one root sum to that root's Term.
+            terms = conjugate_terms(final_univariate(st, st.level), st.level)
             ordered = sorted(roots)
-            assert len(terms) == len(ordered)
-            by_theta = dict(zip(ordered, terms))
+            assert {t.phase.coeffs[0] for t in terms} == set(ordered)
             b = rng.randint(0, 8)
+            value = {th: sum((t.value((b,)) for t in terms
+                              if t.phase.coeffs[0] == th), Cyclotomic.zero())
+                     for th in ordered}
             # Per-root: each term equals the n=1 Dedekind sum over the rest.
             for th in ordered:
                 f = [cyc_from_phase(t2) for t2 in ordered if t2 != th]
-                assert by_theta[th].value((b,)) == dedekind_sum(1, th, f, b)
+                assert value[th] == dedekind_sum(1, th, f, b)
             # Grouped: the sum over one factor's roots equals S_{f,q}(n).
             k = rng.randrange(nf)
             q, n = facs[k]
             mine = set(per_factor_roots[k])
             f = [cyc_from_phase(t2) for t2 in ordered if t2 not in mine]
-            grouped = sum((by_theta[th].value((b,)) for th in mine),
-                          Cyclotomic.zero())
+            grouped = sum((value[th] for th in mine), Cyclotomic.zero())
             assert grouped == dedekind_sum(n, q, f, b)
             checked += 1
 

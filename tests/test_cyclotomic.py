@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 import threading
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -22,11 +22,14 @@ from vpf import (
 from vpf.cyclotomic import DEFAULT_LEVEL_CAP
 from vpf.cyclotomic import _cyclo_poly as cyclotomic_polynomial
 from vpf.cyclotomic import (
+    galois_group,
     inv_one_minus_phase,
     inv_one_minus_root,
+    least_conjugate,
     orbit_table,
     phase_orbit,
     root,
+    unit_lift,
 )
 
 from .helpers import approx, cyc_pow
@@ -194,6 +197,61 @@ class TestInverse:
         assert x.inv().inv() == x
 
 
+class TestGalois:
+    """sigma_u: zeta -> zeta^u, and the group G of units u = 1 mod l0 that
+    the engine averages over."""
+
+    def test_conjugate_against_roots(self):
+        # sigma_u(x) is sum_i x_i e(u i / N), a ring map fixing Q.
+        rng = random.Random(23)
+        for _ in range(60):
+            n = rng.choice([1, 3, 4, 5, 8, 12, 15, 30])
+            x = sum((cyc_from_phase(F(rng.randrange(n), n)) * rng.randint(-3, 3)
+                     for _ in range(3)), Cyclotomic.zero())
+            x = x * F(1, rng.randint(1, 4))
+            y = cyc_from_phase(F(rng.randrange(n), n)) + 1
+            u = rng.choice([k for k in range(1, 2 * n + 1) if gcd(k, n) == 1])
+            ref = sum((cyc_from_phase(F(u * i, x.level)) * c
+                       for i, c in enumerate(x.coeffs)), Cyclotomic.zero())
+            assert x.galois(u) == ref
+            assert (x * y).galois(u) == x.galois(u) * y.galois(u)
+            assert (x + y).galois(u) == x.galois(u) + y.galois(u)
+            assert x.galois(u).level == x.level
+        assert cyc_from_phase(F(1, 3)).galois(2) == cyc_from_phase(F(2, 3))
+
+    def test_least_conjugate_by_brute_force(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.choice([1, 2, 4, 6, 9, 12, 20, 36, 60])
+            h = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+            w = tuple(rng.randrange(n) for _ in range(rng.randint(1, 4)))
+            g = gcd(n, *w)
+            w, n, h = tuple(a // g for a in w), n // g, gcd(h, n // g)
+            v, u = least_conjugate(w, n, h)
+            units = [k for k in range(1, n + 1)
+                     if gcd(k, n) == 1 and (k - 1) % h == 0]
+            assert u in units or n == 1
+            assert v == min(tuple(k * a % n for a in w) for k in units)
+            assert v == tuple(u * a % n for a in w)
+
+    def test_unit_lift(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n, l, level = (rng.randint(1, 40) for _ in range(3))
+            a = rng.choice([k for k in range(1, n + 1) if gcd(k, n) == 1])
+            if (a - 1) % gcd(n, l):
+                continue
+            u = unit_lift(a, n, l, level)
+            assert (u - a) % n == 0 and (u - 1) % l == 0
+            assert gcd(u, lcm(n, l, level)) == 1
+
+    @pytest.mark.parametrize("n, l0, units", [
+        (1, 1, (1,)), (12, 1, (1, 5, 7, 11)), (12, 4, (1, 5)),
+        (12, 3, (1, 7)), (12, 24, (1,)), (12, 0, (1,)), (7, 0, (1,))])
+    def test_group(self, n, l0, units):
+        assert galois_group(n, l0) == units
+
+
 class TestRaiseLevel:
     def test_minus_one_to_level_six(self):
         x = cyc_from_phase(F(1, 2)).raise_level(6)
@@ -302,7 +360,7 @@ class TestLevelCap:
         with pytest.raises(LevelOverflow):
             Cyclotomic.from_phase(F(10**12 - 1, 10**12))
         with pytest.raises(LevelOverflow):
-            orbit_table(10**12, [(1, third)])
+            orbit_table(10**12, [(1, third)], 0)
         with pytest.raises(LevelOverflow):
             phase_orbit((5 * 10**11, 1), 10**12)  # (1/2, 1/10^12)
 

@@ -31,10 +31,13 @@ from vpf.params import EQ_ZERO, GE_ZERO
 from vpf.serialize import expr_to_json
 
 from .helpers import (
+    all_root_terms,
+    average,
     constant_at,
     constant_poly,
     cyc_pow,
     engine_constants,
+    galois_units,
     local_series,
     numerator,
     phased_state,
@@ -231,7 +234,7 @@ class TestFinalUnivariate:
     def test_single_geometric(self):
         # 1/((1-w) w^b) -> single term: poly 1, guard b >= 0.
         st = make_state([(0, (1,))])
-        (t,) = final_univariate(st)
+        (t,) = final_univariate(st, 1)
         assert t.poly == ParamPoly.one(1)
         assert not any(t.phase.coeffs)
         assert t.guards[0].form == AffineForm((1,), 0)
@@ -240,30 +243,34 @@ class TestFinalUnivariate:
     def test_double_pole_numerator(self):
         # 1/((1-w)^2 w^b): single group theta=0, mult 2; constant is b+1.
         st = make_state([(0, (1,)), (0, (1,))])
-        (t,) = final_univariate(st)
+        (t,) = final_univariate(st, 1)
         assert t.poly == ParamPoly.from_affine(AffineForm((1,), 1))
         for b in range(0, 8):
             assert t.value((b,)).to_rational() == b + 1
 
     def test_mixed_pole_quarter_terms(self):
-        # 1/((1-w^2)(1-w^4) w^b): theta=1/4 and 3/4 terms are (1/8) e(+-b/4).
+        # 1/((1-w^2)(1-w^4) w^b): theta=1/4 and 3/4 terms are (1/8) e(+-b/4),
+        # one root orbit, whose one Term at theta = 1/4 carries both.
         st = make_state([(0, (2,)), (0, (4,))], m=1,
                         exps=(AffineForm((1,), 0),))
-        terms = final_univariate(st)
+        terms = final_univariate(st, 1)
         by_phase = {t.phase.coeffs[0]: t for t in terms}
+        assert sorted(by_phase) == [F(0), F(1, 4), F(1, 2)]
+        assert by_phase[F(1, 4)].poly == ParamPoly.constant(1, F(1, 4))
         for theta in (F(1, 4), F(3, 4)):
-            t = by_phase[theta]
+            t = {t.phase.coeffs[0]: t for t in all_root_terms(st)}[theta]
             assert t.poly == ParamPoly.constant(1, F(1, 8))
 
     def test_mixed_pole_total_matches_series(self):
         st = make_state([(0, (2,)), (0, (4,))])
-        terms = final_univariate(st)
+        terms = final_univariate(st, 1)
         for b in range(-3, 12):
-            assert terms_value(terms, (b,)) == series_value(st, (b,))
+            assert average(terms_value(terms, (b,)), 1) == series_value(
+                st, (b,))
 
     def test_no_factors_eqzero_term(self):
         st = GenFunState((AffineForm((1,), -2),), ())
-        (t,) = final_univariate(st)
+        (t,) = final_univariate(st, 1)
         assert t.guards[0].sense == EQ_ZERO
         assert t.value((2,)).to_rational() == 1
         assert t.value((3,)).is_zero()
@@ -278,18 +285,22 @@ class TestFinalUnivariate:
             st = make_state(others[:1] + [(q, (0,))] + others[1:], exps)
             rest = make_state(others, exps)
             inv = (1 - cyc_from_phase(q)).inv()
-            terms, ref = final_univariate(st), final_univariate(rest)
+            # Averaged over the units = 1 mod st.level, which fix both
+            # states and 1 - e(q).
+            l0 = st.level
+            terms, ref = final_univariate(st, l0), final_univariate(rest, l0)
             assert len(terms) == len(ref)
             for b in range(-4, 9):
-                assert terms_value(terms, (b,)) == inv * series_value(
-                    rest, (b,))
-                assert terms_value(terms, (b,)) == inv * terms_value(ref, (b,))
+                value = average(terms_value(terms, (b,)), l0)
+                assert value == inv * series_value(rest, (b,))
+                assert value == inv * average(terms_value(ref, (b,)), l0)
 
     def test_negative_exponent_factor_flipped(self):
         st = make_state([(0, (-1,)), (0, (2,))])
-        terms = final_univariate(st)
+        terms = final_univariate(st, 1)
         for b in range(-4, 9):
-            assert terms_value(terms, (b,)) == series_value(st, (b,))
+            assert average(terms_value(terms, (b,)), 1) == series_value(
+                st, (b,))
 
 
 class TestPfdNumerator:
@@ -407,15 +418,17 @@ class TestExpand:
     @pytest.mark.parametrize("order", permutations(range(3)),
                              ids=lambda o: "".join(map(str, o)))
     def test_final_states_merged(self, order, monkeypatch):
-        # Every state that reaches the last variable has its own key, every
-        # field but the scalar, and a nonzero scalar.
+        # Every state that reaches the last variable is the least of its
+        # Galois conjugates (its phase numerators, factors first, times
+        # every unit mod its level), has its own key, every field but the
+        # scalar, and a nonzero scalar.
         import vpf.genfun
 
         seen = []
 
-        def record(state):
+        def record(state, l0):
             seen.append(state)
-            return final_univariate(state)
+            return final_univariate(state, l0)
 
         monkeypatch.setattr(vpf.genfun, "final_univariate", record)
         compute(ProblemSpec.from_rows(
@@ -424,6 +437,10 @@ class TestExpand:
                 for s in seen}
         assert seen and len(keys) == len(seen)
         assert not any(s.scalar.is_zero() for s in seen)
+        for s in seen:
+            w = tuple(f.phase for f in s.factors) + s.phase
+            assert w == min(tuple(u * a % s.level for a in w)
+                            for u in galois_units(s.level, 1))
 
 
 class TestLadderLevels:
@@ -554,4 +571,76 @@ class TestRandomSeriesInvariance:
                 total = sum((series_value(c, b) for c in children),
                             series_value(st, b) * 0)
                 assert total == series_value(st, b)
+            done += 1
+
+
+def conjugate_state(state: GenFunState, u: int) -> GenFunState:
+    """sigma_u(state): every phase numerator times u mod the level, the
+    scalar conjugated; u must be a unit mod the level and the scalar's."""
+    n = state.level
+    factors = tuple(Factor(u * f.phase % n, f.exps, f.column)
+                    for f in state.factors)
+    return GenFunState(state.exps, factors,
+                       tuple(u * a % n for a in state.phase), state.guards,
+                       state.scalar.galois(u), n)
+
+
+def same_multiset(xs, ys) -> bool:
+    """Equal as multisets under ==; the states hold unhashable scalars."""
+    ys = list(ys)
+    for x in xs:
+        for i, y in enumerate(ys):
+            if x == y:
+                del ys[i]
+                break
+        else:
+            return False
+    return not ys
+
+
+class TestGaloisEquivariance:
+    """Every elimination step is defined over Q, so it commutes with each
+    sigma_u; this is what lets the engine keep one state per orbit."""
+
+    #: Primes above every level these states reach, so each is a unit
+    #: mod all of them.
+    PRIMES = [1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061,
+              1063, 1069, 1087, 1091, 1093, 1097, 1103, 1109, 1117, 1123]
+
+    def _random_state(self, rng):
+        m = rng.randint(2, 3)
+        level = rng.choice([1, 2, 3, 4, 6, 12])
+        factors = []
+        for k in range(rng.randint(1, 4)):
+            v = [0] * m
+            while not any(v):
+                v = [rng.randint(-2, 3) for _ in range(m)]
+            factors.append(Factor(rng.randrange(level), tuple(v), k))
+        exps = tuple(AffineForm.unit(m, i) + rng.randint(-1, 1)
+                     for i in range(m))
+        n = rng.choice([1, 3, 4, 5, 12])
+        scalar = (cyc_from_phase(F(rng.randrange(n), n)) * rng.randint(1, 3)
+                  + rng.randint(-2, 2))
+        guards = (Guard(AffineForm((1,) * m, rng.randint(-2, 2))),)[
+            :rng.randint(0, 1)]
+        return GenFunState(exps, tuple(factors),
+                           tuple(rng.randrange(level) for _ in range(m)),
+                           guards, scalar, level)
+
+    def test_children_of_conjugate_are_conjugate_children(self):
+        rng = random.Random(37)
+        done = 0
+        while done < 40:
+            st = self._random_state(rng)
+            l0 = rng.choice([1, 2, 3, 4, 6, 12])
+            u = rng.choice([p for p in self.PRIMES if (p - 1) % l0 == 0])
+            try:
+                children = eliminate_last_var(st)
+            except UnsupportedMultiplePole:
+                with pytest.raises(UnsupportedMultiplePole):
+                    eliminate_last_var(conjugate_state(st, u))
+                continue
+            conj = eliminate_last_var(conjugate_state(st, u))
+            assert same_multiset(conj, [conjugate_state(c, u)
+                                        for c in children])
             done += 1

@@ -34,7 +34,13 @@ from vpf.matrixops import mat_vec_int
 from vpf.oracle import box_counts
 from vpf.pipeline import preprocess
 
-from .helpers import det_int, raw_terms, summand_value, terms_value
+from .helpers import (
+    average,
+    det_int,
+    raw_terms,
+    summand_value,
+    terms_value,
+)
 
 
 A2 = ProblemSpec.from_rows([(1, 0, 1), (0, 1, 1)])
@@ -253,7 +259,7 @@ class TestCompute:
         # sum_{x+y=b} (-1)^x is 1 for even b, 0 for odd b.
         for b in range(0, 10):
             total = sum(summand_value(s, (b,)) for s in expr.terms)
-            assert total == terms_value(raw, (b,))
+            assert total == average(terms_value(raw, (b,)), 2)
             assert total == (1 if b % 2 == 0 else 0)
 
     def test_phased_expression_pickles_and_copies(self):
@@ -380,6 +386,27 @@ class TestResultExprShape:
         with pytest.raises(MatrixParseError, match=message):
             replace(good, terms=(summand,))
 
+    @pytest.mark.parametrize("summand, message", [
+        (Summand((), 1, 5, ()), "summand residue 5 is not a sequence"),
+        (Summand((), 1, (0,), 7), "summand poly 7 is not a sequence"),
+        (Summand(("x",), 1, (0,), (((0,), (F(1),)),)), "not all Guards"),
+        (Summand(5, 1, (0,), (((0,), (F(1),)),)),
+         "summand guards 5 is not a sequence"),
+        (Summand((), 1, (0,), ((5, (F(1),)),)),
+         "summand exponents 5 is not a sequence"),
+        (Summand((), 1, (0,), (((0,), 3),)),
+         "summand table 3 is not a sequence"),
+        (Summand((), 1, (0,), (((0,), (F(1),), ()),)), "has length 3"),
+    ], ids=["int-residue", "int-poly", "str-guard", "int-guards",
+            "int-exponents", "int-table", "triple-monomial"])
+    def test_summand_part_of_wrong_kind_rejected(self, summand, message):
+        # These were a bare TypeError or AttributeError.
+        good = compute(ONE_ONE)
+        with pytest.raises(MatrixParseError, match=message):
+            ResultExpr(1, good.terms + (summand,))
+        with pytest.raises(MatrixParseError, match=message):
+            replace(good, terms=(summand,))
+
     @pytest.mark.parametrize("m, message", [
         (0, "m = 0 is not positive"), (-2, "m = -2 is not positive"),
         (True, "bool"), (1.0, "non-integer")])
@@ -487,14 +514,15 @@ class TestVerifyBox:
         assert report.ok, report.mismatches[:3]
 
     def test_merging_soundness(self):
-        # The raw engine terms' sum equals the summands' sum everywhere.
+        # The raw engine terms' sum, averaged over the Galois group, equals
+        # the summands' sum everywhere.
         for spec in (A2, THREE_ONE, BECK):
             raw = raw_terms(spec)
             expr = compute(spec)
             for a in range(-2, 7):
                 for b in range(-2, 7):
                     merged = sum(summand_value(s, (a, b)) for s in expr.terms)
-                    assert merged == terms_value(raw, (a, b))
+                    assert merged == average(terms_value(raw, (a, b)), 1)
 
 
 def test_all_exports_no_module():

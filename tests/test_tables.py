@@ -1,8 +1,9 @@
 """Summands: each Galois orbit of engine terms collapsed into one polynomial
 whose coefficients are tables indexed by residue . b mod modulus.
 
-The raw engine terms, summed with `Term.value` in cyclotomic arithmetic, are
-the reference for every table."""
+The raw engine terms, summed with `Term.value` in cyclotomic arithmetic and
+averaged over the Galois group each of them stands for, are the reference
+for every table."""
 from __future__ import annotations
 
 import json
@@ -21,23 +22,29 @@ from vpf import (
     Cyclotomic,
     Guard,
     LevelOverflow,
+    NotPointed,
     ProblemSpec,
     ResultExpr,
     SanityFailure,
     Summand,
+    UnsupportedMultiplePole,
+    check_pointed,
     compute,
     cyc_from_phase,
     evaluate,
 )
 from vpf.cyclotomic import orbit_table, phase_orbit
 from vpf.matrixops import mat_vec_int
-from vpf.params import EQ_ZERO
+from vpf.params import EQ_ZERO, collapse_terms
 from vpf.render import render_expr_latex, render_expr_text
-from vpf.serialize import expr_from_json, expr_to_json
+from vpf.serialize import expr_from_json, expr_to_json, summand_to_json
 
 from .helpers import (
+    average,
+    galois_units,
     raw_terms,
     schema2_doc,
+    spec_level,
     summand_value,
     terms_value,
     unmerged_terms,
@@ -117,11 +124,36 @@ class TestOrbit:
                       cyc_from_phase(F(rng.randrange(q), q)) * F(rng.randint(-4, 4), 3)
                       + F(rng.randint(-2, 2)))
                      for q in (1, 3, 4, 10) for _ in range(2)]
-            table = orbit_table(modulus, parts)
+            table = orbit_table(modulus, parts, 0)
             assert len(table) == modulus
             for j, entry in enumerate(table):
                 ref = sum((cyc_from_phase(F(k * j, modulus)) * c for k, c in parts),
                           Cyclotomic.zero())
+                assert entry == ref
+                assert isinstance(entry, Fraction) == ref.is_rational()
+
+    def test_table_entries_average_conjugates(self):
+        # With l0 a pair (k, c) stands for the average of e(u k j / L) *
+        # sigma_u(c) over the units u = 1 mod l0, here with each conjugate
+        # built from its coefficients times e(u i / level).
+        rng = random.Random(5)
+        for modulus, l0 in product((1, 2, 5, 6, 12), (1, 2, 3, 4)):
+            units = [k for k in range(modulus) if gcd(k, modulus) == 1] or [0]
+            parts = [(rng.choice(units),
+                      cyc_from_phase(F(rng.randrange(q), q)) * F(rng.randint(-4, 4), 3)
+                      + F(rng.randint(-2, 2)))
+                     for q in (1, 3, 4, 10) for _ in range(2)]
+            table = orbit_table(modulus, parts, l0)
+            for j, entry in enumerate(table):
+                ref = Cyclotomic.zero()
+                for k, c in parts:
+                    group = galois_units(lcm(modulus, c.level), l0)
+                    for u in group:
+                        conj = sum((cyc_from_phase(F(u * i, c.level)) * x
+                                    for i, x in enumerate(c.coeffs)),
+                                   Cyclotomic.zero())
+                        ref += (cyc_from_phase(F(u * k * j, modulus)) * conj
+                                * F(1, len(group)))
                 assert entry == ref
                 assert isinstance(entry, Fraction) == ref.is_rational()
 
@@ -134,7 +166,7 @@ class TestSummandsMatchTerms:
         raw = raw_terms(spec, order)
         assert len(expr.terms) <= len(raw)
         for b in points(spec.m, random.Random(len(raw))):
-            assert summands_value(expr, b) == terms_value(raw, b)
+            assert summands_value(expr, b) == average(terms_value(raw, b), 1)
 
     @pytest.mark.parametrize("rows, box", [
         ([(1, 1)], [range(-10, 201)]),
@@ -147,7 +179,7 @@ class TestSummandsMatchTerms:
         expr = compute(spec)
         raw = raw_terms(spec)
         for b in product(*box):
-            assert summands_value(expr, b) == terms_value(raw, b)
+            assert summands_value(expr, b) == average(terms_value(raw, b), 1)
 
     @pytest.mark.parametrize("rows, phases", PHASED)
     def test_phased_specs(self, rows, phases):
@@ -155,7 +187,8 @@ class TestSummandsMatchTerms:
         expr = compute(spec)
         raw = raw_terms(spec)
         for b in points(spec.m, random.Random(3), count=20, lo=-2, hi=9):
-            assert summands_value(expr, b) == terms_value(raw, b)
+            assert summands_value(expr, b) == average(
+                terms_value(raw, b), spec_level(spec))
 
     def test_phased_entries_stay_cyclotomic(self):
         # sum_{x <= b} e(x/3) is 1 + e(1/3) at b = 1 and 0 at b = 2.
@@ -180,7 +213,7 @@ class TestSummandsMatchTerms:
             self, monkeypatch):
         import vpf.pipeline
 
-        def skewed(terms):
+        def skewed(terms, l0):
             s = Summand((), 3, (1,), (((0,), (cyc_from_phase(F(1, 3)),) * 3),))
             return (s,)
 
@@ -190,22 +223,51 @@ class TestSummandsMatchTerms:
 
 
 class TestMergedStates:
-    """`expand` merges the states of a level that differ only in their
-    scalars; the unmerged depth-first run is the reference."""
+    """`expand` merges the states of a level that are Galois conjugates or
+    differ only in their scalars, and makes one Term per orbit of roots;
+    the unmerged depth-first run with one Term per root is the
+    reference."""
 
     @pytest.mark.parametrize("rows, order", BENCH_INPUTS)
     def test_benchmark_inputs(self, rows, order):
         spec = ProblemSpec.from_rows(rows)
         merged, unmerged = raw_terms(spec, order), unmerged_terms(spec, order)
         for b in points(spec.m, random.Random(5)):
-            assert terms_value(merged, b) == terms_value(unmerged, b)
+            assert average(terms_value(merged, b), 1) == terms_value(
+                unmerged, b)
 
     @pytest.mark.parametrize("rows, phases", PHASED)
     def test_phased_specs(self, rows, phases):
         spec = ProblemSpec.from_rows(rows, phases)
         merged, unmerged = raw_terms(spec), unmerged_terms(spec)
         for b in points(spec.m, random.Random(6), count=20, lo=-2, hi=9):
-            assert terms_value(merged, b) == terms_value(unmerged, b)
+            assert average(terms_value(merged, b), spec_level(spec)) == (
+                terms_value(unmerged, b))
+
+    def test_fuzz_collapse_equals_reference_collapse(self):
+        # The summands of the engine's representatives equal, exactly and
+        # down to each entry's level, those of the reference terms, each of
+        # which stands for itself; half the specs have column phases.
+        rng = random.Random(41)
+        done = 0
+        while done < 50:
+            m, d = rng.randint(1, 3), rng.randint(1, 4)
+            rows = [tuple(rng.randint(-1, 2) for _ in range(d))
+                    for _ in range(m)]
+            phases = (tuple(F(rng.randrange(12), 12) for _ in range(d))
+                      if done % 2 else ())
+            try:
+                spec = ProblemSpec.from_rows(rows, phases)
+                check_pointed(spec)
+                order = tuple(rng.sample(range(m), m))
+                reps = collapse_terms(raw_terms(spec, order), spec_level(spec))
+            except (NotPointed, UnsupportedMultiplePole):
+                continue
+            ref = collapse_terms(unmerged_terms(spec, order), 0)
+            assert reps == ref
+            assert list(map(summand_to_json, reps)) == list(
+                map(summand_to_json, ref))
+            done += 1
 
     def test_default_order_makes_fewer_terms(self):
         # Without the merge the 3x4 default order makes 518 raw terms.
