@@ -48,25 +48,49 @@ def _check_level(n: int) -> None:
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (dense, ascending coefficients).
 
-def _int_divexact(num, den):
-    # Exact division of integer polynomials by a monic den.
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        q[i] = c = num[i + len(den) - 1]
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    assert not any(num)
-    return q
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, e) with p^e exactly dividing n >= 1, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
+def _totient(n: int) -> int:
+    for p, _ in _factor(n):
+        n = n // p * (p - 1)
+    return n
+
+
 def _cyclo_poly(n: int) -> tuple[int, ...]:
-    # x^n - 1 divided by Phi_d over all proper divisors d of n.
-    p = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            p = _int_divexact(p, _cyclo_poly(d))
+    """Phi_n = prod_{d | n} (x^d - 1)^mu(n/d): the product of the binomials
+    with mu = +1, then divided exactly by each binomial with mu = -1.  Every
+    step is linear in the degree, so Phi_n costs O(n 2^omega(n))."""
+    signed = [(1, 1)]  # (e, mu(e)) over the squarefree divisors e of n
+    for q, _ in _factor(n):
+        signed += [(e * q, -mu) for e, mu in signed]
+    p = [1]
+    for e, mu in signed:
+        if mu == 1:  # times x^d - 1
+            d = n // e
+            p = [0] * d + p
+            for i in range(len(p) - d):
+                p[i] -= p[i + d]
+    for e, mu in signed:
+        if mu == -1:  # p = q (x^d - 1), so q_i = q_{i-d} - p_i from the bottom
+            d = n // e
+            for i in range(len(p)):
+                p[i] = (p[i - d] if i >= d else 0) - p[i]
+            del p[len(p) - d:]
     return tuple(p)
 
 
@@ -362,18 +386,23 @@ def cyc_from_phase(q) -> Cyclotomic:
     return root(q.numerator, q.denominator)
 
 
-@lru_cache(maxsize=None)
 def least_conjugate(w, n: int, h: int = 1) -> tuple[tuple[int, ...], int]:
     """(v, u) with v = u * w mod n the smallest over the units u mod n with
     u = 1 mod h, for the phase vector w / n in lowest terms (gcd(n, *w) = 1),
-    and u one unit that attains it.
+    and u one unit that attains it; memoised, with the level cap checked on
+    every call.
 
     The first nonzero w_i = g w' (g = gcd(w_i, n), n = g n') has the images
     g x for the units x mod n' with x = w' mod gcd(h, n'), so the least such
     x is found first and only the units u = x / w' mod n' are tried on the
     whole vector.
     """
-    _check_level(n)  # the loop below may try up to n / n' units
+    _check_level(n)  # the loop may try up to n / n' units
+    return _least_conjugate(w, n, h)
+
+
+@lru_cache(maxsize=None)
+def _least_conjugate(w, n: int, h: int) -> tuple[tuple[int, ...], int]:
     if n == 1:
         return tuple(w), 1
     first = next(x for x in w if x)
@@ -413,14 +442,69 @@ def unit_lift(a: int, n: int, l: int, level: int) -> int:
     return u
 
 
-@lru_cache(maxsize=None)
 def galois_group(n: int, l0: int) -> tuple[int, ...]:
     """The units u mod n with u = 1 mod l0, the image mod n of the group G
-    over which the engine averages (l0 = 0: u = 1 alone)."""
+    over which the engine averages (l0 = 0: u = 1 alone); memoised, with the
+    level cap checked on every call."""
     _check_level(n)
+    return _galois_group(n, l0)
+
+
+@lru_cache(maxsize=None)
+def _galois_group(n: int, l0: int) -> tuple[int, ...]:
     # u = 1 + t h for h = gcd(n, l0), up to n: u = 1 is the unit mod 1, and
     # u = n is no unit mod n > 1.
     return tuple(u for u in range(1, n + 1, gcd(n, l0)) if gcd(u, n) == 1)
+
+
+def periods(n: int, h: int) -> tuple[tuple[int, int], ...]:
+    """The Gauss periods T(m) = sum_u zeta_n^(u m) over the group G of the
+    units u mod n with u = 1 mod h, for h | n: the pairs (t, e) with
+    T(m) = t * zeta_h^e for m < n, so t = |G| at m = 0.  With h = 1, T is
+    Ramanujan's sum c_n(m) = mu(n/g) phi(n) / phi(n/g), g = gcd(m, n).
+    Memoised, with the level cap checked on every call."""
+    _check_level(n)
+    return _periods(n, h)
+
+
+@lru_cache(maxsize=None)
+def _periods(n: int, h: int) -> tuple[tuple[int, int], ...]:
+    # With g = gcd(m, n) and d = n / g, zeta_n^(u m) = zeta_d^(u m') with
+    # m' = m / g a unit mod d, and G maps onto G_d, the units mod d that are
+    # 1 mod h_d = gcd(d, h), |G| / |G_d| elements to one.  Write d = a b with
+    # a the largest divisor of d built from primes of h_d.  By the Chinese
+    # remainder theorem the sum over G_d is Ramanujan's c_b(m') = mu(b), a
+    # sum over the units mod b, times a sum over the x = 1 mod h_d mod a,
+    # which is zeta_a^(m' / b mod a) when a = h_d and 0 otherwise.  Then
+    # |G_d| = phi(b), and zeta_a = zeta_h^(h / a).
+    factors = _factor(n)
+    size = _totient(n) // _totient(h)
+    by_gcd = {}
+    divisors = [1]
+    for q, e in factors:
+        divisors = [d * q**i for d in divisors for i in range(e + 1)]
+    for d in divisors:
+        hd = gcd(d, h)
+        a, b, mu, phi_b = 1, d, 1, 1
+        for q, _ in factors:
+            if b % q:
+                continue
+            if hd % q == 0:  # all of q's power goes to a
+                while b % q == 0:
+                    b //= q
+                    a *= q
+            elif b % (q * q):
+                mu, phi_b = -mu, phi_b * (q - 1)
+            else:
+                mu = 0
+        if mu and a == hd:
+            by_gcd[n // d] = mu * size // phi_b, pow(b, -1, a) * (h // a) % h
+    out = []
+    for m in range(n):
+        g = gcd(m, n)
+        t, w = by_gcd.get(g, (0, 0))
+        out.append((t, m // g * w % h))
+    return tuple(out)
 
 
 def orbit_table(modulus: int, parts, l0: int) -> tuple:
@@ -428,39 +512,40 @@ def orbit_table(modulus: int, parts, l0: int) -> tuple:
     from pairs (k, c_k): each pair stands for its average over the units
     u = 1 mod l0 (`galois_group`; l0 = 0 leaves the pair itself).
 
-    Works on integer numerators at level N = lcm(L, levels of the c_k): each
-    c_k is spread once over the N-th roots, its conjugate sigma_u(c_k) is
-    that vector with every place multiplied by u, and the conjugates of one
-    phase u*k mod L add up in one vector.  Multiplying it by e(u*k*j/L)
-    rotates it by u*k*j*N/L places, so an entry costs one rotated add per
-    phase and one reduction mod Phi_N.  Rational entries are Fractions, the
-    others Cyclotomics at level N.
+    The average is a trace.  At level N = lcm(L, levels of the c_k), write
+    c_k = sum_i a_i zeta_N^i unreduced, and let G be the units mod N that
+    are 1 mod h = gcd(N, l0) (h = N for l0 = 0).  Entry j is then
+    (1/|G|) sum_k sum_i a_i T(i + k*j*N/L), with T the Gauss period in
+    closed form (`periods`), which lies in Q(zeta_h).  So an entry costs one
+    integer product per nonzero a_i, added into a vector of h integers that
+    is reduced once mod Phi_h; with h = 1 (an unphased spec) T is
+    Ramanujan's sum and the entry is rational.  Rational entries are
+    Fractions, the others Cyclotomics at level N.
     """
-    parts = [(k, c, galois_group(lcm(modulus, c.level), l0))
-             for k, c in parts if c]
+    parts = [(k, c) for k, c in parts if c]
     if not parts:
         return (Fraction(0),) * modulus
-    n = lcm(modulus, *(c.level for _, c, _ in parts))
-    _check_level(n)
-    den = lcm(*(c.den * len(us) for _, c, us in parts))
-    spread: dict = {}
-    for k, c, us in parts:
-        step, scale = n // c.level, den // (c.den * len(us))
-        places = [(i * step, v * scale) for i, v in enumerate(c.num) if v]
-        for u in us:
-            dense = spread.get(u * k % modulus)
-            if dense is None:
-                dense = spread[u * k % modulus] = [0] * n
-            for i, v in places:
-                dense[i * u % n] += v
-    # The n entries of dense + dense from -s mod n on: dense rotated by s.
-    spread = [(k * (n // modulus), d + d) for k, d in spread.items()]
+    n = lcm(modulus, *(c.level for _, c in parts))
+    h = gcd(n, l0)
+    period = periods(n, h)
+    den = lcm(*(c.den for _, c in parts))
+    places = []
+    for k, c in parts:
+        step, scale = n // c.level, den // c.den
+        places.append((k * (n // modulus),
+                       [(i * step, v * scale) for i, v in enumerate(c.num) if v]))
+    den *= period[0][0]  # |G| = T(0)
     table = []
     for j in range(modulus):
-        windows = [d[(s := -k * j % n):s + n] for k, d in spread]
-        red = _reduce(n, list(map(sum, zip(*windows))))
-        table.append(Cyclotomic._ints(n, red, den) if any(red[1:])
-                     else Fraction(red[0], den))
+        acc = [0] * h
+        for shift, terms in places:
+            shift *= j
+            for i, v in terms:
+                t, e = period[(i + shift) % n]
+                acc[e] += v * t
+        red = _reduce(h, acc) if h > 1 else acc
+        table.append(Cyclotomic._ints(h, red, den).raise_level(n)
+                     if any(red[1:]) else Fraction(red[0], den))
     return tuple(table)
 
 

@@ -41,8 +41,10 @@ def int_vector(values, what: str, n: int | None = None) -> tuple[int, ...]:
 
 def rat_vector(values, what: str, n: int | None = None) -> tuple[Fraction, ...]:
     """Rationals from outside input; a float or a bool is rejected, never
-    rounded."""
+    rounded; a tuple of Fractions alone comes back as it is."""
     values = sequence(values, what, n)
+    if all(type(q) is Fraction for q in values):
+        return values
     if bool in map(type, values) or not all(
             isinstance(q, Rational) for q in values):
         raise MatrixParseError(f"{what} {values!r} has a bool or non-rational entry")

@@ -294,11 +294,12 @@ def _guard_key(g: Guard):
 def collapse_terms(terms, l0: int) -> tuple[Summand, ...]:
     """Group terms by guards and by the cyclic group their phase generates,
     and tabulate each group into one Summand.  Each term stands for its
-    average over the Galois group of the units u = 1 mod l0, which
-    `orbit_table` spreads over the table (l0 = 0: each term stands for
-    itself).  Terms with equal phases land in the same table entries, zero
-    tables and summands are dropped, and the summands are sorted by
-    (guards, modulus, residue)."""
+    average over the Galois group of the units u = 1 mod l0, so an entry is
+    a trace, which `orbit_table` writes in closed form through the Gauss
+    periods of that group (Ramanujan sums for l0 = 1; l0 = 0: each term
+    stands for itself).  Terms with equal phases land in the same table
+    entries, zero tables and summands are dropped, and the summands are
+    sorted by (guards, modulus, residue)."""
     groups: dict = {}
     for t in terms:
         guards = tuple(sorted(t.guards, key=_guard_key))

@@ -27,6 +27,7 @@ from vpf.cyclotomic import (
     inv_one_minus_root,
     least_conjugate,
     orbit_table,
+    periods,
     phase_orbit,
     root,
     unit_lift,
@@ -50,7 +51,8 @@ class TestCyclotomicPolynomial:
 
     def test_product_over_divisors_is_xn_minus_1(self):
         # prod_{d | n} Phi_d = x^n - 1
-        for n in (1, 2, 6, 12, 30):
+        # Phi_105 is the first with a coefficient -2.
+        for n in (1, 2, 6, 12, 30, 105, 143, 180, 210, 221):
             prod = [1]
             for d in range(1, n + 1):
                 if n % d:
@@ -251,6 +253,22 @@ class TestGalois:
     def test_group(self, n, l0, units):
         assert galois_group(n, l0) == units
 
+    def test_periods_closed_form(self):
+        # T(m) = sum_u zeta_N^(u m) over the units u = 1 mod h, summed
+        # directly as one integer vector, against the closed form.
+        for n in range(1, 61):
+            for h in (d for d in range(1, n + 1) if n % d == 0):
+                group = [u for u in range(1, n + 1)
+                         if gcd(u, n) == 1 and (u - 1) % h == 0]
+                table = periods(n, h)
+                assert table[0] == (len(group), 0)
+                for m in range(n):
+                    vec = [0] * n
+                    for u in group:
+                        vec[u * m % n] += 1
+                    t, e = table[m]
+                    assert Cyclotomic(n, vec) == t * root(e, h), (n, h, m)
+
 
 class TestRaiseLevel:
     def test_minus_one_to_level_six(self):
@@ -341,6 +359,18 @@ class TestLevelCap:
                 cyc_from_phase(F(1, 11))
             with pytest.raises(LevelOverflow):
                 inv_one_minus_phase(F(1, 11))
+
+    def test_cap_checked_before_group_memos(self):
+        # Warm each memo uncapped first: a lower cap must still refuse it.
+        calls = [lambda: galois_group(143, 1),
+                 lambda: least_conjugate((1, 2), 143, 1),
+                 lambda: periods(143, 1)]
+        for call in calls:
+            call()
+        with level_cap(100):
+            for call in calls:
+                with pytest.raises(LevelOverflow):
+                    call()
 
     def test_cap_holds_on_warm_memos(self):
         # The uncapped compute fills the memos of every root it forms (the

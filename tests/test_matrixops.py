@@ -204,3 +204,18 @@ def test_number_readers(reader, value, expect):
     assert type(got) is type(expect)
     if reader is rat_vector:
         assert all(type(q) is Fraction for q in got)
+
+
+def test_rat_vector_passes_fractions_through():
+    # A tuple of Fractions alone is returned as it is; anything else is
+    # still read entry by entry, so an int comes back as a Fraction and a
+    # bool or a float next to Fractions is still rejected.
+    fracs = (F(1, 2), F(-3), F(0))
+    assert rat_vector(fracs, "row") is fracs
+    got = rat_vector([F(1, 2), 3], "row")
+    assert got == (F(1, 2), F(3)) and all(type(q) is Fraction for q in got)
+    for bad in ([F(1, 2), True], [F(1, 2), 0.5], [True], [0.5]):
+        with pytest.raises(MatrixParseError):
+            rat_vector(bad, "row")
+    with pytest.raises(MatrixParseError, match="has length 3, not 2"):
+        rat_vector(fracs, "row", 2)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
@@ -118,7 +119,7 @@ class TestOrbit:
     def test_table_entries_are_rotated_sums(self):
         # Entry j is sum_k e(k j / L) c_k, here against Cyclotomic products.
         rng = random.Random(4)
-        for modulus in (1, 2, 5, 6, 12):
+        for modulus in (1, 2, 5, 6, 12, 35, 36, 97):
             units = [k for k in range(modulus) if gcd(k, modulus) == 1] or [0]
             parts = [(rng.choice(units),
                       cyc_from_phase(F(rng.randrange(q), q)) * F(rng.randint(-4, 4), 3)
@@ -132,19 +133,31 @@ class TestOrbit:
                 assert entry == ref
                 assert isinstance(entry, Fraction) == ref.is_rational()
 
+    # Every entry for the small moduli under every l0 up to 12; a few l0 and
+    # two sampled entries for the large ones, where one entry of the
+    # reference costs hundreds of conjugates.
+    AVERAGED = [*((modulus, l0, None) for modulus, l0 in
+                  product((1, 2, 5, 6, 12), range(1, 13))),
+                *((modulus, l0, 2) for modulus, l0 in
+                  product((35, 36), (1, 6, 12))),
+                (97, 10, 2)]
+
     def test_table_entries_average_conjugates(self):
         # With l0 a pair (k, c) stands for the average of e(u k j / L) *
         # sigma_u(c) over the units u = 1 mod l0, here with each conjugate
         # built from its coefficients times e(u i / level).
         rng = random.Random(5)
-        for modulus, l0 in product((1, 2, 5, 6, 12), (1, 2, 3, 4)):
+        for modulus, l0, sample in self.AVERAGED:
             units = [k for k in range(modulus) if gcd(k, modulus) == 1] or [0]
             parts = [(rng.choice(units),
                       cyc_from_phase(F(rng.randrange(q), q)) * F(rng.randint(-4, 4), 3)
                       + F(rng.randint(-2, 2)))
                      for q in (1, 3, 4, 10) for _ in range(2)]
             table = orbit_table(modulus, parts, l0)
-            for j, entry in enumerate(table):
+            assert len(table) == modulus
+            js = rng.sample(range(modulus), sample) if sample else range(modulus)
+            for j in js:
+                entry = table[j]
                 ref = Cyclotomic.zero()
                 for k, c in parts:
                     group = galois_units(lcm(modulus, c.level), l0)
@@ -156,6 +169,21 @@ class TestOrbit:
                                 * F(1, len(group)))
                 assert entry == ref
                 assert isinstance(entry, Fraction) == ref.is_rational()
+
+    def test_1_199_211_coin_change(self):
+        # Ways to pay b with coins 1, 199 and 211: for each count z of 211s,
+        # the 199s range over 0..(b - 211 z) // 199.  The two tables of 199
+        # and 211 entries are Ramanujan sums; the budget catches a table
+        # build that grows like L^3.
+        spec = ProblemSpec.from_rows([(1, 199, 211)])
+        start = time.perf_counter()
+        expr = compute(spec)
+        elapsed = time.perf_counter() - start
+        for b in (0, 198, 199, 410, 41989, 50000, 83977, 2 * 199 * 211):
+            want = sum((b - 211 * z) // 199 + 1 for z in range(b // 211 + 1))
+            assert evaluate(expr, (b,)) == want
+        assert evaluate(expr, (-1,)) == 0
+        assert elapsed < 0.3, f"compute took {elapsed:.3f} s"
 
 
 class TestSummandsMatchTerms:
