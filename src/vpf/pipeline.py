@@ -7,12 +7,12 @@ coefficients, and verifies closed forms against the lattice-point oracle.
 """
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
-from operator import mul
+from math import lcm
 
 from .cyclotomic import Cyclotomic
 from .errors import (DimensionMismatch, MatrixParseError, NotPointed,
@@ -105,6 +105,9 @@ class ResultExpr:
         if m < 1:
             raise MatrixParseError(f"m = {m} is not positive")
         u = self.report and self.report.unimodular
+        if u is not None:
+            u = [int_vector(r, "unimodular row")
+                 for r in sequence(u, "unimodular")]
         sizes = {m} if u is None else {len(u), *map(len, u)}
         if self.spec is not None:
             sizes.add(self.spec.m)
@@ -136,29 +139,80 @@ class ResultExpr:
         if sizes != {m}:
             raise DimensionMismatch(f"expected {m} parameters, got {sizes}")
 
+    def __getstate__(self):
+        """pickle, copy and deepcopy leave the compiled plan behind; the
+        copy builds its own on its first evaluate."""
+        return {k: v for k, v in vars(self).items() if k != "_plan"}
+
     @cached_property
     def _plan(self):
-        """What `evaluate` reads, built on first use and not a field: the
-        transform (None for identity), each distinct guard form (coeffs,
-        const, is-equality) and exponent vector once, the summands grouped by
-        guard set, and the lcm D of all entry denominators (x stored as x*D)."""
+        """What `evaluate` reads, built on its first call and never a field:
+        a kernel compiled for this expression, the lcm D of all entry
+        denominators, whether the spec has column phases, and the transform
+        (None for identity).  The kernel is straight-line code: the
+        transform, each distinct guard form and monomial once, and per guard
+        group an `if` over its guards adding table[residue . b mod modulus]
+        * monomial for each summand.  The tables hold each entry as x * D
+        and are bound by reference; the source holds only fixed names and
+        int literals, written by hex() from operator.index, which no int
+        subclass can change and which, unlike repr, has no digit limit."""
         m, u = self.m, self.report and self.report.unimodular
         transform = None if u is None or u == tuple(
             tuple(int(i == j) for j in range(m)) for i in range(m)) else u
         den = lcm(*(x.den if isinstance(x, Cyclotomic) else x.denominator
                     for s in self.terms for _, t in s.poly for x in t))
-        forms, monos, groups = {}, {}, {}
+        args = [f"b{i}" for i in range(m)]
+        nb = args if transform is None else [f"n{i}" for i in range(m)]
+        code = [f"n{i} = {_affine(r, args)}"
+                for i, r in enumerate(transform or ())]
+        forms, monos, groups, tables = {}, {}, {}, {}
         for s in self.terms:
-            key = tuple(forms.setdefault(
-                (g.form.coeffs, g.form.const, g.sense == EQ_ZERO), len(forms))
-                for g in s.guards)
-            groups.setdefault(key, []).append((s.modulus, s.residue, [
-                (monos.setdefault(e, len(monos)),
-                 [x * den if isinstance(x, Cyclotomic)
-                  else x.numerator * (den // x.denominator) for x in t])
-                for e, t in s.poly]))
+            key = tuple(f"g{forms.setdefault(f, len(forms))}" for f in (
+                (tuple(g.form.coeffs), g.form.const, g.sense == EQ_ZERO)
+                for g in s.guards))
+            lines = groups.setdefault(key, [])
+            j = "0" if s.modulus == 1 else "j"
+            if s.poly and j == "j":
+                lines.append(f"j = ({_affine(s.residue, nb)}) % "
+                             f"{hex(operator.index(s.modulus))}")
+            added = []
+            for e, t in s.poly:
+                name = f"T{len(tables)}"
+                tables[name] = [x * den if isinstance(x, Cyclotomic)
+                                else x.numerator * (den // x.denominator)
+                                for x in t]
+                p = "" if not any(e) else (
+                    f" * p{monos.setdefault(tuple(e), len(monos))}")
+                added.append(f"{name}[{j}]{p}")
+            if added:
+                lines.append(f"t += {' + '.join(added)}")
+        code += [f"g{i} = {_affine(c, nb, k)} {'==' if eq else '>='} 0"
+                 for (c, k, eq), i in forms.items()]
+        code += [f"p{i} = " + " * ".join(
+            v if k == 1 else f"{v}**{hex(k)}"
+            for v, k in zip(nb, map(operator.index, e)) if k)
+            for e, i in monos.items()]
+        code.append("t = 0")
+        for key, lines in groups.items():
+            code += [f"if {' and '.join(key)}:", *map("    ".__add__, lines)
+                     ] if key and lines else lines
+        source = "\n    ".join([f"def kernel({', '.join(args)}):", *code,
+                                 "return t"])
+        scope = {"__builtins__": {}, **tables}
+        exec(compile(source, "<vpf evaluation kernel>", "exec"), scope)
         phased = self.spec is not None and any(self.spec.phases)
-        return transform, forms, monos, [*groups.items()], den, phased
+        return scope["kernel"], den, phased, transform
+
+
+def _affine(coeffs, names, const=0) -> str:
+    """Source of coeffs . names + const: fixed names and hex literals."""
+    parts = [(c, v if abs(c) == 1 else f"{hex(abs(c))}*{v}")
+             for c, v in zip(map(operator.index, coeffs), names) if c]
+    const = operator.index(const)
+    if const or not parts:
+        parts.append((const, hex(abs(const))))
+    text = "".join(f" - {w}" if c < 0 else f" + {w}" for c, w in parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 @dataclass
@@ -256,18 +310,8 @@ def evaluate(expr: ResultExpr, b) -> Fraction | Cyclotomic:
     Fraction when it is rational and a Cyclotomic otherwise.
     """
     b = int_vector(b, "b", expr.m)
-    transform, forms, monos, groups, den, phased = expr._plan
-    nb = b if transform is None else mat_vec_int(transform, b)
-    holds = [v == 0 if eq else v >= 0
-             for c, k, eq in forms for v in (sum(map(mul, c, nb)) + k,)]
-    powers = [prod(map(pow, nb, e)) for e in monos]
-    total = 0  # over den; a Cyclotomic entry promotes it
-    for guards, summands in groups:
-        if all([holds[i] for i in guards]):
-            for n, r, pairs in summands:
-                j = sum(map(mul, r, nb)) % n
-                for k, table in pairs:
-                    total += table[j] * powers[k]
+    kernel, den, phased, transform = expr._plan
+    total = kernel(*b)  # over den; a Cyclotomic entry promotes it
     value = (Fraction(total, den) if isinstance(total, int)
              else total * Fraction(1, den))
     if isinstance(value, Cyclotomic) and value.is_rational():
@@ -285,7 +329,8 @@ def evaluate(expr: ResultExpr, b) -> Fraction | Cyclotomic:
         return value
     else:
         wanted = "a nonnegative integer"
-    at = b if transform is None else f"{b} (normalized {nb})"
+    at = b if transform is None else (
+        f"{b} (normalized {mat_vec_int(transform, b)})")
     raise SanityFailure(f"evaluation at {at} is not {wanted}: {value}")
 
 

@@ -13,7 +13,9 @@ with one Term per root and no averaging, and `unmerged_terms` runs the
 engine through it without merging states either: the reference for
 `expand`.  `schema2_doc` writes the engine's terms, written out, as
 schema-2 expression JSON.  `summand_value`
-evaluates one summand on its own, the reference for `evaluate`'s plan.
+evaluates one summand on its own, the reference for `evaluate`'s kernel,
+and `difference_residual` checks `evaluate` against the difference
+equation that phi_A satisfies, at any b, phased specs included.
 `phased_state` builds an engine state from rational factor phases, and
 `state_phase` reads its phase back as rationals.  `numerator` records a
 root's local series from `genfun.pfd_numerator` with its theta and beta;
@@ -26,6 +28,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
@@ -45,6 +48,7 @@ from vpf import (
     compute,
     cyc_from_phase,
     eliminate_last_var,
+    evaluate,
     pfd_numerator,
 )
 from vpf.cyclotomic import inv_one_minus_root, root
@@ -247,6 +251,23 @@ def summand_value(s, b):
         return 0
     j = sum(map(mul, s.residue, b)) % s.modulus
     return sum(table[j] * prod(map(pow, b, exps)) for exps, table in s.poly)
+
+
+def difference_residual(spec: ProblemSpec, expr, b):
+    """sum over subsets T of the columns of (-1)^|T| e(q_T) phi(b - c_T),
+    less [b = 0], with phi = evaluate(expr, .) and c_T, q_T the sums of
+    T's columns and phases.  The generating function of phi times
+    prod_k (1 - e(q_k) z^{c_k}) is 1, so this is zero at every integer b
+    when expr is phi_A (Dahmen-Micchelli): a check that needs no oracle."""
+    total = -int(not any(b))
+    for subset in product((0, 1), repeat=spec.d):
+        cols = [c for c, t in zip(spec.columns, subset) if t]
+        q = sum((q for q, t in zip(spec.phases, subset) if t), Fraction(0))
+        value = evaluate(expr, [x - sum(c[i] for c in cols)
+                                for i, x in enumerate(b)])
+        term = value if q % 1 == 0 else cyc_from_phase(q % 1) * value
+        total = total - term if len(cols) % 2 else total + term
+    return total
 
 
 def spec_level(spec: ProblemSpec) -> int:

@@ -32,6 +32,7 @@ from vpf import (
 )
 from vpf.matrixops import mat_vec_int
 from vpf.oracle import box_counts
+from vpf.params import EQ_ZERO
 from vpf.pipeline import preprocess
 
 from .helpers import (
@@ -425,6 +426,50 @@ class TestResultExprShape:
                 replace(expr, report=replace(expr.report, unimodular=u))
         with pytest.raises(DimensionMismatch, match="expected 2 parameters"):
             replace(expr, spec=ONE_ONE)
+
+    @pytest.mark.parametrize("entry, message", [
+        (1.5, "non-integer"), ("1", "non-integer"), (True, "bool")])
+    def test_unimodular_entry_of_wrong_type(self, entry, message):
+        # These were a bare TypeError (1.5, "1") or evaluated as 1 (True).
+        expr = compute(ProblemSpec.from_rows([(1, -1, 0), (0, 1, 1)]))
+        with pytest.raises(MatrixParseError, match=message):
+            replace(expr, report=replace(
+                expr.report, unimodular=((entry, 1), (0, 1))))
+
+
+class _CodeText(int):
+    """An int whose every text form is code that raises when run: a number
+    written into evaluate's compiled kernel must be written as the int it
+    is, never as its text."""
+
+    def __repr__(self):
+        return "(1 // 0)"
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return "(1 // 0)"
+
+
+def _every_number_as(n):
+    """(1 -1 0; 0 1 1)-shaped expression whose modulus, residue, exponents,
+    guard coefficients and constants and unimodular entries are n(value)."""
+    guards = (Guard(AffineForm((n(1), n(-2)), n(3))),
+              Guard(AffineForm((n(0), n(1)), n(-1)), EQ_ZERO))
+    poly = (((n(2), n(2)), (F(1), F(2), F(3))), ((n(0), n(0)), (F(0), F(1), F(5))))
+    spec = ProblemSpec.from_rows([(1, -1, 0), (0, 1, 1)])
+    report = replace(preprocess(spec), unimodular=((n(1), n(1)), (n(0), n(1))))
+    return ResultExpr(2, (Summand(guards, n(3), (n(1), n(2)), poly),),
+                      spec, report)
+
+
+def test_number_text_never_reaches_the_kernel():
+    plain, coded = _every_number_as(int), _every_number_as(_CodeText)
+    assert repr(coded.terms[0].modulus) == "(1 // 0)"
+    values = [evaluate(plain, (a, b)) for a in range(-2, 5) for b in range(4)]
+    assert any(values)
+    assert [evaluate(coded, (a, b))
+            for a in range(-2, 5) for b in range(4)] == values
 
 
 #: Not a vector or a matrix: an int, None, a str and a float.

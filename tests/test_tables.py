@@ -10,6 +10,7 @@ import json
 import pickle
 import random
 import time
+from copy import copy as shallow_copy, deepcopy
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
@@ -24,6 +25,7 @@ from vpf import (
     Guard,
     LevelOverflow,
     NotPointed,
+    PreprocessReport,
     ProblemSpec,
     ResultExpr,
     SanityFailure,
@@ -386,7 +388,7 @@ class TestRationalEvaluate:
 def reference_value(expr, b):
     """evaluate's value before its checks, from the summands one by one at
     the normalized b: a Fraction, or a Cyclotomic when not rational."""
-    nb = mat_vec_int(expr.report.unimodular, b)
+    nb = b if expr.report is None else mat_vec_int(expr.report.unimodular, b)
     value = sum((summand_value(s, nb) for s in expr.terms), Fraction(0))
     if isinstance(value, Cyclotomic) and value.is_rational():
         value = value.to_rational()
@@ -418,10 +420,52 @@ class TestEvaluationPlan:
             got, want = evaluate(expr, b), reference_value(expr, b)
             assert type(got) is type(want) and got == want, b
 
+    @pytest.mark.parametrize("expr", [
+        ResultExpr(1, ()),
+        # A summand without monomials, one without guards, a modulus-1
+        # table and an entry with a denominator: b (b + 1) / 2 + 1.
+        ResultExpr(1, (
+            Summand((Guard(AffineForm((1,))),), 2, (1,), ()),
+            Summand((), 1, (0,), (((2,), (F(1, 2),)), ((1,), (F(1, 2),)),
+                                  ((0,), (F(1),)))))),
+        # Equality guards beside an inequality, and a residue table.
+        ResultExpr(2, (
+            Summand((Guard(AffineForm((1, -1)), EQ_ZERO),
+                     Guard(AffineForm((1, 0), -3))),
+                    3, (1, 2), (((2, 0), (F(1), F(2), F(3))),)),
+            Summand((Guard(AffineForm((0, 1), 1), EQ_ZERO),), 1, (0, 0),
+                    (((0, 2), (F(7),)),)))),
+        # m = 4 under a unimodular transform that is not the identity.
+        ResultExpr(4, (
+            Summand((Guard(AffineForm((1, 0, -1, 0), 2)),), 6, (1, 0, 3, 5),
+                    (((2, 0, 0, 0), tuple(map(F, range(6)))),
+                     ((0, 1, 1, 0), (F(0),) * 6), ((0, 0, 0, 2), (F(1),) * 6))),
+            Summand((), 1, (0,) * 4, (((0, 0, 2, 2), (F(3),)),))),
+            report=PreprocessReport(
+                (F(1),) * 4, ((1, 2, 0, -1), (0, 1, 3, 0), (0, 0, 1, -2),
+                              (0, 0, 0, 1)), ((1,),) * 4)),
+        # Numbers whose decimal text is past Python's int-string limit.
+        ResultExpr(1, (Summand((Guard(AffineForm((10**5000,), -10**5000)),),
+                               2, (10**5000 + 1,), (((0,), (F(1), F(2))),)),)),
+    ], ids=["no-summands", "empty-poly", "equality-guards", "m4-transform",
+            "huge-numbers"])
+    def test_kernel_edge_cases(self, expr):
+        # Each coordinate near 0, near 10^12 or near -10^12.
+        near = [v for c in (0, 10**12, -10**12) for v in (c - 2, c + 1)]
+        for b in product(near, repeat=expr.m):
+            want = reference_value(expr, b)
+            if want.denominator == 1 and want >= 0:
+                got = evaluate(expr, b)
+                assert type(got) is type(want) and got == want, b
+            else:
+                with pytest.raises(SanityFailure):
+                    evaluate(expr, b)
+
     @pytest.mark.parametrize("rows, order", BENCH_INPUTS)
     def test_plan_never_stale(self, rows, order):
         spec = ProblemSpec.from_rows(rows)
         expr = compute(spec, order)
+        assert "_plan" not in vars(expr)  # compute compiles no kernel
         fresh, before = replace(expr), repr(expr)
         pts = points(spec.m, random.Random(6), lo=-2, hi=9)
         values = [evaluate(expr, b) for b in pts]
@@ -440,6 +484,9 @@ class TestEvaluationPlan:
         assert [evaluate(back, b) for b in pts] == values
         copy = pickle.loads(pickle.dumps(expr))
         assert copy == expr and [evaluate(copy, b) for b in pts] == values
+        for other in (shallow_copy(expr), deepcopy(expr)):
+            assert "_plan" not in vars(other)
+            assert other == expr and [evaluate(other, b) for b in pts] == values
 
 
 class TestRender:
