@@ -30,7 +30,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import factorial, gcd, lcm, prod
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from vpf import (
@@ -105,7 +105,11 @@ def count_points_dfs(spec, b, certificate=None) -> int:
     """
     columns = spec.columns
     y = fm_certificate(columns) if certificate is None else certificate
-    yc = [sum(yi * ci for yi, ci in zip(y, c)) for c in columns]
+    # In integers: a positive factor changes neither the signs of y . r
+    # nor yr // yc.
+    scale = lcm(*(Fraction(yi).denominator for yi in y))
+    y = [int(yi * scale) for yi in y]
+    yc = [sum(map(mul, y, c)) for c in columns]
     # nonneg_prefix[k]: all columns 0..k are entrywise nonnegative.
     nonneg_prefix = []
     flag = True
@@ -116,14 +120,16 @@ def count_points_dfs(spec, b, certificate=None) -> int:
     def rec(k: int, r) -> int:
         if k < 0:
             return 1 if not any(r) else 0
-        yr = sum(yi * ri for yi, ri in zip(y, r))
+        yr = sum(map(mul, y, r))
         if yr < 0:
             return 0
-        if nonneg_prefix[k] and any(ri < 0 for ri in r):
+        if nonneg_prefix[k] and min(r) < 0:
             return 0
-        c = columns[k]
-        return sum(rec(k - 1, tuple(ri - x * ci for ri, ci in zip(r, c)))
-                   for x in range(yr // yc[k] + 1))
+        c, count = columns[k], 0
+        for _ in range(yr // yc[k] + 1):  # r - x c for x = 0, 1, ...
+            count += rec(k - 1, r)
+            r = tuple(map(sub, r, c))
+        return count
 
     return rec(spec.d - 1, tuple(b))
 

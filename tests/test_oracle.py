@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from itertools import permutations, product
+from operator import mul
 
 import pytest
 
@@ -159,10 +160,18 @@ class TestBoxCounts:
                 y = check_pointed(spec)
             except NotPointed:
                 continue
-            counts = box_counts(spec, (-2,) * m, (2,) * m)
-            assert len(counts) == 5 ** m
-            for b, n in counts.items():
-                assert n == count_points_dfs(spec, b, y), (rows, b)
+            # Around the origin, then clear of it and shifted along the cone,
+            # where a line can enter the box above its lowest cell.
+            x = [rng.randint(0, 1) for _ in range(d)]
+            if not any(x):
+                x[0] = 1  # so the third box is centred off the origin
+            shift = [sum(map(mul, r, x)) for r in rows]
+            for lo, hi in (((-2,) * m, (2,) * m), ((1,) * m, (3,) * m),
+                           ([s - 1 for s in shift], [s + 1 for s in shift])):
+                counts = box_counts(spec, lo, hi)
+                assert len(counts) == (hi[0] - lo[0] + 1) ** m
+                for b, n in counts.items():
+                    assert n == count_points_dfs(spec, b, y), (rows, b)
             negative += any(v < 0 for r in rows for v in r)
             done += 1
         assert negative >= 50

@@ -558,6 +558,60 @@ class TestVerifyBox:
         assert report.points_checked == 216
         assert report.ok, report.mismatches[:3]
 
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The points at which verify_box calls evaluate."""
+        seen = []
+        monkeypatch.setattr("vpf.pipeline.evaluate",
+                            lambda expr, b: seen.append(b) or evaluate(expr, b))
+        return seen
+
+    def test_raised_entry_reports_evaluate_values(self, calls):
+        # The kernel's integer totals settle every agreeing point; a point
+        # that differs is evaluated, so the mismatches are evaluate's.
+        expr = compute(A2)
+        assert verify_box(A2, expr, (-3, -3), (8, 8)).ok and not calls
+        first, last = expr.terms
+        (e, (x,)), *rest = last.poly
+        assert not any(e)  # the constant of min(b1, b2) + 1 on b1, b2 >= 0
+        bad = replace(expr, terms=(
+            first, last._replace(poly=((e, (x + 1,)), *rest))))
+        want = [(b, n, evaluate(bad, b))
+                for b, n in box_counts(A2, (-3, -3), (8, 8)).items()
+                if evaluate(bad, b) != n]
+        report = verify_box(A2, bad, (-3, -3), (8, 8))
+        assert report.points_checked == 144 and len(want) == 81
+        assert report.mismatches == want
+        assert all(type(got) is Fraction for _, _, got in report.mismatches)
+        assert calls == [b for b, _, _ in want]
+
+    @pytest.mark.parametrize("value", [F(-1), F(1, 2)])
+    def test_no_count_raises(self, value):
+        # A hand-built closed form whose value is no count at b = 0 only.
+        bad = ResultExpr(1, (Summand((Guard(AffineForm((1,)), EQ_ZERO),), 1,
+                                     (0,), (((0,), (value,)),)),))
+        assert verify_box(ONE_ONE, bad, (1,), (3,)).points_checked == 3
+        with pytest.raises(SanityFailure, match=(
+                rf"^evaluation at \(0,\) is not a nonnegative integer: "
+                rf"{value}$")):
+            verify_box(ONE_ONE, bad, (-1,), (3,))
+
+    def test_cyclotomic_entry_goes_through_evaluate(self, calls):
+        # An unphased expression whose tables hold Cyclotomic entries: the
+        # kernel's total is no int, so every point is evaluated.  A sum
+        # that is rational passes, e(1/3) alone is no count.
+        expr = compute(ONE_ONE)
+        zero = 1 + cyc_from_phase(F(1, 3)) + cyc_from_phase(F(2, 3))
+        fine = replace(expr, terms=expr.terms + (
+            Summand((), 1, (0,), (((0,), (zero,)),)),))
+        assert verify_box(ONE_ONE, fine, (-2,), (4,)).ok
+        assert calls == [(b,) for b in range(-2, 5)]
+        bad = replace(expr, terms=expr.terms + (
+            Summand((), 1, (0,), (((0,), (cyc_from_phase(F(1, 3)),)),)),))
+        with pytest.raises(SanityFailure, match=(
+                r"^evaluation at \(-2,\) is not rational: ")):
+            verify_box(ONE_ONE, bad, (-2,), (4,))
+
     def test_merging_soundness(self):
         # The raw engine terms' sum, averaged over the Galois group, equals
         # the summands' sum everywhere.

@@ -1,0 +1,175 @@
+"""Paired benchmark runs of the working tree against a parent revision.
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seconds 20 \
+        --workloads box_verify level_ladder multivar_orders \
+        --claim "verify_pts_per_s on box_verify rises" --out BENCH_27.json
+
+The parent's committed files are extracted with `git archive` into a
+temporary directory, removed afterwards.  Pair i runs `vpfbench/run.py
+--seed i` once in each tree, the parent first on odd seeds and the change
+(the working tree) first on even ones, so a drift of the machine's speed
+falls on both sides alike.  The output holds the command, the machine, the
+parent commit, the claim, a summary per workload and end-to-end metric
+(medians, the parent's quartiles, how many pairs the change won) and every
+pair's raw results, and one traced round (`--trace 1`, seed 1) per side
+and workload.  Metric names and directions come from
+BENCHMARK.json.  Needs only git and the standard library.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMAND = "python3 vpfbench/run.py --workload W --seed {} --seconds {:g} --trace {}"
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float,
+              trace: int) -> dict:
+    """The result line of one `vpfbench/run.py` run in `tree`."""
+    proc = subprocess.run(
+        [sys.executable, "vpfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True, encoding="utf-8")
+    if proc.returncode:
+        raise RuntimeError(f"vpfbench/run.py --workload {workload} --seed "
+                           f"{seed} failed in {tree}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def summarize(pairs: list, metrics: dict) -> dict:
+    """Per workload and metric: medians, the parent's quartiles and range,
+    the change's range, the relative change of the medians, and the pairs
+    in which the change was strictly better.  `metrics` maps each name to
+    "lower" or "higher", the better direction."""
+    summary: dict = {}
+    for workload in dict.fromkeys(p["workload"] for p in pairs):
+        runs = [p for p in pairs if p["workload"] == workload]
+        failed = {side: sum(p[side]["failed"] for p in runs)
+                  for side in ("parent", "change")}
+        correct = all(p[side]["correct"] for p in runs
+                      for side in ("parent", "change"))
+        summary[workload] = {}
+        for name, better in metrics.items():
+            old = [p["parent"]["metrics"][name]["value"] for p in runs]
+            new = [p["change"]["metrics"][name]["value"] for p in runs]
+            # statistics.quantiles needs two points before Python 3.13.
+            q1, _, q3 = (statistics.quantiles(old, n=4) if len(old) > 1
+                         else old * 3)
+            sign = 1 if better == "higher" else -1
+            med = statistics.median(old)
+            summary[workload][name] = {
+                "parent_median": med,
+                "parent_q1": q1,
+                "parent_q3": q3,
+                "change_median": statistics.median(new),
+                "change_min": min(new),
+                "change_max": max(new),
+                "parent_min": min(old),
+                "parent_max": max(old),
+                "relative_change": (statistics.median(new) - med) / med
+                if med else 0.0,
+                "change_better_pairs": sum(sign * (b - a) > 0
+                                           for a, b in zip(old, new)),
+                "pairs": len(runs),
+                "failed_parent": failed["parent"],
+                "failed_change": failed["change"],
+                "correct": correct,
+            }
+    return summary
+
+
+def machine(pairs: int) -> str:
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            model = next((line.split(":", 1)[1].strip() for line in f
+                          if line.startswith("model name")), model)
+    except OSError:
+        pass
+    return (f"{os.cpu_count()}-CPU {model}, Python "
+            f"{platform.python_version()}; {pairs} pairs per workload, seeds "
+            f"1-{pairs}, parent first on odd seeds and change first on even "
+            f"seeds; the parent run from a git archive of its commit, the "
+            f"change from the working tree; quartiles by "
+            f"statistics.quantiles(n=4)")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision")
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--workloads", nargs="+", required=True)
+    ap.add_argument("--claim", required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(
+        encoding="utf-8"))
+    known = {w["name"] for w in declared["workloads"]}
+    if not set(args.workloads) <= known:
+        ap.error(f"unknown workload among {args.workloads}; known: "
+                 f"{sorted(known)}")
+    metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    commit = subprocess.run(
+        ["git", "rev-parse", "--short", f"{args.parent}^{{commit}}"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+        encoding="utf-8").stdout.strip()
+
+    with tempfile.TemporaryDirectory(prefix="vpf-parent-") as tmp:
+        parent = Path(tmp)
+        archive = subprocess.run(["git", "archive", commit], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive,
+                       check=True)
+        trees = {"parent": parent, "change": ROOT}
+        pairs = []
+        for workload in args.workloads:
+            for seed in range(1, args.pairs + 1):
+                order = (("parent", "change") if seed % 2
+                         else ("change", "parent"))
+                pair = {"workload": workload, "seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_bench(trees[side], workload, seed,
+                                           args.seconds, 0)
+                print(f"{workload} seed {seed}, {order[0]} first: failed "
+                      f"{pair['parent']['failed']} parent, "
+                      f"{pair['change']['failed']} change", file=sys.stderr)
+                pairs.append(pair)
+        result = {
+            "command": COMMAND.format("N", args.seconds, 0),
+            "machine": machine(args.pairs),
+            "parent": {"commit": commit},
+            "claim": args.claim,
+            "summary": summarize(pairs, metrics),
+            "pairs": pairs,
+            "trace": {"command": COMMAND.format(1, args.seconds, 1)},
+        }
+        for workload in args.workloads:
+            result["trace"][workload] = {}
+            for side in ("parent", "change"):
+                line = run_bench(trees[side], workload, 1, args.seconds, 1)
+                result["trace"][workload][side] = {
+                    **{k: v["value"] for k, v in line["metrics"].items()},
+                    "failed": line["failed"]}
+    args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    for workload, table in result["summary"].items():
+        for name, s in table.items():
+            print(f"{workload:16s} {name:17s} {s['parent_median']:12.5g} -> "
+                  f"{s['change_median']:12.5g} ({s['relative_change']:+.1%}, "
+                  f"better in {s['change_better_pairs']}/{s['pairs']})",
+                  file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
