@@ -91,10 +91,6 @@ class PhaseForm:
             object.__setattr__(self, "level", n // g)
 
     @classmethod
-    def zero(cls, m: int) -> "PhaseForm":
-        return cls((0,) * m)
-
-    @classmethod
     def from_coeffs(cls, coeffs) -> "PhaseForm":
         """The phase e(coeffs . b) for rational coefficients in [0, 1)."""
         n = lcm(*(c.denominator for c in coeffs))

@@ -150,12 +150,16 @@ class ResultExpr:
         a kernel compiled for this expression, the lcm D of all entry
         denominators, whether the spec has column phases, and the transform
         (None for identity).  The kernel is straight-line code: the
-        transform, each distinct guard form and monomial once, and per guard
-        group an `if` over its guards adding table[residue . b mod modulus]
-        * monomial for each summand.  The tables hold each entry as x * D
-        and are bound by reference; the source holds only fixed names and
-        int literals, written by hex() from operator.index, which no int
-        subclass can change and which, unlike repr, has no digit limit."""
+        transform, each distinct guard form, monomial of degree >= 2 and
+        (residue, modulus) pair once as g_i, p_i and r_i = residue . b mod
+        modulus, and per guard group an `if` over its guards adding
+        table[r_i] * monomial for each summand.  A degree-1 monomial is its
+        variable; a modulus-1 table is its one entry, with no subscript.
+        The tables hold each entry as x * D and are bound by reference, so
+        an unphased kernel returns D times the value as an int; the source
+        holds only fixed names and int literals, written by hex() from
+        operator.index, which no int subclass can change and which, unlike
+        repr, has no digit limit."""
         m, u = self.m, self.report and self.report.unimodular
         transform = None if u is None or u == tuple(
             tuple(int(i == j) for j in range(m)) for i in range(m)) else u
@@ -165,37 +169,40 @@ class ResultExpr:
         nb = args if transform is None else [f"n{i}" for i in range(m)]
         code = [f"n{i} = {_affine(r, args)}"
                 for i, r in enumerate(transform or ())]
-        forms, monos, groups, tables = {}, {}, {}, {}
+        forms, monos, residues, groups, tables = {}, {}, {}, {}, {}
         for s in self.terms:
-            key = tuple(f"g{forms.setdefault(f, len(forms))}" for f in (
-                (tuple(g.form.coeffs), g.form.const, g.sense == EQ_ZERO)
-                for g in s.guards))
-            lines = groups.setdefault(key, [])
-            j = "0" if s.modulus == 1 else "j"
-            if s.poly and j == "j":
-                lines.append(f"j = ({_affine(s.residue, nb)}) % "
-                             f"{hex(operator.index(s.modulus))}")
+            if not s.poly:
+                continue
+            r = (tuple(map(operator.index, s.residue)),
+                 operator.index(s.modulus))
+            j = "" if r[1] == 1 else (
+                f"[r{residues.setdefault(r, len(residues))}]")
             added = []
             for e, t in s.poly:
                 name = f"T{len(tables)}"
-                tables[name] = [x * den if isinstance(x, Cyclotomic)
-                                else x.numerator * (den // x.denominator)
-                                for x in t]
-                p = "" if not any(e) else (
-                    f" * p{monos.setdefault(tuple(e), len(monos))}")
-                added.append(f"{name}[{j}]{p}")
-            if added:
-                lines.append(f"t += {' + '.join(added)}")
+                t = [x * den if isinstance(x, Cyclotomic)
+                     else x.numerator * (den // x.denominator) for x in t]
+                tables[name] = t if j else t[0]
+                e = tuple(map(operator.index, e))
+                p = (f" * {nb[e.index(1)]}" if sum(e) == 1 else
+                     f" * p{monos.setdefault(e, len(monos))}" if any(e)
+                     else "")
+                added.append(f"{name}{j}{p}")
+            key = tuple(f"g{forms.setdefault(f, len(forms))}" for f in (
+                (tuple(g.form.coeffs), g.form.const, g.sense == EQ_ZERO)
+                for g in s.guards))
+            groups.setdefault(key, []).append(f"t += {' + '.join(added)}")
         code += [f"g{i} = {_affine(c, nb, k)} {'==' if eq else '>='} 0"
                  for (c, k, eq), i in forms.items()]
         code += [f"p{i} = " + " * ".join(
-            v if k == 1 else f"{v}**{hex(k)}"
-            for v, k in zip(nb, map(operator.index, e)) if k)
+            v if k == 1 else f"{v}**{hex(k)}" for v, k in zip(nb, e) if k)
             for e, i in monos.items()]
+        code += [f"r{i} = ({_affine(r, nb)}) % {hex(n)}"
+                 for (r, n), i in residues.items()]
         code.append("t = 0")
         for key, lines in groups.items():
             code += [f"if {' and '.join(key)}:", *map("    ".__add__, lines)
-                     ] if key and lines else lines
+                     ] if key else lines
         source = "\n    ".join([f"def kernel({', '.join(args)}):", *code,
                                  "return t"])
         scope = {"__builtins__": {}, **tables}
@@ -312,8 +319,13 @@ def evaluate(expr: ResultExpr, b) -> Fraction | Cyclotomic:
     b = int_vector(b, "b", expr.m)
     kernel, den, phased, transform = expr._plan
     total = kernel(*b)  # over den; a Cyclotomic entry promotes it
-    value = (Fraction(total, den) if isinstance(total, int)
-             else total * Fraction(1, den))
+    if isinstance(total, int):  # the count times den, read by one divmod
+        count, rest = divmod(total, den)
+        if not rest and (phased or count >= 0):
+            return Fraction(count)
+        value = Fraction(total, den)
+    else:
+        value = total * Fraction(1, den)
     if isinstance(value, Cyclotomic) and value.is_rational():
         value = value.to_rational()
     if phased:

@@ -1,7 +1,8 @@
 """The summary that `tools/bench_pairs.py` writes into a BENCH file.
 
 The script itself runs the benchmark, which only the slow CI job does; its
-summary is checked here on made-up results.  The file is loaded by path.
+summary is checked here on made-up results, and its layer timing on
+this tree.  The file is loaded by path.
 """
 from __future__ import annotations
 
@@ -14,11 +15,16 @@ PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
 @pytest.fixture(scope="module")
-def summarize():
+def bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.summarize
+    return mod
+
+
+@pytest.fixture(scope="module")
+def summarize(bench_pairs):
+    return bench_pairs.summarize
 
 
 def _pair(workload, seed, parent, change, failed=0):
@@ -54,3 +60,14 @@ def test_medians_quartiles_and_wins(summarize):
     assert rate["change_better_pairs"] == 1 and rate["relative_change"] == 0.2
     assert (rate["failed_parent"], rate["failed_change"]) == (2, 2)
     assert rate["correct"] is True
+
+
+def test_layers_of_this_tree(bench_pairs):
+    # The parent's side runs the same way, from its own tree's src.
+    layers = bench_pairs.run_layers(PAIRS.parents[1])
+    assert list(layers) == ["3x4 default order", "(1 7 11)", "Beck"]
+    assert [v["summands"] for v in layers.values()] == [34, 3, 5]
+    for v in layers.values():
+        assert list(v) == ["summands", "points", "rounds", "plan_ms",
+                           "evaluate_us"]
+        assert v["plan_ms"] > 0 and v["evaluate_us"] > 0

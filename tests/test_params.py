@@ -70,7 +70,7 @@ class TestPhaseForm:
         assert (p.nums, p.level) == ((1, 2), 3)
         assert p == PhaseForm.from_coeffs((F(1, 3), F(2, 3)))
         assert p.coeffs == (F(1, 3), F(2, 3))
-        assert PhaseForm((0, 0), 5) == PhaseForm.zero(2)
+        assert PhaseForm((0, 0), 5) == PhaseForm((0, 0))
 
     def test_mod_one_reduction_agrees(self):
         # e(phase(b)) before/after coefficient reduction agree on a box.
@@ -211,7 +211,7 @@ class TestTerm:
 
     def test_a2_leaf(self):
         # a+1 under a >= 0, evaluated at a=3.
-        t = Term(PhaseForm.zero(2),
+        t = Term(PhaseForm((0, 0)),
                  ParamPoly.from_affine(AffineForm((1, 0), 1)),
                  (Guard(AffineForm((1, 0), 0), GE_ZERO),))
         assert t.value((3, 0)).to_rational() == 4

@@ -298,6 +298,27 @@ class TestEvaluate:
                            match=r"^evaluation at \(3,\) is not a nonneg"):
             evaluate(bad, (3,))
 
+    def test_integer_total_failure_texts(self):
+        # The kernel's total is an int over D = 2 or 1.  Unphased, a
+        # negative total or one that D does not divide fails with the value
+        # it stands for; phased, only D must divide it, and a negative
+        # integer comes back as a Fraction.
+        def linear(entry, spec=None):
+            return ResultExpr(1, (Summand((), 1, (0,), (((1,), (entry,)),)),),
+                              spec)
+        for entry, b, value in ((F(-2), 3, "-6"), (F(1, 2), 3, "3/2"),
+                                (F(1, 2), -3, "-3/2")):
+            with pytest.raises(SanityFailure, match=(
+                    rf"^evaluation at \({b},\) is not a nonnegative integer: "
+                    rf"{value}$")):
+                evaluate(linear(entry), (b,))
+        phased = ProblemSpec.from_rows([(1, 1)], phases=(F(1, 3), 0))
+        got = evaluate(linear(F(-2), phased), (3,))
+        assert type(got) is Fraction and got == -6
+        with pytest.raises(SanityFailure, match=(
+                r"^evaluation at \(3,\) is not a cyclotomic integer: 3/2$")):
+            evaluate(linear(F(1, 2), phased), (3,))
+
     def test_summand_of_wrong_arity_rejected(self):
         # A hand-built expression whose summand has 2 entries in its residue
         # and exponents while the expression has 1 parameter: rejected when

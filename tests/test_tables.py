@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import re
 import time
 from copy import copy as shallow_copy, deepcopy
 from dataclasses import replace
@@ -447,18 +448,59 @@ class TestEvaluationPlan:
         # Numbers whose decimal text is past Python's int-string limit.
         ResultExpr(1, (Summand((Guard(AffineForm((10**5000,), -10**5000)),),
                                2, (10**5000 + 1,), (((0,), (F(1), F(2))),)),)),
+        # One residue form read under three guard sets and under none, and
+        # the same residue vector at a second modulus.
+        ResultExpr(2, (
+            Summand((Guard(AffineForm((1, 0))),), 3, (1, 2),
+                    (((0, 0), (F(1), F(2), F(3))),
+                     ((1, 0), (F(0), F(1), F(-2))))),
+            Summand((Guard(AffineForm((0, 1), -1)),), 3, (1, 2),
+                    (((0, 1), (F(5), F(0), F(1))),)),
+            Summand((Guard(AffineForm((1, -1)), EQ_ZERO),), 3, (1, 2),
+                    (((0, 0), (F(4), F(0), F(0))),)),
+            Summand((), 3, (1, 2), (((1, 1), (F(1), F(-1), F(0))),)),
+            Summand((Guard(AffineForm((1, 0))),), 6, (1, 2),
+                    (((0, 0), tuple(map(F, range(6)))),)))),
+        # Modulus-1 tables with denominators 2, 3 and 4 on monomials of
+        # degree 0, 1 and 2: b0 (b0 + 1) / 2 + b1 (b1 - 1) / 3 + 7, and
+        # (3 b0 b1 + 1) / 4 where b1 = 0.
+        ResultExpr(2, (
+            Summand((Guard(AffineForm((1, 1))),), 1, (0, 0), (
+                ((2, 0), (F(1, 2),)), ((1, 0), (F(1, 2),)),
+                ((0, 1), (F(-1, 3),)), ((0, 2), (F(1, 3),)),
+                ((0, 0), (F(7),)))),
+            Summand((Guard(AffineForm((0, 1)), EQ_ZERO),), 1, (0, 0),
+                    (((1, 1), (F(3, 4),)), ((0, 0), (F(1, 4),)))))),
+        # Modulus-1 Cyclotomic entries under a phased spec: e(1/3) +
+        # b e(2/3) - 2 b, which is -3 at b = 1 and 4 at b = -2, plus 1/2
+        # from 10^12 on, which leaves a denominator.
+        ResultExpr(1, (
+            Summand((Guard(AffineForm((1,))),), 1, (0,), (
+                ((0,), (cyc_from_phase(F(1, 3)),)),
+                ((1,), (cyc_from_phase(F(2, 3)),)))),
+            Summand((), 1, (0,), (((1,), (F(-2),)),)),
+            Summand((Guard(AffineForm((1,), -10**12)),), 1, (0,),
+                    (((0,), (F(1, 2),)),))),
+            spec=ProblemSpec.from_rows([(1, 1)], (F(1, 3), 0))),
     ], ids=["no-summands", "empty-poly", "equality-guards", "m4-transform",
-            "huge-numbers"])
+            "huge-numbers", "shared-residue", "modulus-1-denominators",
+            "phased-modulus-1-cyclotomic"])
     def test_kernel_edge_cases(self, expr):
+        phased = expr.spec is not None and any(expr.spec.phases)
         # Each coordinate near 0, near 10^12 or near -10^12.
         near = [v for c in (0, 10**12, -10**12) for v in (c - 2, c + 1)]
         for b in product(near, repeat=expr.m):
             want = reference_value(expr, b)
-            if want.denominator == 1 and want >= 0:
+            if isinstance(want, Cyclotomic):
+                count = phased and want.den == 1
+            else:
+                count = want.denominator == 1 and (phased or want >= 0)
+            if count:
                 got = evaluate(expr, b)
                 assert type(got) is type(want) and got == want, b
             else:
-                with pytest.raises(SanityFailure):
+                with pytest.raises(SanityFailure,
+                                   match=re.escape(f": {want}") + "$"):
                     evaluate(expr, b)
 
     @pytest.mark.parametrize("rows, order", BENCH_INPUTS)

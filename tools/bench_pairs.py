@@ -12,8 +12,13 @@ falls on both sides alike.  The output holds the command, the machine, the
 parent commit, the claim, a summary per workload and end-to-end metric
 (medians, the parent's quartiles, how many pairs the change won) and every
 pair's raw results, and one traced round (`--trace 1`, seed 1) per side
-and workload.  Metric names and directions come from
-BENCHMARK.json.  Needs only git and the standard library.
+and workload, and a `layers` key: for each side, on the 3x4 default
+order, `(1 7 11)` and Beck, the median time of building the evaluation
+kernel (`ResultExpr._plan`, in ms) and of a warm `evaluate` per point (in
+us), measured once per side, parent first, by `time_layers` in a fresh
+interpreter that imports `vpf` from that side's `src`.  Metric names and
+directions come from BENCHMARK.json.  Needs only git and the standard
+library.
 """
 from __future__ import annotations
 
@@ -21,14 +26,24 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMAND = "python3 vpfbench/run.py --workload W --seed {} --seconds {:g} --trace {}"
+LAYER_INPUTS = {
+    "3x4 default order": ((1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)),
+    "(1 7 11)": ((1, 7, 11),),
+    "Beck": ((1, 2, 1, 0), (1, 1, 0, 1)),
+}
+LAYER_ROUNDS = 7
+LAYER_POINTS = 500
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float,
@@ -41,6 +56,50 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
     if proc.returncode:
         raise RuntimeError(f"vpfbench/run.py --workload {workload} --seed "
                            f"{seed} failed in {tree}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def time_layers() -> dict:
+    """Per input of LAYER_INPUTS: the median over LAYER_ROUNDS of one
+    kernel build on a copy of the expression that has none (`plan_ms`), and
+    of a warm `evaluate` per point over LAYER_POINTS seeded points in
+    [-2, 30]^m (`evaluate_us`).  Imports `vpf` from wherever `sys.path`
+    finds it."""
+    from vpf import ProblemSpec, compute, evaluate
+    out = {}
+    for name, rows in LAYER_INPUTS.items():
+        expr = compute(ProblemSpec.from_rows(rows))
+        rng = random.Random(1)
+        pts = [tuple(rng.randint(-2, 30) for _ in rows)
+               for _ in range(LAYER_POINTS)]
+        builds, evals = [], []
+        for _ in range(LAYER_ROUNDS):
+            fresh = replace(expr)  # a new expression holds no kernel
+            start = time.perf_counter()
+            fresh._plan
+            builds.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            for b in pts:
+                evaluate(fresh, b)
+            evals.append((time.perf_counter() - start) / LAYER_POINTS)
+        out[name] = {"summands": len(expr.terms), "points": LAYER_POINTS,
+                     "rounds": LAYER_ROUNDS,
+                     "plan_ms": statistics.median(builds) * 1e3,
+                     "evaluate_us": statistics.median(evals) * 1e6}
+    return out
+
+
+def run_layers(tree: Path) -> dict:
+    """`time_layers` in a fresh interpreter on the `vpf` of `tree`."""
+    code = ("import json, sys; sys.path[:0] = ['src', sys.argv[1]]; "
+            "from bench_pairs import time_layers; "
+            "print(json.dumps(time_layers()))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "tools")],
+        cwd=tree, capture_output=True, text=True, encoding="utf-8")
+    if proc.returncode:
+        raise RuntimeError(f"time_layers failed in {tree}:\n"
+                           f"{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -161,6 +220,8 @@ def main(argv=None) -> int:
                 result["trace"][workload][side] = {
                     **{k: v["value"] for k, v in line["metrics"].items()},
                     "failed": line["failed"]}
+        result["layers"] = {side: run_layers(trees[side])
+                            for side in ("parent", "change")}
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     for workload, table in result["summary"].items():
         for name, s in table.items():
@@ -168,6 +229,12 @@ def main(argv=None) -> int:
                   f"{s['change_median']:12.5g} ({s['relative_change']:+.1%}, "
                   f"better in {s['change_better_pairs']}/{s['pairs']})",
                   file=sys.stderr)
+    for name in result["layers"]["change"]:
+        old, new = (result["layers"][side][name]
+                    for side in ("parent", "change"))
+        print(f"{name:18s} plan {old['plan_ms']:.3g} -> {new['plan_ms']:.3g} "
+              f"ms, evaluate {old['evaluate_us']:.3g} -> "
+              f"{new['evaluate_us']:.3g} us", file=sys.stderr)
     return 0
 
 
