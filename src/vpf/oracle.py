@@ -3,14 +3,15 @@
 Counts {x in Z_{>=0}^d : Ax = b} for a whole box of b at once by a graded
 dynamic program, the unbounded-knapsack recurrence: the columns are added one
 at a time, and column c turns the counts N_{k-1} into
-N_k(w) = N_{k-1}(w) + N_k(w - c).  Along each line w0 + Z c that is a running
-sum, so a column costs O(m) per cell it reads or writes.  It shares nothing
-with the generating-function engine beyond the pointedness certificate,
-which grades the partial sums.
+N_k(w) = N_{k-1}(w) + N_k(w - c).  The counts live in one flat list of ints,
+first coordinate fastest, so w - c sits a fixed offset before w and adding a
+column is one slice operation per row: its cost is per array cell, with no
+Python code per cell.  It shares nothing with the generating-function engine
+beyond the pointedness certificate y, which grades the partial sums.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 from operator import add, mul
 
 from .errors import MatrixParseError
@@ -32,54 +33,77 @@ def box_counts(spec, lo, hi) -> dict:
         raise MatrixParseError(
             f"the oracle counts no phase-weighted solutions, and the columns "
             f"have phases {spec.phases}")
-    y = primitive_integer(fm_certificate(columns))
-    top = sum(yi * (h if yi > 0 else l) for yi, l, h in zip(y, lo, hi))
-    # A cell is a partial sum w of the columns so far, with its count.
-    # y . c >= 1, so y . w only grows and is at least 0.
-    cells = {(0,) * m: 1}
-    for k, c in enumerate(columns):
-        # Half-spaces that every cell w must satisfy once column k is added:
-        # y . w <= top, and a coordinate that the later columns can only
-        # raise (only lower) is already at most hi (at least lo).  After the
-        # last column they cut out exactly the box.  The coordinate ones,
-        # sign * w_i <= s, are kept as (i, sign, s, sign * c_i).
-        rest = columns[k + 1:]
-        axes = [(i, sign, sign * bound, sign * c[i])
-                for i in range(m)
-                for sign, bound in ((1, hi[i]), (-1, lo[i]))
-                if all(sign * r[i] >= 0 for r in rest)]
-        yc = sum(map(mul, y, c))
-        # Group the cells by line w0 + Z c: the base w0 has
-        # 0 <= y . w0 < y . c, and v = w0 + q c sits at q = y . v // y . c.
-        lines: dict = {}
-        for v, n in cells.items():
-            q = sum(map(mul, y, v)) // yc
-            lines.setdefault(tuple(vi - q * ci for vi, ci in zip(v, c)),
-                             {})[q] = n
-        spread: dict = {}
-        for w0, row in lines.items():
-            # The positions p with w0 + p c in every half-space form one
-            # interval; below the lowest cell of the line nothing is reached.
-            p_lo = min(row)
-            p_hi = (top - sum(map(mul, y, w0))) // yc
-            for i, sign, s, gc in axes:
-                room = s - sign * w0[i]
-                if gc > 0:
-                    p_hi = min(p_hi, room // gc)
-                elif gc < 0:
-                    p_lo = max(p_lo, -(-room // gc))
-                elif room < 0:
-                    p_hi = -1
-            # The running sum enters at p_lo with every cell below it.
-            run = sum(n for q, n in row.items() if q < p_lo)
-            w = tuple(a + p_lo * ci for a, ci in zip(w0, c))
-            for p in range(p_lo, p_hi + 1):
-                run += row.get(p, 0)
-                spread[w] = run
-                w = tuple(map(add, w, c))
-        cells = spread
     box = product(*(range(a, z + 1) for a, z in zip(lo[::-1], hi[::-1])))
-    return {b[::-1]: cells.get(b[::-1], 0) for b in box}
+    return dict(zip((b[::-1] for b in box), _sweep(columns, lo, hi)))
+
+
+def _rows(first, spans, strides) -> list:
+    """Ascending offsets of the rows with w_i in spans[i - 1] for i >= 1,
+    given the offset `first` of the row at w_1 = w_2 = ... = 0."""
+    starts = [first]
+    for (a, z), s in zip(spans, strides):
+        starts = [t + w * s for w in range(a, z + 1) for t in starts]
+    return starts
+
+
+def _sweep(columns, lo, hi) -> list:
+    """The counts of the box as one flat list, first coordinate fastest."""
+    box_strides = list(accumulate((z - a + 1 for a, z in zip(lo, hi)), mul,
+                                  initial=1))
+    out = [0] * box_strides[-1]
+    y = primitive_integer(fm_certificate(columns))  # y . c >= 1
+    top = sum(yi * (h if yi > 0 else l) for yi, l, h in zip(y, lo, hi))
+    if top < 0:
+        return out
+    # A count the box needs, at stage k, sits at a partial sum w of columns
+    # <= k, equal to b minus a sum of columns >= k, both of y-grade <= top.
+    # So w lies in R_k: the bounding box of 0 and the ends top c / y.c of
+    # the columns <= k, cut by the box minus that of the columns >= k.  If
+    # w - c (a grade lower) is not in R_k, either N_k(w - c) = 0, or its
+    # grade is negative, where every cell stays 0, or w cannot reach the
+    # box.  So a cell outside R_k may read 0.  regions[0], before any
+    # column, is the origin alone.
+    ends = [(0,) * len(lo)] + [tuple(top * ci // sum(map(mul, y, c))
+                                      for ci in c) for c in columns]
+    regions = [[(max(min(p), a - max(s)), min(max(p), z - min(s)))
+                for p, s, a, z in zip(zip(*ends[:k + 1]),
+                                      zip(ends[0], *ends[max(k, 1):]), lo, hi)]
+               for k in range(len(ends))]
+    if any(a > z for r in regions for a, z in r):
+        return out
+    # The array spans every R_k, padded so that w - c stays in the array
+    # and in its own row; a cell is written only while it lies in R_k.
+    pad = [max(map(abs, c)) for c in zip(*columns)]
+    hull = [(min(a for a, _ in r) - p, max(z for _, z in r) + p)
+            for r, p in zip(zip(*regions), pad)]
+    strides = list(accumulate((z - a + 1 for a, z in hull), mul, initial=1))
+    cells = [0] * strides[-1]
+    origin = -sum(a * s for (a, _), s in zip(hull, strides))
+    cells[origin] = 1
+    for c, ((a0, z0), *tail) in zip(columns, regions[1:]):
+        rows, n, c0 = _rows(origin + a0, tail, strides[1:]), z0 - a0 + 1, c[0]
+        if not any(c[1:]):
+            # A running sum along each row in steps of c0, against c0.
+            for t, r in product(rows, range(min(abs(c0), n))):
+                line = (slice(t + r, t + n, c0) if c0 > 0
+                        else slice(t + n - 1 - r, t - 1, c0))
+                cells[line] = accumulate(cells[line])
+            continue
+        # Row w reads row w - c, delta cells before it: rows in that order.
+        delta = sum(map(mul, c, strides))
+        for t in (rows if delta > 0 else rows[::-1]):
+            cells[t:t + n] = map(add, cells[t:t + n],
+                                 cells[t - delta:t - delta + n])
+    # Copy the box's rows that the array holds; the rest of the box is 0.
+    spans = [(max(a, g), min(z, h)) for a, z, (g, h) in zip(lo, hi, hull)]
+    if all(a <= z for a, z in spans):
+        (a0, z0), *tail = spans
+        sources = _rows(origin + a0, tail, strides[1:])
+        targets = _rows(a0 - sum(map(mul, lo, box_strides)), tail,
+                        box_strides[1:])
+        for t, u in zip(sources, targets):
+            out[u:u + z0 - a0 + 1] = cells[t:t + z0 - a0 + 1]
+    return out
 
 
 def count_points(spec, b) -> int:

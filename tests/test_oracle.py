@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations, product
+from math import prod
 from operator import mul
 
 import pytest
@@ -161,17 +163,61 @@ class TestBoxCounts:
             except NotPointed:
                 continue
             # Around the origin, then clear of it and shifted along the cone,
-            # where a line can enter the box above its lowest cell.
+            # where a line can enter the box above its lowest cell; the last
+            # box has sides 3, 4 and 5, which a stride that mixes up two
+            # axes does not pass as it might on a cube.
             x = [rng.randint(0, 1) for _ in range(d)]
             if not any(x):
                 x[0] = 1  # so the third box is centred off the origin
             shift = [sum(map(mul, r, x)) for r in rows]
             for lo, hi in (((-2,) * m, (2,) * m), ((1,) * m, (3,) * m),
-                           ([s - 1 for s in shift], [s + 1 for s in shift])):
+                           ([s - 1 for s in shift], [s + 1 for s in shift]),
+                           ([s - 1 for s in shift],
+                            [s + 1 + i for i, s in enumerate(shift)])):
                 counts = box_counts(spec, lo, hi)
-                assert len(counts) == (hi[0] - lo[0] + 1) ** m
+                assert len(counts) == prod(z - a + 1 for a, z in zip(lo, hi))
                 for b, n in counts.items():
                     assert n == count_points_dfs(spec, b, y), (rows, b)
             negative += any(v < 0 for r in rows for v in r)
             done += 1
         assert negative >= 50
+
+    @pytest.mark.parametrize("rows, lo, hi", [
+        # Zero-tail column (-2, 0): a running sum against the first axis.
+        ([(-2, 1, 0), (0, 1, 1)], (-7, -1), (4, 5)),
+        # Column (1, -1) lies a negative flat offset before its reader.
+        ([(1, 1, 2), (-1, 0, 1)], (-3, -4), (9, 2)),
+        ([(-1, -2, -3)], (-15,), (2,)),
+        # Index-2 lattice: the parity of b1 + b2 decides half the box.
+        ([(1, 1), (3, 1)], (-2, -1), (9, 14)),
+        # The box straddles both walls of the Beck cone.
+        ([(1, 2, 1, 0), (1, 1, 0, 1)], (-3, 2), (6, 4)),
+        ([(1, 0, 1, 2), (0, 1, 1, -1), (2, 1, 0, 1)], (-1, 0, 1), (3, 2, 4)),
+    ], ids=["zero-tail-negative", "negative-offset", "all-negative",
+            "index-two", "straddles-cone", "uneven-3d"])
+    def test_matches_dfs_on_shaped_boxes(self, rows, lo, hi):
+        spec = ProblemSpec.from_rows(rows)
+        y = check_pointed(spec)
+        counts = box_counts(spec, lo, hi)
+        assert list(counts) == [b[::-1] for b in product(
+            *(range(a, z + 1) for a, z in zip(lo[::-1], hi[::-1])))]
+        assert any(counts.values())
+        for b, n in counts.items():
+            assert n == count_points_dfs(spec, b, y), b
+
+    @pytest.mark.parametrize("spec, lo, hi", [
+        (A2, (5, -10**12), (5, -10**12)),
+        (A2, (10**12, -5), (10**12 + 1, -5)),
+        (NEG, (10**12, -10**12), (10**12, -10**12)),
+    ], ids=["below-halfspace", "past-a-wall", "far-negative"])
+    def test_far_empty_box_allocates_nothing(self, spec, lo, hi):
+        # No count reaches these boxes, so no array is sized, least of all
+        # from the box's distance to the origin.
+        tracemalloc.start()
+        try:
+            counts = box_counts(spec, lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts and not any(counts.values())
+        assert peak < 1 << 20

@@ -14,8 +14,9 @@ parent commit, the claim, a summary per workload and end-to-end metric
 pair's raw results, and one traced round (`--trace 1`, seed 1) per side
 and workload, and a `layers` key: for each side, on the 3x4 default
 order, `(1 7 11)` and Beck, the median time of building the evaluation
-kernel (`ResultExpr._plan`, in ms) and of a warm `evaluate` per point (in
-us), measured once per side, parent first, by `time_layers` in a fresh
+kernel (`ResultExpr._plan`, in ms), of a warm `evaluate` per point (in
+us) and of the oracle `box_counts` per point of that input's benchmark box
+(in us), measured once per side, parent first, by `time_layers` in a fresh
 interpreter that imports `vpf` from that side's `src`.  Metric names and
 directions come from BENCHMARK.json.  Needs only git and the standard
 library.
@@ -37,10 +38,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMAND = "python3 vpfbench/run.py --workload W --seed {} --seconds {:g} --trace {}"
+#: Each layer input's matrix and its `verify_box` box in vpfbench.
 LAYER_INPUTS = {
-    "3x4 default order": ((1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)),
-    "(1 7 11)": ((1, 7, 11),),
-    "Beck": ((1, 2, 1, 0), (1, 1, 0, 1)),
+    "3x4 default order": (((1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)),
+                          ((0, 0, 0), (4, 4, 4))),
+    "(1 7 11)": (((1, 7, 11),), ((-6,), (160,))),
+    "Beck": (((1, 2, 1, 0), (1, 1, 0, 1)), ((0, 0), (20, 20))),
 }
 LAYER_ROUNDS = 7
 LAYER_POINTS = 500
@@ -61,18 +64,21 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
 
 def time_layers() -> dict:
     """Per input of LAYER_INPUTS: the median over LAYER_ROUNDS of one
-    kernel build on a copy of the expression that has none (`plan_ms`), and
-    of a warm `evaluate` per point over LAYER_POINTS seeded points in
-    [-2, 30]^m (`evaluate_us`).  Imports `vpf` from wherever `sys.path`
-    finds it."""
+    kernel build on a copy of the expression that has none (`plan_ms`), of
+    a warm `evaluate` per point over LAYER_POINTS seeded points in
+    [-2, 30]^m (`evaluate_us`), and of the oracle `box_counts` per point of
+    the input's box (`box_counts_us`).  Imports `vpf` from wherever
+    `sys.path` finds it."""
     from vpf import ProblemSpec, compute, evaluate
+    from vpf.oracle import box_counts
     out = {}
-    for name, rows in LAYER_INPUTS.items():
-        expr = compute(ProblemSpec.from_rows(rows))
+    for name, (rows, (lo, hi)) in LAYER_INPUTS.items():
+        spec = ProblemSpec.from_rows(rows)
+        expr = compute(spec)
         rng = random.Random(1)
         pts = [tuple(rng.randint(-2, 30) for _ in rows)
                for _ in range(LAYER_POINTS)]
-        builds, evals = [], []
+        builds, evals, oracle = [], [], []
         for _ in range(LAYER_ROUNDS):
             fresh = replace(expr)  # a new expression holds no kernel
             start = time.perf_counter()
@@ -82,10 +88,14 @@ def time_layers() -> dict:
             for b in pts:
                 evaluate(fresh, b)
             evals.append((time.perf_counter() - start) / LAYER_POINTS)
+            start = time.perf_counter()
+            counts = box_counts(spec, lo, hi)
+            oracle.append((time.perf_counter() - start) / len(counts))
         out[name] = {"summands": len(expr.terms), "points": LAYER_POINTS,
                      "rounds": LAYER_ROUNDS,
                      "plan_ms": statistics.median(builds) * 1e3,
-                     "evaluate_us": statistics.median(evals) * 1e6}
+                     "evaluate_us": statistics.median(evals) * 1e6,
+                     "box_counts_us": statistics.median(oracle) * 1e6}
     return out
 
 
@@ -234,7 +244,9 @@ def main(argv=None) -> int:
                     for side in ("parent", "change"))
         print(f"{name:18s} plan {old['plan_ms']:.3g} -> {new['plan_ms']:.3g} "
               f"ms, evaluate {old['evaluate_us']:.3g} -> "
-              f"{new['evaluate_us']:.3g} us", file=sys.stderr)
+              f"{new['evaluate_us']:.3g} us, box_counts "
+              f"{old['box_counts_us']:.3g} -> "
+              f"{new['box_counts_us']:.3g} us", file=sys.stderr)
     return 0
 
 
