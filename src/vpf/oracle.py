@@ -4,15 +4,17 @@ Counts {x in Z_{>=0}^d : Ax = b} for a whole box of b at once by a graded
 dynamic program, the unbounded-knapsack recurrence: the columns are added one
 at a time, and column c turns the counts N_{k-1} into
 N_k(w) = N_{k-1}(w) + N_k(w - c).  The counts live in one flat list of ints,
-first coordinate fastest, so w - c sits a fixed offset before w and adding a
-column is one slice operation per row: its cost is per array cell, with no
-Python code per cell.  It shares nothing with the generating-function engine
-beyond the pointedness certificate y, which grades the partial sums.
+in rows (the sums w = (w0, t) of one tail t), so a column costs a few slice
+operations per row, with no Python code per cell.  Only reached rows are held,
+over the w0 that the box can need: if the box needs w at stage k (w plus a sum
+of columns >= k is in it), w and each w - p c on the way to it lie in the
+region cut for stage k, so a needed cell that is not held counts 0.  Only the
+pointedness certificate y, which grades the sums, comes from the engine.
 """
 from __future__ import annotations
 
 from itertools import accumulate, product
-from operator import add, mul
+from operator import add, le, mul, sub
 
 from .errors import MatrixParseError
 from .matrixops import fm_certificate, int_vector, primitive_integer
@@ -37,72 +39,68 @@ def box_counts(spec, lo, hi) -> dict:
     return dict(zip((b[::-1] for b in box), _sweep(columns, lo, hi)))
 
 
-def _rows(first, spans, strides) -> list:
-    """Ascending offsets of the rows with w_i in spans[i - 1] for i >= 1,
-    given the offset `first` of the row at w_1 = w_2 = ... = 0."""
-    starts = [first]
-    for (a, z), s in zip(spans, strides):
-        starts = [t + w * s for w in range(a, z + 1) for t in starts]
-    return starts
-
-
 def _sweep(columns, lo, hi) -> list:
     """The counts of the box as one flat list, first coordinate fastest."""
-    box_strides = list(accumulate((z - a + 1 for a, z in zip(lo, hi)), mul,
-                                  initial=1))
-    out = [0] * box_strides[-1]
+    strides = [1, *accumulate((z - a + 1 for a, z in zip(lo, hi)), mul)]
+    out = [0] * strides[-1]
     y = primitive_integer(fm_certificate(columns))  # y . c >= 1
     top = sum(yi * (h if yi > 0 else l) for yi, l, h in zip(y, lo, hi))
     if top < 0:
         return out
-    # A count the box needs, at stage k, sits at a partial sum w of columns
-    # <= k, equal to b minus a sum of columns >= k, both of y-grade <= top.
-    # So w lies in R_k: the bounding box of 0 and the ends top c / y.c of
-    # the columns <= k, cut by the box minus that of the columns >= k.  If
-    # w - c (a grade lower) is not in R_k, either N_k(w - c) = 0, or its
-    # grade is negative, where every cell stays 0, or w cannot reach the
-    # box.  So a cell outside R_k may read 0.  regions[0], before any
-    # column, is the origin alone.
-    ends = [(0,) * len(lo)] + [tuple(top * ci // sum(map(mul, y, c))
-                                      for ci in c) for c in columns]
-    regions = [[(max(min(p), a - max(s)), min(max(p), z - min(s)))
-                for p, s, a, z in zip(zip(*ends[:k + 1]),
-                                      zip(ends[0], *ends[max(k, 1):]), lo, hi)]
-               for k in range(len(ends))]
-    if any(a > z for r in regions for a, z in r):
-        return out
-    # The array spans every R_k, padded so that w - c stays in the array
-    # and in its own row; a cell is written only while it lies in R_k.
-    pad = [max(map(abs, c)) for c in zip(*columns)]
-    hull = [(min(a for a, _ in r) - p, max(z for _, z in r) + p)
-            for r, p in zip(zip(*regions), pad)]
-    strides = list(accumulate((z - a + 1 for a, z in hull), mul, initial=1))
-    cells = [0] * strides[-1]
-    origin = -sum(a * s for (a, _), s in zip(hull, strides))
-    cells[origin] = 1
-    for c, ((a0, z0), *tail) in zip(columns, regions[1:]):
-        rows, n, c0 = _rows(origin + a0, tail, strides[1:]), z0 - a0 + 1, c[0]
-        if not any(c[1:]):
-            # A running sum along each row in steps of c0, against c0.
-            for t, r in product(rows, range(min(abs(c0), n))):
-                line = (slice(t + r, t + n, c0) if c0 > 0
-                        else slice(t + n - 1 - r, t - 1, c0))
-                cells[line] = accumulate(cells[line])
-            continue
-        # Row w reads row w - c, delta cells before it: rows in that order.
-        delta = sum(map(mul, c, strides))
-        for t in (rows if delta > 0 else rows[::-1]):
-            cells[t:t + n] = map(add, cells[t:t + n],
-                                 cells[t - delta:t - delta + n])
-    # Copy the box's rows that the array holds; the rest of the box is 0.
-    spans = [(max(a, g), min(z, h)) for a, z, (g, h) in zip(lo, hi, hull)]
-    if all(a <= z for a, z in spans):
-        (a0, z0), *tail = spans
-        sources = _rows(origin + a0, tail, strides[1:])
-        targets = _rows(a0 - sum(map(mul, lo, box_strides)), tail,
-                        box_strides[1:])
-        for t, u in zip(sources, targets):
-            out[u:u + z0 - a0 + 1] = cells[t:t + z0 - a0 + 1]
+    # Stage k: rows t of the sums of columns <= k reached from stage k - 1,
+    # cut to grade <= top and to the box minus the bounding box of 0 and the
+    # ends top c_j / y.c_j, j >= k.  Row t is (b, a, z): its count at w0 in
+    # [a, z] is cells[b + w0]; each stage appends its rows, cells[0] spare.
+    ends = [[top * v // sum(map(mul, y, c)) for v in c] for c in columns]
+    origin, yt, cells = (0,) * (len(lo) - 1), y[1:], [0, 1]
+    spans = {origin: (1, 0, 0)}
+    for k, c in enumerate(columns):
+        lo0, *floor = (a - max(0, *e) for a, e in zip(lo, zip(*ends[k:])))
+        hi0, *ceil = (z - min(0, *e) for z, e in zip(hi, zip(*ends[k:])))
+        c0, ct, flat, new = c[0], c[1:], not any(c[1:]), {}
+        # Walk up each line t + Z ct from its rows of stage k - 1, so that
+        # row t - ct, the source, is done before row t.
+        for t in sorted(spans, key=lambda t: t[::-1],
+                        reverse=ct[::-1] < origin):
+            src = new.get(tuple(map(sub, t, ct)))
+            while all(map(le, floor, t)) and all(map(le, t, ceil)):
+                old = spans.get(t)  # the hull of its span and the source's
+                a, z = old[1:] if old else (src[1] + c0, src[2] + c0)
+                if src:
+                    a, z = min(a, src[1] + c0), max(z, src[2] + c0)
+                if flat:  # a running sum along the row itself
+                    a, z = (a, hi0) if c0 > 0 else (lo0, z)
+                r = top - sum(map(mul, yt, t))  # y0 w0 <= r
+                a = max(a, lo0, -(r // -y[0]) if y[0] < 0 else a)
+                z = min(z, hi0, r // y[0] if y[0] > 0 else z)
+                if a > z or r < 0 == y[0]:
+                    break
+                b = len(cells) - a
+                cells += [0] * (z - a + 1)
+                if old:  # N_{k-1}(w), 0 off the old span
+                    g, h = max(a, old[1]), max(a, min(z, old[2]) + 1)
+                    cells[b + g:b + h] = cells[old[0] + g:old[0] + h]
+                if flat:  # plus N_k(w - c): in steps of c0, against c0
+                    for r in range(min(abs(c0), z - a + 1)):
+                        line = (slice(b + a + r, b + z + 1, c0) if c0 > 0
+                                else slice(b + z - r, b + a - 1, c0))
+                        cells[line] = accumulate(cells[line])
+                elif src:  # plus N_k(w - c), from the source row
+                    g = max(a, src[1] + c0)
+                    h, d = max(g, min(z, src[2] + c0) + 1), src[0] - c0
+                    cells[b + g:b + h] = map(add, cells[b + g:b + h],
+                                             cells[d + g:d + h])
+                new[t] = src = b, a, z
+                t = tuple(map(add, t, ct))
+                if t in spans:  # a row of stage k - 1 starts its own walk
+                    break
+        spans = new
+    # Copy the box's rows of the last stage; the rest of the box is 0.
+    for t, (b, a, z) in spans.items():
+        a, z = max(a, lo[0]), min(z, hi[0])
+        if a <= z and all(map(le, lo[1:], t)) and all(map(le, t, hi[1:])):
+            u = a - lo[0] + sum(map(mul, map(sub, t, lo[1:]), strides[1:]))
+            out[u:u + z - a + 1] = cells[b + a:b + z + 1]
     return out
 
 

@@ -185,7 +185,7 @@ class TestBoxCounts:
     @pytest.mark.parametrize("rows, lo, hi", [
         # Zero-tail column (-2, 0): a running sum against the first axis.
         ([(-2, 1, 0), (0, 1, 1)], (-7, -1), (4, 5)),
-        # Column (1, -1) lies a negative flat offset before its reader.
+        # Column (1, -1) has a negative tail: its lines are walked downward.
         ([(1, 1, 2), (-1, 0, 1)], (-3, -4), (9, 2)),
         ([(-1, -2, -3)], (-15,), (2,)),
         # Index-2 lattice: the parity of b1 + b2 decides half the box.
@@ -193,7 +193,7 @@ class TestBoxCounts:
         # The box straddles both walls of the Beck cone.
         ([(1, 2, 1, 0), (1, 1, 0, 1)], (-3, 2), (6, 4)),
         ([(1, 0, 1, 2), (0, 1, 1, -1), (2, 1, 0, 1)], (-1, 0, 1), (3, 2, 4)),
-    ], ids=["zero-tail-negative", "negative-offset", "all-negative",
+    ], ids=["zero-tail-negative", "negative-tail", "all-negative",
             "index-two", "straddles-cone", "uneven-3d"])
     def test_matches_dfs_on_shaped_boxes(self, rows, lo, hi):
         spec = ProblemSpec.from_rows(rows)
@@ -211,7 +211,7 @@ class TestBoxCounts:
         (NEG, (10**12, -10**12), (10**12, -10**12)),
     ], ids=["below-halfspace", "past-a-wall", "far-negative"])
     def test_far_empty_box_allocates_nothing(self, spec, lo, hi):
-        # No count reaches these boxes, so no array is sized, least of all
+        # No count reaches these boxes, so no row is held, least of all
         # from the box's distance to the origin.
         tracemalloc.start()
         try:
@@ -221,3 +221,26 @@ class TestBoxCounts:
             tracemalloc.stop()
         assert counts and not any(counts.values())
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("lo, hi, dfs_points", [
+        # Every count is 0 here; a bounding box of the partial sums of each
+        # stage would hold 1.66e9 cells, where the reached rows hold 18,478.
+        ((-38, 18, 13), (-36, 19, 17), [(-38, 18, 13), (-36, 19, 17)]),
+        # Around A (0, 2, 2), with ten nonzero counts: 1.6e7 cells that way.
+        ((-9, 3, 1), (-6, 5, 3), None),
+    ], ids=["all-zero", "around-Ax"])
+    def test_skewed_matrix_holds_only_reached_rows(self, lo, hi, dfs_points):
+        # The grade y . c of a column is small against its entries, so the
+        # stages' partial sums are thin slabs far from axis-aligned.
+        spec = ProblemSpec.from_rows([(3, -4, 0), (3, -3, 5), (2, -2, 3)])
+        tracemalloc.start()
+        try:
+            counts = box_counts(spec, lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert any(counts.values()) == (dfs_points is None)
+        y = check_pointed(spec)
+        for b in dfs_points or counts:  # the DFS takes 0.3 s a point above
+            assert counts[b] == count_points_dfs(spec, b, y), b
