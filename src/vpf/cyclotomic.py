@@ -371,18 +371,12 @@ def _root(a: int, n: int) -> Cyclotomic:
     return Cyclotomic._ints(n, _reduce(n, [0] * a + [1]))
 
 
-def _read_phase(q) -> Fraction:
-    """A phase q that is not a Fraction is read like outside input, so a
-    float, a bool or a string is rejected."""
-    if not isinstance(q, Fraction):
-        (q,) = rat_vector((q,), "phase")
-    return q
-
-
 def cyc_from_phase(q) -> Cyclotomic:
     """e(q) = exp(2*pi*i*q) for rational q: `root` of its numerator and
-    denominator."""
-    q = _read_phase(q)
+    denominator.  A q that is not a Fraction is read like outside input, so
+    a float, a bool or a string is rejected."""
+    if not isinstance(q, Fraction):
+        (q,) = rat_vector((q,), "phase")
     return root(q.numerator, q.denominator)
 
 
@@ -570,10 +564,3 @@ def _inv_one_minus_root(a: int, n: int) -> Cyclotomic:
     for j in range(1, n):
         c[a * j % n] = -j
     return Cyclotomic._ints(n, _reduce(n, c), n)
-
-
-def inv_one_minus_phase(q) -> Cyclotomic:
-    """1/(1 - e(q)) for rational q: `inv_one_minus_root` of its numerator
-    and denominator."""
-    q = _read_phase(q)
-    return inv_one_minus_root(q.numerator, q.denominator)

@@ -8,8 +8,9 @@ in rows (the sums w = (w0, t) of one tail t), so a column costs a few slice
 operations per row, with no Python code per cell.  Only reached rows are held,
 over the w0 that the box can need: if the box needs w at stage k (w plus a sum
 of columns >= k is in it), w and each w - p c on the way to it lie in the
-region cut for stage k, so a needed cell that is not held counts 0.  Only the
-pointedness certificate y, which grades the sums, comes from the engine.
+region cut for stage k, so a needed cell that is not held counts 0.  The sums
+are graded by the spec's pointedness certificate y, `ProblemSpec.certificate`,
+computed once per spec and shared with the engine.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from itertools import accumulate, product
 from operator import add, le, mul, sub
 
 from .errors import MatrixParseError
-from .matrixops import fm_certificate, int_vector, primitive_integer
+from .matrixops import int_vector, primitive_integer
 
 
 def box_counts(spec, lo, hi) -> dict:
@@ -25,7 +26,8 @@ def box_counts(spec, lo, hi) -> dict:
 
     The keys run over the box with the first coordinate varying fastest.
     Corners that are not m integers, an empty box, and a spec with column
-    phases (whose solutions are weighted, not counted) are MatrixParseErrors.
+    phases (whose solutions are weighted, not counted) are MatrixParseErrors;
+    a spec that is not pointed raises NotPointed.
     """
     columns, m = spec.columns, spec.m
     lo, hi = int_vector(lo, "box corner", m), int_vector(hi, "box corner", m)
@@ -35,15 +37,16 @@ def box_counts(spec, lo, hi) -> dict:
         raise MatrixParseError(
             f"the oracle counts no phase-weighted solutions, and the columns "
             f"have phases {spec.phases}")
+    y = primitive_integer(spec.certificate)  # y . c >= 1
     box = product(*(range(a, z + 1) for a, z in zip(lo[::-1], hi[::-1])))
-    return dict(zip((b[::-1] for b in box), _sweep(columns, lo, hi)))
+    return dict(zip((b[::-1] for b in box), _sweep(columns, lo, hi, y)))
 
 
-def _sweep(columns, lo, hi) -> list:
-    """The counts of the box as one flat list, first coordinate fastest."""
+def _sweep(columns, lo, hi, y) -> list:
+    """The counts of the box as one flat list, first coordinate fastest,
+    graded by the integer certificate y."""
     strides = [1, *accumulate((z - a + 1 for a, z in zip(lo, hi)), mul)]
     out = [0] * strides[-1]
-    y = primitive_integer(fm_certificate(columns))  # y . c >= 1
     top = sum(yi * (h if yi > 0 else l) for yi, l, h in zip(y, lo, hi))
     if top < 0:
         return out

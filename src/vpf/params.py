@@ -96,10 +96,6 @@ class PhaseForm:
         n = lcm(*(c.denominator for c in coeffs))
         return cls(tuple(c.numerator * (n // c.denominator) for c in coeffs), n)
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self.level) for a in self.nums)
-
     def eval(self, b) -> Fraction:
         if len(b) != len(self.nums):
             raise DimensionMismatch(
@@ -137,10 +133,6 @@ class ParamPoly:
     @classmethod
     def one(cls, arity: int) -> "ParamPoly":
         return cls.constant(arity, 1)
-
-    @classmethod
-    def zero(cls, arity: int) -> "ParamPoly":
-        return cls(arity)
 
     @classmethod
     def from_affine(cls, f: AffineForm) -> "ParamPoly":

@@ -74,6 +74,14 @@ class ProblemSpec:
     def columns(self) -> list[tuple[int, ...]]:
         return [tuple(row[k] for row in self.entries) for k in range(self.d)]
 
+    @cached_property
+    def certificate(self) -> tuple[Fraction, ...]:
+        """The pointedness certificate, a rational y with y . c_k >= 1 for
+        every column, by Fourier-Motzkin elimination on first use and kept
+        for the spec's lifetime; NotPointed otherwise, on every read, since
+        an exception is never cached."""
+        return fm_certificate(self.columns)
+
 
 @dataclass(frozen=True)
 class PreprocessReport:
@@ -234,8 +242,10 @@ class VerifyReport:
 
 
 def check_pointed(spec: ProblemSpec) -> tuple[Fraction, ...]:
-    """A rational y with y . c_k >= 1 for every column; NotPointed otherwise."""
-    return fm_certificate(spec.columns)
+    """A rational y with y . c_k >= 1 for every column; NotPointed otherwise.
+    This is `spec.certificate`, computed once per spec and shared with
+    `preprocess` and the oracle."""
+    return spec.certificate
 
 
 def nonnegativize(spec: ProblemSpec, y) -> PreprocessReport:
@@ -271,7 +281,7 @@ def nonnegativize(spec: ProblemSpec, y) -> PreprocessReport:
 
 
 def preprocess(spec: ProblemSpec) -> PreprocessReport:
-    y = check_pointed(spec)
+    y = spec.certificate
     if all(v >= 0 for row in spec.entries for v in row):
         m = spec.m
         ident = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))

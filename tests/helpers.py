@@ -16,8 +16,9 @@ schema-2 expression JSON.  `summand_value`
 evaluates one summand on its own, the reference for `evaluate`'s kernel,
 and `difference_residual` checks `evaluate` against the difference
 equation that phi_A satisfies, at any b, phased specs included.
-`phased_state` builds an engine state from rational factor phases, and
-`state_phase` reads its phase back as rationals.  `numerator` records a
+`phased_state` builds an engine state from rational factor phases;
+`state_phase` and `phase_coeffs` read a state's or a term's phase back as
+rationals.  `numerator` records a
 root's local series from `genfun.pfd_numerator` with its theta and beta;
 `constant_poly` is the partial-sum form of its numerator constant, the
 reference for the constants `engine_constants` reads off the Terms of
@@ -173,6 +174,11 @@ def phased_state(exps, pairs, columns=False) -> GenFunState:
 def state_phase(state: GenFunState) -> tuple:
     """The rational coefficients rho of a state's phase e(rho . b)."""
     return tuple(Fraction(a, state.level) for a in state.phase)
+
+
+def phase_coeffs(phase: PhaseForm) -> tuple:
+    """The rational coefficients rho of a term's phase e(rho . b)."""
+    return tuple(Fraction(a, phase.level) for a in phase.nums)
 
 
 def series_value(state: GenFunState, b) -> Cyclotomic:
@@ -380,7 +386,7 @@ def unmerged_terms(spec: ProblemSpec, order=None) -> list:
 
 
 def phase_to_json(p) -> dict:
-    return {"coeffs": [rat_to_json(c) for c in p.coeffs]}
+    return {"coeffs": [rat_to_json(c) for c in phase_coeffs(p)]}
 
 
 def poly_to_json(p) -> list:
@@ -525,7 +531,7 @@ def engine_constants(beta, factors) -> dict:
     out = {}
     for theta in roots:
         if constant_poly(numerator(theta, factors, beta)).is_zero():
-            out[theta] = ParamPoly.zero(beta.arity)
+            out[theta] = ParamPoly(beta.arity)
             continue
         term = next(terms)
         assert term.phase == PhaseForm.from_coeffs(
@@ -566,7 +572,7 @@ def constant_poly(num) -> ParamPoly:
     for c in num.series[1:]:
         power = power * point
         partial.append(partial[-1] + c * power)
-    out = ParamPoly.zero(num.beta.arity)
+    out = ParamPoly(num.beta.arity)
     for i in range(num.mult):
         out = out + binom_poly(i, num.beta).scale(partial[-1 - i])
     return out

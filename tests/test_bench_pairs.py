@@ -1,8 +1,8 @@
 """The summary that `tools/bench_pairs.py` writes into a BENCH file.
 
 The script itself runs the benchmark, which only the slow CI job does; its
-summary is checked here on made-up results, and its layer timing on
-this tree.  The file is loaded by path.
+summary is checked here on made-up results, its layer timing on this
+tree, and its argument checks with nothing run.  The file is loaded by path.
 """
 from __future__ import annotations
 
@@ -72,3 +72,19 @@ def test_layers_of_this_tree(bench_pairs):
                            "evaluate_us", "box_counts_us"]
         assert v["plan_ms"] > 0 and v["evaluate_us"] > 0
         assert v["box_counts_us"] > 0
+
+
+def test_repeated_workload_rejected_before_any_run(bench_pairs, monkeypatch,
+                                                  tmp_path, capsys):
+    def run(*args, **kwargs):
+        raise AssertionError("nothing may run")
+    monkeypatch.setattr(bench_pairs, "run_bench", run)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--parent", "HEAD", "--pairs", "1", "--seconds", "1",
+                          "--workloads", "box_verify", "level_ladder",
+                          "box_verify", "--claim", "none", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "repeated" in capsys.readouterr().err
+    assert not out.exists()

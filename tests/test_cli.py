@@ -218,6 +218,13 @@ class TestOracle:
     def test_dimension_check(self, mat, capsys):
         assert main(["oracle", mat(A2), "2"]) == 4
 
+    @pytest.mark.parametrize("command", [["oracle", "1"], ["verify", "0..2"]],
+                             ids=["oracle", "verify"])
+    def test_not_pointed_exits_2(self, mat, capsys, command):
+        name, box = command
+        assert main([name, mat(NOT_POINTED), box]) == 2
+        assert "NotPointed" in capsys.readouterr().err
+
 
 class TestDedekind:
     def test_half_coefficient(self, capsys):

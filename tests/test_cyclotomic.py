@@ -23,7 +23,6 @@ from vpf.cyclotomic import DEFAULT_LEVEL_CAP
 from vpf.cyclotomic import _cyclo_poly as cyclotomic_polynomial
 from vpf.cyclotomic import (
     galois_group,
-    inv_one_minus_phase,
     inv_one_minus_root,
     least_conjugate,
     orbit_table,
@@ -87,9 +86,8 @@ class TestFromPhase:
 
     @pytest.mark.parametrize("q", [0.25, 0.5, 0.1, "1/2", True, None],
                              ids=repr)
-    @pytest.mark.parametrize("read", [
-        cyc_from_phase, Cyclotomic.from_phase, inv_one_minus_phase],
-        ids=["cyc_from_phase", "from_phase", "inv_one_minus_phase"])
+    @pytest.mark.parametrize("read", [cyc_from_phase, Cyclotomic.from_phase],
+                             ids=["cyc_from_phase", "from_phase"])
     def test_phase_reads_like_outside_input(self, read, q):
         # A float would be taken as its binary fraction (0.1 has level
         # 2^55), True as 1 and "1/2" parsed.
@@ -353,12 +351,12 @@ class TestLevelCap:
 
     def test_cap_checked_before_memo(self):
         cyc_from_phase(F(1, 11))
-        inv_one_minus_phase(F(1, 11))
+        inv_one_minus_root(1, 11)
         with level_cap(10):
             with pytest.raises(LevelOverflow):
                 cyc_from_phase(F(1, 11))
             with pytest.raises(LevelOverflow):
-                inv_one_minus_phase(F(1, 11))
+                inv_one_minus_root(1, 11)
 
     def test_cap_checked_before_group_memos(self):
         # Warm each memo uncapped first: a lower cap must still refuse it.
@@ -465,6 +463,12 @@ class TestLevelCap:
         assert seen == [11]
 
 
+def inv_one_minus(q):
+    """1/(1 - e(q)) for rational q, by the engine's `inv_one_minus_root`."""
+    q = F(q)
+    return inv_one_minus_root(q.numerator, q.denominator)
+
+
 class TestClosedFormInverse:
     """1/(1 - e(q)) in closed form against the general inverse."""
 
@@ -474,26 +478,26 @@ class TestClosedFormInverse:
                 if gcd(a, n) != 1:
                     continue
                 q = F(a, n)
-                got = inv_one_minus_phase(q)
+                got = inv_one_minus(q)
                 want = (1 - cyc_from_phase(q)).inv()
                 assert got.level == want.level == n
                 assert got.coeffs == want.coeffs
 
     def test_matches_euclid_high_levels(self):
         for q in (F(1, 143), F(5, 143), F(142, 143), F(1, 221), F(100, 221)):
-            got = inv_one_minus_phase(q)
+            got = inv_one_minus(q)
             want = (1 - cyc_from_phase(q)).inv()
             assert got.level == want.level and got.coeffs == want.coeffs
             assert got * (1 - cyc_from_phase(q)) == 1
 
     def test_phase_mod_one(self):
-        assert inv_one_minus_phase(F(13, 11)) == inv_one_minus_phase(F(2, 11))
-        assert inv_one_minus_phase(F(-1, 2)) == F(1, 2)
+        assert inv_one_minus(F(13, 11)) == inv_one_minus(F(2, 11))
+        assert inv_one_minus(F(-1, 2)) == F(1, 2)
 
     def test_zero_phase_rejected(self):
         for q in (0, 1, F(-3)):
             with pytest.raises(ZeroDivisionError):
-                inv_one_minus_phase(q)
+                inv_one_minus(q)
 
 
 # -- schoolbook Fraction reference for the integer kernel ---------------------

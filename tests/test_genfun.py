@@ -40,6 +40,7 @@ from .helpers import (
     galois_units,
     local_series,
     numerator,
+    phase_coeffs,
     phased_state,
     raw_terms,
     series_value,
@@ -236,7 +237,7 @@ class TestFinalUnivariate:
         st = make_state([(0, (1,))])
         (t,) = final_univariate(st, 1)
         assert t.poly == ParamPoly.one(1)
-        assert not any(t.phase.coeffs)
+        assert not any(phase_coeffs(t.phase))
         assert t.guards[0].form == AffineForm((1,), 0)
         assert t.guards[0].sense == GE_ZERO
 
@@ -254,11 +255,12 @@ class TestFinalUnivariate:
         st = make_state([(0, (2,)), (0, (4,))], m=1,
                         exps=(AffineForm((1,), 0),))
         terms = final_univariate(st, 1)
-        by_phase = {t.phase.coeffs[0]: t for t in terms}
+        by_phase = {phase_coeffs(t.phase)[0]: t for t in terms}
         assert sorted(by_phase) == [F(0), F(1, 4), F(1, 2)]
         assert by_phase[F(1, 4)].poly == ParamPoly.constant(1, F(1, 4))
         for theta in (F(1, 4), F(3, 4)):
-            t = {t.phase.coeffs[0]: t for t in all_root_terms(st)}[theta]
+            t = {phase_coeffs(t.phase)[0]: t
+                 for t in all_root_terms(st)}[theta]
             assert t.poly == ParamPoly.constant(1, F(1, 8))
 
     def test_mixed_pole_total_matches_series(self):

@@ -10,6 +10,8 @@ from itertools import permutations
 
 import pytest
 
+import vpf.oracle
+import vpf.pipeline
 from vpf import (
     AffineForm,
     DimensionMismatch,
@@ -136,6 +138,37 @@ class TestCheckPointed:
         y = check_pointed(spec)
         for c in spec.columns:
             assert sum(yi * ci for yi, ci in zip(y, c)) >= 1
+
+    def test_certificate_derived_once_per_spec(self, monkeypatch):
+        # Wrap fm_certificate wherever a module looks it up, so a module
+        # that derives the certificate itself is counted too.
+        calls = []
+        for module in (vpf.pipeline, vpf.oracle):
+            found = getattr(module, "fm_certificate", None)
+            if found is not None:
+                def counted(columns, found=found):
+                    calls.append(columns)
+                    return found(columns)
+                monkeypatch.setattr(module, "fm_certificate", counted)
+        spec = ProblemSpec.from_rows([(1, 2), (-1, 0)])
+        expr = compute(spec)
+        assert verify_box(spec, expr, (-2, -3), (6, 4)).ok
+        assert count_points(spec, (5, -1)) == evaluate(expr, (5, -1)) == 1
+        assert len(calls) == 1
+        assert check_pointed(spec) is spec.certificate
+        assert expr.report.certificate is spec.certificate
+        # The cached certificate is no field: equality is unchanged.
+        assert spec == ProblemSpec.from_rows([(1, 2), (-1, 0)])
+
+    def test_not_pointed_raises_on_every_call(self):
+        spec = ProblemSpec.from_rows([(1, -1), (2, -2)])
+        for _ in range(2):
+            for call in (lambda: check_pointed(spec), lambda: compute(spec),
+                         lambda: box_counts(spec, (0, 0), (2, 2)),
+                         lambda: count_points(spec, (0, 0))):
+                with pytest.raises(NotPointed):
+                    call()
+        assert "certificate" not in vars(spec)
 
 
 class TestNonnegativize:

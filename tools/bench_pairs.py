@@ -188,6 +188,8 @@ def main(argv=None) -> int:
     if not set(args.workloads) <= known:
         ap.error(f"unknown workload among {args.workloads}; known: "
                  f"{sorted(known)}")
+    if len(set(args.workloads)) < len(args.workloads):
+        ap.error(f"a workload is repeated in {args.workloads}")
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
     commit = subprocess.run(
         ["git", "rev-parse", "--short", f"{args.parent}^{{commit}}"],
