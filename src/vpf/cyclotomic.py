@@ -1,10 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 An element is a polynomial in zeta_N of degree < phi(N), reduced modulo the
-N-th cyclotomic polynomial Phi_N.  This canonical form makes equality
-decidable, which the elimination engine relies on for pole-collision
-detection.  Coefficients are held as integer numerators over one positive
-common denominator, in lowest terms; nothing here ever rounds.
+N-th cyclotomic polynomial Phi_N, a canonical form that makes equality
+decidable.  Its coefficients are integer numerators over one positive
+common denominator.  The field arithmetic is four kernels on such (level,
+nums, den) triples, which `Cyclotomic` wraps in lowest terms; nothing here
+ever rounds.
 """
 from __future__ import annotations
 
@@ -160,6 +161,72 @@ def _conjugate(n: int, num, u: int) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Kernels on triples (level, nums, den): phi(level) ints over den > 0 in the
+# reduced power basis, not always in lowest terms.  A product or sum lands at
+# the lcm of its operands' levels.
+
+
+def cyc_raise(x, m: int):
+    """The triple x at level m, a multiple of its level."""
+    level, nums, den = x
+    if m % level:
+        raise LevelMismatch(f"level {level} does not divide {m}")
+    _check_level(m)
+    if m == level:
+        return x
+    step = m // level
+    poly = [0] * ((len(nums) - 1) * step + 1)
+    poly[::step] = nums
+    return m, _reduce(m, poly), den
+
+
+def cyc_mul(x, y):
+    """The product of two triples; a rational operand only scales."""
+    if x[0] == 1:
+        x, y = y, x
+    if y[0] == 1:
+        q = y[1][0]
+        return x[0], [v * q for v in x[1]], x[2] * y[2]
+    n = lcm(x[0], y[0])
+    (_, a, da), (_, b, db) = cyc_raise(x, n), cyc_raise(y, n)
+    return n, _mul_mod(n, a, b), da * db
+
+
+def cyc_add(x, y):
+    """The sum of two triples."""
+    n = lcm(x[0], y[0])
+    (_, a, da), (_, b, db) = cyc_raise(x, n), cyc_raise(y, n)
+    den = lcm(da, db)
+    sa, sb = den // da, den // db
+    return n, [u * sa + v * sb for u, v in zip(a, b)], den
+
+
+def cyc_rotate(x, a: int, n: int):
+    """The triple x times zeta_n^a, at the lcm m of its level and the order
+    of zeta_n^a: its numerators raised and shifted mod x^m - 1, reduced."""
+    level, nums, den = x
+    g = gcd(a, n)
+    n //= g
+    if n == 1:
+        return x
+    m = lcm(level, n)
+    _check_level(m)
+    step, shift = m // level, a // g % n * (m // n)
+    c = [0] * m
+    c[:(len(nums) - 1) * step + 1:step] = nums
+    return m, _reduce(m, c[m - shift:] + c[:m - shift]), den
+
+
+def cyc_triple(x):
+    """The triple of a Cyclotomic, an int or a Fraction; None otherwise."""
+    if isinstance(x, Cyclotomic):
+        return x.level, x.num, x.den
+    if isinstance(x, (int, Fraction)):
+        return 1, (x.numerator,), x.denominator
+    return None
+
+
+# ---------------------------------------------------------------------------
 
 
 class Cyclotomic:
@@ -227,15 +294,8 @@ class Cyclotomic:
 
     def raise_level(self, m: int) -> "Cyclotomic":
         """Same field element represented at level m (level must divide m)."""
-        if m % self.level:
-            raise LevelMismatch(f"level {self.level} does not divide {m}")
-        _check_level(m)
-        if m == self.level:
-            return self
-        step = m // self.level
-        poly = [0] * ((len(self.num) - 1) * step + 1)
-        poly[::step] = self.num
-        return Cyclotomic._ints(m, _reduce(m, poly), self.den)
+        x = cyc_raise((self.level, self.num, self.den), m)
+        return self if m == self.level else Cyclotomic._ints(*x)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -251,27 +311,11 @@ class Cyclotomic:
 
     # -- field arithmetic --------------------------------------------------
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, Cyclotomic):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Cyclotomic._ints(1, (x.numerator,), x.denominator)
-        return None
-
-    def _common(self, other):
-        n = lcm(self.level, other.level)
-        return self.raise_level(n), other.raise_level(n)
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = cyc_triple(other)
         if other is None:
             return NotImplemented
-        a, b = self._common(other)
-        den = lcm(a.den, b.den)
-        sa, sb = den // a.den, den // b.den
-        return Cyclotomic._ints(
-            a.level, [x * sa + y * sb for x, y in zip(a.num, b.num)], den)
+        return Cyclotomic._ints(*cyc_add((self.level, self.num, self.den), other))
 
     __radd__ = __add__
 
@@ -279,27 +323,16 @@ class Cyclotomic:
         return Cyclotomic._ints(self.level, [-v for v in self.num], self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if cyc_triple(other) is None else self + -other
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = cyc_triple(other)
         if other is None:
             return NotImplemented
-        if self.level == 1:
-            self, other = other, self
-        if other.level == 1:  # scalar fast path
-            q = other.num[0]
-            return Cyclotomic._ints(
-                self.level, [v * q for v in self.num], self.den * other.den)
-        a, b = self._common(other)
-        return Cyclotomic._ints(
-            a.level, _mul_mod(a.level, a.num, b.num), a.den * b.den)
+        return Cyclotomic._ints(*cyc_mul((self.level, self.num, self.den), other))
 
     __rmul__ = __mul__
 
@@ -326,11 +359,8 @@ class Cyclotomic:
         return Cyclotomic._ints(n, _conjugate(n, self.num, u), self.den)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._common(other)
-        return a.num == b.num and a.den == b.den
+        diff = self - other  # the difference is canonical, so exactly zero
+        return diff if diff is NotImplemented else diff.is_zero()
 
     def __bool__(self):
         return not self.is_zero()
@@ -368,7 +398,7 @@ def root(a: int, n: int) -> Cyclotomic:
 
 @lru_cache(maxsize=None)
 def _root(a: int, n: int) -> Cyclotomic:
-    return Cyclotomic._ints(n, _reduce(n, [0] * a + [1]))
+    return Cyclotomic._ints(*cyc_rotate((1, (1,), 1), a, n))
 
 
 def cyc_from_phase(q) -> Cyclotomic:

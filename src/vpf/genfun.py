@@ -23,11 +23,14 @@ from math import comb, gcd, lcm
 
 from .cyclotomic import (
     Cyclotomic,
+    cyc_add,
     cyc_from_phase,
+    cyc_mul,
+    cyc_rotate,
+    cyc_triple,
     galois_group,
     inv_one_minus_root,
     least_conjugate,
-    root,
     unit_lift,
 )
 from .errors import DimensionMismatch, MatrixParseError, UnsupportedMultiplePole
@@ -105,11 +108,11 @@ def accumulate(state: GenFunState, guard: Guard, c=1, s=0, n=1):
     guards = state.guards
     if not guard.is_trivial() and guard not in guards:
         guards += (guard,)
-    scalar = state.scalar * c if c != 1 else state.scalar
+    x = cyc_triple(state.scalar)
+    if c != 1:
+        x = cyc_mul(x, cyc_triple(c))
     level = state.level * n
-    const = s * guard.form.const % level
-    if const:
-        scalar = scalar * root(const, level)
+    scalar = Cyclotomic._ints(*cyc_rotate(x, s * guard.form.const, level))
     phase = tuple((a * n + s * x) % level
                   for a, x in zip(state.phase, guard.form.coeffs))
     return phase, guards, scalar, level
@@ -122,8 +125,9 @@ def flip(state: GenFunState, k: int) -> GenFunState:
     new_factor = Factor(q, tuple(-e for e in f.exps), f.column)
     factors = state.factors[:k] + (new_factor,) + state.factors[k + 1:]
     exps = tuple(beta + v for beta, v in zip(state.exps, f.exps))
+    x = cyc_rotate(cyc_triple(-state.scalar), q, state.level)
     return GenFunState(exps, factors, state.phase, state.guards,
-                       state.scalar * -root(q, state.level), state.level)
+                       Cyclotomic._ints(*x), state.level)
 
 
 def _normalize_last(state: GenFunState) -> GenFunState:
@@ -215,26 +219,26 @@ def pfd_numerator(theta: int, factors, level: int) -> tuple[Cyclotomic, ...]:
             f"{Fraction(theta, level)} is not a root of any factor")
     # Product of the factors' inverses mod t^mu: divide the series in place
     # by g = g_0 - sum_{i>=1} h_i t^i, Q_j = (P_j + sum_i h_i Q_{j-i}) / g_0;
-    # the h_i are only formed when mu > 1.
-    prod = [Cyclotomic.one()] + [Cyclotomic.zero()] * (mu - 1)
+    # the h_i are only formed when mu > 1.  The series are triples.
+    prod = [(1, (1,), 1)] + [(1, (0,), 1)] * (mu - 1)
     for (q, n), hit in zip(factors, through):
         if hit and n == 1:
             continue
-        g0_inv = (Fraction(1, n) if hit
-                  else inv_one_minus_root(q - n * theta, level))
-        prod[0] = prod[0] * g0_inv
+        g0_inv = ((1, (1,), n) if hit
+                  else cyc_triple(inv_one_minus_root(q - n * theta, level)))
+        prod[0] = cyc_mul(prod[0], g0_inv)
         if hit:
-            h = [-root(i * theta, level) * comb(n, i + 1)
+            h = [cyc_rotate((1, (-comb(n, i + 1),), 1), i * theta, level)
                  for i in range(1, min(n, mu))]
         else:
-            h = [root(q - (n - i) * theta, level) * comb(n, i)
+            h = [cyc_rotate((1, (comb(n, i),), 1), q - (n - i) * theta, level)
                  for i in range(1, min(n + 1, mu))]
         for j in range(1, mu):
             acc = prod[j]
             for i, c in enumerate(h[:j], 1):
-                acc = acc + c * prod[j - i]
-            prod[j] = acc * g0_inv
-    return tuple(prod)
+                acc = cyc_add(acc, cyc_mul(c, prod[j - i]))
+            prod[j] = cyc_mul(acc, g0_inv)
+    return tuple(Cyclotomic._ints(*x) for x in prod)
 
 
 def final_univariate(state: GenFunState, l0: int) -> list[Term]:
@@ -311,14 +315,20 @@ def final_univariate(state: GenFunState, l0: int) -> list[Term]:
     terms = []
     for theta, rep, cw, s in reps:
         phase, guards, x, n = accumulate(rep, guard, cw, theta, lift)
-        t = -root(-theta, big)  # t at w = 0
-        mu = len(s)
-        poly = basis[mu - 1].scale(s[0] * x)
-        for k in range(1, mu):
-            x = x * t  # t^k times the scalar
-            poly = poly + basis[mu - 1 - k].scale(s[k] * x)
-        if not poly.is_zero():
-            terms.append(Term(PhaseForm(phase, n), poly, guards))
+        x = cyc_triple(x)
+        monos = {}  # poly's coefficients; a sum that cancels is dropped
+        for k, sk in enumerate(s):
+            if k:  # t^k times the scalar, t = -e(-theta) at w = 0
+                x = cyc_rotate((x[0], [-v for v in x[1]], x[2]), -theta, big)
+            sx = cyc_mul(cyc_triple(sk), x)
+            for e, b in basis[len(s) - 1 - k].items() if any(sx[1]) else ():
+                v = cyc_mul(cyc_triple(b), sx)
+                monos[e] = cyc_add(monos[e], v) if e in monos else v
+                if not any(monos[e][1]):
+                    del monos[e]
+        if monos:
+            terms.append(Term(PhaseForm(phase, n), ParamPoly(beta.arity, {
+                e: Cyclotomic._ints(*v) for e, v in monos.items()}), guards))
     return terms
 
 

@@ -29,6 +29,9 @@ def sequence(values, what: str, n: int | None = None) -> tuple:
 def int_vector(values, what: str, n: int | None = None) -> tuple[int, ...]:
     """Integers from outside input; a non-integer is rejected, never rounded,
     and so is a bool, although Python counts it as an int."""
+    if (type(values) is tuple and (n is None or len(values) == n)
+            and _EXACT_INT.issuperset(map(type, values))):
+        return values  # exact ints of the right length, as they are
     values = sequence(values, what, n)
     try:
         out = tuple(map(operator.index, values))
@@ -51,6 +54,7 @@ def rat_vector(values, what: str, n: int | None = None) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, values))
 
 
+_EXACT_INT = frozenset((int,))
 _INT_TEXT = re.compile(r"-?[0-9]+")
 _RAT_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 

@@ -116,8 +116,8 @@ class ParamPoly:
         clean = {}
         if monos:
             for exps, coeff in monos.items():
-                # An int is engine-made (binom_poly, from_affine): it skips
-                # the reader, which still rejects a bool or a float.
+                # An exact int skips the reader, which still rejects a bool
+                # or a float.
                 if type(coeff) is int:
                     coeff = Cyclotomic._ints(1, (coeff,))
                 elif not isinstance(coeff, Cyclotomic):
@@ -129,10 +129,6 @@ class ParamPoly:
     @classmethod
     def constant(cls, arity: int, coeff) -> "ParamPoly":
         return cls(arity, {(0,) * arity: coeff})
-
-    @classmethod
-    def one(cls, arity: int) -> "ParamPoly":
-        return cls.constant(arity, 1)
 
     @classmethod
     def from_affine(cls, f: AffineForm) -> "ParamPoly":
@@ -162,15 +158,6 @@ class ParamPoly:
         monos = dict(self._monos)
         for e, c in other._monos.items():
             monos[e] = monos[e] + c if e in monos else c
-        return ParamPoly(self.arity, monos)
-
-    def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        monos = {}
-        for e1, c1 in self._monos.items():
-            for e2, c2 in other._monos.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                monos[e] = monos[e] + c if e in monos else c
         return ParamPoly(self.arity, monos)
 
     def scale(self, c) -> "ParamPoly":
@@ -206,12 +193,20 @@ class ParamPoly:
 
 
 def binom_poly(j: int, beta: AffineForm) -> ParamPoly:
-    """binom(j + beta - 1, j) = beta(beta+1)...(beta+j-1)/j! as a ParamPoly."""
+    """binom(j + beta - 1, j) = beta(beta+1)...(beta+j-1)/j! as a ParamPoly,
+    multiplied out in ints over j!."""
     m = beta.arity
-    out = ParamPoly.one(m)
+    out = {(0,) * m: 1}
     for i in range(j):
-        out = out * ParamPoly.from_affine(beta + i)
-    return out if j < 2 else out.scale(Fraction(1, factorial(j)))
+        f = beta + i
+        grown: dict = {}
+        for e, v in out.items():
+            for k, c in enumerate(f.coeffs + (f.const,)):
+                e1 = e[:k] + (e[k] + 1,) + e[k + 1:] if k < m else e
+                grown[e1] = grown.get(e1, 0) + v * c
+        out = grown
+    return ParamPoly(m, {e: Cyclotomic._ints(1, (v,), factorial(j))
+                         for e, v in out.items()})
 
 
 GE_ZERO = "ge"

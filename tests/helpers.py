@@ -22,7 +22,9 @@ rationals.  `numerator` records a
 root's local series from `genfun.pfd_numerator` with its theta and beta;
 `constant_poly` is the partial-sum form of its numerator constant, the
 reference for the constants `engine_constants` reads off the Terms of
-`all_root_terms`.
+`all_root_terms`.  `pfd_numerator_objects` is the recurrence of
+`pfd_numerator` on `Cyclotomic` objects, the reference for the engine's on
+integer triples.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import cmath
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -500,6 +502,36 @@ class Numerator(NamedTuple):
     mult: int
     beta: AffineForm
     series: tuple
+
+
+def pfd_numerator_objects(theta: int, factors, level: int) -> tuple:
+    """`genfun.pfd_numerator` as it was written on `Cyclotomic` objects, one
+    object per operation: the reference for the engine's recurrence on
+    triples, entry by entry, level included."""
+    through = [(n * theta - q) % level == 0 for q, n in factors]
+    mu = sum(through)
+    if not mu:
+        raise ValueError(
+            f"{Fraction(theta, level)} is not a root of any factor")
+    prod = [Cyclotomic.one()] + [Cyclotomic.zero()] * (mu - 1)
+    for (q, n), hit in zip(factors, through):
+        if hit and n == 1:
+            continue
+        g0_inv = (Fraction(1, n) if hit
+                  else inv_one_minus_root(q - n * theta, level))
+        prod[0] = prod[0] * g0_inv
+        if hit:
+            h = [-root(i * theta, level) * comb(n, i + 1)
+                 for i in range(1, min(n, mu))]
+        else:
+            h = [root(q - (n - i) * theta, level) * comb(n, i)
+                 for i in range(1, min(n + 1, mu))]
+        for j in range(1, mu):
+            acc = prod[j]
+            for i, c in enumerate(h[:j], 1):
+                acc = acc + c * prod[j - i]
+            prod[j] = acc * g0_inv
+    return tuple(prod)
 
 
 def local_series(theta, factors) -> tuple:

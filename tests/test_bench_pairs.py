@@ -68,8 +68,9 @@ def test_layers_of_this_tree(bench_pairs):
     assert list(layers) == ["3x4 default order", "(1 7 11)", "Beck"]
     assert [v["summands"] for v in layers.values()] == [34, 3, 5]
     for v in layers.values():
-        assert list(v) == ["summands", "points", "rounds", "plan_ms",
-                           "evaluate_us", "box_counts_us"]
+        assert list(v) == ["summands", "points", "rounds", "compute_ms",
+                           "plan_ms", "evaluate_us", "box_counts_us"]
+        assert v["compute_ms"] > 0
         assert v["plan_ms"] > 0 and v["evaluate_us"] > 0
         assert v["box_counts_us"] > 0
 

@@ -22,6 +22,10 @@ from vpf import (
 from vpf.cyclotomic import DEFAULT_LEVEL_CAP
 from vpf.cyclotomic import _cyclo_poly as cyclotomic_polynomial
 from vpf.cyclotomic import (
+    cyc_add,
+    cyc_mul,
+    cyc_raise,
+    cyc_rotate,
     galois_group,
     inv_one_minus_root,
     least_conjugate,
@@ -370,6 +374,26 @@ class TestLevelCap:
                 with pytest.raises(LevelOverflow):
                     call()
 
+    def test_kernels_check_the_lcm(self):
+        # Levels 6 and 10 meet at 30, over the cap; 4 and 10 at 20, on it.
+        x4, x6, x10 = ((x.level, x.num, x.den) for x in (
+            cyc_from_phase(F(1, 4)), cyc_from_phase(F(1, 6)),
+            cyc_from_phase(F(1, 10))))
+        with level_cap(20):
+            for x, y in ((x6, x10), (x10, x6)):
+                for kernel in (cyc_mul, cyc_add):
+                    with pytest.raises(LevelOverflow):
+                        kernel(x, y)
+            for x, n in ((x6, 10), (x10, 6)):
+                with pytest.raises(LevelOverflow):
+                    cyc_rotate(x, 1, n)
+            with pytest.raises(LevelOverflow):
+                cyc_raise(x6, 30)
+            for x, y in ((x4, x10), (x10, x4)):
+                assert cyc_mul(x, y)[0] == cyc_add(x, y)[0] == 20
+            assert cyc_rotate(x4, 1, 10)[0] == cyc_rotate(x10, 1, 4)[0] == 20
+            assert cyc_raise(x4, 20)[0] == 20
+
     def test_cap_holds_on_warm_memos(self):
         # The uncapped compute fills the memos of every root it forms (the
         # cube roots of (1 1; 3 1)); the capped one must still refuse them.
@@ -572,6 +596,23 @@ class TestIntegerKernel:
             y = x.raise_level(n)
             assert y.level == n and y.coeffs == _ref_raise(x.coeffs, d, n)
             assert y == x
+
+    def test_rotation(self):
+        # x zeta_n^a by shift, fold and reduce, against the product with
+        # the root: the same value at the same level, lcm(d, order).
+        rng = random.Random(41)
+        for d, n in ((1, 12), (12, 12), (12, 90), (90, 4), (11, 13),
+                     (143, 13), (6, 35)):
+            x = _random_element(rng, d)
+            for a in (0, 1, -5, n // 2, 7 * n + 3):
+                level, nums, den = cyc_rotate((d, x.num, x.den), a, n)
+                want = x * root(a, n)
+                assert level == want.level
+                assert Cyclotomic(level, [F(v, den) for v in nums]) == want
+            level, nums, den = cyc_rotate((d, x.num, x.den), 1, n)
+            assert tuple(F(v, den) for v in nums) == _ref_mul(
+                _ref_raise(x.coeffs, d, level),
+                _ref_raise(root(1, n).coeffs, n, level), level)
 
     def test_zero_operand(self):
         # A zero at level > 1, made by cancellation or lifted to a common

@@ -40,6 +40,7 @@ from .helpers import (
     galois_units,
     local_series,
     numerator,
+    pfd_numerator_objects,
     phase_coeffs,
     phased_state,
     raw_terms,
@@ -236,7 +237,7 @@ class TestFinalUnivariate:
         # 1/((1-w) w^b) -> single term: poly 1, guard b >= 0.
         st = make_state([(0, (1,))])
         (t,) = final_univariate(st, 1)
-        assert t.poly == ParamPoly.one(1)
+        assert t.poly == ParamPoly.constant(1, 1)
         assert not any(phase_coeffs(t.phase))
         assert t.guards[0].form == AffineForm((1,), 0)
         assert t.guards[0].sense == GE_ZERO
@@ -309,8 +310,9 @@ class TestPfdNumerator:
     def test_trivial_single_pole(self):
         beta = AffineForm((0,), 0)
         num = numerator(F(0), [(F(0), 1)], beta)
-        assert engine_constants(beta, [(F(0), 1)]) == {F(0): ParamPoly.one(1)}
-        assert constant_poly(num) == ParamPoly.one(1)
+        assert engine_constants(beta, [(F(0), 1)]) == {
+            F(0): ParamPoly.constant(1, 1)}
+        assert constant_poly(num) == ParamPoly.constant(1, 1)
 
     def test_double_pole_numerator_coefficients(self):
         # (1-w)^2 group of 1/((1-w)^2 w^b): numerator b+1 - bw.
@@ -409,6 +411,33 @@ class TestPfdNumerator:
             for b in range(-4, 7):
                 assert a_whole.eval((b,)) == a_split.eval((b,))
         assert seen == {1, 2, 3, 4}
+
+    def test_matches_object_recurrence(self):
+        # Roots of multiplicity 1-3 among other factors, at divisors of 840
+        # up to 840 itself: every entry's value and level as on objects.
+        rng = random.Random(31)
+        levels = [d for d in range(2, 841) if 840 % d == 0]
+        seen = set()
+        for level in levels[-12:] + rng.sample(levels, 8):
+            theta = rng.randrange(level)
+            mu = rng.randint(1, 3)
+            factors = []
+            for _ in range(mu):
+                n = rng.randint(1, 3)
+                factors.append((n * theta % level, n))
+            while len(factors) < mu + 2:
+                q, n = rng.randrange(level), rng.randint(1, 4)
+                if (n * theta - q) % level:
+                    factors.append((q, n))
+            rng.shuffle(factors)
+            got = pfd_numerator(theta, factors, level)
+            want = pfd_numerator_objects(theta, factors, level)
+            assert len(got) == mu
+            assert [(x.level, x.num, x.den) for x in got] == [
+                (x.level, x.num, x.den) for x in want]
+            seen.add((mu, max(x.level for x in got)))
+        assert {mu for mu, _ in seen} == {1, 2, 3}
+        assert max(level for _, level in seen) == 840
 
     def test_theta_must_be_a_root(self):
         with pytest.raises(ValueError):

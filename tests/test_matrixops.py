@@ -135,6 +135,22 @@ class TestIntVector:
         assert int_vector([3, -1, 0], "row") == (3, -1, 0)
         assert int_vector(iter([2, 5]), "row") == (2, 5)
 
+    def test_tuple_of_exact_ints_passes_as_it_is(self):
+        row = (3, -1, 0)
+        assert int_vector(row, "row", 3) is row and int_vector(row, "row") is row
+
+    @pytest.mark.parametrize("values", [
+        (True, 1), (1, 2.0), (1, "2"), (1, 2, 3), (1,)], ids=repr)
+    def test_tuple_fast_path_keeps_the_checks(self, values):
+        with pytest.raises(MatrixParseError):
+            int_vector(values, "b", 2)
+
+    def test_int_subclass_read_as_int(self):
+        class Int(int):
+            pass
+        out = int_vector((Int(2), 3), "row", 2)
+        assert out == (2, 3) and type(out[0]) is int
+
     @pytest.mark.parametrize("values", [
         [True, 1], [1, False], [1.0], [F(1, 2)], ["2"], 5])
     def test_non_integers_rejected(self, values):

@@ -13,11 +13,12 @@ parent commit, the claim, a summary per workload and end-to-end metric
 (medians, the parent's quartiles, how many pairs the change won) and every
 pair's raw results, and one traced round (`--trace 1`, seed 1) per side
 and workload, and a `layers` key: for each side, on the 3x4 default
-order, `(1 7 11)` and Beck, the median time of building the evaluation
-kernel (`ResultExpr._plan`, in ms), of a warm `evaluate` per point (in
-us) and of the oracle `box_counts` per point of that input's benchmark box
-(in us), measured once per side, parent first, by `time_layers` in a fresh
-interpreter that imports `vpf` from that side's `src`.  Metric names and
+order, `(1 7 11)` and Beck, the median time of a warm `compute` (in ms), of
+building the evaluation kernel (`ResultExpr._plan`, in ms), of a warm
+`evaluate` per point (in us) and of the oracle `box_counts` per point of
+that input's benchmark box (in us), measured once per side, parent first,
+by `time_layers` in a fresh interpreter that imports `vpf` from that
+side's `src`.  Metric names and
 directions come from BENCHMARK.json.  Needs only git and the standard
 library.
 """
@@ -64,6 +65,7 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
 
 def time_layers() -> dict:
     """Per input of LAYER_INPUTS: the median over LAYER_ROUNDS of one
+    `compute` after a first one has filled the memos (`compute_ms`), of one
     kernel build on a copy of the expression that has none (`plan_ms`), of
     a warm `evaluate` per point over LAYER_POINTS seeded points in
     [-2, 30]^m (`evaluate_us`), and of the oracle `box_counts` per point of
@@ -78,8 +80,11 @@ def time_layers() -> dict:
         rng = random.Random(1)
         pts = [tuple(rng.randint(-2, 30) for _ in rows)
                for _ in range(LAYER_POINTS)]
-        builds, evals, oracle = [], [], []
+        computes, builds, evals, oracle = [], [], [], []
         for _ in range(LAYER_ROUNDS):
+            start = time.perf_counter()
+            compute(spec)
+            computes.append(time.perf_counter() - start)
             fresh = replace(expr)  # a new expression holds no kernel
             start = time.perf_counter()
             fresh._plan
@@ -93,6 +98,7 @@ def time_layers() -> dict:
             oracle.append((time.perf_counter() - start) / len(counts))
         out[name] = {"summands": len(expr.terms), "points": LAYER_POINTS,
                      "rounds": LAYER_ROUNDS,
+                     "compute_ms": statistics.median(computes) * 1e3,
                      "plan_ms": statistics.median(builds) * 1e3,
                      "evaluate_us": statistics.median(evals) * 1e6,
                      "box_counts_us": statistics.median(oracle) * 1e6}
@@ -244,8 +250,9 @@ def main(argv=None) -> int:
     for name in result["layers"]["change"]:
         old, new = (result["layers"][side][name]
                     for side in ("parent", "change"))
-        print(f"{name:18s} plan {old['plan_ms']:.3g} -> {new['plan_ms']:.3g} "
-              f"ms, evaluate {old['evaluate_us']:.3g} -> "
+        print(f"{name:18s} compute {old['compute_ms']:.3g} -> "
+              f"{new['compute_ms']:.3g} ms, plan {old['plan_ms']:.3g} -> "
+              f"{new['plan_ms']:.3g} ms, evaluate {old['evaluate_us']:.3g} -> "
               f"{new['evaluate_us']:.3g} us, box_counts "
               f"{old['box_counts_us']:.3g} -> "
               f"{new['box_counts_us']:.3g} us", file=sys.stderr)
