@@ -544,7 +544,7 @@ def orbit_table(modulus: int, parts, l0: int) -> tuple:
     integer product per nonzero a_i, added into a vector of h integers that
     is reduced once mod Phi_h; with h = 1 (an unphased spec) T is
     Ramanujan's sum and the entry is rational.  Rational entries are
-    Fractions, the others Cyclotomics at level N.
+    Fractions, the others Cyclotomics at level h = gcd(N, l0).
     """
     parts = [(k, c) for k, c in parts if c]
     if not parts:
@@ -568,7 +568,7 @@ def orbit_table(modulus: int, parts, l0: int) -> tuple:
                 t, e = period[(i + shift) % n]
                 acc[e] += v * t
         red = _reduce(h, acc) if h > 1 else acc
-        table.append(Cyclotomic._ints(h, red, den).raise_level(n)
+        table.append(Cyclotomic._ints(h, red, den)
                      if any(red[1:]) else Fraction(red[0], den))
     return tuple(table)
 

@@ -615,6 +615,3 @@ def constant_at(num, b) -> Cyclotomic:
     off the expanded polynomial rather than the engine's closed form."""
     return w_coeffs_at(num, b)[0]
 
-
-def phase_fraction(num, den):
-    return Fraction(num, den) % 1

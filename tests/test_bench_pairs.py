@@ -65,14 +65,19 @@ def test_medians_quartiles_and_wins(summarize):
 def test_layers_of_this_tree(bench_pairs):
     # The parent's side runs the same way, from its own tree's src.
     layers = bench_pairs.run_layers(PAIRS.parents[1])
-    assert list(layers) == ["3x4 default order", "(1 7 11)", "Beck"]
-    assert [v["summands"] for v in layers.values()] == [34, 3, 5]
-    for v in layers.values():
+    assert list(layers) == ["3x4 default order", "(1 7 11)", "Beck",
+                            "phased 3x5 order 021"]
+    assert [v["summands"] for v in layers.values()] == [34, 3, 5, 54]
+    for name, v in layers.items():
         assert list(v) == ["summands", "points", "rounds", "compute_ms",
                            "plan_ms", "evaluate_us", "box_counts_us"]
         assert v["compute_ms"] > 0
         assert v["plan_ms"] > 0 and v["evaluate_us"] > 0
-        assert v["box_counts_us"] > 0
+        # box_counts rejects a phased spec, so that input has no oracle time.
+        if name.startswith("phased"):
+            assert v["box_counts_us"] is None
+        else:
+            assert v["box_counts_us"] > 0
 
 
 def test_repeated_workload_rejected_before_any_run(bench_pairs, monkeypatch,

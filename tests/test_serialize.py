@@ -37,7 +37,7 @@ from vpf.serialize import (
     term_from_json,
 )
 
-from .helpers import phase_to_json, poly_to_json, term_to_json
+from .helpers import phase_to_json, poly_to_json, spec_level, term_to_json
 from .test_tables import BENCH_INPUTS, PHASED
 
 
@@ -384,12 +384,19 @@ PINNED_JSON = [
     pytest.param(ProblemSpec.from_rows([(1, 2, 3)],
                                        phases=(F(1, 3), F(1, 4), 0)),
                  None,
-                 "b02c5be85f3c930201f2f2eddb9b4baf63364517fb744a949ad3a7fda5c2b1d8",
+                 "c9e06d37a7846858e7fdf714d6441c3180428fbd406978248f0d808d65e7577a",
                  id="phased_1_2_3"),
     pytest.param(ProblemSpec.from_rows(M34, phases=(F(1, 2), 0, F(1, 3), F(3, 4))),
                  (2, 0, 1),
-                 "a72d32329fc628184a7d6eedf4b478f4053b9905194988d81b6f83b038213aeb",
+                 "bdf3266b857142a482d5516efaf54c9dd740400fe0488c9f863afc1410194054",
                  id="phased_3x4_order_201"),
+    # Eliminated exponents whose levels reach 840 over phases of level 12.
+    pytest.param(ProblemSpec.from_rows(
+                     [(0, -1, 1, 0, 2), (2, 2, 2, 1, -1), (0, -1, 2, 2, 2)],
+                     phases=(F(1, 4), F(5, 6), F(1, 4), F(1, 4), F(1, 2))),
+                 (0, 2, 1),
+                 "a82bee9b3ff8153b0895f824110523b0a5b117bd1f847b097ce237fade0aad2c",
+                 id="phased_3x5_order_021"),
 ]
 
 
@@ -399,3 +406,20 @@ def test_pinned_json_output(rows, order, digest):
     expr = compute(spec, order=order)
     text = json.dumps(expr_to_json(expr), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec, order", [
+    pytest.param(spec, order, id=p.id)
+    for p in PINNED_JSON for spec, order, _ in [p.values]
+    if isinstance(spec, ProblemSpec)])
+def test_phased_entries_and_values_stay_at_the_phase_level(spec, order):
+    # A table entry is a trace into Q(zeta_h) with h | L0, and is written
+    # there; so is a value, a sum of such entries times rationals.
+    l0 = spec_level(spec)
+    expr = compute(spec, order=order)
+    entries = [x for s in expr.terms for _, t in s.poly for x in t
+               if isinstance(x, Cyclotomic)]
+    values = [v for b in product(range(-1, 5), repeat=spec.m)
+              if isinstance(v := evaluate(expr, b), Cyclotomic)]
+    assert entries and values
+    assert all(l0 % x.level == 0 for x in entries + values)

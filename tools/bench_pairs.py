@@ -13,14 +13,14 @@ parent commit, the claim, a summary per workload and end-to-end metric
 (medians, the parent's quartiles, how many pairs the change won) and every
 pair's raw results, and one traced round (`--trace 1`, seed 1) per side
 and workload, and a `layers` key: for each side, on the 3x4 default
-order, `(1 7 11)` and Beck, the median time of a warm `compute` (in ms), of
-building the evaluation kernel (`ResultExpr._plan`, in ms), of a warm
-`evaluate` per point (in us) and of the oracle `box_counts` per point of
-that input's benchmark box (in us), measured once per side, parent first,
-by `time_layers` in a fresh interpreter that imports `vpf` from that
-side's `src`.  Metric names and
-directions come from BENCHMARK.json.  Needs only git and the standard
-library.
+order, `(1 7 11)`, Beck and a phased 3x5 spec, the median time of a warm
+`compute` (in ms), of building the evaluation kernel (`ResultExpr._plan`,
+in ms), of a warm `evaluate` per point (in us) and of the oracle
+`box_counts` per point of that input's benchmark box (in us; null for the
+phased spec, which `box_counts` rejects), measured once per side, parent
+first, by `time_layers` in a fresh interpreter that imports `vpf` from that
+side's `src`.  Metric names and directions come from BENCHMARK.json.  Needs
+only git and the standard library.
 """
 from __future__ import annotations
 
@@ -35,16 +35,23 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMAND = "python3 vpfbench/run.py --workload W --seed {} --seconds {:g} --trace {}"
-#: Each layer input's matrix and its `verify_box` box in vpfbench.
+#: Each layer input's matrix, column phases, elimination order (None for
+#: the default) and `verify_box` box in vpfbench (None for a phased spec).
 LAYER_INPUTS = {
-    "3x4 default order": (((1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)),
-                          ((0, 0, 0), (4, 4, 4))),
-    "(1 7 11)": (((1, 7, 11),), ((-6,), (160,))),
-    "Beck": (((1, 2, 1, 0), (1, 1, 0, 1)), ((0, 0), (20, 20))),
+    "3x4 default order": (((1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)), (),
+                          None, ((0, 0, 0), (4, 4, 4))),
+    "(1 7 11)": (((1, 7, 11),), (), None, ((-6,), (160,))),
+    "Beck": (((1, 2, 1, 0), (1, 1, 0, 1)), (), None, ((0, 0), (20, 20))),
+    # Eliminated exponents whose levels reach 840 over phases of level 12.
+    "phased 3x5 order 021": (
+        ((0, -1, 1, 0, 2), (2, 2, 2, 1, -1), (0, -1, 2, 2, 2)),
+        tuple(Fraction(*q) for q in ((1, 4), (5, 6), (1, 4), (1, 4), (1, 2))),
+        (0, 2, 1), None),
 }
 LAYER_ROUNDS = 7
 LAYER_POINTS = 500
@@ -69,21 +76,21 @@ def time_layers() -> dict:
     kernel build on a copy of the expression that has none (`plan_ms`), of
     a warm `evaluate` per point over LAYER_POINTS seeded points in
     [-2, 30]^m (`evaluate_us`), and of the oracle `box_counts` per point of
-    the input's box (`box_counts_us`).  Imports `vpf` from wherever
-    `sys.path` finds it."""
+    the input's box (`box_counts_us`, None without a box).  Imports `vpf`
+    from wherever `sys.path` finds it."""
     from vpf import ProblemSpec, compute, evaluate
     from vpf.oracle import box_counts
     out = {}
-    for name, (rows, (lo, hi)) in LAYER_INPUTS.items():
-        spec = ProblemSpec.from_rows(rows)
-        expr = compute(spec)
+    for name, (rows, phases, order, box) in LAYER_INPUTS.items():
+        spec = ProblemSpec.from_rows(rows, phases)
+        expr = compute(spec, order)
         rng = random.Random(1)
         pts = [tuple(rng.randint(-2, 30) for _ in rows)
                for _ in range(LAYER_POINTS)]
         computes, builds, evals, oracle = [], [], [], []
         for _ in range(LAYER_ROUNDS):
             start = time.perf_counter()
-            compute(spec)
+            compute(spec, order)
             computes.append(time.perf_counter() - start)
             fresh = replace(expr)  # a new expression holds no kernel
             start = time.perf_counter()
@@ -93,15 +100,17 @@ def time_layers() -> dict:
             for b in pts:
                 evaluate(fresh, b)
             evals.append((time.perf_counter() - start) / LAYER_POINTS)
-            start = time.perf_counter()
-            counts = box_counts(spec, lo, hi)
-            oracle.append((time.perf_counter() - start) / len(counts))
+            if box:
+                start = time.perf_counter()
+                counts = box_counts(spec, *box)
+                oracle.append((time.perf_counter() - start) / len(counts))
         out[name] = {"summands": len(expr.terms), "points": LAYER_POINTS,
                      "rounds": LAYER_ROUNDS,
                      "compute_ms": statistics.median(computes) * 1e3,
                      "plan_ms": statistics.median(builds) * 1e3,
                      "evaluate_us": statistics.median(evals) * 1e6,
-                     "box_counts_us": statistics.median(oracle) * 1e6}
+                     "box_counts_us": statistics.median(oracle) * 1e6
+                     if oracle else None}
     return out
 
 
@@ -250,12 +259,14 @@ def main(argv=None) -> int:
     for name in result["layers"]["change"]:
         old, new = (result["layers"][side][name]
                     for side in ("parent", "change"))
-        print(f"{name:18s} compute {old['compute_ms']:.3g} -> "
+        oracle = " -> ".join("-" if v["box_counts_us"] is None
+                             else f"{v['box_counts_us']:.3g}"
+                             for v in (old, new))
+        print(f"{name:20s} compute {old['compute_ms']:.3g} -> "
               f"{new['compute_ms']:.3g} ms, plan {old['plan_ms']:.3g} -> "
               f"{new['plan_ms']:.3g} ms, evaluate {old['evaluate_us']:.3g} -> "
-              f"{new['evaluate_us']:.3g} us, box_counts "
-              f"{old['box_counts_us']:.3g} -> "
-              f"{new['box_counts_us']:.3g} us", file=sys.stderr)
+              f"{new['evaluate_us']:.3g} us, box_counts {oracle} us",
+              file=sys.stderr)
     return 0
 
 
