@@ -3,9 +3,9 @@
 An element is a polynomial in zeta_N of degree < phi(N), reduced modulo the
 N-th cyclotomic polynomial Phi_N, a canonical form that makes equality
 decidable.  Its coefficients are integer numerators over one positive
-common denominator.  The field arithmetic is four kernels on such (level,
-nums, den) triples, which `Cyclotomic` wraps in lowest terms; nothing here
-ever rounds.
+common denominator.  The field arithmetic is six kernels on such (level,
+nums, den) triples, which the engine chains as they are and `Cyclotomic`
+wraps in lowest terms; nothing here ever rounds.
 """
 from __future__ import annotations
 
@@ -151,15 +151,6 @@ def _mul_mod(n: int, a, b) -> list:
     return _reduce(n, c)
 
 
-def _conjugate(n: int, num, u: int) -> list:
-    """The numerators of sigma_u(sum_i num[i] zeta_n^i) mod Phi_n: each
-    power i moves to i * u mod n."""
-    c = [0] * n
-    for i, v in enumerate(num):
-        c[i * u % n] = v
-    return _reduce(n, c)
-
-
 # ---------------------------------------------------------------------------
 # Kernels on triples (level, nums, den): phi(level) ints over den > 0 in the
 # reduced power basis, not always in lowest terms.  A product or sum lands at
@@ -217,6 +208,26 @@ def cyc_rotate(x, a: int, n: int):
     return m, _reduce(m, c[m - shift:] + c[:m - shift]), den
 
 
+def cyc_galois(x, u: int):
+    """sigma_u(x), the conjugate of the triple x under zeta -> zeta^u, for
+    an integer u coprime to its level: each power i of zeta moves to
+    i * u mod the level, so only u mod the level matters."""
+    n, nums, den = x
+    if u % n == 1 % n:
+        return x
+    c = [0] * n
+    for i, v in enumerate(nums):
+        c[i * u % n] = v
+    return n, _reduce(n, c), den
+
+
+def cyc_lowest(x):
+    """The triple x in lowest terms, gcd(nums, den) = 1."""
+    level, nums, den = x
+    g = gcd(den, *nums)
+    return x if g == 1 else (level, [v // g for v in nums], den // g)
+
+
 def cyc_triple(x):
     """The triple of a Cyclotomic, an int or a Fraction; None otherwise."""
     if isinstance(x, Cyclotomic):
@@ -250,10 +261,7 @@ class Cyclotomic:
         self._set(level, _reduce(level, num), den)
 
     def _set(self, level, num, den) -> None:
-        g = gcd(den, *num)
-        if g != 1:
-            num = [v // g for v in num]
-            den //= g
+        level, num, den = cyc_lowest((level, num, den))
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
@@ -344,7 +352,8 @@ class Cyclotomic:
             raise ZeroDivisionError("inverse of zero cyclotomic")
         n = self.level
         conjs = [[1] + [0] * (len(self.num) - 1)] + [
-            _conjugate(n, self.num, k) for k in range(2, n) if gcd(k, n) == 1]
+            cyc_galois((n, self.num, 1), k)[1]
+            for k in range(2, n) if gcd(k, n) == 1]
         while len(conjs) > 1:  # oldest two first: operands grow alike
             conjs.append(_mul_mod(n, conjs.pop(0), conjs.pop(0)))
         rest = Cyclotomic._ints(n, conjs[0])
@@ -353,10 +362,7 @@ class Cyclotomic:
     def galois(self, u: int) -> "Cyclotomic":
         """sigma_u(self), the conjugate under zeta -> zeta^u, for an integer
         u coprime to the level; only u mod the level matters."""
-        n = self.level
-        if u % n == 1 % n:
-            return self
-        return Cyclotomic._ints(n, _conjugate(n, self.num, u), self.den)
+        return Cyclotomic._ints(*cyc_galois((self.level, self.num, self.den), u))
 
     def __eq__(self, other):
         diff = self - other  # the difference is canonical, so exactly zero
@@ -387,27 +393,20 @@ class Cyclotomic:
         return f"Cyclotomic({self.level}, '{self}')"
 
 
-def root(a: int, n: int) -> Cyclotomic:
-    """e(a/n) = zeta_n^a for integers a and n >= 1, memoised on a/n in
-    lowest terms; the level cap is checked on every call, memo or not."""
-    g = gcd(a, n)
-    n //= g
-    _check_level(n)
-    return _root(a // g % n, n)
-
-
 @lru_cache(maxsize=None)
 def _root(a: int, n: int) -> Cyclotomic:
     return Cyclotomic._ints(*cyc_rotate((1, (1,), 1), a, n))
 
 
 def cyc_from_phase(q) -> Cyclotomic:
-    """e(q) = exp(2*pi*i*q) for rational q: `root` of its numerator and
-    denominator.  A q that is not a Fraction is read like outside input, so
-    a float, a bool or a string is rejected."""
+    """e(q) = exp(2*pi*i*q) for rational q, memoised on q mod 1 with the
+    level cap checked on every call; a q that is not a Fraction is read like
+    outside input, so a float, a bool or a string is rejected."""
     if not isinstance(q, Fraction):
         (q,) = rat_vector((q,), "phase")
-    return root(q.numerator, q.denominator)
+    n = q.denominator
+    _check_level(n)
+    return _root(q.numerator % n, n)
 
 
 def least_conjugate(w, n: int, h: int = 1) -> tuple[tuple[int, ...], int]:
@@ -573,9 +572,10 @@ def orbit_table(modulus: int, parts, l0: int) -> tuple:
     return tuple(table)
 
 
-def inv_one_minus_root(a: int, n: int) -> Cyclotomic:
-    """1/(1 - e(a/n)) in closed form, memoised on a/n in lowest terms; the
-    level cap is checked on every call.
+def inv_one_minus_root(a: int, n: int):
+    """The triple of 1/(1 - e(a/n)) in closed form and lowest terms,
+    memoised on a/n in lowest terms; the level cap is checked on every
+    call.
 
     For x = e(a/n) of order n > 1, sum_{j<n} j x^j = n/(x - 1), so
     1/(1 - x) = -(1/n) sum_{j<n} j x^j; no Euclid runs.
@@ -589,8 +589,9 @@ def inv_one_minus_root(a: int, n: int) -> Cyclotomic:
 
 
 @lru_cache(maxsize=None)
-def _inv_one_minus_root(a: int, n: int) -> Cyclotomic:
+def _inv_one_minus_root(a: int, n: int):
     c = [0] * n
     for j in range(1, n):
         c[a * j % n] = -j
-    return Cyclotomic._ints(n, _reduce(n, c), n)
+    level, nums, den = cyc_lowest((n, _reduce(n, c), n))
+    return level, tuple(nums), den

@@ -2,8 +2,10 @@
 
 A GenFunState is z^{-beta(b)} * prod 1/(1 - e(a_k / N) z^{v_k}) times a
 phase and a constant scalar under guards.  Every phase is an integer
-numerator over the state's level N, so the engine does no rational
-bookkeeping.  One elimination step rewrites the constant-term functional
+numerator over the state's level N, and every number is an integer triple
+(level, nums, den) of the `cyclotomic` kernels, so the engine does no
+rational bookkeeping and builds a Cyclotomic only for a Term's
+coefficient.  One elimination step rewrites the constant-term functional
 over the last active variable as child states with one variable fewer, each
 moved by `accumulate`; the univariate stage resolves arbitrary pole
 multiplicities into closed Terms, each root's local series times the
@@ -19,12 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd, lcm
 
 from .cyclotomic import (
     Cyclotomic,
     cyc_add,
     cyc_from_phase,
+    cyc_galois,
+    cyc_lowest,
     cyc_mul,
     cyc_rotate,
     cyc_triple,
@@ -45,6 +50,8 @@ from .params import (
     Term,
     binom_poly,
 )
+
+ONE = (1, (1,), 1)  # the triple of 1
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,8 @@ class GenFunState:
     """z^{-beta(b)} prod_k 1/(1 - e(a_k / N) z^{v_k}) times
     e(phase . b / N) * scalar where every guard holds, 0 elsewhere.  `exps`
     are the exponents beta, one per active variable; forms, guards and phase
-    refer to all m parameters.  The scalar is constant in b.
+    refer to all m parameters.  The scalar, constant in b, is a triple
+    (level, nums, den) kept in lowest terms.
 
     N = `level`, and the factor phases a_k and the phase numerators lie in
     [0, N).  N is kept canonical, gcd(N, a_k, phase) = 1, so equal states
@@ -79,12 +87,14 @@ class GenFunState:
     factors: tuple[Factor, ...]
     phase: tuple[int, ...] | None = None
     guards: tuple[Guard, ...] = ()
-    scalar: Cyclotomic = field(default_factory=Cyclotomic.one)
+    scalar: tuple = ONE
     level: int = 1
 
     def __post_init__(self):
         if self.phase is None:
             object.__setattr__(self, "phase", (0,) * self.exps[0].arity)
+        level, nums, den = cyc_lowest(self.scalar)
+        object.__setattr__(self, "scalar", (level, tuple(nums), den))
         n = self.level
         nums = [f.phase for f in self.factors] + list(self.phase)
         if n < 1 or nums and not 0 <= min(nums) <= max(nums) < n:
@@ -101,18 +111,17 @@ class GenFunState:
         return len(self.exps)
 
 
-def accumulate(state: GenFunState, guard: Guard, c=1, s=0, n=1):
+def accumulate(state: GenFunState, guard: Guard, c=ONE, s=0, n=1):
     """(phase, guards, scalar, level) of `state` times c * e(s beta(b) / M)
     under `guard` on beta = guard.form, with M = n N: the phase is lifted to
-    level M and the constant part of s beta goes to the scalar."""
+    level M and the constant part of s beta goes to the scalar.  The
+    constant c is a triple, and so is the scalar, in lowest terms."""
     guards = state.guards
     if not guard.is_trivial() and guard not in guards:
         guards += (guard,)
-    x = cyc_triple(state.scalar)
-    if c != 1:
-        x = cyc_mul(x, cyc_triple(c))
+    x = state.scalar if c is ONE else cyc_mul(state.scalar, c)
     level = state.level * n
-    scalar = Cyclotomic._ints(*cyc_rotate(x, s * guard.form.const, level))
+    scalar = cyc_lowest(cyc_rotate(x, s * guard.form.const, level))
     phase = tuple((a * n + s * x) % level
                   for a, x in zip(state.phase, guard.form.coeffs))
     return phase, guards, scalar, level
@@ -125,9 +134,8 @@ def flip(state: GenFunState, k: int) -> GenFunState:
     new_factor = Factor(q, tuple(-e for e in f.exps), f.column)
     factors = state.factors[:k] + (new_factor,) + state.factors[k + 1:]
     exps = tuple(beta + v for beta, v in zip(state.exps, f.exps))
-    x = cyc_rotate(cyc_triple(-state.scalar), q, state.level)
-    return GenFunState(exps, factors, state.phase, state.guards,
-                       Cyclotomic._ints(*x), state.level)
+    x = cyc_rotate(cyc_mul(state.scalar, (1, (-1,), 1)), q, state.level)
+    return GenFunState(exps, factors, state.phase, state.guards, x, state.level)
 
 
 def _normalize_last(state: GenFunState) -> GenFunState:
@@ -170,14 +178,13 @@ def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
         fk = state.factors[k]
         n = fk.exps[w]
         m = level * n
-        inv_n = Fraction(1, n)
         exps = tuple(n * state.exps[j] - fk.exps[j] * beta_w for j in range(w))
         others = [(ft, tuple(n * ft.exps[j] - ft.exps[w] * fk.exps[j]
                              for j in range(w)))
                   for t, ft in enumerate(state.factors) if t != k]
         for l in range(n):
             s = l * level - fk.phase
-            c = inv_n
+            c = (1, (1,), n)
             factors = []
             for ft, v2 in others:
                 q2 = (ft.phase * n + ft.exps[w] * s) % m
@@ -194,15 +201,16 @@ def eliminate_last_var(state: GenFunState) -> list[GenFunState]:
                         + (f", input columns {cols[0]} and {cols[1]}"
                            if len(cols) == 2 else ""))
                 else:
-                    c = c * inv_one_minus_root(q2, m)
+                    c = cyc_lowest(cyc_mul(c, inv_one_minus_root(q2, m)))
             children.append(GenFunState(exps, tuple(factors), *accumulate(
                 state, guard, c, -s, n)))
     return children
 
 
-def pfd_numerator(theta: int, factors, level: int) -> tuple[Cyclotomic, ...]:
+def pfd_numerator(theta: int, factors, level: int) -> tuple:
     """Local series of the group (1 - e(theta) w)^mu in the decomposition of
-    1/prod_k (1 - e(q_k) w^{n_k}): its coefficients s_0..s_{mu-1} in t.
+    1/prod_k (1 - e(q_k) w^{n_k}): its coefficients s_0..s_{mu-1} in t, as
+    triples in lowest terms.
 
     Phases are integer numerators over `level` R: theta stands for
     theta / R, and `factors` lists the (q_k, n_k) pairs, n_k > 0; mu counts
@@ -219,13 +227,13 @@ def pfd_numerator(theta: int, factors, level: int) -> tuple[Cyclotomic, ...]:
             f"{Fraction(theta, level)} is not a root of any factor")
     # Product of the factors' inverses mod t^mu: divide the series in place
     # by g = g_0 - sum_{i>=1} h_i t^i, Q_j = (P_j + sum_i h_i Q_{j-i}) / g_0;
-    # the h_i are only formed when mu > 1.  The series are triples.
-    prod = [(1, (1,), 1)] + [(1, (0,), 1)] * (mu - 1)
+    # the h_i are only formed when mu > 1.
+    prod = [ONE] + [(1, (0,), 1)] * (mu - 1)
     for (q, n), hit in zip(factors, through):
         if hit and n == 1:
             continue
         g0_inv = ((1, (1,), n) if hit
-                  else cyc_triple(inv_one_minus_root(q - n * theta, level)))
+                  else inv_one_minus_root(q - n * theta, level))
         prod[0] = cyc_mul(prod[0], g0_inv)
         if hit:
             h = [cyc_rotate((1, (-comb(n, i + 1),), 1), i * theta, level)
@@ -238,7 +246,7 @@ def pfd_numerator(theta: int, factors, level: int) -> tuple[Cyclotomic, ...]:
             for i, c in enumerate(h[:j], 1):
                 acc = cyc_add(acc, cyc_mul(c, prod[j - i]))
             prod[j] = cyc_mul(acc, g0_inv)
-    return tuple(Cyclotomic._ints(*x) for x in prod)
+    return tuple(map(cyc_lowest, prod))
 
 
 def final_univariate(state: GenFunState, l0: int) -> list[Term]:
@@ -265,17 +273,17 @@ def final_univariate(state: GenFunState, l0: int) -> list[Term]:
 
     # Factors free of w are constants, folded into the scalar.
     factors = []
-    c = 1
+    c = ONE
     for f in state.factors:
         if f.exps[0]:
             factors.append((f.phase, f.exps[0]))
         else:
-            c = c * inv_one_minus_root(f.phase, level)
+            c = cyc_lowest(cyc_mul(c, inv_one_minus_root(f.phase, level)))
 
     if not factors:
         phase, guards, scalar, n = accumulate(state, Guard(beta, EQ_ZERO), c)
-        return [Term(PhaseForm(phase, n),
-                     ParamPoly.constant(beta.arity, scalar), guards)]
+        return [Term(PhaseForm(phase, n), ParamPoly.constant(
+            beta.arity, Cyclotomic._ints(*scalar)), guards)]
 
     lift = lcm(*(n for _, n in factors))
     big = level * lift
@@ -296,31 +304,27 @@ def final_univariate(state: GenFunState, l0: int) -> list[Term]:
         n1 = big // gcd(theta, big)
         units = galois_group(n1, fixed)
         seen.update(u * theta % big for u in units)
-        if fixed % x.level == 0:
+        if fixed % x[0] == 0:
             # Every conjugate of x is x: the sum is a factor of the constant.
-            rep, weight = state, len(units)
+            rep, cw = state, cyc_lowest(cyc_mul(c, (1, (len(units),), 1)))
         else:
-            trace = sum((x.galois(unit_lift(u, n1, fixed, x.level))
-                         for u in units), Cyclotomic.zero())
-            if trace.is_zero():
+            trace = reduce(cyc_add, (cyc_galois(
+                x, unit_lift(u, n1, fixed, x[0])) for u in units))
+            if not any(trace[1]):
                 continue
-            rep, weight = replace(state, scalar=trace), 1
-        reps.append((theta, rep, c * weight,
-                     pfd_numerator(theta, factors, big)))
-    if not reps:
-        return []
+            rep, cw = replace(state, scalar=trace), c
+        reps.append((theta, rep, cw, pfd_numerator(theta, factors, big)))
     basis = [binom_poly(r, beta + 1)
-             for r in range(max(len(s) for *_, s in reps))]
+             for r in range(max((len(s) for *_, s in reps), default=0))]
     guard = Guard(beta, GE_ZERO)
     terms = []
     for theta, rep, cw, s in reps:
         phase, guards, x, n = accumulate(rep, guard, cw, theta, lift)
-        x = cyc_triple(x)
         monos = {}  # poly's coefficients; a sum that cancels is dropped
         for k, sk in enumerate(s):
             if k:  # t^k times the scalar, t = -e(-theta) at w = 0
-                x = cyc_rotate((x[0], [-v for v in x[1]], x[2]), -theta, big)
-            sx = cyc_mul(cyc_triple(sk), x)
+                x = cyc_rotate(cyc_mul(x, (1, (-1,), 1)), -theta, big)
+            sx = cyc_mul(sk, x)
             for e, b in basis[len(s) - 1 - k].items() if any(sx[1]) else ():
                 v = cyc_mul(cyc_triple(b), sx)
                 monos[e] = cyc_add(monos[e], v) if e in monos else v
@@ -349,14 +353,12 @@ def _merge_states(states, l0: int) -> list[GenFunState]:
         n = st.level
         w = tuple(f.phase for f in st.factors) + st.phase
         v, u = least_conjugate(w, n, gcd(n, l0))
-        x = st.scalar
-        if u != 1:
-            x = x.galois(unit_lift(u, n, l0, x.level))
+        x = cyc_galois(st.scalar, unit_lift(u, n, l0, st.scalar[0]))
         key = (st.exps, tuple(f.exps for f in st.factors), v, n,
                frozenset(st.guards))
         entry = merged.get(key)
         if entry is not None:
-            entry[1] = entry[1] + x
+            entry[1] = cyc_add(entry[1], x)
             continue
         if u != 1:
             k = len(st.factors)
@@ -365,7 +367,7 @@ def _merge_states(states, l0: int) -> list[GenFunState]:
                 v[k:], st.guards, x, n)
         merged[key] = [st, x]
     return [st if x is st.scalar else replace(st, scalar=x)
-            for st, x in merged.values() if not x.is_zero()]
+            for st, x in merged.values() if any(x[1])]
 
 
 def expand(normalized, phases, order) -> list[Term]:

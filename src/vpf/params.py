@@ -130,17 +130,6 @@ class ParamPoly:
     def constant(cls, arity: int, coeff) -> "ParamPoly":
         return cls(arity, {(0,) * arity: coeff})
 
-    @classmethod
-    def from_affine(cls, f: AffineForm) -> "ParamPoly":
-        m = f.arity
-        monos = {}
-        for i, c in enumerate(f.coeffs):
-            if c:
-                monos[tuple(1 if j == i else 0 for j in range(m))] = c
-        if f.const:
-            monos[(0,) * m] = f.const
-        return cls(m, monos)
-
     def items(self):
         return self._monos.items()
 
@@ -153,12 +142,6 @@ class ParamPoly:
                 f"expected {self.arity} parameters, got {len(b)}")
         return sum((coeff * prod(x**e for x, e in zip(b, exps))
                     for exps, coeff in self._monos.items()), Cyclotomic.zero())
-
-    def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        monos = dict(self._monos)
-        for e, c in other._monos.items():
-            monos[e] = monos[e] + c if e in monos else c
-        return ParamPoly(self.arity, monos)
 
     def scale(self, c) -> "ParamPoly":
         return ParamPoly(self.arity, {e: v * c for e, v in self._monos.items()})

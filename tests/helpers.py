@@ -18,7 +18,8 @@ and `difference_residual` checks `evaluate` against the difference
 equation that phi_A satisfies, at any b, phased specs included.
 `phased_state` builds an engine state from rational factor phases;
 `state_phase` and `phase_coeffs` read a state's or a term's phase back as
-rationals.  `numerator` records a
+rationals; `poly_from_affine` and `poly_add` build the ParamPolys the
+references compare against.  `numerator` records a
 root's local series from `genfun.pfd_numerator` with its theta and beta;
 `constant_poly` is the partial-sum form of its numerator constant, the
 reference for the constants `engine_constants` reads off the Terms of
@@ -54,7 +55,7 @@ from vpf import (
     evaluate,
     pfd_numerator,
 )
-from vpf.cyclotomic import inv_one_minus_root, root
+from vpf.cyclotomic import cyc_triple, inv_one_minus_root
 from vpf.genfun import _normalize_last, accumulate, expand
 from vpf.matrixops import fm_certificate
 from vpf.params import EQ_ZERO, GE_ZERO
@@ -183,6 +184,26 @@ def phase_coeffs(phase: PhaseForm) -> tuple:
     return tuple(Fraction(a, phase.level) for a in phase.nums)
 
 
+def poly_from_affine(f: AffineForm) -> ParamPoly:
+    """The affine form f as a ParamPoly of degree <= 1."""
+    m = f.arity
+    monos = {}
+    for i, c in enumerate(f.coeffs):
+        if c:
+            monos[tuple(1 if j == i else 0 for j in range(m))] = c
+    if f.const:
+        monos[(0,) * m] = f.const
+    return ParamPoly(m, monos)
+
+
+def poly_add(p: ParamPoly, q: ParamPoly) -> ParamPoly:
+    """p + q, monomial by monomial; a sum that cancels is dropped."""
+    monos = dict(p.items())
+    for e, c in q.items():
+        monos[e] = monos[e] + c if e in monos else c
+    return ParamPoly(p.arity, monos)
+
+
 def series_value(state: GenFunState, b) -> Cyclotomic:
     """Constant-term contribution of a state at concrete b, by expanding every
     factor as a geometric series in its standard-expansion direction: 0 if a
@@ -208,7 +229,7 @@ def series_value(state: GenFunState, b) -> Cyclotomic:
     for ph, cnt in _phase_counts(dirs, goal).items():
         total = total + cyc_from_phase(ph) * cnt
     phase = sum(map(mul, state_phase(state), b), phase_const)
-    return (cyc_from_phase(phase) * state.scalar
+    return (cyc_from_phase(phase) * Cyclotomic._ints(*state.scalar)
             * total * sign)
 
 
@@ -342,26 +363,29 @@ def all_root_terms(state: GenFunState) -> list:
         if f.exps[0]:
             factors.append((f.phase, f.exps[0]))
         else:
-            c = c * inv_one_minus_root(f.phase, level)
+            c = c * Cyclotomic._ints(*inv_one_minus_root(f.phase, level))
     if not factors:
-        phase, guards, scalar, n = accumulate(state, Guard(beta, EQ_ZERO), c)
-        return [Term(PhaseForm(phase, n),
-                     ParamPoly.constant(beta.arity, scalar), guards)]
+        phase, guards, scalar, n = accumulate(
+            state, Guard(beta, EQ_ZERO), cyc_triple(c))
+        return [Term(PhaseForm(phase, n), ParamPoly.constant(
+            beta.arity, Cyclotomic._ints(*scalar)), guards)]
     lift = lcm(*(n for _, n in factors))
     big = level * lift
     factors = [(q * lift, n) for q, n in factors]
     roots = {(q - l * big) // n % big for q, n in factors for l in range(n)}
     terms = []
     for theta in sorted(roots):
-        s = pfd_numerator(theta, factors, big)
+        s = [Cyclotomic._ints(*x) for x in pfd_numerator(theta, factors, big)]
         phase, guards, x, n = accumulate(
-            state, Guard(beta, GE_ZERO), c, theta, lift)
-        t = -root(-theta, big)
+            state, Guard(beta, GE_ZERO), cyc_triple(c), theta, lift)
+        x = Cyclotomic._ints(*x)
+        t = -cyc_from_phase(Fraction(-theta, big))
         mu = len(s)
         poly = binom_poly(mu - 1, beta + 1).scale(s[0] * x)
         for k in range(1, mu):
             x = x * t
-            poly = poly + binom_poly(mu - 1 - k, beta + 1).scale(s[k] * x)
+            poly = poly_add(
+                poly, binom_poly(mu - 1 - k, beta + 1).scale(s[k] * x))
         if not poly.is_zero():
             terms.append(Term(PhaseForm(phase, n), poly, guards))
     return terms
@@ -517,15 +541,15 @@ def pfd_numerator_objects(theta: int, factors, level: int) -> tuple:
     for (q, n), hit in zip(factors, through):
         if hit and n == 1:
             continue
-        g0_inv = (Fraction(1, n) if hit
-                  else inv_one_minus_root(q - n * theta, level))
+        g0_inv = (Fraction(1, n) if hit else Cyclotomic._ints(
+            *inv_one_minus_root(q - n * theta, level)))
         prod[0] = prod[0] * g0_inv
         if hit:
-            h = [-root(i * theta, level) * comb(n, i + 1)
+            h = [-cyc_from_phase(Fraction(i * theta, level)) * comb(n, i + 1)
                  for i in range(1, min(n, mu))]
         else:
-            h = [root(q - (n - i) * theta, level) * comb(n, i)
-                 for i in range(1, min(n + 1, mu))]
+            h = [cyc_from_phase(Fraction(q - (n - i) * theta, level))
+                 * comb(n, i) for i in range(1, min(n + 1, mu))]
         for j in range(1, mu):
             acc = prod[j]
             for i, c in enumerate(h[:j], 1):
@@ -536,11 +560,12 @@ def pfd_numerator_objects(theta: int, factors, level: int) -> tuple:
 
 def local_series(theta, factors) -> tuple:
     """`pfd_numerator` for rational theta and (q_k, n_k) pairs of rational
-    q_k, read as numerators over the lcm of their denominators."""
+    q_k, read as numerators over the lcm of their denominators, its series
+    read as Cyclotomics."""
     level = lcm(theta.denominator, *(Fraction(q).denominator for q, _ in factors))
-    return pfd_numerator(
+    return tuple(Cyclotomic._ints(*x) for x in pfd_numerator(
         theta.numerator * (level // theta.denominator),
-        [(int(q * level), n) for q, n in factors], level)
+        [(int(q * level), n) for q, n in factors], level))
 
 
 def numerator(theta, factors, beta) -> Numerator:
@@ -606,7 +631,7 @@ def constant_poly(num) -> ParamPoly:
         partial.append(partial[-1] + c * power)
     out = ParamPoly(num.beta.arity)
     for i in range(num.mult):
-        out = out + binom_poly(i, num.beta).scale(partial[-1 - i])
+        out = poly_add(out, binom_poly(i, num.beta).scale(partial[-1 - i]))
     return out
 
 

@@ -23,6 +23,8 @@ from vpf.cyclotomic import DEFAULT_LEVEL_CAP
 from vpf.cyclotomic import _cyclo_poly as cyclotomic_polynomial
 from vpf.cyclotomic import (
     cyc_add,
+    cyc_galois,
+    cyc_lowest,
     cyc_mul,
     cyc_raise,
     cyc_rotate,
@@ -32,7 +34,6 @@ from vpf.cyclotomic import (
     orbit_table,
     periods,
     phase_orbit,
-    root,
     unit_lift,
 )
 
@@ -105,15 +106,18 @@ class TestFromPhase:
         assert Cyclotomic.from_phase(F(-5, 7)) is root
 
     def test_integer_root_in_lowest_terms(self):
-        # e(a/n) for integers is memoised on a/n in lowest terms, so every
-        # spelling of 2/7, and the rational reader, share one element.
-        z = root(2, 7)
-        assert root(4, 14) is z and root(-10, 14) is z and root(9, 7) is z
-        assert cyc_from_phase(F(2, 7)) is z
-        assert root(0, 5) == 1 and root(0, 5).level == 1
-        assert root(3, 6) == -1 and root(3, 6).level == 2
+        # e(q) is memoised on q mod 1 in lowest terms, so every spelling of
+        # 2/7, and an int phase, share one element.
+        z = cyc_from_phase(F(2, 7))
+        assert all(cyc_from_phase(F(a, n)) is z
+                   for a, n in ((4, 14), (-10, 14), (9, 7)))
+        assert cyc_from_phase(3) is cyc_from_phase(F(0, 5))
+        assert cyc_from_phase(F(0, 5)) == 1
+        assert cyc_from_phase(F(0, 5)).level == 1
+        assert cyc_from_phase(F(3, 6)) == -1
+        assert cyc_from_phase(F(3, 6)).level == 2
         assert inv_one_minus_root(6, 22) is inv_one_minus_root(3, 11)
-        assert inv_one_minus_root(3, 6) == F(1, 2)
+        assert Cyclotomic._ints(*inv_one_minus_root(3, 6)) == F(1, 2)
         for a, n in ((0, 1), (0, 4), (8, 4)):
             with pytest.raises(ZeroDivisionError):
                 inv_one_minus_root(a, n)
@@ -269,7 +273,8 @@ class TestGalois:
                     for u in group:
                         vec[u * m % n] += 1
                     t, e = table[m]
-                    assert Cyclotomic(n, vec) == t * root(e, h), (n, h, m)
+                    assert Cyclotomic(n, vec) == t * cyc_from_phase(
+                        F(e, h)), (n, h, m)
 
 
 class TestRaiseLevel:
@@ -490,7 +495,7 @@ class TestLevelCap:
 def inv_one_minus(q):
     """1/(1 - e(q)) for rational q, by the engine's `inv_one_minus_root`."""
     q = F(q)
-    return inv_one_minus_root(q.numerator, q.denominator)
+    return Cyclotomic._ints(*inv_one_minus_root(q.numerator, q.denominator))
 
 
 class TestClosedFormInverse:
@@ -562,6 +567,12 @@ def _random_element(rng, n):
                           for _ in range(deg)])
 
 
+def _listed(x):
+    """The triple of x with its numerators in a list, which a kernel that
+    wrote into its operands would change."""
+    return x.level, list(x.num), x.den
+
+
 class TestIntegerKernel:
     """Integer numerators, Kronecker multiply and fold-then-Phi reduction
     against schoolbook Fraction arithmetic."""
@@ -577,6 +588,14 @@ class TestIntegerKernel:
                 assert (x + y).coeffs == tuple(
                     a + b for a, b in zip(x.coeffs, y.coeffs))
                 assert (x * y).level == (x + y).level == n
+                # sigma_u(x) = sum_i x_i e(u i / n), as in TestGalois.
+                u = rng.choice([k for k in range(1, 2 * n + 1)
+                                if gcd(k, n) == 1])
+                ref = sum((cyc_from_phase(F(u * i, n)) * c
+                           for i, c in enumerate(x.coeffs)), Cyclotomic.zero())
+                level, nums, den = cyc_galois(_listed(x), u)
+                assert level == n
+                assert Cyclotomic(level, [F(v, den) for v in nums]) == ref
 
     def test_scalar_and_mixed_levels(self):
         rng = random.Random(29)
@@ -606,13 +625,13 @@ class TestIntegerKernel:
             x = _random_element(rng, d)
             for a in (0, 1, -5, n // 2, 7 * n + 3):
                 level, nums, den = cyc_rotate((d, x.num, x.den), a, n)
-                want = x * root(a, n)
+                want = x * cyc_from_phase(F(a, n))
                 assert level == want.level
                 assert Cyclotomic(level, [F(v, den) for v in nums]) == want
             level, nums, den = cyc_rotate((d, x.num, x.den), 1, n)
             assert tuple(F(v, den) for v in nums) == _ref_mul(
                 _ref_raise(x.coeffs, d, level),
-                _ref_raise(root(1, n).coeffs, n, level), level)
+                _ref_raise(cyc_from_phase(F(1, n)).coeffs, n, level), level)
 
     def test_zero_operand(self):
         # A zero at level > 1, made by cancellation or lifted to a common
@@ -631,6 +650,38 @@ class TestIntegerKernel:
         x = Cyclotomic(12, [F(2, 4), F(6, 4), 0, F(-1, 2)])
         assert (x.num, x.den) == ((1, 3, 0, -1), 2)
         assert (x - x).num == (0,) * 4 and (x - x).den == 1
+        # cyc_lowest is the gcd step of Cyclotomic._ints.
+        rng = random.Random(47)
+        for n in self.LEVELS:
+            y = _random_element(rng, n)
+            for t in ((n, [0] * len(y.num), 7), _listed(y)) + tuple(
+                    (n, [v * g for v in y.num], y.den * g)
+                    for g in (6, 7, 10**20 + 1)):
+                level, nums, den = cyc_lowest(t)
+                ref = Cyclotomic._ints(*t)
+                assert (level, tuple(nums), den) == (ref.level, ref.num,
+                                                     ref.den)
+
+    def test_kernels_leave_operands_unchanged(self):
+        # States and memo entries share triples, so no kernel may write
+        # into an operand: each operand's numerators are a list, compared
+        # before and after every call.
+        rng = random.Random(53)
+        for d, e in ((1, 12), (12, 12), (12, 90), (11, 13), (143, 13)):
+            x = _listed(_random_element(rng, d))
+            y = _listed(_random_element(rng, e))
+            z = (d, [v * 6 for v in x[1]], x[2] * 6)
+            u = next(k for k in range(2, 2 * d + 2) if gcd(k, d) == 1)
+            calls = [(cyc_mul, x, y), (cyc_mul, y, x), (cyc_add, x, y),
+                     (cyc_raise, x, d), (cyc_raise, x, lcm(d, e)),
+                     (cyc_rotate, x, 5, e), (cyc_rotate, x, 0, e),
+                     (cyc_galois, x, u), (cyc_galois, x, 1),
+                     (cyc_lowest, x), (cyc_lowest, z)]
+            for kernel, *args in calls:
+                before = [(t[0], list(t[1]), t[2]) if type(t) is tuple else t
+                          for t in args]
+                kernel(*args)
+                assert args == before, kernel.__name__
 
     def test_immutable(self):
         x = cyc_from_phase(F(1, 7))

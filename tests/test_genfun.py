@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -27,6 +28,7 @@ from vpf import (
     flip,
     pfd_numerator,
 )
+from vpf.cyclotomic import cyc_galois, cyc_triple
 from vpf.params import EQ_ZERO, GE_ZERO
 from vpf.serialize import expr_to_json
 
@@ -41,6 +43,7 @@ from .helpers import (
     local_series,
     numerator,
     pfd_numerator_objects,
+    poly_from_affine,
     phase_coeffs,
     phased_state,
     raw_terms,
@@ -107,21 +110,21 @@ class TestFlip:
         assert out.factors == (Factor(0, (2,)),)
         assert out.factors[0].column == 0
         assert out.exps == (AffineForm((1, -1), -2),)
-        assert out.scalar == -1
+        assert Cyclotomic._ints(*out.scalar) == -1
 
     def test_double_flip_is_identity(self):
         st = make_state([(F(1, 3), (2, -1))])
         out = flip(flip(st, 0), 0)
         assert out.factors == st.factors
         assert out.exps == st.exps
-        assert out.scalar == 1
+        assert Cyclotomic._ints(*out.scalar) == 1
 
     def test_half_phase_flip(self):
         st = make_state([(F(1, 2), (-1,))])
         out = flip(st, 0)
         assert (out.factors, out.level) == ((Factor(1, (1,)),), 2)
         # the constant is -e(-1/2) = -(-1) = 1
-        assert out.scalar == 1
+        assert Cyclotomic._ints(*out.scalar) == 1
 
     def test_series_invariance(self):
         st = make_state([(F(1, 3), (1, -2)), (0, (0, 1))])
@@ -246,7 +249,7 @@ class TestFinalUnivariate:
         # 1/((1-w)^2 w^b): single group theta=0, mult 2; constant is b+1.
         st = make_state([(0, (1,)), (0, (1,))])
         (t,) = final_univariate(st, 1)
-        assert t.poly == ParamPoly.from_affine(AffineForm((1,), 1))
+        assert t.poly == poly_from_affine(AffineForm((1,), 1))
         for b in range(0, 8):
             assert t.value((b,)).to_rational() == b + 1
 
@@ -319,8 +322,8 @@ class TestPfdNumerator:
         beta = AffineForm((1,), 0)
         num = numerator(F(0), [(F(0), 1)] * 2, beta)
         assert engine_constants(beta, [(F(0), 1)] * 2) == {
-            F(0): ParamPoly.from_affine(beta + 1)}
-        assert constant_poly(num) == ParamPoly.from_affine(beta + 1)
+            F(0): poly_from_affine(beta + 1)}
+        assert constant_poly(num) == poly_from_affine(beta + 1)
         for b in range(0, 9):
             coeffs = w_coeffs_at(num, (b,))
             assert coeffs[0].to_rational() == b + 1
@@ -433,9 +436,9 @@ class TestPfdNumerator:
             got = pfd_numerator(theta, factors, level)
             want = pfd_numerator_objects(theta, factors, level)
             assert len(got) == mu
-            assert [(x.level, x.num, x.den) for x in got] == [
+            assert [(x[0], tuple(x[1]), x[2]) for x in got] == [
                 (x.level, x.num, x.den) for x in want]
-            seen.add((mu, max(x.level for x in got)))
+            seen.add((mu, max(x[0] for x in got)))
         assert {mu for mu, _ in seen} == {1, 2, 3}
         assert max(level for _, level in seen) == 840
 
@@ -452,7 +455,7 @@ class TestExpand:
         # Every state that reaches the last variable is the least of its
         # Galois conjugates (its phase numerators, factors first, times
         # every unit mod its level), has its own key, every field but the
-        # scalar, and a nonzero scalar.
+        # scalar, and a nonzero scalar: a triple of ints in lowest terms.
         import vpf.genfun
 
         seen = []
@@ -467,7 +470,12 @@ class TestExpand:
         keys = {(s.exps, s.factors, s.phase, s.level, frozenset(s.guards))
                 for s in seen}
         assert seen and len(keys) == len(seen)
-        assert not any(s.scalar.is_zero() for s in seen)
+        assert not any(Cyclotomic._ints(*s.scalar).is_zero() for s in seen)
+        for s in seen:
+            level, nums, den = s.scalar
+            assert type(nums) is tuple and den > 0
+            assert all(type(v) is int for v in (level, den, *nums))
+            assert gcd(den, *nums) == 1
         for s in seen:
             w = tuple(f.phase for f in s.factors) + s.phase
             assert w == min(tuple(u * a % s.level for a in w)
@@ -613,7 +621,7 @@ def conjugate_state(state: GenFunState, u: int) -> GenFunState:
                     for f in state.factors)
     return GenFunState(state.exps, factors,
                        tuple(u * a % n for a in state.phase), state.guards,
-                       state.scalar.galois(u), n)
+                       cyc_galois(state.scalar, u), n)
 
 
 def same_multiset(xs, ys) -> bool:
@@ -650,8 +658,8 @@ class TestGaloisEquivariance:
         exps = tuple(AffineForm.unit(m, i) + rng.randint(-1, 1)
                      for i in range(m))
         n = rng.choice([1, 3, 4, 5, 12])
-        scalar = (cyc_from_phase(F(rng.randrange(n), n)) * rng.randint(1, 3)
-                  + rng.randint(-2, 2))
+        scalar = cyc_triple(cyc_from_phase(F(rng.randrange(n), n))
+                            * rng.randint(1, 3) + rng.randint(-2, 2))
         guards = (Guard(AffineForm((1,) * m, rng.randint(-2, 2))),)[
             :rng.randint(0, 1)]
         return GenFunState(exps, tuple(factors),

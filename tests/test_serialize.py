@@ -37,7 +37,13 @@ from vpf.serialize import (
     term_from_json,
 )
 
-from .helpers import phase_to_json, poly_to_json, spec_level, term_to_json
+from .helpers import (
+    phase_to_json,
+    poly_from_affine,
+    poly_to_json,
+    spec_level,
+    term_to_json,
+)
 from .test_tables import BENCH_INPUTS, PHASED
 
 
@@ -106,7 +112,7 @@ class TestComponents:
 
     def test_term(self):
         t = Term(PhaseForm((1, 0), 4),
-                 ParamPoly.from_affine(AffineForm((1, 0), 1)).scale(
+                 poly_from_affine(AffineForm((1, 0), 1)).scale(
                      cyc_from_phase(F(1, 4)) * F(1, 8)),
                  (Guard(AffineForm((0, 1), 0), GE_ZERO),))
         t2 = term_from_json(term_to_json(t), 2)
@@ -406,6 +412,21 @@ def test_pinned_json_output(rows, order, digest):
     expr = compute(spec, order=order)
     text = json.dumps(expr_to_json(expr), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("rows, order, digest", PINNED_JSON)
+def test_compute_does_no_cyclotomic_arithmetic(rows, order, digest,
+                                               monkeypatch):
+    # The engine runs on integer triples and builds a Cyclotomic only for a
+    # Term's coefficient: with Cyclotomic's arithmetic made to raise (== too,
+    # through -), compute still gives the pinned JSON.
+    def refuse(*args):
+        raise AssertionError("Cyclotomic arithmetic in compute")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__neg__", "galois", "inv", "raise_level"):
+        monkeypatch.setattr(Cyclotomic, name, refuse)
+    test_pinned_json_output(rows, order, digest)
 
 
 @pytest.mark.parametrize("spec, order", [
