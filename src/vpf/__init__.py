@@ -20,25 +20,8 @@ from .errors import (
     UnsupportedMultiplePole,
     VpfError,
 )
-from .genfun import (
-    Factor,
-    GenFunState,
-    dedekind_sum,
-    eliminate_last_var,
-    final_univariate,
-    flip,
-    pfd_numerator,
-)
 from .oracle import count_points
-from .params import (
-    AffineForm,
-    Guard,
-    ParamPoly,
-    PhaseForm,
-    Summand,
-    Term,
-    binom_poly,
-)
+from .params import AffineForm, Guard, Summand
 from .pipeline import (
     PreprocessReport,
     ProblemSpec,

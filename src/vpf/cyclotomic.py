@@ -38,7 +38,7 @@ def level_cap(cap):
 
 def _check_level(n: int) -> None:
     if n < 1:
-        raise ValueError(f"level must be positive, got {n}")
+        raise MatrixParseError(f"level must be positive, got {n}")
     cap = _level_cap.get()
     if n > cap:
         raise LevelOverflow(
@@ -359,11 +359,6 @@ class Cyclotomic:
         rest = Cyclotomic._ints(n, conjs[0])
         return rest * (1 / (self * rest).to_rational())
 
-    def galois(self, u: int) -> "Cyclotomic":
-        """sigma_u(self), the conjugate under zeta -> zeta^u, for an integer
-        u coprime to the level; only u mod the level matters."""
-        return Cyclotomic._ints(*cyc_galois((self.level, self.num, self.den), u))
-
     def __eq__(self, other):
         diff = self - other  # the difference is canonical, so exactly zero
         return diff if diff is NotImplemented else diff.is_zero()
@@ -442,15 +437,6 @@ def _least_conjugate(w, n: int, h: int) -> tuple[tuple[int, ...], int]:
             if best is None or v < best:
                 best, unit = v, u
     return best, unit
-
-
-def phase_orbit(w, n: int) -> tuple[int, tuple[int, ...], int]:
-    """(n, v, k) with w = k * v mod n for the phase vector w / n, given in
-    lowest terms (gcd(n, *w) = 1, so n is its order in (Q/Z)^m): v the
-    smallest u * w mod n over the units u mod n (`least_conjugate`), which
-    names the cyclic group the phase generates, and k a unit mod n."""
-    v, u = least_conjugate(tuple(w), n)
-    return n, v, pow(u, -1, n) if n > 1 else 0
 
 
 def unit_lift(a: int, n: int, l: int, level: int) -> int:

@@ -109,5 +109,6 @@ def _sweep(columns, lo, hi, y) -> list:
 
 def count_points(spec, b) -> int:
     """Exact number of nonnegative integer solutions of A x = b."""
+    b = int_vector(b, "b", spec.m)
     (count,) = box_counts(spec, b, b).values()
     return count

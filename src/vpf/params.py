@@ -14,7 +14,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, cyc_from_phase, orbit_table, phase_orbit
+from .cyclotomic import Cyclotomic, cyc_from_phase, least_conjugate, orbit_table
 from .errors import DimensionMismatch
 
 
@@ -132,9 +132,6 @@ class ParamPoly:
 
     def items(self):
         return self._monos.items()
-
-    def is_zero(self) -> bool:
-        return not self._monos
 
     def eval(self, b) -> Cyclotomic:
         if len(b) != self.arity:
@@ -269,7 +266,12 @@ def collapse_terms(terms, l0: int) -> tuple[Summand, ...]:
     groups: dict = {}
     for t in terms:
         guards = tuple(sorted(t.guards, key=_guard_key))
-        n, v, k = phase_orbit(t.phase.nums, t.phase.level)
+        # The phase w / n is in lowest terms, so n is its order, and it is
+        # k * v / n: v = u * w mod n, the least over the units u mod n,
+        # names the group, and k = 1/u mod n.
+        n = t.phase.level
+        v, u = least_conjugate(t.phase.nums, n)
+        k = pow(u, -1, n)
         key = (tuple(map(_guard_key, guards)), n, v)
         monos = groups.setdefault(key, (guards, {}))[1]
         for exps, c in t.poly.items():

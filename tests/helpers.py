@@ -8,7 +8,8 @@ and `det_int` checks that unimodular completions have determinant +-1.
 `raw_terms` runs the engine without collapsing its terms into summands;
 each of them stands for its average over the Galois group G of the units
 u = 1 mod the level L0 of the input phases (`spec_level`), which `average`
-and `conjugate_terms` write out.  `all_root_terms` is the univariate stage
+and `conjugate_terms` write out through the conjugates sigma_u of
+`conjugate`.  `all_root_terms` is the univariate stage
 with one Term per root and no averaging, and `unmerged_terms` runs the
 engine through it without merging states either: the reference for
 `expand`.  `schema2_doc` writes the engine's terms, written out, as
@@ -41,24 +42,24 @@ from vpf import (
     AffineForm,
     Cyclotomic,
     DimensionMismatch,
-    Factor,
-    GenFunState,
     Guard,
-    ParamPoly,
-    PhaseForm,
     ProblemSpec,
-    Term,
-    binom_poly,
     compute,
     cyc_from_phase,
-    eliminate_last_var,
     evaluate,
+)
+from vpf.cyclotomic import cyc_galois, cyc_triple, inv_one_minus_root
+from vpf.genfun import (
+    Factor,
+    GenFunState,
+    _normalize_last,
+    accumulate,
+    eliminate_last_var,
+    expand,
     pfd_numerator,
 )
-from vpf.cyclotomic import cyc_triple, inv_one_minus_root
-from vpf.genfun import _normalize_last, accumulate, expand
 from vpf.matrixops import fm_certificate
-from vpf.params import EQ_ZERO, GE_ZERO
+from vpf.params import EQ_ZERO, GE_ZERO, ParamPoly, PhaseForm, Term, binom_poly
 from vpf.pipeline import preprocess
 from vpf.serialize import cyc_to_json, expr_to_json, guard_to_json, rat_to_json
 
@@ -317,10 +318,16 @@ def galois_units(n: int, l0: int) -> list:
     return [u for u in range(1, n + 1) if gcd(u, n) == 1 and (u - 1) % h == 0]
 
 
+def conjugate(x: Cyclotomic, u: int) -> Cyclotomic:
+    """sigma_u(x), the conjugate under zeta -> zeta^u, for an integer u
+    prime to the level, by the kernel `cyc_galois`."""
+    return Cyclotomic._ints(*cyc_galois(cyc_triple(x), u))
+
+
 def average(x: Cyclotomic, l0: int) -> Cyclotomic:
     """x averaged over its conjugates sigma_u(x), u in G = units = 1 mod l0."""
     units = galois_units(x.level, l0)
-    return sum((x.galois(u) for u in units), Cyclotomic.zero()) * Fraction(
+    return sum((conjugate(x, u) for u in units), Cyclotomic.zero()) * Fraction(
         1, len(units))
 
 
@@ -334,7 +341,7 @@ def conjugate_terms(terms, l0: int) -> list:
         units = galois_units(k, l0)
         for u in units:
             poly = ParamPoly(t.poly.arity, {
-                e: c.galois(u) * Fraction(1, len(units))
+                e: conjugate(c, u) * Fraction(1, len(units))
                 for e, c in t.poly.items()})
             phase = PhaseForm(tuple(u * a % t.phase.level
                                     for a in t.phase.nums), t.phase.level)
@@ -386,7 +393,7 @@ def all_root_terms(state: GenFunState) -> list:
             x = x * t
             poly = poly_add(
                 poly, binom_poly(mu - 1 - k, beta + 1).scale(s[k] * x))
-        if not poly.is_zero():
+        if poly.items():
             terms.append(Term(PhaseForm(phase, n), poly, guards))
     return terms
 
@@ -587,7 +594,7 @@ def engine_constants(beta, factors) -> dict:
     terms = iter(all_root_terms(state))
     out = {}
     for theta in roots:
-        if constant_poly(numerator(theta, factors, beta)).is_zero():
+        if not constant_poly(numerator(theta, factors, beta)).items():
             out[theta] = ParamPoly(beta.arity)
             continue
         term = next(terms)

@@ -10,26 +10,28 @@ from fractions import Fraction
 from vpf import (
     AffineForm,
     Cyclotomic,
-    Factor,
-    GenFunState,
-    ParamPoly,
     ProblemSpec,
     UnsupportedMultiplePole,
     check_pointed,
     compute,
     count_points,
     cyc_from_phase,
-    dedekind_sum,
-    eliminate_last_var,
     evaluate,
-    final_univariate,
-    flip,
     nonnegativize,
     verify_box,
 )
 from vpf.cli import main as cli_main
 from vpf.errors import NotPointed
+from vpf.genfun import (
+    Factor,
+    GenFunState,
+    dedekind_sum,
+    eliminate_last_var,
+    final_univariate,
+    flip,
+)
 from vpf.matrixops import mat_vec_int
+from vpf.params import ParamPoly
 
 from .helpers import (
     CONE,

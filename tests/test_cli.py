@@ -218,6 +218,13 @@ class TestOracle:
     def test_dimension_check(self, mat, capsys):
         assert main(["oracle", mat(A2), "2"]) == 4
 
+    @pytest.mark.parametrize("command", ["oracle", "eval"])
+    def test_wrong_length_names_b(self, mat, capsys, command):
+        # One point, not a box: the message is eval's, not the box corner's.
+        assert main([command, mat(A2), "1"]) == 4
+        assert capsys.readouterr().err.strip() == (
+            "error: MatrixParseError: b (1,) has length 1, not 2")
+
     @pytest.mark.parametrize("command", [["oracle", "1"], ["verify", "0..2"]],
                              ids=["oracle", "verify"])
     def test_not_pointed_exits_2(self, mat, capsys, command):

@@ -33,11 +33,10 @@ from vpf.cyclotomic import (
     least_conjugate,
     orbit_table,
     periods,
-    phase_orbit,
     unit_lift,
 )
 
-from .helpers import approx, cyc_pow
+from .helpers import approx, conjugate, cyc_pow
 
 
 def F(p, q=1):
@@ -221,11 +220,11 @@ class TestGalois:
             u = rng.choice([k for k in range(1, 2 * n + 1) if gcd(k, n) == 1])
             ref = sum((cyc_from_phase(F(u * i, x.level)) * c
                        for i, c in enumerate(x.coeffs)), Cyclotomic.zero())
-            assert x.galois(u) == ref
-            assert (x * y).galois(u) == x.galois(u) * y.galois(u)
-            assert (x + y).galois(u) == x.galois(u) + y.galois(u)
-            assert x.galois(u).level == x.level
-        assert cyc_from_phase(F(1, 3)).galois(2) == cyc_from_phase(F(2, 3))
+            assert conjugate(x, u) == ref
+            assert conjugate(x * y, u) == conjugate(x, u) * conjugate(y, u)
+            assert conjugate(x + y, u) == conjugate(x, u) + conjugate(y, u)
+            assert conjugate(x, u).level == x.level
+        assert conjugate(cyc_from_phase(F(1, 3)), 2) == cyc_from_phase(F(2, 3))
 
     def test_least_conjugate_by_brute_force(self):
         rng = random.Random(29)
@@ -419,13 +418,14 @@ class TestLevelCap:
         with pytest.raises(LevelOverflow):
             orbit_table(10**12, [(1, third)], 0)
         with pytest.raises(LevelOverflow):
-            phase_orbit((5 * 10**11, 1), 10**12)  # (1/2, 1/10^12)
+            least_conjugate((5 * 10**11, 1), 10**12)  # (1/2, 1/10^12)
 
     def test_constructor_checks_cap(self):
         with pytest.raises(LevelOverflow):
             Cyclotomic(DEFAULT_LEVEL_CAP + 1, [1])
-        with pytest.raises(ValueError):
-            Cyclotomic(0, [1])
+        for level in (0, -3):
+            with pytest.raises(MatrixParseError, match="level must be positive"):
+                Cyclotomic(level, [1])
 
     @pytest.mark.parametrize("level, coeffs", [
         (1, [0.1]), (3, [True, 0]), (1, ["1/2"]), (True, [1]), (2.0, [1]),

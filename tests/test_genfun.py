@@ -11,25 +11,26 @@ import pytest
 from vpf import (
     AffineForm,
     Cyclotomic,
-    Factor,
-    GenFunState,
     Guard,
     MatrixParseError,
-    ParamPoly,
     ProblemSpec,
     UnsupportedMultiplePole,
     compute,
     count_points,
     cyc_from_phase,
+    evaluate,
+)
+from vpf.cyclotomic import cyc_galois, cyc_triple
+from vpf.genfun import (
+    Factor,
+    GenFunState,
     dedekind_sum,
     eliminate_last_var,
-    evaluate,
     final_univariate,
     flip,
     pfd_numerator,
 )
-from vpf.cyclotomic import cyc_galois, cyc_triple
-from vpf.params import EQ_ZERO, GE_ZERO
+from vpf.params import EQ_ZERO, GE_ZERO, ParamPoly
 from vpf.serialize import expr_to_json
 
 from .helpers import (

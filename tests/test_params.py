@@ -12,18 +12,13 @@ from vpf import (
     AffineForm,
     Cyclotomic,
     DimensionMismatch,
-    GenFunState,
     Guard,
     MatrixParseError,
-    ParamPoly,
-    PhaseForm,
-    Term,
-    binom_poly,
     cyc_from_phase,
 )
 from vpf.cyclotomic import cyc_triple
-from vpf.genfun import accumulate
-from vpf.params import EQ_ZERO, GE_ZERO
+from vpf.genfun import GenFunState, accumulate
+from vpf.params import EQ_ZERO, GE_ZERO, ParamPoly, PhaseForm, Term, binom_poly
 
 from .helpers import phase_coeffs, poly_add, poly_from_affine
 

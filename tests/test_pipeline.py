@@ -27,11 +27,11 @@ from vpf import (
     compute,
     count_points,
     cyc_from_phase,
-    dedekind_sum,
     evaluate,
     nonnegativize,
     verify_box,
 )
+from vpf.genfun import dedekind_sum
 from vpf.matrixops import mat_vec_int
 from vpf.oracle import box_counts
 from vpf.params import EQ_ZERO

@@ -1,12 +1,16 @@
-"""The CLI examples in README.md are what the CLI prints."""
+"""The CLI examples in README.md are what the CLI prints, its Library
+example gives the results its comments name, and its list of the `vpf`
+namespace is `vpf.__all__`."""
 from __future__ import annotations
 
+import ast
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+import vpf
 from vpf.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -69,3 +73,27 @@ def test_arrow_examples_found():
 def test_arrow_example(a2_dir, capsys, argv, printed):
     assert main(argv) == 0
     assert capsys.readouterr().out.strip() == printed
+
+
+def test_library_example():
+    # Each top-level expression's repr is its comment, up to " (".
+    body = _block("import vpf\n")
+    lines, namespace, results = body.splitlines(), {}, []
+    for stmt in ast.parse(body).body:
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README", "eval"),
+                         namespace)
+            comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+            results.append((repr(value), comment.partition(" (")[0]))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert [got for got, _ in results] == [want for _, want in results]
+    assert [want for _, want in results] == ["Fraction(3, 1)", "True", "3"]
+
+
+def test_namespace_list():
+    (count, text), = re.findall(r"^`vpf` exports (\d+) names (.*?)\n\n",
+                                README, re.M | re.S)
+    names = re.findall(r"`(\w+)`", text.partition("):")[2])
+    assert len(names) == int(count)
+    assert sorted(names) == sorted(vpf.__all__)

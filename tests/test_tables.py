@@ -37,9 +37,9 @@ from vpf import (
     cyc_from_phase,
     evaluate,
 )
-from vpf.cyclotomic import orbit_table, phase_orbit
+from vpf.cyclotomic import least_conjugate, orbit_table
 from vpf.matrixops import mat_vec_int
-from vpf.params import EQ_ZERO, collapse_terms
+from vpf.params import EQ_ZERO, ParamPoly, PhaseForm, Term, collapse_terms
 from vpf.render import render_expr_latex, render_expr_text
 from vpf.serialize import expr_from_json, expr_to_json, summand_to_json
 
@@ -115,12 +115,16 @@ class TestOrbit:
             phase = tuple(
                 F(rng.randrange(d), d)
                 for d in (rng.choice(dens) for _ in range(rng.randint(1, 3))))
-            level = lcm(*(c.denominator for c in phase))
-            w = tuple(int(c * level) for c in phase)
-            n, v, k = phase_orbit(w, level)
-            assert n == level
-            assert v == min(tuple(u * x % n for x in w)
-                            for u in range(n) if gcd(u, n) == 1)
+            n = lcm(*(c.denominator for c in phase))
+            w = tuple(int(c * n) for c in phase)
+            v, u = least_conjugate(w, n)
+            k = pow(u, -1, n)  # as collapse_terms names the phase
+            term = Term(PhaseForm(w, n), ParamPoly.constant(len(w), 1))
+            (summand,) = collapse_terms([term], 1)
+            assert (summand.modulus, summand.residue) == (n, v)
+            assert v == tuple(u * x % n for x in w)
+            assert v == min(tuple(a * x % n for x in w)
+                            for a in range(n) if gcd(a, n) == 1)
             assert gcd(k, n) == 1 or n == 1
             assert tuple(k * x % n for x in v) == w
 
