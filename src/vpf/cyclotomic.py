@@ -518,8 +518,8 @@ def _periods(n: int, h: int) -> tuple[tuple[int, int], ...]:
 
 def orbit_table(modulus: int, parts, l0: int) -> tuple:
     """Entries sum_k avg_u e(u*k*j/L) * sigma_u(c_k) for j < L = modulus,
-    from pairs (k, c_k): each pair stands for its average over the units
-    u = 1 mod l0 (`galois_group`; l0 = 0 leaves the pair itself).
+    from pairs (k, c_k), c_k a triple: each pair stands for its average
+    over the units u = 1 mod l0 (`galois_group`; l0 = 0: the pair itself).
 
     The average is a trace.  At level N = lcm(L, levels of the c_k), write
     c_k = sum_i a_i zeta_N^i unreduced, and let G be the units mod N that
@@ -531,18 +531,18 @@ def orbit_table(modulus: int, parts, l0: int) -> tuple:
     Ramanujan's sum and the entry is rational.  Rational entries are
     Fractions, the others Cyclotomics at level h = gcd(N, l0).
     """
-    parts = [(k, c) for k, c in parts if c]
+    parts = [(k, c) for k, c in parts if any(c[1])]
     if not parts:
         return (Fraction(0),) * modulus
-    n = lcm(modulus, *(c.level for _, c in parts))
+    n = lcm(modulus, *(level for _, (level, _, _) in parts))
     h = gcd(n, l0)
     period = periods(n, h)
-    den = lcm(*(c.den for _, c in parts))
+    den = lcm(*(d for _, (_, _, d) in parts))
     places = []
-    for k, c in parts:
-        step, scale = n // c.level, den // c.den
+    for k, (level, nums, d) in parts:
+        step, scale = n // level, den // d
         places.append((k * (n // modulus),
-                       [(i * step, v * scale) for i, v in enumerate(c.num) if v]))
+                       [(i * step, v * scale) for i, v in enumerate(nums) if v]))
     den *= period[0][0]  # |G| = T(0)
     table = []
     for j in range(modulus):

@@ -3,14 +3,14 @@
 A GenFunState is z^{-beta(b)} * prod 1/(1 - e(a_k / N) z^{v_k}) times a
 phase and a constant scalar under guards.  Every phase is an integer
 numerator over the state's level N, and every number is an integer triple
-(level, nums, den) of the `cyclotomic` kernels, so the engine does no
-rational bookkeeping and builds a Cyclotomic only for a Term's
-coefficient.  One elimination step rewrites the constant-term functional
-over the last active variable as child states with one variable fewer, each
-moved by `accumulate`; the univariate stage resolves arbitrary pole
-multiplicities into closed Terms, each root's local series times the
-scalar.  `expand` runs it all from the normalized matrix, level by level,
-merging conjugate and equal states.
+(level, nums, den) of the `cyclotomic` kernels, a Term's coefficients
+too, so the engine does no rational bookkeeping and builds no Cyclotomic.
+One elimination step rewrites the constant-term functional over the last
+active variable as child states with one variable fewer, each moved by
+`accumulate`; the univariate stage resolves arbitrary pole multiplicities
+into closed Terms, each root's local series times the scalar.  `expand`
+runs it all from the normalized matrix, level by level, merging conjugate
+and equal states.
 
 Every step commutes with the Galois automorphisms sigma_u: zeta -> zeta^u,
 so each state and each Term stands for its average over the group G of the
@@ -32,7 +32,6 @@ from .cyclotomic import (
     cyc_lowest,
     cyc_mul,
     cyc_rotate,
-    cyc_triple,
     galois_group,
     inv_one_minus_root,
     least_conjugate,
@@ -282,8 +281,8 @@ def final_univariate(state: GenFunState, l0: int) -> list[Term]:
 
     if not factors:
         phase, guards, scalar, n = accumulate(state, Guard(beta, EQ_ZERO), c)
-        return [Term(PhaseForm(phase, n), ParamPoly.constant(
-            beta.arity, Cyclotomic._ints(*scalar)), guards)]
+        return [Term(PhaseForm(phase, n),
+                     ParamPoly.constant(beta.arity, scalar), guards)]
 
     lift = lcm(*(n for _, n in factors))
     big = level * lift
@@ -326,13 +325,11 @@ def final_univariate(state: GenFunState, l0: int) -> list[Term]:
                 x = cyc_rotate(cyc_mul(x, (1, (-1,), 1)), -theta, big)
             sx = cyc_mul(sk, x)
             for e, b in basis[len(s) - 1 - k].items() if any(sx[1]) else ():
-                v = cyc_mul(cyc_triple(b), sx)
+                v = cyc_mul(b, sx)
                 monos[e] = cyc_add(monos[e], v) if e in monos else v
-                if not any(monos[e][1]):
-                    del monos[e]
-        if monos:
-            terms.append(Term(PhaseForm(phase, n), ParamPoly(beta.arity, {
-                e: Cyclotomic._ints(*v) for e, v in monos.items()}), guards))
+        poly = ParamPoly(beta.arity, monos)
+        if poly.items():
+            terms.append(Term(PhaseForm(phase, n), poly, guards))
     return terms
 
 

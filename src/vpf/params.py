@@ -14,8 +14,9 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, cyc_from_phase, least_conjugate, orbit_table
-from .errors import DimensionMismatch
+from .cyclotomic import (Cyclotomic, cyc_from_phase, cyc_lowest, cyc_mul,
+                         least_conjugate, orbit_table)
+from .errors import DimensionMismatch, MatrixParseError
 
 
 @dataclass(frozen=True)
@@ -104,27 +105,21 @@ class PhaseForm:
 
 
 class ParamPoly:
-    """Polynomial in the parameters with Cyclotomic coefficients.
+    """Polynomial in the parameters with cyclotomic coefficients.
 
-    Stored as a map from exponent vectors to nonzero coefficients.
+    Stored as a map from exponent vectors to nonzero coefficients, each a
+    triple (level, nums, den) in lowest terms with tuple numerators.
     """
 
     __slots__ = ("arity", "_monos")
 
     def __init__(self, arity: int, monos=None):
         self.arity = arity
-        clean = {}
-        if monos:
-            for exps, coeff in monos.items():
-                # An exact int skips the reader, which still rejects a bool
-                # or a float.
-                if type(coeff) is int:
-                    coeff = Cyclotomic._ints(1, (coeff,))
-                elif not isinstance(coeff, Cyclotomic):
-                    coeff = Cyclotomic(1, (coeff,))
-                if not coeff.is_zero():
-                    clean[tuple(exps)] = coeff
-        self._monos = clean
+        self._monos = {}
+        for exps, c in (monos or {}).items():
+            if any(c[1]):
+                level, nums, den = cyc_lowest(c)
+                self._monos[tuple(exps)] = level, tuple(nums), den
 
     @classmethod
     def constant(cls, arity: int, coeff) -> "ParamPoly":
@@ -137,18 +132,21 @@ class ParamPoly:
         if len(b) != self.arity:
             raise DimensionMismatch(
                 f"expected {self.arity} parameters, got {len(b)}")
-        return sum((coeff * prod(x**e for x, e in zip(b, exps))
-                    for exps, coeff in self._monos.items()), Cyclotomic.zero())
+        return sum((Cyclotomic._ints(*c) * prod(x**e for x, e in zip(b, exps))
+                    for exps, c in self._monos.items()), Cyclotomic.zero())
 
     def scale(self, c) -> "ParamPoly":
-        return ParamPoly(self.arity, {e: v * c for e, v in self._monos.items()})
+        """The polynomial times the triple c."""
+        return ParamPoly(self.arity,
+                         {e: cyc_mul(v, c) for e, v in self._monos.items()})
 
     def __eq__(self, other):
         if not isinstance(other, ParamPoly):
             return NotImplemented
         if self.arity != other.arity or set(self._monos) != set(other._monos):
             return False
-        return all(c == other._monos[e] for e, c in self._monos.items())
+        return all(Cyclotomic._ints(*c) == Cyclotomic._ints(*other._monos[e])
+                   for e, c in self._monos.items())
 
     __hash__ = None
 
@@ -156,7 +154,8 @@ class ParamPoly:
         if not self._monos:
             return "0"
         parts = []
-        for exps, coeff in sorted(self._monos.items(), reverse=True):
+        for exps, c in sorted(self._monos.items(), reverse=True):
+            coeff = Cyclotomic._ints(*c)
             mono = "*".join(
                 (f"x{i}" if e == 1 else f"x{i}^{e}")
                 for i, e in enumerate(exps) if e)
@@ -185,8 +184,7 @@ def binom_poly(j: int, beta: AffineForm) -> ParamPoly:
                 e1 = e[:k] + (e[k] + 1,) + e[k + 1:] if k < m else e
                 grown[e1] = grown.get(e1, 0) + v * c
         out = grown
-    return ParamPoly(m, {e: Cyclotomic._ints(1, (v,), factorial(j))
-                         for e, v in out.items()})
+    return ParamPoly(m, {e: (1, (v,), factorial(j)) for e, v in out.items()})
 
 
 GE_ZERO = "ge"
@@ -202,8 +200,8 @@ class Guard:
 
     def __post_init__(self):
         if self.sense not in (GE_ZERO, EQ_ZERO):
-            raise ValueError(f"guard sense must be {GE_ZERO!r} or {EQ_ZERO!r}, "
-                             f"got {self.sense!r}")
+            raise MatrixParseError(f"guard sense must be {GE_ZERO!r} or "
+                                   f"{EQ_ZERO!r}, got {self.sense!r}")
 
     def satisfied(self, b) -> bool:
         v = self.form.eval(b)

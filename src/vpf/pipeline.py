@@ -106,17 +106,22 @@ class ResultExpr:
         (>= 1), residue, exponents (>= 0) and guards are ints, its residue,
         poly, (exponents, table) pairs and tables are sequences, its guards
         Guards, and its tables have modulus entries, each a rational or a
-        Cyclotomic (MatrixParseError).  Residues, guards and exponents have
-        m entries, the spec m rows and the unimodular m x m
-        (DimensionMismatch)."""
+        Cyclotomic; the report's certificate holds rationals and its rows
+        ints (MatrixParseError).  Residues, guards and exponents have m
+        entries, the spec m rows, the unimodular m x m, and the certificate
+        and the normalized rows m entries and rows or none, as a document
+        without them gives (DimensionMismatch)."""
         (m,) = int_vector((self.m,), "m")
         if m < 1:
             raise MatrixParseError(f"m = {m} is not positive")
-        u = self.report and self.report.unimodular
-        if u is not None:
+        sizes = {m}
+        if self.report is not None:
             u = [int_vector(r, "unimodular row")
-                 for r in sequence(u, "unimodular")]
-        sizes = {m} if u is None else {len(u), *map(len, u)}
+                 for r in sequence(self.report.unimodular, "unimodular")]
+            y = rat_vector(self.report.certificate, "certificate")
+            ua = [int_vector(r, "normalized row")
+                  for r in sequence(self.report.normalized, "normalized")]
+            sizes = {len(u), *map(len, u), *(len(x) for x in (y, ua) if x)}
         if self.spec is not None:
             sizes.add(self.spec.m)
         for s in self.terms:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, cyc_triple
 from .errors import DimensionMismatch, MatrixParseError, NotPointed
 from .matrixops import int_vector, rat_from_text
 from .params import (
@@ -71,9 +71,14 @@ def phase_from_json(obj) -> PhaseForm:
 
 
 def poly_from_json(obj, arity: int) -> ParamPoly:
-    return ParamPoly(arity, {
-        int_vector(mono["exps"], "exponents"): cyc_from_json(mono["coeff"])
-        for mono in obj})
+    """A schema-1 or schema-2 poly, whose monomials never repeat."""
+    monos = {}
+    for mono in obj:
+        exps = int_vector(mono["exps"], "exponents")
+        if exps in monos:
+            raise MatrixParseError(f"the monomial of exponents {exps} repeats")
+        monos[exps] = cyc_triple(cyc_from_json(mono["coeff"]))
+    return ParamPoly(arity, monos)
 
 
 def term_from_json(obj, arity: int, schema: int = 2) -> Term:
@@ -81,7 +86,7 @@ def term_from_json(obj, arity: int, schema: int = 2) -> Term:
     term's separate scalar is folded into its poly."""
     poly = poly_from_json(obj["poly"], arity)
     if schema == 1:
-        poly = poly.scale(cyc_from_json(obj["scalar"]))
+        poly = poly.scale(cyc_triple(cyc_from_json(obj["scalar"])))
     return Term(
         phase_from_json(obj["phase"]),
         poly,

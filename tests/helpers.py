@@ -9,8 +9,9 @@ and `det_int` checks that unimodular completions have determinant +-1.
 each of them stands for its average over the Galois group G of the units
 u = 1 mod the level L0 of the input phases (`spec_level`), which `average`
 and `conjugate_terms` write out through the conjugates sigma_u of
-`conjugate`.  `all_root_terms` is the univariate stage
-with one Term per root and no averaging, and `unmerged_terms` runs the
+`conjugate` and of the kernel `cyc_galois`.  `all_root_terms` is the
+univariate stage with one Term per root and no averaging, and
+`unmerged_terms` runs the
 engine through it without merging states either: the reference for
 `expand`.  `schema2_doc` writes the engine's terms, written out, as
 schema-2 expression JSON.  `summand_value`
@@ -48,7 +49,8 @@ from vpf import (
     cyc_from_phase,
     evaluate,
 )
-from vpf.cyclotomic import cyc_galois, cyc_triple, inv_one_minus_root
+from vpf.cyclotomic import (cyc_add, cyc_galois, cyc_mul, cyc_triple,
+                            inv_one_minus_root)
 from vpf.genfun import (
     Factor,
     GenFunState,
@@ -191,9 +193,9 @@ def poly_from_affine(f: AffineForm) -> ParamPoly:
     monos = {}
     for i, c in enumerate(f.coeffs):
         if c:
-            monos[tuple(1 if j == i else 0 for j in range(m))] = c
+            monos[tuple(1 if j == i else 0 for j in range(m))] = cyc_triple(c)
     if f.const:
-        monos[(0,) * m] = f.const
+        monos[(0,) * m] = cyc_triple(f.const)
     return ParamPoly(m, monos)
 
 
@@ -201,7 +203,7 @@ def poly_add(p: ParamPoly, q: ParamPoly) -> ParamPoly:
     """p + q, monomial by monomial; a sum that cancels is dropped."""
     monos = dict(p.items())
     for e, c in q.items():
-        monos[e] = monos[e] + c if e in monos else c
+        monos[e] = cyc_add(monos[e], c) if e in monos else c
     return ParamPoly(p.arity, monos)
 
 
@@ -337,11 +339,11 @@ def conjugate_terms(terms, l0: int) -> list:
     number of units u mod the lcm K of the term's levels."""
     out = []
     for t in terms:
-        k = lcm(t.phase.level, *(c.level for _, c in t.poly.items()))
+        k = lcm(t.phase.level, *(c[0] for _, c in t.poly.items()))
         units = galois_units(k, l0)
         for u in units:
             poly = ParamPoly(t.poly.arity, {
-                e: conjugate(c, u) * Fraction(1, len(units))
+                e: cyc_mul(cyc_galois(c, u), (1, (1,), len(units)))
                 for e, c in t.poly.items()})
             phase = PhaseForm(tuple(u * a % t.phase.level
                                     for a in t.phase.nums), t.phase.level)
@@ -374,8 +376,8 @@ def all_root_terms(state: GenFunState) -> list:
     if not factors:
         phase, guards, scalar, n = accumulate(
             state, Guard(beta, EQ_ZERO), cyc_triple(c))
-        return [Term(PhaseForm(phase, n), ParamPoly.constant(
-            beta.arity, Cyclotomic._ints(*scalar)), guards)]
+        return [Term(PhaseForm(phase, n),
+                     ParamPoly.constant(beta.arity, scalar), guards)]
     lift = lcm(*(n for _, n in factors))
     big = level * lift
     factors = [(q * lift, n) for q, n in factors]
@@ -388,11 +390,11 @@ def all_root_terms(state: GenFunState) -> list:
         x = Cyclotomic._ints(*x)
         t = -cyc_from_phase(Fraction(-theta, big))
         mu = len(s)
-        poly = binom_poly(mu - 1, beta + 1).scale(s[0] * x)
+        poly = binom_poly(mu - 1, beta + 1).scale(cyc_triple(s[0] * x))
         for k in range(1, mu):
             x = x * t
-            poly = poly_add(
-                poly, binom_poly(mu - 1 - k, beta + 1).scale(s[k] * x))
+            poly = poly_add(poly, binom_poly(mu - 1 - k, beta + 1).scale(
+                cyc_triple(s[k] * x)))
         if poly.items():
             terms.append(Term(PhaseForm(phase, n), poly, guards))
     return terms
@@ -423,7 +425,7 @@ def phase_to_json(p) -> dict:
 
 
 def poly_to_json(p) -> list:
-    return [{"exps": list(e), "coeff": cyc_to_json(c)}
+    return [{"exps": list(e), "coeff": cyc_to_json(Cyclotomic._ints(*c))}
             for e, c in sorted(p.items(), key=lambda kv: kv[0])]
 
 
@@ -600,7 +602,8 @@ def engine_constants(beta, factors) -> dict:
         term = next(terms)
         assert term.phase == PhaseForm.from_coeffs(
             [theta * c % 1 for c in beta.coeffs])
-        out[theta] = term.poly.scale(cyc_from_phase(-theta * beta.const))
+        out[theta] = term.poly.scale(
+            cyc_triple(cyc_from_phase(-theta * beta.const)))
     assert next(terms, None) is None
     return out
 
@@ -638,7 +641,8 @@ def constant_poly(num) -> ParamPoly:
         partial.append(partial[-1] + c * power)
     out = ParamPoly(num.beta.arity)
     for i in range(num.mult):
-        out = poly_add(out, binom_poly(i, num.beta).scale(partial[-1 - i]))
+        out = poly_add(
+            out, binom_poly(i, num.beta).scale(cyc_triple(partial[-1 - i])))
     return out
 
 

@@ -21,6 +21,7 @@ from vpf import (
     verify_box,
 )
 from vpf.cli import main as cli_main
+from vpf.cyclotomic import cyc_triple
 from vpf.errors import NotPointed
 from vpf.genfun import (
     Factor,
@@ -103,7 +104,7 @@ def test_criterion_03_mixed_pole_quarters():
         st = GenFunState(
             (AffineForm((1,), 0),),
             (Factor(0, (2,)), Factor(0, (4,))))
-        eighth = ParamPoly.constant(1, F(1, 8))
+        eighth = ParamPoly.constant(1, cyc_triple(F(1, 8)))
         by_phase = {phase_coeffs(t.phase)[0]: t for t in all_root_terms(st)}
         for theta in (F(1, 4), F(3, 4)):
             assert by_phase[theta].poly == eighth

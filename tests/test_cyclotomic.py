@@ -28,6 +28,7 @@ from vpf.cyclotomic import (
     cyc_mul,
     cyc_raise,
     cyc_rotate,
+    cyc_triple,
     galois_group,
     inv_one_minus_root,
     least_conjugate,
@@ -416,7 +417,7 @@ class TestLevelCap:
         with pytest.raises(LevelOverflow):
             Cyclotomic.from_phase(F(10**12 - 1, 10**12))
         with pytest.raises(LevelOverflow):
-            orbit_table(10**12, [(1, third)], 0)
+            orbit_table(10**12, [(1, cyc_triple(third))], 0)
         with pytest.raises(LevelOverflow):
             least_conjugate((5 * 10**11, 1), 10**12)  # (1/2, 1/10^12)
 

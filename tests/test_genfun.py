@@ -241,7 +241,7 @@ class TestFinalUnivariate:
         # 1/((1-w) w^b) -> single term: poly 1, guard b >= 0.
         st = make_state([(0, (1,))])
         (t,) = final_univariate(st, 1)
-        assert t.poly == ParamPoly.constant(1, 1)
+        assert t.poly == ParamPoly.constant(1, cyc_triple(1))
         assert not any(phase_coeffs(t.phase))
         assert t.guards[0].form == AffineForm((1,), 0)
         assert t.guards[0].sense == GE_ZERO
@@ -262,11 +262,12 @@ class TestFinalUnivariate:
         terms = final_univariate(st, 1)
         by_phase = {phase_coeffs(t.phase)[0]: t for t in terms}
         assert sorted(by_phase) == [F(0), F(1, 4), F(1, 2)]
-        assert by_phase[F(1, 4)].poly == ParamPoly.constant(1, F(1, 4))
+        assert by_phase[F(1, 4)].poly == ParamPoly.constant(
+            1, cyc_triple(F(1, 4)))
         for theta in (F(1, 4), F(3, 4)):
             t = {phase_coeffs(t.phase)[0]: t
                  for t in all_root_terms(st)}[theta]
-            assert t.poly == ParamPoly.constant(1, F(1, 8))
+            assert t.poly == ParamPoly.constant(1, cyc_triple(F(1, 8)))
 
     def test_mixed_pole_total_matches_series(self):
         st = make_state([(0, (2,)), (0, (4,))])
@@ -315,8 +316,8 @@ class TestPfdNumerator:
         beta = AffineForm((0,), 0)
         num = numerator(F(0), [(F(0), 1)], beta)
         assert engine_constants(beta, [(F(0), 1)]) == {
-            F(0): ParamPoly.constant(1, 1)}
-        assert constant_poly(num) == ParamPoly.constant(1, 1)
+            F(0): ParamPoly.constant(1, cyc_triple(1))}
+        assert constant_poly(num) == ParamPoly.constant(1, cyc_triple(1))
 
     def test_double_pole_numerator_coefficients(self):
         # (1-w)^2 group of 1/((1-w)^2 w^b): numerator b+1 - bw.

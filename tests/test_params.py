@@ -90,20 +90,25 @@ class TestParamPoly:
         f = poly_from_affine(AffineForm((1,), 1))
         g = poly_from_affine(AffineForm((1,), -1))
         assert poly_add(f, g).eval((5,)) == 10
-        assert list(poly_add(f, g).items()) == [((1,), Cyclotomic(1, [2]))]
+        assert [(e, Cyclotomic._ints(*c)) for e, c in poly_add(f, g).items()
+                ] == [((1,), Cyclotomic(1, [2]))]
 
     def test_zero_coeffs_dropped(self):
-        p = ParamPoly(1, {(1,): Cyclotomic.zero(), (0,): 2})
-        assert list(p.items()) == [((0,), Cyclotomic(1, [2]))]
+        p = ParamPoly(1, {(1,): cyc_triple(Cyclotomic.zero()),
+                          (0,): cyc_triple(2)})
+        assert [(e, Cyclotomic._ints(*c)) for e, c in p.items()] == [
+            ((0,), Cyclotomic(1, [2]))]
 
     def test_constant(self):
-        p = ParamPoly.constant(2, F(1, 8))
-        assert list(p.items()) == [((0, 0), Cyclotomic(1, [F(1, 8)]))]
+        p = ParamPoly.constant(2, cyc_triple(F(1, 8)))
+        assert [(e, Cyclotomic._ints(*c)) for e, c in p.items()] == [
+            ((0, 0), Cyclotomic(1, [F(1, 8)]))]
         assert p.eval((3, -4)) == F(1, 8)
 
     def test_str_and_repr(self):
-        p = ParamPoly(2, {(2, 1): 1, (0, 1): F(-1, 2), (1, 0): 3,
-                          (0, 0): cyc_from_phase(F(1, 3))})
+        p = ParamPoly(2, {(2, 1): cyc_triple(1), (0, 1): cyc_triple(F(-1, 2)),
+                          (1, 0): cyc_triple(3),
+                          (0, 0): cyc_triple(cyc_from_phase(F(1, 3)))})
         assert str(p) == "x0^2*x1 + (3)*x0 + (-1/2)*x1 + z3"
         assert repr(p) == "ParamPoly(2, 'x0^2*x1 + (3)*x0 + (-1/2)*x1 + z3')"
         assert (str(ParamPoly(1)), repr(ParamPoly(1))) == (
@@ -111,43 +116,19 @@ class TestParamPoly:
 
     def test_eq_of_rational_ignores_level(self):
         half = Cyclotomic(1, [F(-1, 2)])
-        p = ParamPoly(1, {(1,): half, (0,): 3})
-        q = ParamPoly(1, {(0,): Cyclotomic(1, [3]).raise_level(5),
-                          (1,): half.raise_level(12)})
+        p = ParamPoly(1, {(1,): cyc_triple(half), (0,): cyc_triple(3)})
+        q = ParamPoly(1, {(0,): cyc_triple(Cyclotomic(1, [3]).raise_level(5)),
+                          (1,): cyc_triple(half.raise_level(12))})
         assert p == q
-        r = ParamPoly(1, {(1,): cyc_from_phase(F(1, 3)), (0,): 3})
+        r = ParamPoly(1, {(1,): cyc_triple(cyc_from_phase(F(1, 3))),
+                          (0,): cyc_triple(3)})
         assert r != p
-
-
-    @pytest.mark.parametrize("coeff", [0.5, True, "1/2"], ids=repr)
-    def test_coefficient_reads_like_outside_input(self, coeff):
-        # 0.5 was taken as the rational 1/2, True as 1.
-        with pytest.raises(MatrixParseError):
-            ParamPoly(1, {(0,): coeff})
-
-    def test_int_fast_path_takes_no_float(self):
-        # An int skips the strict reader; a float that equals one does not.
-        assert list(ParamPoly(1, {(0,): 3}).items()) == [
-            ((0,), Cyclotomic(1, [3]))]
-        with pytest.raises(MatrixParseError):
-            ParamPoly(1, {(0,): 0.5})
-        with pytest.raises(MatrixParseError):
-            ParamPoly(1, {(0,): 3.0})
-
-    def test_int_fast_path_takes_no_bool(self):
-        # bool is a subclass of int, but True is not the integer 1 here.
-        assert ParamPoly(1, {(0,): 1}) == ParamPoly.constant(
-            1, Cyclotomic.one())
-        with pytest.raises(MatrixParseError):
-            ParamPoly(1, {(0,): True})
-        with pytest.raises(MatrixParseError):
-            ParamPoly(1, {(0,): False})
 
 
 class TestBinomPoly:
     def test_j_zero_is_one(self):
         beta = AffineForm((1,), 0)
-        assert binom_poly(0, beta) == ParamPoly.constant(1, 1)
+        assert binom_poly(0, beta) == ParamPoly.constant(1, cyc_triple(1))
 
     def test_j_one_is_beta(self):
         beta = AffineForm((1,), 0)
@@ -182,7 +163,7 @@ class TestGuard:
         assert not Guard(AffineForm((0,), -1), GE_ZERO).is_trivial()
 
     def test_unknown_sense_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MatrixParseError):
             Guard(AffineForm((1,), 0), "gt")
 
 
@@ -194,8 +175,8 @@ def _state(m):
 def _term(step):
     """The Term of a (phase, guards, scalar, level) accumulator step."""
     phase, guards, scalar, level = step
-    return Term(PhaseForm(phase, level), ParamPoly.constant(
-        len(phase), Cyclotomic._ints(*scalar)), guards)
+    return Term(PhaseForm(phase, level),
+                ParamPoly.constant(len(phase), scalar), guards)
 
 
 class TestTerm:
@@ -215,7 +196,8 @@ class TestTerm:
 
     def test_eighth_scalar_phase(self):
         # (1/8) e(b/4) at b=2 is -1/8.
-        t = Term(PhaseForm((1,), 4), ParamPoly.constant(1, F(1, 8)))
+        t = Term(PhaseForm((1,), 4),
+                 ParamPoly.constant(1, cyc_triple(F(1, 8))))
         assert t.value((2,)).to_rational() == F(-1, 8)
 
     def test_linear_in_scalar(self):

@@ -481,6 +481,35 @@ class TestResultExprShape:
         with pytest.raises(DimensionMismatch, match="expected 2 parameters"):
             replace(expr, spec=ONE_ONE)
 
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("certificate", (0.1, F(1)), MatrixParseError, "non-rational"),
+        ("certificate", (F(1), True), MatrixParseError, "bool"),
+        ("certificate", (F(1),) * 3, DimensionMismatch, "expected 2"),
+        ("certificate", (F(1),), DimensionMismatch, "expected 2"),
+        ("normalized", ((1.5, 1, 1), (0, 1, 1)), MatrixParseError,
+         "non-integer"),
+        ("normalized", ((1, 0, 1),), DimensionMismatch, "expected 2"),
+        ("normalized", (1, 0), MatrixParseError, "not a sequence"),
+    ], ids=["float-certificate", "bool-certificate", "long-certificate",
+            "short-certificate", "float-normalized", "one-normalized-row",
+            "normalized-of-ints"])
+    def test_certificate_and_normalized_checked(self, field, value, error,
+                                                message):
+        # Each was accepted: the float certificate was written as
+        # "3602879701896397/36028797018963968", the long certificate read
+        # back without error, and the float row written into a document
+        # that expr_from_json rejects.
+        expr = compute(A2)
+        with pytest.raises(error, match=message):
+            replace(expr, report=replace(expr.report, **{field: value}))
+
+    def test_certificate_and_normalized_may_be_empty(self):
+        # As a document without the keys gives them.
+        expr = compute(A2)
+        bare = replace(expr, report=replace(
+            expr.report, certificate=(), normalized=()))
+        assert evaluate(bare, (2, 3)) == evaluate(expr, (2, 3))
+
     @pytest.mark.parametrize("entry, message", [
         (1.5, "non-integer"), ("1", "non-integer"), (True, "bool")])
     def test_unimodular_entry_of_wrong_type(self, entry, message):

@@ -19,6 +19,7 @@ from vpf import (
     cyc_from_phase,
     evaluate,
 )
+from vpf.cyclotomic import cyc_triple
 from vpf.params import EQ_ZERO, GE_ZERO, ParamPoly, PhaseForm, Term
 from vpf.serialize import (
     cyc_from_json,
@@ -104,13 +105,20 @@ class TestComponents:
         assert phase_from_json(phase_to_json(p)) == p
 
     def test_poly(self):
-        p = ParamPoly(2, {(1, 0): 2, (0, 0): cyc_from_phase(F(1, 3))})
+        p = ParamPoly(2, {(1, 0): cyc_triple(2),
+                          (0, 0): cyc_triple(cyc_from_phase(F(1, 3)))})
         assert poly_from_json(poly_to_json(p), 2) == p
+
+    def test_repeated_monomial_named(self):
+        # The last coefficient of a repeated monomial was kept alone.
+        one = {"exps": [1, 0], "coeff": {"level": 1, "coeffs": ["1"]}}
+        with pytest.raises(MatrixParseError, match=r"exponents \(1, 0\)"):
+            poly_from_json([one, one], 2)
 
     def test_term(self):
         t = Term(PhaseForm((1, 0), 4),
                  poly_from_affine(AffineForm((1, 0), 1)).scale(
-                     cyc_from_phase(F(1, 4)) * F(1, 8)),
+                     cyc_triple(cyc_from_phase(F(1, 4)) * F(1, 8))),
                  (Guard(AffineForm((0, 1), 0), GE_ZERO),))
         t2 = term_from_json(term_to_json(t), 2)
         assert t2 == t
@@ -269,13 +277,15 @@ class TestExpr:
         lambda o: o.update(terms=5),
         lambda o: o["terms"].__setitem__(0, "term"),
         lambda o: o["terms"][0]["guards"][0].update(coeffs=1),
+        lambda o: o["terms"][0]["poly"].append(o["terms"][0]["poly"][0]),
     ], ids=["float-m", "integral-float-m", "float-guard-coeff",
             "float-guard-const", "float-exponent", "float-level",
             "float-coeff", "float-phase", "float-certificate",
             "float-unimodular", "zero-denominator", "not-a-number",
             "level-0", "guard-sense", "no-m", "no-terms", "no-phase",
             "no-guard-const", "no-level", "terms-not-a-list",
-            "term-not-an-object", "guard-coeffs-not-a-list"])
+            "term-not-an-object", "guard-coeffs-not-a-list",
+            "repeated-monomial"])
     def test_malformed_document_rejected(self, edit):
         # Typed, never a KeyError, TypeError or ValueError, and never rounded.
         # The schema-2 reader: the edits name its term fields.
@@ -306,12 +316,15 @@ class TestExpr:
         lambda o: o["terms"][1].update(poly=[{"exps": [0], "coeff": "1"}]),
         lambda o: o.update(unimodular=[[1, 0], [0, 1]]),
         lambda o: o.update(unimodular=[[1, 0]]),
+        lambda o: o.update(certificate=["1", "1", "1"]),
+        lambda o: o.update(normalized=[[1, 2], [1, 2]]),
     ], ids=["bool-m", "float-modulus", "bool-modulus", "modulus-0",
             "residue-length", "float-residue", "table-length", "float-entry",
             "zero-denominator-entry", "float-entry-level", "negative-exponent",
             "bool-exponent", "guard-length", "no-modulus", "no-residue",
             "no-table", "schema-2-monomial", "unimodular-2x2",
-            "unimodular-long-row"])
+            "unimodular-long-row", "certificate-length",
+            "normalized-row-count"])
     def test_malformed_schema3_rejected(self, edit):
         obj = json.loads(json.dumps(
             expr_to_json(compute(ProblemSpec.from_rows([(1, 2)])))))
@@ -415,8 +428,8 @@ def test_pinned_json_output(rows, order, digest):
 def test_compute_does_no_cyclotomic_arithmetic(rows, order, digest,
                                                monkeypatch):
     # The engine runs on integer triples and builds a Cyclotomic only for a
-    # Term's coefficient: with Cyclotomic's arithmetic made to raise (== too,
-    # through -), compute still gives the pinned JSON.
+    # table entry that is not rational: with Cyclotomic's arithmetic made to
+    # raise (== too, through -), compute still gives the pinned JSON.
     def refuse(*args):
         raise AssertionError("Cyclotomic arithmetic in compute")
 
@@ -424,6 +437,30 @@ def test_compute_does_no_cyclotomic_arithmetic(rows, order, digest,
                  "__rmul__", "__neg__", "inv", "raise_level"):
         monkeypatch.setattr(Cyclotomic, name, refuse)
     test_pinned_json_output(rows, order, digest)
+
+
+@pytest.mark.parametrize("rows, order, digest", PINNED_JSON)
+def test_compute_builds_cyclotomics_only_for_irrational_entries(
+        rows, order, digest, monkeypatch):
+    # A Term's coefficients stay triples from the engine to the tables, so
+    # the only Cyclotomics compute builds are its table entries that are
+    # not rational: none for an unphased spec (the 3x4 default order built
+    # 225 when each coefficient was one).  Both __init__ and _ints go
+    # through _set.
+    spec = rows if isinstance(rows, ProblemSpec) else ProblemSpec.from_rows(rows)
+    built = []
+    set_ = Cyclotomic._set
+
+    def counted(self, *args):
+        built.append(args)
+        set_(self, *args)
+
+    monkeypatch.setattr(Cyclotomic, "_set", counted)
+    expr = compute(spec, order=order)
+    entries = [x for s in expr.terms for _, t in s.poly for x in t
+               if isinstance(x, Cyclotomic)]
+    assert len(built) == len(entries)
+    assert bool(entries) == any(spec.phases)
 
 
 @pytest.mark.parametrize("spec, order", [

@@ -37,7 +37,7 @@ from vpf import (
     cyc_from_phase,
     evaluate,
 )
-from vpf.cyclotomic import least_conjugate, orbit_table
+from vpf.cyclotomic import cyc_triple, least_conjugate, orbit_table
 from vpf.matrixops import mat_vec_int
 from vpf.params import EQ_ZERO, ParamPoly, PhaseForm, Term, collapse_terms
 from vpf.render import render_expr_latex, render_expr_text
@@ -119,7 +119,8 @@ class TestOrbit:
             w = tuple(int(c * n) for c in phase)
             v, u = least_conjugate(w, n)
             k = pow(u, -1, n)  # as collapse_terms names the phase
-            term = Term(PhaseForm(w, n), ParamPoly.constant(len(w), 1))
+            term = Term(PhaseForm(w, n),
+                        ParamPoly.constant(len(w), cyc_triple(1)))
             (summand,) = collapse_terms([term], 1)
             assert (summand.modulus, summand.residue) == (n, v)
             assert v == tuple(u * x % n for x in w)
@@ -137,7 +138,8 @@ class TestOrbit:
                       cyc_from_phase(F(rng.randrange(q), q)) * F(rng.randint(-4, 4), 3)
                       + F(rng.randint(-2, 2)))
                      for q in (1, 3, 4, 10) for _ in range(2)]
-            table = orbit_table(modulus, parts, 0)
+            table = orbit_table(
+                modulus, [(k, cyc_triple(c)) for k, c in parts], 0)
             assert len(table) == modulus
             for j, entry in enumerate(table):
                 ref = sum((cyc_from_phase(F(k * j, modulus)) * c for k, c in parts),
@@ -165,7 +167,8 @@ class TestOrbit:
                       cyc_from_phase(F(rng.randrange(q), q)) * F(rng.randint(-4, 4), 3)
                       + F(rng.randint(-2, 2)))
                      for q in (1, 3, 4, 10) for _ in range(2)]
-            table = orbit_table(modulus, parts, l0)
+            table = orbit_table(
+                modulus, [(k, cyc_triple(c)) for k, c in parts], l0)
             assert len(table) == modulus
             js = rng.sample(range(modulus), sample) if sample else range(modulus)
             for j in js:
