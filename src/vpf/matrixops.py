@@ -1,7 +1,7 @@
 """Exact integer/rational matrix utilities.
 
-Readers of outside numbers, Fourier-Motzkin feasibility for the pointedness
-certificate, primitivization, and unimodular completion of a primitive row.
+Readers of outside numbers, the Fourier-Motzkin pointedness certificate,
+primitivization, unimodular completion of a primitive row, determinants.
 """
 from __future__ import annotations
 
@@ -99,27 +99,18 @@ def fm_certificate(columns) -> tuple[Fraction, ...]:
     if any(rhs > 0 for _, rhs in rows):
         raise NotPointed("columns do not lie in an open half-space")
 
-    y: list[Fraction | None] = [None] * m
+    # A stage's rows involve only y_0..y_v, and y_0..y_{v-1} are known.
+    y = [Fraction(0)] * m
     for v, pos, neg in reversed(stages):
-        lowers = []
-        uppers = []
-        for a, c in pos:
-            rest = sum(a[j] * y[j] for j in range(m) if j != v and a[j])
-            lowers.append((c - rest) / a[v])
-        for a, c in neg:
-            rest = sum(a[j] * y[j] for j in range(m) if j != v and a[j])
-            uppers.append((c - rest) / a[v])
+        lowers, uppers = ([(c - sum(x * w for x, w in zip(a, y[:v]) if x))
+                           / a[v] for a, c in rows] for rows in (pos, neg))
         if lowers and uppers:
             lo, hi = max(lowers), min(uppers)
             assert lo <= hi
             y[v] = (lo + hi) / 2
-        elif lowers:
-            y[v] = max(lowers)
-        elif uppers:
-            y[v] = min(uppers)
-        else:
-            y[v] = Fraction(0)
-    return tuple(y)  # type: ignore[return-value]
+        elif lowers or uppers:
+            y[v] = max(lowers) if lowers else min(uppers)
+    return tuple(y)
 
 
 def primitive_integer(y) -> tuple[int, ...]:
@@ -153,11 +144,6 @@ def unimodular_with_last_row(y0) -> list[list[int]]:
         yrow[i], yrow[j] = yrow[j], yrow[i]
         inv[i], inv[j] = inv[j], inv[i]
 
-    def col_neg(i):
-        yrow[i] = -yrow[i]
-        for c in range(m):
-            inv[i][c] = -inv[i][c]
-
     # Gather the gcd into position 0.
     for j in range(1, m):
         while yrow[j]:
@@ -169,10 +155,24 @@ def unimodular_with_last_row(y0) -> list[list[int]]:
             if yrow[j]:
                 col_swap(0, j)
     if yrow[0] < 0:
-        col_neg(0)
+        yrow[0], inv[0] = -yrow[0], [-x for x in inv[0]]
     assert yrow[0] == 1 and not any(yrow[1:])
     # Row 0 of inv is y0; rotate it to the bottom.
     return inv[1:] + inv[:1]
+
+
+def det_int(mat) -> int:
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    a, sign, prev = [list(row) for row in mat], 1, 1
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        a[k], a[p], sign = a[p], a[k], sign if p == k else -sign
+        a[k + 1:] = [[(x * a[k][k] - r[k] * y) // prev
+                      for x, y in zip(r, a[k])] for r in a[k + 1:]]
+        prev = a[k][k]
+    return sign * prev
 
 
 def mat_mul_int(a, b):

@@ -2,8 +2,8 @@
 
 Affine forms (integer exponents and guards), phase forms e(rho . b),
 parameter polynomials with cyclotomic coefficients, guards, the engine's
-closed Terms, and the Summands of the output, which collapse each Galois
-orbit of terms into one polynomial with periodic rational coefficients.
+closed Terms, and the Summands of the output, each one polynomial with
+periodic rational coefficients for the nesting Galois orbits of a guard set.
 Everything is immutable and freely shareable between threads.
 """
 from __future__ import annotations
@@ -233,8 +233,8 @@ class Term:
 
 class Summand(NamedTuple):
     """sum_k e(k * (residue . b) / modulus) * poly_k(b) under shared guards,
-    one Galois orbit of terms, stored as a polynomial in b whose coefficients
-    are tables of `modulus` entries indexed by j = residue . b mod modulus.
+    the Galois orbits of one guard set whose residues nest, as a polynomial
+    in b whose coefficients are tables indexed by j = residue . b mod modulus.
 
     `poly` holds (exponents, table) pairs; an entry is a Fraction, or a
     Cyclotomic where the orbit sum is not rational (specs with phases).
@@ -253,8 +253,11 @@ def _guard_key(g: Guard):
 
 
 def collapse_terms(terms, l0: int) -> tuple[Summand, ...]:
-    """Group terms by guards and by the cyclic group their phase generates,
-    and tabulate each group into one Summand.  Each term stands for its
+    """Group terms by guards and by the class (n, v) of the cyclic group
+    their phase generates, fold each class, largest modulus first, into a
+    kept (n', v') of its guard set with n | n', v' = v mod n and all of its
+    monomials (a pair (k, c) enters as (k * n' / n, c)), and tabulate each
+    kept class into one Summand.  Each term stands for its
     average over the Galois group of the units u = 1 mod l0, so an entry is
     a trace, which `orbit_table` writes in closed form through the Gauss
     periods of that group (Ramanujan sums for l0 = 1; l0 = 0: each term
@@ -274,6 +277,16 @@ def collapse_terms(terms, l0: int) -> tuple[Summand, ...]:
         monos = groups.setdefault(key, (guards, {}))[1]
         for exps, c in t.poly.items():
             monos.setdefault(exps, []).append((k, c))
+    kept: dict = {}
+    for (gk, n, v), (_, monos) in sorted(groups.items(), reverse=True):
+        for n1, v1, into in kept.setdefault(gk, []):
+            if not n1 % n and monos.keys() <= into.keys() and all(
+                    a % n == b for a, b in zip(v1, v)):
+                for exps, parts in groups.pop((gk, n, v))[1].items():
+                    into[exps] += [(k * (n1 // n), c) for k, c in parts]
+                break
+        else:
+            kept[gk].append((n, v, monos))
     out = []
     for key in sorted(groups):
         guards, monos = groups[key]

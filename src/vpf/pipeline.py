@@ -19,6 +19,7 @@ from .errors import (DimensionMismatch, MatrixParseError, NotPointed,
                      SanityFailure, UnsupportedMultiplePole)
 from .genfun import expand
 from .matrixops import (
+    det_int,
     fm_certificate,
     int_vector,
     mat_mul_int,
@@ -110,7 +111,8 @@ class ResultExpr:
         ints (MatrixParseError).  Residues, guards and exponents have m
         entries, the spec m rows, the unimodular m x m, and the certificate
         and the normalized rows m entries and rows or none, as a document
-        without them gives (DimensionMismatch)."""
+        without them gives (DimensionMismatch).  A report fits the spec: U
+        unimodular, U A the normalized rows, y . c > 0 (MatrixParseError)."""
         (m,) = int_vector((self.m,), "m")
         if m < 1:
             raise MatrixParseError(f"m = {m} is not positive")
@@ -151,6 +153,16 @@ class ResultExpr:
                 raise MatrixParseError("an exponent is negative")
         if sizes != {m}:
             raise DimensionMismatch(f"expected {m} parameters, got {sizes}")
+        if self.spec is not None and self.report is not None:
+            cols = list(zip(*self.spec.entries))
+            if abs(det_int(u)) != 1:
+                raise MatrixParseError(f"the unimodular {u} has det != +-1")
+            if ua and [mat_vec_int(cols, r) for r in u] != ua:
+                raise MatrixParseError(f"the normalized rows {ua} are not U A")
+            d = lcm(*(q.denominator for q in y))  # d * y is integral
+            if y and min(mat_vec_int(cols, [d * q.numerator // q.denominator
+                                            for q in y])) <= 0:
+                raise MatrixParseError(f"y = {y} gives y . c <= 0 on a column")
 
     def __getstate__(self):
         """pickle, copy and deepcopy leave the compiled plan behind; the

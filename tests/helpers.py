@@ -3,8 +3,7 @@
 The truncated-series oracle here re-derives the constant-term semantics of a
 GenFunState directly from geometric series, independently of the elimination
 engine, so engine steps can be checked against it.  The depth-first counter
-`count_points_dfs` is the reference for the graded box oracle `box_counts`,
-and `det_int` checks that unimodular completions have determinant +-1.
+`count_points_dfs` is the reference for the graded box oracle `box_counts`.
 `raw_terms` runs the engine without collapsing its terms into summands;
 each of them stands for its average over the Galois group G of the units
 u = 1 mod the level L0 of the input phases (`spec_level`), which `average`
@@ -139,28 +138,6 @@ def count_points_dfs(spec, b, certificate=None) -> int:
         return count
 
     return rec(spec.d - 1, tuple(b))
-
-
-def det_int(mat) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def phased_state(exps, pairs, columns=False) -> GenFunState:

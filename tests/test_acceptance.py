@@ -31,7 +31,7 @@ from vpf.genfun import (
     final_univariate,
     flip,
 )
-from vpf.matrixops import mat_vec_int
+from vpf.matrixops import det_int, mat_vec_int
 from vpf.params import ParamPoly
 
 from .helpers import (
@@ -47,7 +47,6 @@ from .helpers import (
     cp_pow,
     cp_series_inv,
     cp_sub,
-    det_int,
     engine_constants,
     numerator,
     phase_coeffs,

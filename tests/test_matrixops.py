@@ -1,5 +1,5 @@
-"""Exact matrix utilities: Fourier-Motzkin, unimodular completion; the
-test-side determinant that checks the completion."""
+"""Exact matrix utilities: Fourier-Motzkin, unimodular completion and the
+determinant that checks the completion."""
 from __future__ import annotations
 
 import random
@@ -9,6 +9,7 @@ import pytest
 
 from vpf.errors import MatrixParseError, NotPointed
 from vpf.matrixops import (
+    det_int,
     fm_certificate,
     int_from_text,
     int_vector,
@@ -20,8 +21,6 @@ from vpf.matrixops import (
     sequence,
     unimodular_with_last_row,
 )
-
-from .helpers import det_int
 
 
 def F(p, q=1):

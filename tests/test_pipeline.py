@@ -32,14 +32,14 @@ from vpf import (
     verify_box,
 )
 from vpf.genfun import dedekind_sum
-from vpf.matrixops import mat_vec_int
+from vpf.matrixops import det_int, mat_vec_int
 from vpf.oracle import box_counts
 from vpf.params import EQ_ZERO
 from vpf.pipeline import preprocess
+from vpf.serialize import expr_from_json, expr_to_json, rat_to_json
 
 from .helpers import (
     average,
-    det_int,
     raw_terms,
     summand_value,
     terms_value,
@@ -510,6 +510,32 @@ class TestResultExprShape:
             expr.report, certificate=(), normalized=()))
         assert evaluate(bare, (2, 3)) == evaluate(expr, (2, 3))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"normalized": ((1,), (7,)), "certificate": (F(-5), F(0))},
+         "not U A"),
+        ({"normalized": ((1, 0, 1), (0, 1, 2))}, "not U A"),
+        ({"normalized": ((1, 0, 1), (0, 1, 1, 5))}, "not U A"),
+        ({"unimodular": ((1, 0), (0, 2)), "normalized": ((1, 0, 1), (0, 2, 2))},
+         r"det != \+-1"),
+        ({"unimodular": ((1, 1), (1, 1)), "normalized": ((1, 1, 2),) * 2},
+         r"det != \+-1"),
+        ({"certificate": (F(-5), F(0))}, r"y \. c <= 0"),
+        ({"certificate": (F(1), F(-1))}, r"y \. c <= 0"),
+    ], ids=["one-column-rows-and-negative-y", "wrong-rows", "ragged-rows",
+            "det-2", "singular", "negative-y", "y-negative-on-one-column"])
+    def test_report_must_fit_the_spec(self, fields, message):
+        # Each was accepted, written by expr_to_json and read back by
+        # expr_from_json: A2 has three columns, U A is not those rows, U is
+        # not invertible over the integers, or y . c <= 0 on a column.
+        expr = compute(A2)
+        with pytest.raises(MatrixParseError, match=message):
+            replace(expr, report=replace(expr.report, **fields))
+        doc = expr_to_json(expr)
+        doc.update({k: [rat_to_json(q) for q in v] if k == "certificate"
+                    else [list(r) for r in v] for k, v in fields.items()})
+        with pytest.raises(MatrixParseError, match=message):
+            expr_from_json(doc)
+
     @pytest.mark.parametrize("entry, message", [
         (1.5, "non-integer"), ("1", "non-integer"), (True, "bool")])
     def test_unimodular_entry_of_wrong_type(self, entry, message):
@@ -541,7 +567,8 @@ def _every_number_as(n):
               Guard(AffineForm((n(0), n(1)), n(-1)), EQ_ZERO))
     poly = (((n(2), n(2)), (F(1), F(2), F(3))), ((n(0), n(0)), (F(0), F(1), F(5))))
     spec = ProblemSpec.from_rows([(1, -1, 0), (0, 1, 1)])
-    report = replace(preprocess(spec), unimodular=((n(1), n(1)), (n(0), n(1))))
+    report = replace(preprocess(spec), unimodular=((n(1), n(1)), (n(0), n(1))),
+                     normalized=((1, 0, 1), (0, 1, 1)))
     return ResultExpr(2, (Summand(guards, n(3), (n(1), n(2)), poly),),
                       spec, report)
 

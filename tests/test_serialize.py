@@ -352,7 +352,7 @@ PINNED_JSON = [
                  "4ab2d05f7dbc2319ae6463d5cafac18486fcbe69f06b49ae0821f09e6cefa12c",
                  id="beck"),
     pytest.param([(1, 1), (3, 1)], None,
-                 "4f71bf9b35c07b27c92e16ac1fdcacd20630552925984049ab11d9f3d97a0dd1",
+                 "5d1bf2841f55d9ef654fd5944ba0acf2b268ded447537d40b8d23deff7a19982",
                  id="three_one"),
     pytest.param([(1, 5, 7)], None,
                  "000a457286dc66f470844a004bc5b7ae91ec657ea9219a9922c5f17d63365207",
@@ -361,16 +361,16 @@ PINNED_JSON = [
                  "eb001baa22979ab8c90cfcb7196e30bbe9ad0f8d373932a7c5f2bc5b53e83931",
                  id="p7_q11"),
     pytest.param(M34, (1, 2, 0),
-                 "890d19241e8d6542a7f86c96e1f3fd607103fa01fffe6fca7be3e58fbe98d6cf",
+                 "608b5b19f622b0a674756c29fe02e4c5d98f97dba7c7da8c6a0472330527b9ea",
                  id="3x4_order_120"),
     pytest.param(M34, (2, 1, 0),
-                 "5df361578a829c7a4a62fe39c6e8540af48e769fd610c4e22310f50444434331",
+                 "583f8d12cbcc3cde6735579b3ccb1c8f534340390b86fda97e6f45433de166e8",
                  id="3x4_order_210"),
     pytest.param(M34, (2, 0, 1),
-                 "4f510112b3540c6aa810061ea16a49d374bb62ef52d6631210e3d68df2f98bd2",
+                 "a3481669bf1616c78cf675cb29231b4e92cc7138c72b358936fcea8c31d46b1e",
                  id="3x4_order_201"),
     pytest.param(M34, (0, 2, 1),
-                 "68f0a60b214ee92c6e934a74dcfd979a9eb638663d6b0f04ad149fce06d455b8",
+                 "e7803f0a18082824ec165a5b8b57b08b6f695a85cf41a51316094ceec2941bb9",
                  id="3x4_order_021"),
     # A mult-3 group at theta = 0.
     pytest.param([(1, 11, 13)], None,
@@ -381,10 +381,10 @@ PINNED_JSON = [
                  id="negative"),
     # The two orders with the most raw engine terms (218 and 210).
     pytest.param(M34, (0, 1, 2),
-                 "d42f9f0e6704097e69b32e7a6592f823fed628a20806d3469b05ae8aab38294e",
+                 "6a404edf8de8de0e465fda745193bdfe1e57773b0581bb59c6afb8e4802ef13e",
                  id="3x4_order_012"),
     pytest.param(M34, (1, 0, 2),
-                 "1004d0ff4f464ec63b2e43cdd0a29c9286c3e3dc583617b4942f5bb55e78a923",
+                 "d4bb9fc452c5f6eb7eed70872191d1d21b6261e774c2330e41a7abe0caf32540",
                  id="3x4_order_102"),
     # Cyclotomic table entries.
     pytest.param(ProblemSpec.from_rows([(1, 1), (0, 1)], phases=(F(1, 3), 0)),
@@ -400,7 +400,7 @@ PINNED_JSON = [
     pytest.param(ProblemSpec.from_rows([(1, 2, 3)],
                                        phases=(F(1, 3), F(1, 4), 0)),
                  None,
-                 "c9e06d37a7846858e7fdf714d6441c3180428fbd406978248f0d808d65e7577a",
+                 "9aed8b061e0dffd5236001ff17aa541130b0affc749aa39c629ea17a5063f216",
                  id="phased_1_2_3"),
     pytest.param(ProblemSpec.from_rows(M34, phases=(F(1, 2), 0, F(1, 3), F(3, 4))),
                  (2, 0, 1),
@@ -411,7 +411,7 @@ PINNED_JSON = [
                      [(0, -1, 1, 0, 2), (2, 2, 2, 1, -1), (0, -1, 2, 2, 2)],
                      phases=(F(1, 4), F(5, 6), F(1, 4), F(1, 4), F(1, 2))),
                  (0, 2, 1),
-                 "a82bee9b3ff8153b0895f824110523b0a5b117bd1f847b097ce237fade0aad2c",
+                 "e7d3881acca18a3d567cb1226faf56c96b317f6c6dc77fd74079e7218132aed4",
                  id="phased_3x5_order_021"),
 ]
 
