@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 
 from .cyclotomic import Cyclotomic
@@ -131,25 +132,31 @@ class ResultExpr:
             if not all(isinstance(g, Guard) for g in guards):
                 raise MatrixParseError(f"summand guards {guards!r} are not "
                                        f"all Guards")
-            poly = [(sequence(e, "summand exponents"),
-                     sequence(t, "summand table"))
-                    for e, t in (sequence(p, "summand monomial", 2)
-                                 for p in sequence(s.poly, "summand poly"))]
-            vectors = (sequence(s.residue, "summand residue"),
-                       *(e for e, _ in poly),
+            poly = s.poly  # sequence() and rat_vector() only for other input
+            if type(poly) is not tuple or not all(
+                    type(p) is tuple and len(p) == 2
+                    and type(p[0]) is type(p[1]) is tuple for p in poly):
+                poly = [(sequence(e, "summand exponents"),
+                         sequence(t, "summand table"))
+                        for e, t in (sequence(p, "summand monomial", 2)
+                                     for p in sequence(poly, "summand poly"))]
+            exps, tables = tuple(zip(*poly)) or ((), ())
+            vectors = (sequence(s.residue, "summand residue"), *exps,
                        *(g.form.coeffs for g in guards))
             int_vector((s.modulus, *(g.form.const for g in guards),
-                        *(x for v in vectors for x in v)),
+                        *chain.from_iterable(vectors)),
                        "summand modulus, residue, exponents and guards")
-            rat_vector([x for _, t in poly for x in t
-                        if not isinstance(x, Cyclotomic)], "table entries")
+            if not {Fraction, Cyclotomic}.issuperset(
+                    map(type, chain.from_iterable(tables))):
+                rat_vector([x for t in tables for x in t
+                            if not isinstance(x, Cyclotomic)], "table entries")
             sizes.update(map(len, vectors))
             if s.modulus < 1:
                 raise MatrixParseError(f"modulus {s.modulus} is not positive")
-            if any(len(t) != s.modulus for _, t in poly):
+            if set(map(len, tables)) - {s.modulus}:
                 raise MatrixParseError(
                     f"a table does not have {s.modulus} entries")
-            if any(min(e, default=0) < 0 for e, _ in poly):
+            if min(chain.from_iterable(exps), default=0) < 0:
                 raise MatrixParseError("an exponent is negative")
         if sizes != {m}:
             raise DimensionMismatch(f"expected {m} parameters, got {sizes}")
@@ -174,14 +181,11 @@ class ResultExpr:
         """What `evaluate` reads, built on its first call and never a field:
         a kernel compiled for this expression, the lcm D of all entry
         denominators, whether the spec has column phases, and the transform
-        (None for identity).  The kernel is straight-line code: the
-        transform, each distinct guard form, monomial of degree >= 2 and
-        (residue, modulus) pair once as g_i, p_i and r_i = residue . b mod
-        modulus, and per guard group an `if` over its guards adding
-        table[r_i] * monomial for each summand.  A degree-1 monomial is its
-        variable; a modulus-1 table is its one entry, with no subscript.
-        The tables hold each entry as x * D and are bound by reference, so
-        an unphased kernel returns D times the value as an int; the source
+        (None for identity).  The kernel returns None unless b is a tuple of
+        m exact ints, else adds table[residue . b mod modulus] * monomial in
+        each guard group that holds; a guard form, residue or monomial read
+        twice is named once.  Tables hold x * D and are bound by reference,
+        so an unphased kernel returns D times the value as an int; the source
         holds only fixed names and int literals, written by hex() from
         operator.index, which no int subclass can change and which, unlike
         repr, has no digit limit."""
@@ -192,8 +196,11 @@ class ResultExpr:
                     for s in self.terms for _, t in s.poly for x in t))
         args = [f"b{i}" for i in range(m)]
         nb = args if transform is None else [f"n{i}" for i in range(m)]
-        code = [f"n{i} = {_affine(r, args)}"
-                for i, r in enumerate(transform or ())]
+        code = [f"if type(b) is not tuple or len(b) != {hex(m)}: return",
+                f"{', '.join(args)}, = b", "if " + " or ".join(map(
+                    "type({}) is not int".format, args)) + ": return",
+                *(f"n{i} = {_affine(r, args)}"
+                  for i, r in enumerate(transform or ()))]
         forms, monos, residues, groups, tables = {}, {}, {}, {}, {}
         for s in self.terms:
             if not s.poly:
@@ -201,7 +208,7 @@ class ResultExpr:
             r = (tuple(map(operator.index, s.residue)),
                  operator.index(s.modulus))
             j = "" if r[1] == 1 else (
-                f"[r{residues.setdefault(r, len(residues))}]")
+                f"[{{r{residues.setdefault(r, len(residues))}}}]")
             added = []
             for e, t in s.poly:
                 name = f"T{len(tables)}"
@@ -210,27 +217,34 @@ class ResultExpr:
                 tables[name] = t if j else t[0]
                 e = tuple(map(operator.index, e))
                 p = (f" * {nb[e.index(1)]}" if sum(e) == 1 else
-                     f" * p{monos.setdefault(e, len(monos))}" if any(e)
+                     f" * {{p{monos.setdefault(e, len(monos))}}}" if any(e)
                      else "")
                 added.append(f"{name}{j}{p}")
-            key = tuple(f"g{forms.setdefault(f, len(forms))}" for f in (
+            key = tuple(f"{{g{forms.setdefault(f, len(forms))}}}" for f in (
                 (tuple(g.form.coeffs), g.form.const, g.sense == EQ_ZERO)
                 for g in s.guards))
-            groups.setdefault(key, []).append(f"t += {' + '.join(added)}")
-        code += [f"g{i} = {_affine(c, nb, k)} {'==' if eq else '>='} 0"
-                 for (c, k, eq), i in forms.items()]
-        code += [f"p{i} = " + " * ".join(
-            v if k == 1 else f"{v}**{hex(k)}" for v, k in zip(nb, e) if k)
-            for e, i in monos.items()]
-        code += [f"r{i} = ({_affine(r, nb)}) % {hex(n)}"
-                 for (r, n), i in residues.items()]
-        code.append("t = 0")
-        for key, lines in groups.items():
-            code += [f"if {' and '.join(key)}:", *map("    ".__add__, lines)
-                     ] if key else lines
-        source = "\n    ".join([f"def kernel({', '.join(args)}):", *code,
-                                 "return t"])
-        scope = {"__builtins__": {}, **tables}
+            groups.setdefault(key, []).extend(added)
+        body = ["t = 0"]
+        for key, added in groups.items():
+            line = f"t += {' + '.join(added)}"
+            body.append(f"if {' and '.join(key)}: {line}" if key else line)
+        body = "\n    ".join([*body, "return t"])
+        defs = {f"g{i}": f"{_affine(c, nb, k)} {'==' if eq else '>='} 0"
+                for (c, k, eq), i in forms.items()}
+        defs.update((f"p{i}", " * ".join(
+            v if k == 1 else f"{v}**{hex(k)}" for v, k in zip(nb, e) if k))
+            for e, i in monos.items())
+        for (r, n), i in residues.items():  # each parenthesis costs the parser
+            r = _affine(r, nb)
+            defs[f"r{i}"] = f"{f'({r})' if ' ' in r else r} % {hex(n)}"
+        for name, text in defs.items():
+            if body.count(f"{{{name}}}") > 1:
+                code.append(f"{name} = {text}")
+                defs[name] = name
+        source = "\n    ".join(["def kernel(b):", *code,
+                                 body.format_map(defs)])
+        scope = {"__builtins__": {}, "type": type, "tuple": tuple,
+                 "len": len, "int": int, **tables}
         exec(compile(source, "<vpf evaluation kernel>", "exec"), scope)
         phased = self.spec is not None and any(self.spec.phases)
         return scope["kernel"], den, phased, transform
@@ -341,15 +355,22 @@ def evaluate(expr: ResultExpr, b) -> Fraction | Cyclotomic:
     """phi_A(b); rejects non-integer or negative totals loudly.
 
     For a spec with column phases the value is the exact weighted count, a
-    Fraction when it is rational and a Cyclotomic otherwise.
+    Fraction when it is rational and a Cyclotomic otherwise.  The kernel
+    takes b as it is; a b it turns away is read by `int_vector` first.
     """
-    b = int_vector(b, "b", expr.m)
     kernel, den, phased, transform = expr._plan
-    total = kernel(*b)  # over den; a Cyclotomic entry promotes it
+    total = kernel(b)  # over den; a Cyclotomic entry promotes it
+    if total is None:
+        b = int_vector(b, "b", expr.m)
+        total = kernel(b)
     if isinstance(total, int):  # the count times den, read by one divmod
         count, rest = divmod(total, den)
         if not rest and (phased or count >= 0):
-            return Fraction(count)
+            if not 0 <= count < 1024:
+                return Fraction(count)
+            if (value := _COUNTS[count]) is None:
+                value = _COUNTS[count] = Fraction(count)
+            return value
         value = Fraction(total, den)
     else:
         value = total * Fraction(1, den)
@@ -373,12 +394,16 @@ def evaluate(expr: ResultExpr, b) -> Fraction | Cyclotomic:
     raise SanityFailure(f"evaluation at {at} is not {wanted}: {value}")
 
 
+#: Fraction(n) for each count 0 <= n < 1,024 met: immutable, so shared.
+_COUNTS = [None] * 1024
+
+
 def verify_box(spec: ProblemSpec, expr: ResultExpr, lo, hi) -> VerifyReport:
     """Compare evaluate against the oracle on every integer b in the box;
     `box_counts` checks the box and the spec.
 
-    The compiled kernel gives each point's total over the denominator D in
-    integers, and a total equal to D times the count passes as it is.
+    The compiled kernel takes each point as in `evaluate` and gives its
+    total over the denominator D in integers; D times the count passes.
     `evaluate` runs only where the total is not an int or differs, so a
     mismatch is reported with its value and a value that is no count raises
     SanityFailure, as when every point is evaluated."""
@@ -392,7 +417,7 @@ def verify_box(spec: ProblemSpec, expr: ResultExpr, lo, hi) -> VerifyReport:
     counts = box_counts(spec, lo, hi)
     kernel, den, _, _ = expr._plan
     for b, expected in counts.items():
-        total = kernel(*b)
+        total = kernel(b)
         if type(total) is not int or total != expected * den:
             got = evaluate(expr, b)
             if got != expected:

@@ -7,6 +7,7 @@ tree, and its argument checks with nothing run.  The file is loaded by path.
 from __future__ import annotations
 
 import importlib.util
+import statistics
 from pathlib import Path
 
 import pytest
@@ -94,3 +95,32 @@ def test_repeated_workload_rejected_before_any_run(bench_pairs, monkeypatch,
     assert exit_.value.code == 2
     assert "repeated" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_layers_alternate_sides_and_report_medians(bench_pairs, monkeypatch):
+    # Each run_layers call reports its own call number as every time, so
+    # the medians show which calls each side got.
+    calls = []
+
+    def run_layers(tree):
+        calls.append(tree)
+        n = len(calls)
+        return {"x": {"summands": 3, "points": 5, "rounds": 2,
+                      "compute_ms": n, "plan_ms": 10 * n,
+                      "evaluate_us": n / 2, "box_counts_us": None}}
+    monkeypatch.setattr(bench_pairs, "run_layers", run_layers)
+    out = bench_pairs.pair_layers({"parent": "P", "change": "C"})
+    k = bench_pairs.LAYER_CALLS
+    # The side that runs first changes from one call to the next, and an
+    # even number of calls gives each side the first place equally often.
+    assert k >= 4 and k % 2 == 0
+    assert calls == ["P", "C", "C", "P"] * (k // 2)
+    assert list(out) == ["parent", "change"]
+    for side, tree in (("parent", "P"), ("change", "C")):
+        got = [n for n, t in enumerate(calls, 1) if t == tree]
+        (x,) = out[side].values()
+        assert x["compute_ms"] == statistics.median(got)
+        assert x["plan_ms"] == 10 * statistics.median(got)
+        assert x["evaluate_us"] == statistics.median(got) / 2
+        assert (x["summands"], x["points"], x["rounds"]) == (3, 5, 2)
+        assert x["box_counts_us"] is None

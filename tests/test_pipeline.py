@@ -32,7 +32,7 @@ from vpf import (
     verify_box,
 )
 from vpf.genfun import dedekind_sum
-from vpf.matrixops import det_int, mat_vec_int
+from vpf.matrixops import det_int, int_vector, mat_vec_int
 from vpf.oracle import box_counts
 from vpf.params import EQ_ZERO
 from vpf.pipeline import preprocess
@@ -388,6 +388,76 @@ class TestEvaluate:
         for b1 in range(-3, 5):
             for b2 in range(-3, 3):
                 assert evaluate(expr, (b1, b2)) == count_points(spec, (b1, b2))
+
+
+class _NoArithmetic(int):
+    """An int subclass whose arithmetic raises: a b made of these must be
+    read as the ints they are before any arithmetic, as int_vector reads
+    it."""
+
+    def __add__(self, other):
+        raise AssertionError("arithmetic on the caller's int subclass")
+
+    __radd__ = __mul__ = __rmul__ = __add__
+
+
+#: Each b as a caller may pass it, made anew per call: a generator is read
+#: once.
+ARGUMENTS = {
+    "tuple": lambda: (4, 3),
+    "list": lambda: [4, 3],
+    "generator": lambda: (v for v in (4, 3)),
+    "str": lambda: "43",
+    "short": lambda: (4,),
+    "long": lambda: (4, 3, 1),
+    "bool": lambda: (True, 3),
+    "float": lambda: (4.0, 3),
+    "fraction": lambda: (4, F(3)),
+    "no-arithmetic": lambda: (_NoArithmetic(4), _NoArithmetic(3)),
+}
+
+
+@pytest.mark.parametrize("name", ARGUMENTS)
+@pytest.mark.parametrize("rows", [[(1, 0, 1), (0, 1, 1)],
+                                  [(1, -1, 0), (0, 1, 1)]],
+                         ids=["A2", "transformed"])
+def test_evaluate_reads_b_like_int_vector(rows, name):
+    # The kernel takes b as it is only when it is a tuple of m exact ints.
+    # Any other b gives what reading it with int_vector first gives: the
+    # same value, or a MatrixParseError with the same message.
+    spec = ProblemSpec.from_rows(rows)
+    expr = compute(spec)
+    try:
+        b = int_vector(ARGUMENTS[name](), "b", 2)
+    except MatrixParseError as exc:
+        with pytest.raises(MatrixParseError) as info:
+            evaluate(expr, ARGUMENTS[name]())
+        assert str(info.value) == str(exc)
+    else:
+        got = evaluate(expr, ARGUMENTS[name]())
+        assert type(got) is Fraction and got == count_points(spec, b)
+
+
+def test_failure_names_b_as_read():
+    # A list is named as the tuple int_vector reads it as.
+    expr = compute(ProblemSpec.from_rows([(1, -1, 0), (0, 1, 1)]))
+    bad = replace(expr, terms=expr.terms[:1] + expr.terms[2:])
+    with pytest.raises(SanityFailure, match=(
+            r"^evaluation at \(-2, 4\) \(normalized \(4, 6\)\) is not a "
+            r"nonnegative integer: -2$")):
+        evaluate(bad, [-2, 4])
+
+
+def test_counts_leave_as_shared_fractions():
+    # (1 1) has b + 1 points at b >= 0.  Counts inside and past the range
+    # of evaluate's memo come back as Fractions equal to the count, and a
+    # count inside it as one shared object.
+    expr = compute(ONE_ONE)
+    for b in (-3, 0, 5, 1022, 1023, 1024, 5000, 10**30):
+        got = evaluate(expr, (b,))
+        assert type(got) is Fraction and got == max(b + 1, 0)
+    assert evaluate(expr, (6,)) is evaluate(expr, [6])
+    assert evaluate(expr, (-1,)) is evaluate(expr, (-7,))
 
 
 def _summand(modulus=1, residue=(0,), exps=(0,), table=(F(1),), guards=()):

@@ -15,12 +15,16 @@ pair's raw results, and one traced round (`--trace 1`, seed 1) per side
 and workload, and a `layers` key: for each side, on the 3x4 default
 order, `(1 7 11)`, Beck and a phased 3x5 spec, the median time of a warm
 `compute` (in ms), of building the evaluation kernel (`ResultExpr._plan`,
-in ms), of a warm `evaluate` per point (in us) and of the oracle
-`box_counts` per point of that input's benchmark box (in us; null for the
-phased spec, which `box_counts` rejects), measured once per side, parent
-first, by `time_layers` in a fresh interpreter that imports `vpf` from that
-side's `src`.  Metric names and directions come from BENCHMARK.json.  Needs
-only git and the standard library.
+in ms), of a warm `evaluate` per point (in us; with `evaluate`'s count memo
+warm after the first round) and of the oracle `box_counts` per point of
+that input's benchmark box (in us; null for the phased spec, which
+`box_counts` rejects).  Each is the median over LAYER_CALLS calls of
+`run_layers` per side, each call `time_layers` in a fresh interpreter that
+imports `vpf` from that side's `src`; the calls alternate the sides, the
+parent first in even calls and the change first in odd ones, so a drift of
+the machine's speed falls on both sides alike.  Metric names and
+directions come from BENCHMARK.json.  Needs only git and the standard
+library.
 """
 from __future__ import annotations
 
@@ -55,6 +59,7 @@ LAYER_INPUTS = {
 }
 LAYER_ROUNDS = 7
 LAYER_POINTS = 500
+LAYER_CALLS = 6
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float,
@@ -75,9 +80,10 @@ def time_layers() -> dict:
     `compute` after a first one has filled the memos (`compute_ms`), of one
     kernel build on a copy of the expression that has none (`plan_ms`), of
     a warm `evaluate` per point over LAYER_POINTS seeded points in
-    [-2, 30]^m (`evaluate_us`), and of the oracle `box_counts` per point of
-    the input's box (`box_counts_us`, None without a box).  Imports `vpf`
-    from wherever `sys.path` finds it."""
+    [-2, 30]^m (`evaluate_us`; the points repeat every round, so from the
+    second round on `evaluate`'s count memo holds their counts), and of the
+    oracle `box_counts` per point of the input's box (`box_counts_us`, None
+    without a box).  Imports `vpf` from wherever `sys.path` finds it."""
     from vpf import ProblemSpec, compute, evaluate
     from vpf.oracle import box_counts
     out = {}
@@ -126,6 +132,22 @@ def run_layers(tree: Path) -> dict:
         raise RuntimeError(f"time_layers failed in {tree}:\n"
                            f"{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def pair_layers(trees: dict) -> dict:
+    """Per side of `trees` ("parent" and "change"), the median of each time
+    over LAYER_CALLS `run_layers` calls; call i runs the parent first when
+    i is even and the change first when it is odd."""
+    runs = {side: [] for side in trees}
+    for i in range(LAYER_CALLS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_layers(trees[side]))
+    return {side: {name: {key: statistics.median(r[name][key] for r in rs)
+                          if key.endswith(("_ms", "_us")) and value is not None
+                          else value for key, value in first.items()}
+                   for name, first in rs[0].items()}
+            for side, rs in runs.items()}
 
 
 def summarize(pairs: list, metrics: dict) -> dict:
@@ -247,8 +269,7 @@ def main(argv=None) -> int:
                 result["trace"][workload][side] = {
                     **{k: v["value"] for k, v in line["metrics"].items()},
                     "failed": line["failed"]}
-        result["layers"] = {side: run_layers(trees[side])
-                            for side in ("parent", "change")}
+        result["layers"] = pair_layers(trees)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     for workload, table in result["summary"].items():
         for name, s in table.items():
