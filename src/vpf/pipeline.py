@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm
 
 from .cyclotomic import Cyclotomic
@@ -30,8 +30,8 @@ from .matrixops import (
     sequence,
     unimodular_with_last_row,
 )
-from .oracle import box_counts
-from .params import EQ_ZERO, Guard, Summand, collapse_terms
+from .oracle import box_points_and_counts
+from .params import EQ_ZERO, AffineForm, Guard, Summand, collapse_terms
 
 
 @dataclass(frozen=True)
@@ -127,29 +127,25 @@ class ResultExpr:
             sizes = {len(u), *map(len, u), *(len(x) for x in (y, ua) if x)}
         if self.spec is not None:
             sizes.add(self.spec.m)
-        for s in self.terms:
+        flat = self._flat_sizes()  # None: the loop words the first error
+        sizes.update(flat or ())
+        for s in self.terms if flat is None else ():
             guards = sequence(s.guards, "summand guards")
             if not all(isinstance(g, Guard) for g in guards):
                 raise MatrixParseError(f"summand guards {guards!r} are not "
                                        f"all Guards")
-            poly = s.poly  # sequence() and rat_vector() only for other input
-            if type(poly) is not tuple or not all(
-                    type(p) is tuple and len(p) == 2
-                    and type(p[0]) is type(p[1]) is tuple for p in poly):
-                poly = [(sequence(e, "summand exponents"),
-                         sequence(t, "summand table"))
-                        for e, t in (sequence(p, "summand monomial", 2)
-                                     for p in sequence(poly, "summand poly"))]
+            poly = [(sequence(e, "summand exponents"),
+                     sequence(t, "summand table"))
+                    for e, t in (sequence(p, "summand monomial", 2)
+                                 for p in sequence(s.poly, "summand poly"))]
             exps, tables = tuple(zip(*poly)) or ((), ())
             vectors = (sequence(s.residue, "summand residue"), *exps,
                        *(g.form.coeffs for g in guards))
             int_vector((s.modulus, *(g.form.const for g in guards),
                         *chain.from_iterable(vectors)),
                        "summand modulus, residue, exponents and guards")
-            if not {Fraction, Cyclotomic}.issuperset(
-                    map(type, chain.from_iterable(tables))):
-                rat_vector([x for t in tables for x in t
-                            if not isinstance(x, Cyclotomic)], "table entries")
+            rat_vector([x for t in tables for x in t
+                        if not isinstance(x, Cyclotomic)], "table entries")
             sizes.update(map(len, vectors))
             if s.modulus < 1:
                 raise MatrixParseError(f"modulus {s.modulus} is not positive")
@@ -170,6 +166,38 @@ class ResultExpr:
             if y and min(mat_vec_int(cols, [d * q.numerator // q.denominator
                                             for q in y])) <= 0:
                 raise MatrixParseError(f"y = {y} gives y . c <= 0 on a column")
+
+    def _flat_sizes(self):
+        """The lengths of every residue, exponent and guard form, from one
+        pass over all summands, if each is as `compute` builds it: tuples of
+        exact ints and of (tuple, tuple) pairs, Guards over AffineForms, a
+        modulus >= 1, exponents >= 0 and tables of modulus Fractions or
+        Cyclotomics; None otherwise."""
+        ts = self.terms
+        if type(ts) is not tuple or not {Summand}.issuperset(map(type, ts)):
+            return None
+        gs, ns, rs, ps = tuple(zip(*ts)) or ((),) * 4
+        if not {tuple}.issuperset(map(type, chain(gs, rs, ps))):
+            return None
+        pairs, guards = [*chain.from_iterable(ps)], [*chain.from_iterable(gs)]
+        form = operator.attrgetter("form")
+        if not ({tuple}.issuperset(map(type, pairs)) and {2}.issuperset(
+                map(len, pairs)) and {Guard}.issuperset(map(type, guards))
+                and {AffineForm}.issuperset(map(type, map(form, guards)))):
+            return None
+        es, tables = tuple(zip(*pairs)) or ((), ())
+        cs, ks = zip(*map(operator.attrgetter("coeffs", "const"),
+                          map(form, guards))) if guards else ((), ())
+        if not ({tuple}.issuperset(map(type, chain(es, tables, cs)))
+                and {int}.issuperset(map(type, chain(ns, ks, *rs, *es, *cs)))
+                and {Fraction, Cyclotomic}.issuperset(
+                    map(type, chain.from_iterable(tables)))
+                and min(ns, default=1) >= 1
+                and min(chain.from_iterable(es), default=0) >= 0
+                and [*map(len, tables)] == [
+                    *chain.from_iterable(map(repeat, ns, map(len, ps)))]):
+            return None
+        return set(map(len, chain(rs, es, cs)))
 
     def __getstate__(self):
         """pickle, copy and deepcopy leave the compiled plan behind; the
@@ -400,7 +428,7 @@ _COUNTS = [None] * 1024
 
 def verify_box(spec: ProblemSpec, expr: ResultExpr, lo, hi) -> VerifyReport:
     """Compare evaluate against the oracle on every integer b in the box;
-    `box_counts` checks the box and the spec.
+    `box_points_and_counts` checks the box and the spec.
 
     The compiled kernel takes each point as in `evaluate` and gives its
     total over the denominator D in integers; D times the count passes.
@@ -414,9 +442,9 @@ def verify_box(spec: ProblemSpec, expr: ResultExpr, lo, hi) -> VerifyReport:
     report = VerifyReport()
     start = time.perf_counter()
     # The first coordinate varies fastest.
-    counts = box_counts(spec, lo, hi)
+    points, counts = box_points_and_counts(spec, lo, hi)
     kernel, den, _, _ = expr._plan
-    for b, expected in counts.items():
+    for b, expected in zip(points, counts):
         total = kernel(b)
         if type(total) is not int or total != expected * den:
             got = evaluate(expr, b)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib.util
 import statistics
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,14 +72,37 @@ def test_layers_of_this_tree(bench_pairs):
     assert [v["summands"] for v in layers.values()] == [19, 3, 5, 50]
     for name, v in layers.items():
         assert list(v) == ["summands", "points", "rounds", "compute_ms",
-                           "plan_ms", "evaluate_us", "box_counts_us"]
+                           "plan_ms", "evaluate_us", "box_counts_us",
+                           "box_counts_cold_us"]
         assert v["compute_ms"] > 0
         assert v["plan_ms"] > 0 and v["evaluate_us"] > 0
         # box_counts rejects a phased spec, so that input has no oracle time.
         if name.startswith("phased"):
-            assert v["box_counts_us"] is None
+            assert v["box_counts_us"] is v["box_counts_cold_us"] is None
         else:
-            assert v["box_counts_us"] > 0
+            assert v["box_counts_us"] > 0 and v["box_counts_cold_us"] > 0
+
+
+def test_cold_layer_imports_vpf_afresh(bench_pairs):
+    # The cold oracle time follows an import that compiles vpf from source,
+    # as vpfbench's set-up imports it; the modules found before go back.
+    import vpf.oracle  # noqa: F401
+    saved = {n: m for n, m in sys.modules.items()
+             if n == "vpf" or n.startswith("vpf.")}
+    flags = sys.pycache_prefix, sys.dont_write_bytecode
+    try:
+        fresh = bench_pairs.fresh_vpf()
+        assert fresh is not saved["vpf"]
+        assert fresh.oracle is not saved["vpf.oracle"]
+        assert fresh.oracle.__file__ == saved["vpf.oracle"].__file__
+        assert fresh.oracle.__spec__.cached.startswith(
+            str(PAIRS.parents[1] / ".no-pycache"))
+        assert (sys.pycache_prefix, sys.dont_write_bytecode) == flags
+    finally:
+        for name in [n for n in sys.modules
+                     if n == "vpf" or n.startswith("vpf.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
 
 
 def test_repeated_workload_rejected_before_any_run(bench_pairs, monkeypatch,
@@ -107,7 +131,8 @@ def test_layers_alternate_sides_and_report_medians(bench_pairs, monkeypatch):
         n = len(calls)
         return {"x": {"summands": 3, "points": 5, "rounds": 2,
                       "compute_ms": n, "plan_ms": 10 * n,
-                      "evaluate_us": n / 2, "box_counts_us": None}}
+                      "evaluate_us": n / 2, "box_counts_us": None,
+                      "box_counts_cold_us": None}}
     monkeypatch.setattr(bench_pairs, "run_layers", run_layers)
     out = bench_pairs.pair_layers({"parent": "P", "change": "C"})
     k = bench_pairs.LAYER_CALLS
@@ -123,4 +148,4 @@ def test_layers_alternate_sides_and_report_medians(bench_pairs, monkeypatch):
         assert x["plan_ms"] == 10 * statistics.median(got)
         assert x["evaluate_us"] == statistics.median(got) / 2
         assert (x["summands"], x["points"], x["rounds"]) == (3, 5, 2)
-        assert x["box_counts_us"] is None
+        assert x["box_counts_us"] is x["box_counts_cold_us"] is None

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations, product
@@ -17,7 +18,7 @@ from vpf import (
     check_pointed,
     count_points,
 )
-from vpf.oracle import box_counts
+from vpf.oracle import box_counts, box_points_and_counts
 
 from .helpers import count_points_dfs
 
@@ -193,8 +194,13 @@ class TestBoxCounts:
         # The box straddles both walls of the Beck cone.
         ([(1, 2, 1, 0), (1, 1, 0, 1)], (-3, 2), (6, 4)),
         ([(1, 0, 1, 2), (0, 1, 1, -1), (2, 1, 0, 1)], (-1, 0, 1), (3, 2, 4)),
+        # Entries wider than the box and its cut: with the row keys' radix
+        # taken from those alone (R = 5), the tail (-5, 1) of the column
+        # (-1, -5, 1) steps a key by 0, so the column passes for one that
+        # keeps the tail, and (-1, 0, 0) counts 1 where it counts 0.
+        ([(6, -1, 1), (-5, -5, 5), (-4, 1, 1)], (-1, -1, 0), (0, 0, 0)),
     ], ids=["zero-tail-negative", "negative-tail", "all-negative",
-            "index-two", "straddles-cone", "uneven-3d"])
+            "index-two", "straddles-cone", "uneven-3d", "columns-wider"])
     def test_matches_dfs_on_shaped_boxes(self, rows, lo, hi):
         spec = ProblemSpec.from_rows(rows)
         y = check_pointed(spec)
@@ -204,6 +210,37 @@ class TestBoxCounts:
         assert any(counts.values())
         for b, n in counts.items():
             assert n == count_points_dfs(spec, b, y), b
+
+    @pytest.mark.parametrize("rows, lo, hi, y0, stride", [
+        # The boxes vpfbench's verify_box runs, the 3x4 one under all six
+        # orders (y = (0, 1, 1)), then a 2-row box with y = (-3, 1), where
+        # the column (-1, -2) is walked downward.
+        (((1, 1, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)), (0, 0, 0), (4, 4, 4),
+         0, 1),
+        (((1, 0, 1), (0, 1, 1)), (-3, -3), (8, 8), 1, 1),
+        (((1, 2, 1, 0), (1, 1, 0, 1)), (0, 0), (20, 20), 1, 5),
+        (((1, 1), (3, 1)), (0, 0), (20, 20), 0, 1),
+        (((1, -1, 0), (0, 1, 1)), (-6, 0), (12, 12), 1, 1),
+        (((-1, 0, -1), (-2, 1, 3)), (-8, -4), (2, 9), -1, 1),
+    ], ids=["3x4", "A2", "Beck", "(1 1; 3 1)", "(1 -1 0; 0 1 1)",
+            "y0-negative-downward"])
+    def test_benchmark_boxes_match_dfs(self, rows, lo, hi, y0, stride):
+        # Budget 2 s a case, at most 0.3 s on a shared 2-vCPU Xeon: the DFS
+        # takes about 2.6 ms a point on Beck's box (1.1 s for its 441), so
+        # there every fifth point is checked, the two corners among them.
+        spec = ProblemSpec.from_rows(rows)
+        y = check_pointed(spec)
+        assert (y[0] > 0) - (y[0] < 0) == y0
+        start = time.perf_counter()
+        counts = box_counts(spec, lo, hi)
+        assert list(zip(*box_points_and_counts(spec, lo, hi))) == list(
+            counts.items())
+        assert len(counts) == prod(z - a + 1 for a, z in zip(lo, hi))
+        assert any(counts.values())
+        for b, n in list(counts.items())[::stride]:
+            assert n == count_points_dfs(spec, b, y), b
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2, f"{elapsed:.2f} s"
 
     @pytest.mark.parametrize("spec, lo, hi", [
         (A2, (5, -10**12), (5, -10**12)),

@@ -17,8 +17,10 @@ order, `(1 7 11)`, Beck and a phased 3x5 spec, the median time of a warm
 `compute` (in ms), of building the evaluation kernel (`ResultExpr._plan`,
 in ms), of a warm `evaluate` per point (in us; with `evaluate`'s count memo
 warm after the first round) and of the oracle `box_counts` per point of
-that input's benchmark box (in us; null for the phased spec, which
-`box_counts` rejects).  Each is the median over LAYER_CALLS calls of
+that input's benchmark box (in us), warm and in its first call after a
+fresh import of `vpf` compiled from source, as vpfbench's set-up imports
+it (null for the phased spec, which `box_counts` rejects).  Each is the
+median over LAYER_CALLS calls of
 `run_layers` per side, each call `time_layers` in a fresh interpreter that
 imports `vpf` from that side's `src`; the calls alternate the sides, the
 parent first in even calls and the change first in odd ones, so a drift of
@@ -29,6 +31,7 @@ library.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import platform
@@ -82,8 +85,12 @@ def time_layers() -> dict:
     a warm `evaluate` per point over LAYER_POINTS seeded points in
     [-2, 30]^m (`evaluate_us`; the points repeat every round, so from the
     second round on `evaluate`'s count memo holds their counts), and of the
-    oracle `box_counts` per point of the input's box (`box_counts_us`, None
-    without a box).  Imports `vpf` from wherever `sys.path` finds it."""
+    oracle `box_counts` per point of the input's box, warm
+    (`box_counts_us`) and cold (`box_counts_cold_us`: its first call after
+    a fresh import of `vpf`, compiled from source with no bytecode cache,
+    and the certificate and transform read as vpfbench's set-up reads
+    them); both None without a box.  Imports `vpf` from wherever
+    `sys.path` finds it."""
     from vpf import ProblemSpec, compute, evaluate
     from vpf.oracle import box_counts
     out = {}
@@ -116,8 +123,35 @@ def time_layers() -> dict:
                      "plan_ms": statistics.median(builds) * 1e3,
                      "evaluate_us": statistics.median(evals) * 1e6,
                      "box_counts_us": statistics.median(oracle) * 1e6
-                     if oracle else None}
+                     if oracle else None,
+                     "box_counts_cold_us": None}
+    for name, (rows, phases, _, box) in LAYER_INPUTS.items():
+        cold = []
+        for _ in range(LAYER_ROUNDS if box else 0):
+            vpf = fresh_vpf()
+            spec = vpf.ProblemSpec.from_rows(rows, phases)
+            vpf.nonnegativize(spec, vpf.check_pointed(spec))
+            start = time.perf_counter()
+            counts = vpf.oracle.box_counts(spec, *box)
+            cold.append((time.perf_counter() - start) / len(counts))
+        if cold:
+            out[name]["box_counts_cold_us"] = statistics.median(cold) * 1e6
     return out
+
+
+def fresh_vpf():
+    """`vpf` imported anew and compiled from source, as vpfbench's set-up
+    imports it: the bytecode cache is neither read nor written."""
+    for name in [n for n in sys.modules if n == "vpf" or n.startswith("vpf.")]:
+        del sys.modules[name]
+    saved = sys.pycache_prefix, sys.dont_write_bytecode
+    # A prefix that is never created: no cached bytecode can be found.
+    sys.pycache_prefix = str(ROOT / ".no-pycache")
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module("vpf")
+    finally:
+        sys.pycache_prefix, sys.dont_write_bytecode = saved
 
 
 def run_layers(tree: Path) -> dict:
@@ -280,14 +314,14 @@ def main(argv=None) -> int:
     for name in result["layers"]["change"]:
         old, new = (result["layers"][side][name]
                     for side in ("parent", "change"))
-        oracle = " -> ".join("-" if v["box_counts_us"] is None
-                             else f"{v['box_counts_us']:.3g}"
-                             for v in (old, new))
+        oracle, cold = (" -> ".join("-" if v[key] is None
+                                    else f"{v[key]:.3g}" for v in (old, new))
+                        for key in ("box_counts_us", "box_counts_cold_us"))
         print(f"{name:20s} compute {old['compute_ms']:.3g} -> "
               f"{new['compute_ms']:.3g} ms, plan {old['plan_ms']:.3g} -> "
               f"{new['plan_ms']:.3g} ms, evaluate {old['evaluate_us']:.3g} -> "
-              f"{new['evaluate_us']:.3g} us, box_counts {oracle} us",
-              file=sys.stderr)
+              f"{new['evaluate_us']:.3g} us, box_counts {oracle} us "
+              f"(cold {cold} us)", file=sys.stderr)
     return 0
 
 
